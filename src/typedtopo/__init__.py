@@ -2,7 +2,8 @@
 
 Open sets carry types from a bounded distributive lattice; chains of types
 restrict neighborhoods, closure, density, and connectedness; score tables
-attach z-score semantics to points and pairs. See the README for the CLI.
+attach z-score semantics to points and pairs. The ``tts`` command line is
+documented in `typedtopo.cli`.
 """
 
 from .errors import TypedTopoError

@@ -51,14 +51,16 @@ def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> Typ
     return TypedFamily(space, p, frozenset(members), at)
 
 
+def is_irreducible_in(pool, mask: int) -> bool:
+    """No two other pool members union to ``mask``."""
+    inside = [m for m in pool if m != mask and (m & mask) == m]
+    return not any((w | v) == mask for w, v in itertools.combinations(inside, 2))
+
+
 def is_join_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
     """No two anchored opens other than the set itself union to it."""
     _check_anchored(space, open_mask, p)
-    pool = [m for m in opens_above(space, p).members if m != open_mask and (m & open_mask) == m]
-    for w, v in itertools.combinations(pool, 2):
-        if (w | v) == open_mask:
-            return False
-    return True
+    return is_irreducible_in(opens_above(space, p).members, open_mask)
 
 
 def is_meet_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
@@ -80,13 +82,8 @@ def _check_anchored(space: TypedSpace, open_mask: int, p: TypeTerm) -> None:
 
 def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
     """The join-irreducible members of `opens_above` (the family's base)."""
-    fam = opens_above(space, p)
-    members = sorted(fam.members)
-    irr = set()
-    for u in members:
-        inside = [m for m in members if m != u and (m & u) == m]
-        if not any((w | v) == u for w, v in itertools.combinations(inside, 2)):
-            irr.add(u)
+    members = opens_above(space, p).members
+    irr = {u for u in members if is_irreducible_in(members, u)}
     if at is not None:
         bit = space.point_bit(at)
         irr = {m for m in irr if m & bit}

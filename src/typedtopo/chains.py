@@ -17,16 +17,14 @@ system of every point.
 """
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import lattice, space as space_mod
 from .errors import InvariantViolationError, PreconditionError
 from .lattice import Context, TypeTerm
 from .space import TypedSpace, realized_types
-from .basis import TypedFamily
+from .basis import TypedFamily, is_irreducible_in
 
 
 @dataclass(frozen=True)
@@ -74,72 +72,44 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-class _SpaceIndex:
-    """Per-space memo: realized-type vectors and irreducible pools.
-
-    Chains reduce to lookups here: every open knows its realized-type index,
-    every chain level gets one below/above vector over the realized types,
-    and the irreducible subset of an anchored pool is computed once per
-    (level, support) pair.
-    """
-
-    def __init__(self, space: TypedSpace):
-        self.space = space
-        rt = realized_types(space)
-        self.terms = rt.terms
-        self.key_to_idx = {t.sort_key(): i for i, t in enumerate(rt.terms)}
-        self.type_of_open = {
-            m: self.key_to_idx[space.sigma[m].sort_key()] for m in space.opens if m
-        }
-        self.gens_of_type = [t.generators() for t in rt.terms]
-        self._rt = rt
-        self.level_vectors: dict = {}
-        self.irr_cache: dict = {}
-
-    def vectors_for(self, level: TypeTerm):
-        key = level.sort_key()
-        got = self.level_vectors.get(key)
-        if got is None:
-            i = self.key_to_idx.get(key)
-            n = len(self.terms)
-            if i is not None:
-                below = tuple(self._rt.leq(i, j) for j in range(n))
-                above = tuple(self._rt.leq(j, i) for j in range(n))
-            else:
-                below = tuple(lattice.leq(level, t) for t in self.terms)
-                above = tuple(lattice.leq(t, level) for t in self.terms)
-            got = (below, above)
-            self.level_vectors[key] = got
-        return got
+def _vectors_for(space: TypedSpace, level: TypeTerm):
+    """Per realized type: whether ``level`` lies below it, and above it."""
+    cache = space.index.level_vectors
+    key = level.sort_key()
+    got = cache.get(key)
+    if got is None:
+        rt = space_mod.indexed_types(space)
+        i = rt.position.get(key)
+        n = len(rt)
+        if i is not None:
+            below = tuple(rt.leq(i, j) for j in range(n))
+            above = tuple(rt.leq(j, i) for j in range(n))
+        else:
+            below = tuple(lattice.leq(level, t) for t in rt.terms)
+            above = tuple(lattice.leq(t, level) for t in rt.terms)
+        got = (below, above)
+        cache[key] = got
+    return got
 
 
-_space_index: "weakref.WeakKeyDictionary[TypedSpace, _SpaceIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _index(space: TypedSpace) -> _SpaceIndex:
-    idx = _space_index.get(space)
-    if idx is None:
-        idx = _SpaceIndex(space)
-        _space_index[space] = idx
-    return idx
+def _visible(space: TypedSpace, chain: TypeChain):
+    """(mask, realized-type index) of the nonempty opens typed in the chain's support."""
+    rt = space_mod.indexed_types(space)
+    support = chain.support()
+    for m, ti in rt.type_of_open.items():
+        if rt.generators[ti] <= support:
+            yield m, ti
 
 
 def _pool_members(space: TypedSpace, chain: TypeChain) -> list[int]:
-    idx = _index(space)
-    support = chain.support()
-    vecs = [(idx.vectors_for(lo)[0], idx.vectors_for(hi)[1]) for lo, hi in chain.pairs()]
-    out = []
-    for m in space.opens:
-        if not m:
-            continue
-        ti = idx.type_of_open[m]
-        if not idx.gens_of_type[ti] <= support:
-            continue
-        if any(below[ti] and above[ti] for below, above in vecs):
-            out.append(m)
-    return out
+    vecs = [
+        (_vectors_for(space, lo)[0], _vectors_for(space, hi)[1]) for lo, hi in chain.pairs()
+    ]
+    return [
+        m
+        for m, ti in _visible(space, chain)
+        if any(below[ti] and above[ti] for below, above in vecs)
+    ]
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
@@ -158,32 +128,18 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
 
 def anchored_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
     """Visible opens whose type dominates ``level`` (irreducibility universe)."""
-    idx = _index(space)
-    support = chain.support()
-    below = idx.vectors_for(level)[0]
-    return frozenset(
-        m
-        for m in space.opens
-        if m
-        and idx.gens_of_type[idx.type_of_open[m]] <= support
-        and below[idx.type_of_open[m]]
-    )
-
-
-def is_irreducible_in(pool: frozenset, mask: int) -> bool:
-    """No two other pool members union to ``mask``."""
-    inside = [m for m in pool if m != mask and (m & mask) == m]
-    return not any((w | v) == mask for w, v in itertools.combinations(inside, 2))
+    below = _vectors_for(space, level)[0]
+    return frozenset(m for m, ti in _visible(space, chain) if below[ti])
 
 
 def _irreducible_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
-    idx = _index(space)
+    cache = space.index.irreducible_pools
     key = (level.sort_key(), chain.support())
-    got = idx.irr_cache.get(key)
+    got = cache.get(key)
     if got is None:
         pool = anchored_pool(space, chain, level)
         got = frozenset(m for m in pool if is_irreducible_in(pool, m))
-        idx.irr_cache[key] = got
+        cache[key] = got
     return got
 
 
@@ -193,14 +149,14 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     The irreducibility level ranges over every lower level whose value lies
     below the member's type; it is not tied to the sandwiching index.
     """
-    idx = _index(space)
+    type_of_open = space_mod.indexed_types(space).type_of_open
     members = set()
     lower = [
-        (idx.vectors_for(lo)[0], _irreducible_pool(space, chain, lo))
+        (_vectors_for(space, lo)[0], _irreducible_pool(space, chain, lo))
         for lo in chain.levels[:-1]
     ]
     for m in chain_pool(space, chain):
-        ti = idx.type_of_open[m]
+        ti = type_of_open[m]
         for below, irr in lower:
             if below[ti] and m in irr:
                 members.add(m)

@@ -2,8 +2,11 @@
 
 One operation per invocation: build a space from a dataset, validate it, or
 run a family/neighborhood/closure/density/connectivity/statistics/oracle
-query. Reports are JSON on stdout with diagnostics on stderr; ``--stable``
+query. Reports are JSON objects ``{"command", "space", "result", "timing"}``
+on stdout (or in the ``-o`` file) with diagnostics on stderr; ``--stable``
 drops the timing block so identical inputs produce byte-identical output.
+``build`` prints the space document itself, or writes it to ``-o`` and
+reports where.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 3 query error (unknown point, exceeded budget, degenerate population).
@@ -54,16 +57,12 @@ def _space_digest(sp: space.TypedSpace) -> dict:
     return {
         "points": len(sp.points),
         "opens": len(sp.opens),
-        "strict": space.is_strictly_typed(sp).strict,
+        "strict": space.strictness(sp).strict,
     }
 
 
 def _families_json(fam: basis.TypedFamily) -> list:
     return [list(ids) for ids in fam.ids()]
-
-
-def _load(path: str) -> space.TypedSpace:
-    return space.load_space(path)
 
 
 def _chain_arg(args, sp) -> chains.TypeChain:
@@ -79,9 +78,21 @@ def _set_arg(raw: Optional[str]) -> frozenset:
 
 
 def _budget(args) -> oracle.SearchBudget:
-    if getattr(args, "budget_points", None):
+    if args.budget_points is not None:
         return oracle.SearchBudget(max_points=args.budget_points)
     return oracle.SearchBudget()
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _table_json(table: stats.ScoreTable) -> dict:
@@ -108,7 +119,11 @@ def _table_csv(table: stats.ScoreTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_build(args) -> tuple[int, Optional[dict]]:
+# Each handler returns (exit code, space, result); a result of None means the
+# handler already wrote its output and no report follows.
+
+
+def _cmd_build(args):
     kind = args.kind
     if kind == "genealogy":
         with open(args.dataset, encoding="utf-8") as fh:
@@ -129,21 +144,14 @@ def _cmd_build(args) -> tuple[int, Optional[dict]]:
         )
     else:  # pragma: no cover - argparse rejects other values
         raise PreconditionError(f"unknown dataset kind {kind!r}")
-    doc = space.space_to_json(built)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return 0, {"written": args.output, "space": _space_digest(built)}
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0, None
+    _write(_json_text(space.space_to_json(built)), args.output)
+    return 0, built, {"written": args.output} if args.output else None
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_validate(args):
+    sp = space.load_space(args.space)
     report = space.validate_type_mapping(sp)
-    strictness = space.is_strictly_typed(sp)
+    strictness = space.strictness(sp)
     result = {
         "valid": report.ok,
         "failures": [
@@ -156,46 +164,40 @@ def _cmd_validate(args) -> tuple[int, dict]:
         ),
     }
     code = 0 if report.ok and (strictness.strict or not args.strict) else _EXIT_VALIDATION
-    return code, {"space": _space_digest(sp), "result": result}
+    return code, sp, result
 
 
-def _cmd_basis(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_basis(args):
+    sp = space.load_space(args.space)
     if not args.p:
         raise PreconditionError("basis needs --p")
     p = lattice.parse_type_expr(args.p, sp.ctx)
     fam = basis.opens_above(sp, p, at=args.x)
     irr = basis.irreducibles_above(sp, p, at=args.x)
-    return 0, {
-        "space": _space_digest(sp),
-        "result": {
-            "anchor": lattice.format_term(p),
-            "family": _families_json(fam),
-            "irreducible": _families_json(irr),
-        },
+    return 0, sp, {
+        "anchor": lattice.format_term(p),
+        "family": _families_json(fam),
+        "irreducible": _families_json(irr),
     }
 
 
-def _cmd_nbhd(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_nbhd(args):
+    sp = space.load_space(args.space)
     ch = _chain_arg(args, sp)
     if not args.x:
         raise PreconditionError("nbhd needs --x")
     fam = chains.chain_neighborhoods(sp, args.x, ch)
     base = chains.chain_base(sp, args.x, ch)
-    return 0, {
-        "space": _space_digest(sp),
-        "result": {
-            "chain": ch.text(),
-            "point": args.x,
-            "neighborhoods": _families_json(fam),
-            "base": _families_json(base),
-        },
+    return 0, sp, {
+        "chain": ch.text(),
+        "point": args.x,
+        "neighborhoods": _families_json(fam),
+        "base": _families_json(base),
     }
 
 
-def _cmd_closure(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_closure(args):
+    sp = space.load_space(args.space)
     ch = _chain_arg(args, sp)
     start = _set_arg(args.set)
     rep = closure.chain_closure(sp, start, ch)
@@ -205,41 +207,35 @@ def _cmd_closure(args) -> tuple[int, dict]:
             "kind": "core",
             "core": list(w[1]),
         }
-    return 0, {
-        "space": _space_digest(sp),
-        "result": {
-            "chain": ch.text(),
-            "set": sorted(start),
-            "closure": list(rep.ids()),
-            "witnesses": witnesses,
-        },
+    return 0, sp, {
+        "chain": ch.text(),
+        "set": sorted(start),
+        "closure": list(rep.ids()),
+        "witnesses": witnesses,
     }
 
 
-def _cmd_dense(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_dense(args):
+    sp = space.load_space(args.space)
     ch = _chain_arg(args, sp)
     rep = closure.min_chain_dense(sp, ch)
-    return 0, {
-        "space": _space_digest(sp),
-        "result": {
-            "chain": ch.text(),
-            "density": rep.density,
-            "witness": list(rep.witness_ids()),
-            "unsupported": sorted(rep.unsupported),
-            "classes": [list(c) for c in rep.classes],
-            "maximal_classes": [list(c) for c in rep.maximal_classes],
-        },
+    return 0, sp, {
+        "chain": ch.text(),
+        "density": rep.density,
+        "witness": list(rep.witness_ids()),
+        "unsupported": sorted(rep.unsupported),
+        "classes": [list(c) for c in rep.classes],
+        "maximal_classes": [list(c) for c in rep.maximal_classes],
     }
 
 
-def _cmd_connect(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_connect(args):
+    sp = space.load_space(args.space)
     ch = _chain_arg(args, sp)
     if args.set:
         pts = _set_arg(args.set)
         ok, witness = connect.is_chain_connected(sp, pts, ch)
-        result = {
+        return 0, sp, {
             "chain": ch.text(),
             "set": sorted(pts),
             "connected": ok,
@@ -247,15 +243,15 @@ def _cmd_connect(args) -> tuple[int, dict]:
                 [list(witness.left), list(witness.right)] if witness else None
             ),
         }
-        return 0, {"space": _space_digest(sp), "result": result}
     if not (args.x and args.y):
         raise PreconditionError("connect needs --set or both --x and --y")
+    budget = _budget(args)
     cert = connect.find_connection(sp, args.x, args.y, ch)
     try:
-        confirmed = oracle.exhaustive_connected(sp, ch, args.x, args.y, _budget(args))
+        confirmed = oracle.exhaustive_connected(sp, ch, args.x, args.y, budget)
     except OracleSkip:
         confirmed = None
-    result = {
+    return 0, sp, {
         "chain": ch.text(),
         "x": args.x,
         "y": args.y,
@@ -270,11 +266,10 @@ def _cmd_connect(args) -> tuple[int, dict]:
         "oracle": "skipped" if confirmed is None else confirmed,
         "definitive": confirmed is not None,
     }
-    return 0, {"space": _space_digest(sp), "result": result}
 
 
-def _cmd_stats(args) -> tuple[int, Optional[dict]]:
-    sp = _load(args.space)
+def _cmd_stats(args):
+    sp = space.load_space(args.space)
     kind = args.kind or "sizes"
     if kind == "sizes":
         if not args.p:
@@ -290,15 +285,12 @@ def _cmd_stats(args) -> tuple[int, Optional[dict]]:
         raise PreconditionError(f"unknown stats kind {kind!r}")
     if args.format == "csv":
         sys.stdout.write(_table_csv(table))
-        return 0, None
-    return 0, {
-        "space": _space_digest(sp),
-        "result": {"kind": kind, "table": _table_json(table)},
-    }
+        return 0, sp, None
+    return 0, sp, {"kind": kind, "table": _table_json(table)}
 
 
-def _cmd_oracle(args) -> tuple[int, dict]:
-    sp = _load(args.space)
+def _cmd_oracle(args):
+    sp = space.load_space(args.space)
     if args.check:
         rep = oracle.check_space(sp)
         lines = [
@@ -311,29 +303,20 @@ def _cmd_oracle(args) -> tuple[int, dict]:
             for r in rep.results
         ]
         code = 0 if rep.ok else _EXIT_VALIDATION
-        return code, {
-            "space": _space_digest(sp),
-            "result": {"ok": rep.ok, "checks": lines},
-        }
+        return code, sp, {"ok": rep.ok, "checks": lines}
     ch = _chain_arg(args, sp)
     if args.dense:
         size, witnesses = oracle.exhaustive_min_dense(sp, ch, _budget(args))
-        return 0, {
-            "space": _space_digest(sp),
-            "result": {
-                "chain": ch.text(),
-                "density": size,
-                "witnesses": [list(w) for w in witnesses],
-            },
+        return 0, sp, {
+            "chain": ch.text(),
+            "density": size,
+            "witnesses": [list(w) for w in witnesses],
         }
     if args.connected:
         if not (args.x and args.y):
             raise PreconditionError("oracle --connected needs --x and --y")
         verdict = oracle.exhaustive_connected(sp, ch, args.x, args.y, _budget(args))
-        return 0, {
-            "space": _space_digest(sp),
-            "result": {"chain": ch.text(), "x": args.x, "y": args.y, "connected": verdict},
-        }
+        return 0, sp, {"chain": ch.text(), "x": args.x, "y": args.y, "connected": verdict}
     raise PreconditionError("oracle needs one of --check, --dense, --connected")
 
 
@@ -423,21 +406,17 @@ def run(argv) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, payload = _HANDLERS[args.command](args)
+        code, sp, result = _HANDLERS[args.command](args)
+        if result is None:
+            return code
+        report = {"command": args.command, "space": _space_digest(sp), "result": result}
     except TypedTopoError as err:
         print(f"tts {args.command}: {err}", file=sys.stderr)
         return _exit_code_for(err)
-    if payload is not None:
-        report = {"command": args.command}
-        report.update(payload)
-        if not args.stable:
-            report["timing"] = {"seconds": time.perf_counter() - started}
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if getattr(args, "output", None) and args.command != "build":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    if not args.stable:
+        report["timing"] = {"seconds": time.perf_counter() - started}
+    # build writes the space itself to -o, so its report goes to stdout
+    _write(_json_text(report), None if args.command == "build" else args.output)
     return code
 
 

@@ -12,7 +12,7 @@ passing quietly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable
 
 from . import chains as chains_mod, space as space_mod
 from .chains import TypeChain
@@ -130,14 +130,22 @@ def chain_closure(
     return ClosureReport(space, chain, start_set, frozenset(members), witnesses)
 
 
-def neighborhood_classes(space: TypedSpace, chain: TypeChain) -> tuple[tuple[str, ...], ...]:
-    """Partition of the supported points by equal base families."""
-    fams = _point_families(space, chain)
+def _class_groups(space: TypedSpace, fams: dict) -> dict[frozenset, list[str]]:
+    """Supported points grouped by their base family."""
     groups: dict[frozenset, list[str]] = {}
     for p in space.points:
         if fams[p]:
             groups.setdefault(fams[p], []).append(p)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return groups
+
+
+def _sorted_classes(groups: Iterable[list[str]]) -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
+def neighborhood_classes(space: TypedSpace, chain: TypeChain) -> tuple[tuple[str, ...], ...]:
+    """Partition of the supported points by equal base families."""
+    return _sorted_classes(_class_groups(space, _point_families(space, chain)).values())
 
 
 def is_chain_dense(space: TypedSpace, dense, region, chain: TypeChain) -> bool:
@@ -191,16 +199,10 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     space_mod.require_strict(space)
     fams = _point_families(space, chain)
     unsupported = frozenset(p for p in space.points if not fams[p])
-    groups: dict[frozenset, list[str]] = {}
-    for p in space.points:
-        if fams[p]:
-            groups.setdefault(fams[p], []).append(p)
-    classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-    distinct = list(groups)
-    maximal = [
-        f for f in distinct if not any(g != f and f < g for g in distinct)
-    ]
-    maximal_classes = tuple(sorted(tuple(sorted(groups[f])) for f in maximal))
+    groups = _class_groups(space, fams)
+    classes = _sorted_classes(groups.values())
+    maximal = [f for f in groups if not any(f < g for g in groups)]
+    maximal_classes = _sorted_classes(groups[f] for f in maximal)
     density = len(unsupported) + len(maximal)
     witness = frozenset(unsupported | {cls[0] for cls in maximal_classes})
     if not is_chain_dense(space, witness, space.points, chain):

@@ -26,7 +26,7 @@ from typing import Optional
 from . import basis, chains as chains_mod, connect as connect_mod, lattice
 from . import closure as closure_mod, space as space_mod
 from .chains import TypeChain
-from .errors import OracleSkip
+from .errors import OracleSkip, PreconditionError
 from .space import TypedSpace, realized_types
 
 DEFAULT_DENSE_POINTS = 12
@@ -34,13 +34,16 @@ DEFAULT_CONNECT_POINTS = 10
 
 
 def _env_points(default: int) -> int:
+    """The point budget from ``TTS_BUDGET_POINTS``, else ``default``."""
     raw = os.environ.get("TTS_BUDGET_POINTS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise PreconditionError(
+            f"TTS_BUDGET_POINTS must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,9 @@ class SearchBudget:
 
     max_points: int = field(default_factory=lambda: _env_points(DEFAULT_DENSE_POINTS))
     max_subsets: int = 1 << 20
-    max_valuations: int = 1 << 20
 
     def __post_init__(self):
-        if self.max_points <= 0 or self.max_subsets <= 0 or self.max_valuations <= 0:
+        if self.max_points <= 0 or self.max_subsets <= 0:
             raise OracleSkip("budgets must be positive")
 
 
@@ -189,23 +191,34 @@ def check_space(space: TypedSpace, max_chain_len: int = 3) -> CheckReport:
     """Replay the structural properties of a typed space and its chains.
 
     Covers: topology closure, the three type-mapping conditions, the meet
-    and join bounds, incompatibility of forcing, self-irreducibility of every
-    open at its own type, the anchored decomposition identity for every
-    realized anchor, the base property and the pure-family membership claim
-    for realized chains, the closure core identity, the unsupported-region
-    identities, and the three connectivity statements.
+    and join bounds (implied by the rest, so validation leaves them out and
+    they are re-derived here on every open pair), incompatibility of
+    forcing, self-irreducibility of every open at its own type, the
+    anchored decomposition identity for every realized anchor, the base
+    property and the pure-family membership claim for realized chains, the
+    closure core identity, the unsupported-region identities, and the three
+    connectivity statements.
     """
     results = []
     sig = space.sigma
     ids = space.ids_of
 
     report = space_mod.validate_type_mapping(space)
+    bad = [(f.code,) + tuple(f.witness) for f in report.failures]
+    opens = sorted(m for m in space.opens if m in sig)
+    for i, u in enumerate(opens):
+        for v in opens[i:]:
+            if (u & v) in sig and not lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v])):
+                bad.append(("meet-bound", ids(u), ids(v)))
+            if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
+                bad.append(("join-bound", ids(u), ids(v)))
+    type_ok = not bad
     results.append(
         CheckResult(
             "type-mapping",
             f"all {len(space.opens)}^2 open pairs",
-            report.ok,
-            tuple((f.code,) + tuple(f.witness) for f in report.failures[:5]),
+            type_ok,
+            tuple(bad[:5]),
         )
     )
     strictness = space_mod.is_strictly_typed(space)
@@ -217,7 +230,7 @@ def check_space(space: TypedSpace, max_chain_len: int = 3) -> CheckReport:
             (strictness.witness,) if strictness.witness else (),
         )
     )
-    if not (report.ok and strictness.strict):
+    if not (type_ok and strictness.strict):
         return CheckReport(tuple(results))
 
     rt = realized_types(space)

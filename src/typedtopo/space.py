@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from . import lattice
@@ -43,13 +45,24 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class TypedSpace:
-    """Immutable (points, opens, type mapping, poset, generators) bundle."""
+    """Immutable (points, opens, type mapping, poset, generators) bundle.
+
+    ``sigma`` is stored as a read-only copy of the mapping it is given, so
+    nothing can change a type behind the verdicts cached in ``index``.
+    """
 
     points: tuple[str, ...]
     opens: frozenset  # of int bit masks over ``points``
-    sigma: dict  # mask -> TypeTerm
+    sigma: MappingProxyType  # mask -> TypeTerm
     poset: Poset
     generators: tuple[GeneratorSpec, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", MappingProxyType(dict(self.sigma)))
+
+    @cached_property
+    def index(self) -> "SpaceIndex":
+        return SpaceIndex()
 
     @property
     def ctx(self) -> Context:
@@ -76,9 +89,6 @@ class TypedSpace:
 
     def ids_of(self, mask: int) -> tuple[str, ...]:
         return tuple(sorted(p for i, p in enumerate(self.points) if mask >> i & 1))
-
-    def sigma_of(self, mask: int) -> TypeTerm:
-        return self.sigma[mask]
 
     def nonempty_opens(self) -> tuple[int, ...]:
         return tuple(sorted(m for m in self.opens if m))
@@ -135,12 +145,13 @@ def _structure_failures(space: TypedSpace) -> list[Failure]:
 
 
 def validate_type_mapping(space: TypedSpace) -> ValidationReport:
-    """Exhaustive check of the type-mapping contract plus its consequences.
+    """Exhaustive check of the type-mapping contract.
 
     Conditions checked: Bottom exactly on the empty set, Top nowhere,
-    monotone along inclusion, topology closed under union/intersection,
-    and the derived bounds ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
-    ``sigma(U) v sigma(V) <= sigma(U | V)``.
+    monotone along inclusion, and topology closed under union/intersection.
+    The bounds ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
+    ``sigma(U) v sigma(V) <= sigma(U | V)`` follow from the last two, so
+    they are not re-checked here; `oracle.check_space` replays them.
     """
     failures = _structure_failures(space)
     if failures and any(f.code == "type-missing" for f in failures):
@@ -163,18 +174,6 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
                     "monotone", "inclusion with non-increasing types",
                     (space.ids_of(u), space.ids_of(v)),
                 ))
-    for i, u in enumerate(opens):
-        for v in opens[i:]:
-            if (u & v) in sig and not lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v])):
-                failures.append(Failure(
-                    "meet-bound", "type of intersection exceeds meet of types",
-                    (space.ids_of(u), space.ids_of(v)),
-                ))
-            if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
-                failures.append(Failure(
-                    "join-bound", "join of types exceeds type of union",
-                    (space.ids_of(u), space.ids_of(v)),
-                ))
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -190,16 +189,35 @@ def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
     return StrictnessReport(True)
 
 
-_strict_cache: dict[int, bool] = {}
+class SpaceIndex:
+    """Derived data of one space, each part built on first use.
+
+    Every `TypedSpace` owns one as ``space.index``, and a copy made with
+    `dataclasses.replace` starts with a fresh one. The index keeps no
+    reference to its space, so it dies with it. The verdict and the realized
+    types are read through `strictness` and `indexed_types`, which take the
+    owning space; `chains` fills the level vectors and irreducible pools.
+    """
+
+    __slots__ = ("strict_report", "realized", "level_vectors", "irreducible_pools")
+
+    def __init__(self):
+        self.strict_report: Optional[StrictnessReport] = None
+        self.realized: Optional[RealizedTypes] = None
+        self.level_vectors: dict = {}  # level sort key -> (below, above) vectors
+        self.irreducible_pools: dict = {}  # (level sort key, support) -> frozenset
+
+
+def strictness(space: TypedSpace) -> StrictnessReport:
+    """`is_strictly_typed`, computed once per space."""
+    idx = space.index
+    if idx.strict_report is None:
+        idx.strict_report = is_strictly_typed(space)
+    return idx.strict_report
 
 
 def require_strict(space: TypedSpace) -> None:
-    key = id(space)
-    cached = _strict_cache.get(key)
-    if cached is None:
-        cached = is_strictly_typed(space).strict
-        _strict_cache[key] = cached
-    if not cached:
+    if not strictness(space).strict:
         raise NotStrictlyTypedError("operation requires a strictly typed space")
 
 
@@ -351,16 +369,12 @@ def forces(space: TypedSpace, p: TypeTerm, x: str) -> bool:
 class RealizedTypes:
     """The distinct types of nonempty opens with their induced order."""
 
-    space: TypedSpace
     terms: tuple[TypeTerm, ...]
     opens_by_type: dict  # index -> tuple of masks
+    type_of_open: dict  # nonempty mask -> index
+    position: dict  # sort key -> index
+    generators: tuple[frozenset, ...]  # index -> generators the type mentions
     _leq: dict  # (i, j) -> bool
-
-    def index_of(self, t: TypeTerm) -> Optional[int]:
-        for i, u in enumerate(self.terms):
-            if u.clauses == t.clauses:
-                return i
-        return None
 
     def leq(self, i: int, j: int) -> bool:
         return self._leq[(i, j)]
@@ -382,12 +396,28 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
     keys = sorted(keyed)
     terms = tuple(keyed[k] for k in keys)
     opens_by_type = {i: tuple(sorted(buckets[k])) for i, k in enumerate(keys)}
+    type_of_open = {m: i for i, k in enumerate(keys) for m in buckets[k]}
     rel = {
         (i, j): lattice.leq(a, b)
         for i, a in enumerate(terms)
         for j, b in enumerate(terms)
     }
-    return RealizedTypes(space, terms, opens_by_type, rel)
+    return RealizedTypes(
+        terms,
+        opens_by_type,
+        type_of_open,
+        {k: i for i, k in enumerate(keys)},
+        tuple(t.generators() for t in terms),
+        rel,
+    )
+
+
+def indexed_types(space: TypedSpace) -> RealizedTypes:
+    """`realized_types`, computed once per space."""
+    idx = space.index
+    if idx.realized is None:
+        idx.realized = realized_types(space)
+    return idx.realized
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +486,3 @@ def space_from_json(obj: dict) -> TypedSpace:
 def load_space(path) -> TypedSpace:
     with open(path, "r", encoding="utf-8") as fh:
         return space_from_json(json.load(fh))
-
-
-def dump_space(space: TypedSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh, indent=2, sort_keys=True)
-        fh.write("\n")

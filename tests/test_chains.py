@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from typedtopo import basis, chains, lattice, space
@@ -86,6 +90,15 @@ def test_requires_strict_space():
     sp = TypedSpace(pts, frozenset(sigma), sigma, poset, ())
     with pytest.raises(NotStrictlyTypedError):
         chains.chain_neighborhoods(sp, "x", TypeChain((g, g)))
+
+
+def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
+    copy = dataclasses.replace(street5)
+    assert chains.chain_pool(copy, c_right5) == chains.chain_pool(street5, c_right5)
+    ref = weakref.ref(copy)
+    del copy
+    gc.collect()
+    assert ref() is None
 
 
 def test_is_generator_chain(street5):

@@ -1,0 +1,240 @@
+"""The ``tts`` contract, run in process: exit codes, report shape, --stable, -o."""
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import C_ANC5, C_RIGHT5
+from typedtopo import basis, chains, cli, closure, connect, oracle, space as space_mod
+from typedtopo.lattice import Context, Poset, parse_type_expr
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+STREET5 = str(FIXTURES / "street5.json")
+GENEALOGY5 = str(FIXTURES / "genealogy5.json")
+STREET5_DATA = str(FIXTURES / "datasets" / "street5.json")
+GENEALOGY5_DATA = str(FIXTURES / "datasets" / "genealogy5.csv")
+
+
+def _run(capsys, *argv):
+    code = cli.run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _result(capsys, *argv) -> dict:
+    """Run a command expected to succeed and return its ``result`` block."""
+    code, out, err = _run(capsys, *argv, "--stable")
+    assert code == 0, err
+    report = json.loads(out)
+    assert set(report) == {"command", "space", "result"}
+    assert report["command"] == argv[0]
+    assert report["space"] == {"points": 5, "opens": 32, "strict": True}
+    return report["result"]
+
+
+@pytest.fixture
+def nonstrict_path(tmp_path):
+    poset = Poset({"g"})
+    pts = ("x", "y")
+    ctx = Context(poset, pts)
+    g = parse_type_expr("g", ctx)
+    sigma = {0: ctx.bottom(), 1: g, 3: g}
+    sp = space_mod.TypedSpace(pts, frozenset(sigma), sigma, poset, ())
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(space_mod.space_to_json(sp)))
+    return str(path)
+
+
+def test_build_prints_the_space(capsys, street5):
+    code, out, _ = _run(capsys, "build", "--kind", "community", "--dataset", STREET5_DATA)
+    assert code == 0
+    assert json.loads(out) == space_mod.space_to_json(street5)
+
+
+def test_build_writes_the_space_to_output(capsys, tmp_path, genealogy5):
+    target = tmp_path / "g5.json"
+    code, out, _ = _run(
+        capsys, "build", "--kind", "genealogy", "--dataset", GENEALOGY5_DATA,
+        "-o", str(target), "--stable",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "build",
+        "space": {"points": 5, "opens": 32, "strict": True},
+        "result": {"written": str(target)},
+    }
+    assert json.loads(target.read_text()) == space_mod.space_to_json(genealogy5)
+
+
+def test_validate(capsys):
+    result = _result(capsys, "validate", STREET5, "--strict")
+    assert result == {"valid": True, "failures": [], "strict": True, "strict_witness": None}
+
+
+def test_validate_strict_refuses_nonstrict_space(capsys, nonstrict_path):
+    code, out, _ = _run(capsys, "validate", nonstrict_path, "--stable")
+    assert code == 0
+    assert json.loads(out)["result"]["strict_witness"] == [["x"], ["x", "y"]]
+    code, out, _ = _run(capsys, "validate", nonstrict_path, "--strict", "--stable")
+    assert code == 1
+    assert json.loads(out)["space"]["strict"] is False
+
+
+def test_basis(capsys, genealogy5):
+    result = _result(capsys, "basis", GENEALOGY5, "--p", "anc & @W", "--x", "C")
+    p = parse_type_expr("anc & @W", genealogy5.ctx)
+    fam = basis.opens_above(genealogy5, p, at="C")
+    irr = basis.irreducibles_above(genealogy5, p, at="C")
+    assert result["anchor"] == "anc & @W"
+    assert result["family"] == [list(ids) for ids in fam.ids()]
+    assert result["irreducible"] == [list(ids) for ids in irr.ids()]
+    assert result["irreducible"]
+
+
+def test_nbhd(capsys, street5, c_right5):
+    result = _result(capsys, "nbhd", STREET5, "--chain", C_RIGHT5, "--x", "r3")
+    fam = chains.chain_neighborhoods(street5, "r3", c_right5)
+    base = chains.chain_base(street5, "r3", c_right5)
+    assert result["neighborhoods"] == [list(ids) for ids in fam.ids()]
+    assert result["base"] == [list(ids) for ids in base.ids()]
+
+
+def test_closure(capsys, street5, c_right5):
+    result = _result(capsys, "closure", STREET5, "--chain", C_RIGHT5, "--set", "r2")
+    rep = closure.chain_closure(street5, {"r2"}, c_right5)
+    assert result["closure"] == list(rep.ids())
+    assert set(result["witnesses"]) == set(rep.ids())
+
+
+def test_dense(capsys):
+    result = _result(capsys, "dense", STREET5, "--chain", C_RIGHT5)
+    assert result["density"] == 2
+    assert result["witness"] == ["r1", "r5"]
+    assert result["unsupported"] == ["r1"]
+
+
+def test_connect(capsys, street5, c_right5):
+    result = _result(capsys, "connect", STREET5, "--chain", C_RIGHT5, "--x", "r2", "--y", "r4")
+    assert result["certificate"] is not None
+    assert result["oracle"] is True and result["definitive"] is True
+    result = _result(capsys, "connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4")
+    ok, witness = connect.is_chain_connected(street5, {"r2", "r4"}, c_right5)
+    assert result["connected"] is ok
+    assert result["separator"] == (
+        [list(witness.left), list(witness.right)] if witness else None
+    )
+
+
+def test_stats(capsys):
+    result = _result(capsys, "stats", STREET5, "--kind", "sizes", "--p", "right")
+    assert result["kind"] == "sizes"
+    assert len(result["table"]["subjects"]) >= 2
+
+
+def test_stats_csv(capsys):
+    code, out, _ = _run(capsys, "stats", STREET5, "--kind", "sizes", "--p", "right",
+                        "--format", "csv")
+    assert code == 0
+    assert out.startswith("subject,value,z\n")
+
+
+def test_oracle(capsys, street5, c_right5):
+    result = _result(capsys, "oracle", STREET5, "--check")
+    assert result["ok"] is True
+    assert [c["name"] for c in result["checks"]] == [
+        r.name for r in oracle.check_space(street5).results
+    ]
+    result = _result(capsys, "oracle", STREET5, "--dense", "--chain", C_RIGHT5)
+    assert (result["density"], result["witnesses"]) == (2, [["r1", "r5"]])
+    result = _result(capsys, "oracle", STREET5, "--connected", "--chain", C_RIGHT5,
+                     "--x", "r2", "--y", "r4")
+    assert result["connected"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nbhd", STREET5, "--x", "r3"),  # missing --chain
+        ("nbhd", STREET5, "--chain", "right &", "--x", "r3"),  # syntax error
+        ("basis", GENEALOGY5),  # missing --p
+        ("stats", STREET5, "--kind", "sizes", "--p", "nosuch"),  # unknown generator
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"tts {argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nbhd", STREET5, "--chain", C_RIGHT5, "--x", "zz"),  # unknown point
+        ("closure", STREET5, "--chain", C_RIGHT5, "--set", "r2,zz"),  # unknown point
+        ("stats", STREET5, "--kind", "affinity"),  # NoVarianceError
+    ],
+)
+def test_query_errors_exit_3(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"tts {argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", GENEALOGY5),
+        ("basis", GENEALOGY5, "--p", "anc"),
+        ("nbhd", GENEALOGY5, "--chain", C_ANC5, "--x", "H"),
+        ("dense", GENEALOGY5, "--chain", C_ANC5),
+        ("stats", GENEALOGY5, "--kind", "sizes", "--p", "anc"),
+    ],
+)
+def test_stable_output_is_byte_identical(capsys, argv):
+    first = _run(capsys, *argv, "--stable")
+    second = _run(capsys, *argv, "--stable")
+    assert first[0] == 0
+    assert first == second
+    assert "timing" not in json.loads(first[1])
+
+
+def test_timing_is_reported_without_stable(capsys):
+    code, out, _ = _run(capsys, "validate", STREET5)
+    assert code == 0
+    assert json.loads(out)["timing"]["seconds"] >= 0
+
+
+def test_output_file_receives_the_report(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "dense", STREET5, "--chain", C_RIGHT5, "--stable",
+                        "-o", str(target))
+    assert code == 0
+    assert out == ""
+    _, direct, _ = _run(capsys, "dense", STREET5, "--chain", C_RIGHT5, "--stable")
+    assert target.read_text() == direct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", STREET5, "--dense", "--chain", C_RIGHT5, "--budget-points", "0"),
+        ("connect", STREET5, "--chain", C_RIGHT5, "--x", "r2", "--y", "r4",
+         "--budget-points", "-1"),
+    ],
+)
+def test_non_positive_budget_fails_loudly(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--stable")
+    assert code == 3
+    assert out == ""
+    assert "budgets must be positive" in err
+
+
+def test_malformed_budget_variable_fails_loudly(capsys, monkeypatch):
+    monkeypatch.setenv("TTS_BUDGET_POINTS", "twelve")
+    code, out, err = _run(capsys, "connect", STREET5, "--chain", C_RIGHT5,
+                          "--x", "r2", "--y", "r4", "--stable")
+    assert code == 2
+    assert out == ""
+    assert "TTS_BUDGET_POINTS" in err

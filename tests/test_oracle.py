@@ -1,7 +1,7 @@
 import pytest
 
 from typedtopo import chains, closure, connect, oracle, space
-from typedtopo.errors import OracleSkip
+from typedtopo.errors import OracleSkip, PreconditionError
 from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace
 
@@ -46,6 +46,29 @@ def test_budget_skips(street5, c_right5):
         exhaustive_connected(street5, c_right5, "r2", "r4", SearchBudget(max_points=3))
     with pytest.raises(OracleSkip):
         SearchBudget(max_points=0)
+
+
+def test_malformed_budget_variable_raises(monkeypatch):
+    monkeypatch.setenv("TTS_BUDGET_POINTS", "12 points")
+    with pytest.raises(PreconditionError):
+        SearchBudget()
+    monkeypatch.setenv("TTS_BUDGET_POINTS", "4")
+    assert SearchBudget().max_points == 4
+
+
+def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
+    """Validation leaves the bounds out; the type-mapping check re-derives them."""
+    g = genealogy5
+    sigma = dict(g.sigma)
+    sigma[g.full_mask] = g.sigma[g.mask_of(["C"])]
+    broken = TypedSpace(g.points, g.opens, sigma, g.poset, g.generators)
+    monkeypatch.setattr(
+        space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
+    )
+    rep = check_space(broken)
+    assert [r.name for r in rep.results] == ["type-mapping", "strictly-typed"]
+    codes = {c[0] for c in rep.results[0].counterexamples}
+    assert codes and codes <= {"meet-bound", "join-bound"}
 
 
 def test_check_space_green_on_fixtures(genealogy5, street5):

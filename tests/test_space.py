@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_generated_space
 from typedtopo import lattice, space
 from typedtopo.errors import (
+    NotStrictlyTypedError,
     PreconditionError,
     SpaceValidationError,
     UnknownPointError,
@@ -99,6 +103,56 @@ def test_meet_join_bounds_hold_exhaustively(street5):
     for u, v in itertools.combinations(sorted(street5.opens), 2):
         assert lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v]))
         assert lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v])
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_validation_implies_meet_and_join_bounds(rng):
+    """Monotone + closed under union and intersection gives both bounds.
+
+    Validation checks only the former; one swapped type keeps a space
+    valid now and then, and every valid one must satisfy the bounds.
+    """
+    sp = random_generated_space(rng, max_points=5)
+    if sp is None:
+        return
+    nonempty = [m for m in sorted(sp.opens) if m]
+    realized = sorted({sp.sigma[m].sort_key(): sp.sigma[m] for m in nonempty}.items())
+    swapped = _with_sigma(sp, {rng.choice(nonempty): rng.choice(realized)[1]})
+    if not validate_type_mapping(swapped).ok:
+        return
+    sig = swapped.sigma
+    for u in sorted(swapped.opens):
+        for v in sorted(swapped.opens):
+            assert lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v]))
+            assert lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v])
+
+
+def test_sigma_is_read_only(street5):
+    sp = _with_sigma(street5, {})
+    m = sp.nonempty_opens()[0]
+    with pytest.raises(TypeError):
+        sp.sigma[m] = sp.sigma[sp.full_mask]
+    assert dict(sp.sigma) == dict(street5.sigma)
+
+
+def test_strictness_verdict_never_passes_to_another_space(street5):
+    """A freed non-strict space must not leave its verdict to a later one."""
+    u = street5.nonempty_opens()[0]
+    for _ in range(50):
+        tied = _with_sigma(street5, {u: street5.sigma[street5.full_mask]})
+        with pytest.raises(NotStrictlyTypedError):
+            space.require_strict(tied)
+        del tied
+        space.require_strict(_with_sigma(street5, {}))
+
+
+def test_replace_gives_a_cold_index(street5):
+    space.require_strict(street5)
+    copy = dataclasses.replace(street5)
+    assert copy.index is not street5.index
+    assert copy.index.strict_report is None
+    assert space.strictness(copy) == space.strictness(street5)
 
 
 def test_strictness_on_fixtures(genealogy5, street5):
