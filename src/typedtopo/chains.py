@@ -72,26 +72,6 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _vectors_for(space: TypedSpace, level: TypeTerm):
-    """Per realized type: whether ``level`` lies below it, and above it."""
-    cache = space.index.level_vectors
-    key = level.sort_key()
-    got = cache.get(key)
-    if got is None:
-        rt = space_mod.indexed_types(space)
-        i = rt.position.get(key)
-        n = len(rt)
-        if i is not None:
-            below = tuple(rt.leq(i, j) for j in range(n))
-            above = tuple(rt.leq(j, i) for j in range(n))
-        else:
-            below = tuple(lattice.leq(level, t) for t in rt.terms)
-            above = tuple(lattice.leq(t, level) for t in rt.terms)
-        got = (below, above)
-        cache[key] = got
-    return got
-
-
 def _visible(space: TypedSpace, chain: TypeChain):
     """(mask, realized-type index) of the nonempty opens typed in the chain's support."""
     rt = space_mod.indexed_types(space)
@@ -102,13 +82,12 @@ def _visible(space: TypedSpace, chain: TypeChain):
 
 
 def _pool_members(space: TypedSpace, chain: TypeChain) -> list[int]:
-    vecs = [
-        (_vectors_for(space, lo)[0], _vectors_for(space, hi)[1]) for lo, hi in chain.pairs()
-    ]
+    rt = space_mod.indexed_types(space)
+    rows = [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
     return [
         m
         for m, ti in _visible(space, chain)
-        if any(below[ti] and above[ti] for below, above in vecs)
+        if any(above[ti] and below[ti] for above, below in rows)
     ]
 
 
@@ -128,13 +107,13 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
 
 def anchored_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
     """Visible opens whose type dominates ``level`` (irreducibility universe)."""
-    below = _vectors_for(space, level)[0]
-    return frozenset(m for m, ti in _visible(space, chain) if below[ti])
+    above = space_mod.indexed_types(space).above(level)
+    return frozenset(m for m, ti in _visible(space, chain) if above[ti])
 
 
 def _irreducible_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
     cache = space.index.irreducible_pools
-    key = (level.sort_key(), chain.support())
+    key = (level, chain.support())
     got = cache.get(key)
     if got is None:
         pool = anchored_pool(space, chain, level)
@@ -149,16 +128,15 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     The irreducibility level ranges over every lower level whose value lies
     below the member's type; it is not tied to the sandwiching index.
     """
-    type_of_open = space_mod.indexed_types(space).type_of_open
+    rt = space_mod.indexed_types(space)
     members = set()
     lower = [
-        (_vectors_for(space, lo)[0], _irreducible_pool(space, chain, lo))
-        for lo in chain.levels[:-1]
+        (rt.above(lo), _irreducible_pool(space, chain, lo)) for lo in chain.levels[:-1]
     ]
     for m in chain_pool(space, chain):
-        ti = type_of_open[m]
-        for below, irr in lower:
-            if below[ti] and m in irr:
+        ti = rt.type_of_open[m]
+        for above, irr in lower:
+            if above[ti] and m in irr:
                 members.add(m)
                 break
     return frozenset(members)
@@ -236,15 +214,14 @@ def _union_over_generator_chains(space: TypedSpace, x: str, gen: str) -> frozens
     generator's sublattice, so scanning pairs ``q <= r`` over realized
     in-sublattice levels (plus the generator itself on top) is exhaustive.
     """
-    ctx = space.ctx
-    top = lattice.normalize(ctx, [lattice.clause_of(gens=[gen])])
-    levels = [top]
-    seen = {top.sort_key()}
-    for t in realized_types(space).terms:
-        if t.uses_only({gen}) and lattice.leq(t, top) and not (t.is_bottom or t.is_top):
-            if t.sort_key() not in seen:
-                seen.add(t.sort_key())
-                levels.append(t)
+    top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
+    rt = space_mod.indexed_types(space)
+    under_top = rt.below(top)
+    levels = [top] + [
+        t
+        for t, under in zip(rt.terms, under_top)
+        if under and t != top and t.uses_only({gen}) and not (t.is_bottom or t.is_top)
+    ]
     bit = space.point_bit(x)
     out = set()
     for lo in levels:

@@ -77,10 +77,15 @@ def _set_arg(raw: Optional[str]) -> frozenset:
     return frozenset(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _budget(args) -> oracle.SearchBudget:
-    if args.budget_points is not None:
-        return oracle.SearchBudget(max_points=args.budget_points)
-    return oracle.SearchBudget()
+def _budget(args) -> Optional[oracle.SearchBudget]:
+    """The ``--budget-points`` override, or ``None``.
+
+    With ``None`` each exhaustive search applies its own default budget:
+    the dense search and the connectivity search have different ones.
+    """
+    if args.budget_points is None:
+        return None
+    return oracle.SearchBudget(max_points=args.budget_points)
 
 
 def _write(text: str, path: Optional[str]) -> None:

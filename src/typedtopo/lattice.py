@@ -20,7 +20,7 @@ decision procedure used to cross-check the syntactic one in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -36,21 +36,7 @@ DEFAULT_VALUATION_BOUND = 20
 GEN = "gen"
 POS = "pos"
 NEG = "neg"
-
-
-@dataclass(frozen=True)
-class Literal:
-    """One meet factor: a generator, a point, or a negated point."""
-
-    kind: str  # GEN | POS | NEG
-    name: str
-
-    def sort_key(self) -> tuple:
-        rank = {GEN: 0, POS: 1, NEG: 2}[self.kind]
-        # generators first by name, then point literals by id, positive first
-        if self.kind == GEN:
-            return (0, self.name, 0)
-        return (1, self.name, rank)
+_POINT_RANK = {POS: 1, NEG: 2}  # ``@x`` sorts before ``~@x``
 
 
 class Poset:
@@ -156,17 +142,20 @@ class Clause:
     pos: frozenset
     neg: frozenset
 
-    def literals(self) -> tuple[Literal, ...]:
-        lits = [Literal(GEN, g) for g in self.gens]
-        lits += [Literal(POS, x) for x in self.pos]
-        lits += [Literal(NEG, x) for x in self.neg]
-        return tuple(sorted(lits, key=Literal.sort_key))
+    def literals(self) -> tuple[tuple[str, str], ...]:
+        """``(kind, name)`` pairs: generators by name, then points by id."""
+        signed = [(POS, x) for x in self.pos] + [(NEG, x) for x in self.neg]
+        signed.sort(key=lambda lit: (lit[1], _POINT_RANK[lit[0]]))
+        return tuple((GEN, g) for g in sorted(self.gens)) + tuple(signed)
 
     def is_empty(self) -> bool:
         return not (self.gens or self.pos or self.neg)
 
     def sort_key(self) -> tuple:
-        return tuple(l.sort_key() for l in self.literals())
+        return tuple(
+            (0, name, 0) if kind == GEN else (1, name, _POINT_RANK[kind])
+            for kind, name in self.literals()
+        )
 
 
 def clause_of(gens=(), pos=(), neg=()) -> Clause:
@@ -358,23 +347,21 @@ class Valuation:
     points: tuple[str, ...]
     gens_true: frozenset
     points_true: frozenset
-    true_literals: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     @staticmethod
     def make(gens, points, gens_true, points_true) -> "Valuation":
-        lits = {Literal(GEN, g) for g in gens_true}
-        lits |= {Literal(POS, x) for x in points_true}
-        lits |= {Literal(NEG, x) for x in points if x not in points_true}
-        return Valuation(
-            tuple(gens), tuple(points), frozenset(gens_true), frozenset(points_true),
-            frozenset(lits),
-        )
+        return Valuation(tuple(gens), tuple(points), frozenset(gens_true), frozenset(points_true))
 
 
 def evaluate(t: TypeTerm, v: Valuation) -> int:
-    """Join-of-meets evaluation of ``t`` under ``v`` (0 or 1)."""
+    """Join-of-meets evaluation of ``t`` under ``v`` (0 or 1).
+
+    ``~@x`` holds only for a point ``x`` of the valuation's sub-context that
+    is not true, so a literal outside the sub-context never holds.
+    """
+    points_false = frozenset(v.points) - v.points_true
     for c in t.clauses:
-        if frozenset(c.literals()) <= v.true_literals:
+        if c.gens <= v.gens_true and c.pos <= v.points_true and c.neg <= points_false:
             return 1
     return 0
 
@@ -600,13 +587,13 @@ def format_term(t: TypeTerm) -> str:
     parts = []
     for c in t.sorted_clauses():
         bits = []
-        for lit in c.literals():
-            if lit.kind == GEN:
-                bits.append(lit.name)
-            elif lit.kind == POS:
-                bits.append(f"@{lit.name}")
+        for kind, name in c.literals():
+            if kind == GEN:
+                bits.append(name)
+            elif kind == POS:
+                bits.append(f"@{name}")
             else:
-                bits.append(f"~@{lit.name}")
+                bits.append(f"~@{name}")
         parts.append(" & ".join(bits))
     return " | ".join(parts)
 
@@ -614,13 +601,7 @@ def format_term(t: TypeTerm) -> str:
 def term_to_json(t: TypeTerm):
     if t.is_top:
         return {"top": True}
-    clauses = []
-    for c in t.sorted_clauses():
-        lits = []
-        for lit in c.literals():
-            lits.append({lit.kind: lit.name})
-        clauses.append(lits)
-    return {"clauses": clauses}
+    return {"clauses": [[{kind: name} for kind, name in c.literals()] for c in t.sorted_clauses()]}
 
 
 def term_from_json(ctx: Context, obj) -> TypeTerm:

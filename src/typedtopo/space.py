@@ -10,8 +10,9 @@ monotone one dominating the declared generator types.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -126,18 +127,17 @@ def _structure_failures(space: TypedSpace) -> list[Failure]:
         out.append(Failure("empty-open-missing", "the empty set must be open"))
     if space.full_mask not in opens:
         out.append(Failure("whole-set-missing", "the whole point set must be open"))
-    for u in opens:
-        for v in opens:
-            if (u | v) not in opens:
-                out.append(Failure(
-                    "union-closure", "union of opens is not open",
-                    (space.ids_of(u), space.ids_of(v)),
-                ))
-            if (u & v) not in opens:
-                out.append(Failure(
-                    "intersection-closure", "intersection of opens is not open",
-                    (space.ids_of(u), space.ids_of(v)),
-                ))
+    for u, v in itertools.combinations(opens, 2):
+        if (u | v) not in opens:
+            out.append(Failure(
+                "union-closure", "union of opens is not open",
+                (space.ids_of(u), space.ids_of(v)),
+            ))
+        if (u & v) not in opens:
+            out.append(Failure(
+                "intersection-closure", "intersection of opens is not open",
+                (space.ids_of(u), space.ids_of(v)),
+            ))
     missing = [m for m in opens if m not in space.sigma]
     for m in missing:
         out.append(Failure("type-missing", "open has no assigned type", (space.ids_of(m),)))
@@ -196,16 +196,16 @@ class SpaceIndex:
     `dataclasses.replace` starts with a fresh one. The index keeps no
     reference to its space, so it dies with it. The verdict and the realized
     types are read through `strictness` and `indexed_types`, which take the
-    owning space; `chains` fills the level vectors and irreducible pools.
+    owning space; the realized types memoize their own order rows, and
+    `chains` fills the irreducible pools, keyed by level term and support.
     """
 
-    __slots__ = ("strict_report", "realized", "level_vectors", "irreducible_pools")
+    __slots__ = ("strict_report", "realized", "irreducible_pools")
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
         self.realized: Optional[RealizedTypes] = None
-        self.level_vectors: dict = {}  # level sort key -> (below, above) vectors
-        self.irreducible_pools: dict = {}  # (level sort key, support) -> frozenset
+        self.irreducible_pools: dict = {}  # (level term, support) -> frozenset
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:
@@ -367,48 +367,54 @@ def forces(space: TypedSpace, p: TypeTerm, x: str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class RealizedTypes:
-    """The distinct types of nonempty opens with their induced order."""
+    """The distinct types of nonempty opens, in `TypeTerm.sort_key` order.
+
+    The order between a level and the realized types is computed one row at
+    a time, on first use, for any level term, realized or not. Canonical
+    form makes equal types structurally equal, so the rows are memoized by
+    the level term itself, and a chain query pays for its own levels' rows
+    rather than for the whole order table.
+    """
 
     terms: tuple[TypeTerm, ...]
     opens_by_type: dict  # index -> tuple of masks
     type_of_open: dict  # nonempty mask -> index
-    position: dict  # sort key -> index
     generators: tuple[frozenset, ...]  # index -> generators the type mentions
-    _leq: dict  # (i, j) -> bool
+    _above: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
+    _below: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
+
+    def above(self, level: TypeTerm) -> tuple[bool, ...]:
+        """Per realized type ``t``: whether ``level <= t``."""
+        row = self._above.get(level)
+        if row is None:
+            row = self._above[level] = tuple(lattice.leq(level, t) for t in self.terms)
+        return row
+
+    def below(self, level: TypeTerm) -> tuple[bool, ...]:
+        """Per realized type ``t``: whether ``t <= level``."""
+        row = self._below.get(level)
+        if row is None:
+            row = self._below[level] = tuple(lattice.leq(t, level) for t in self.terms)
+        return row
 
     def leq(self, i: int, j: int) -> bool:
-        return self._leq[(i, j)]
+        return self.above(self.terms[i])[j]
 
     def __len__(self):
         return len(self.terms)
 
 
 def realized_types(space: TypedSpace) -> RealizedTypes:
-    buckets: dict[tuple, list[int]] = {}
-    keyed: dict[tuple, TypeTerm] = {}
+    buckets: dict[TypeTerm, list[int]] = {}
     for m in space.opens:
-        if not m:
-            continue
-        t = space.sigma[m]
-        k = t.sort_key()
-        keyed[k] = t
-        buckets.setdefault(k, []).append(m)
-    keys = sorted(keyed)
-    terms = tuple(keyed[k] for k in keys)
-    opens_by_type = {i: tuple(sorted(buckets[k])) for i, k in enumerate(keys)}
-    type_of_open = {m: i for i, k in enumerate(keys) for m in buckets[k]}
-    rel = {
-        (i, j): lattice.leq(a, b)
-        for i, a in enumerate(terms)
-        for j, b in enumerate(terms)
-    }
+        if m:
+            buckets.setdefault(space.sigma[m], []).append(m)
+    terms = tuple(sorted(buckets, key=TypeTerm.sort_key))
     return RealizedTypes(
         terms,
-        opens_by_type,
-        type_of_open,
-        {k: i for i, k in enumerate(keys)},
+        {i: tuple(sorted(buckets[t])) for i, t in enumerate(terms)},
+        {m: i for i, t in enumerate(terms) for m in buckets[t]},
         tuple(t.generators() for t in terms),
-        rel,
     )
 
 

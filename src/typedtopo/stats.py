@@ -76,7 +76,7 @@ def point_activity_scores(space: TypedSpace, gen: str) -> ScoreTable:
             if m and (m & bit):
                 t = space.sigma[m]
                 if t.uses_only({gen}):
-                    seen.add(t.sort_key())
+                    seen.add(t)
         population.append((p, float(len(seen))))
     return score_table(population)
 
@@ -101,9 +101,7 @@ def pair_affinity_scores(space: TypedSpace, two_witness: bool = False) -> ScoreT
         per_point = {}
         for i, p in enumerate(pts):
             bit = 1 << i
-            per_point[p] = {
-                space.sigma[m].sort_key() for m in space.opens if m and (m & bit)
-            }
+            per_point[p] = {space.sigma[m] for m in space.opens if m and (m & bit)}
     population = []
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
@@ -112,12 +110,6 @@ def pair_affinity_scores(space: TypedSpace, two_witness: bool = False) -> ScoreT
                 count = len(per_point[x] & per_point[y])
             else:
                 both = space.point_bit(x) | space.point_bit(y)
-                count = len(
-                    {
-                        space.sigma[m].sort_key()
-                        for m in space.opens
-                        if (m & both) == both
-                    }
-                )
+                count = len({space.sigma[m] for m in space.opens if (m & both) == both})
             population.append((key, float(count)))
     return score_table(population)

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
+from conftest import C_RIGHT5, C_RIGHT6
 from typedtopo import basis, chains, lattice, space
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
@@ -99,6 +101,35 @@ def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
     del copy
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("fixture, text", [("street5", C_RIGHT5), ("street2x3", C_RIGHT6)])
+def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, text):
+    """One query pays its levels' rows of the order, not the full table.
+
+    The lower levels need the row of types above them and the upper levels
+    the row below, so at most 2 (k - 1) T `lattice.leq` calls for T realized
+    types, and each realized type's sort key is computed once.
+    """
+    sp = dataclasses.replace(request.getfixturevalue(fixture))
+    chain = parse_chain(text, sp.ctx)
+    space.strictness(sp)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "leq", counted("leq", lattice.leq))
+    monkeypatch.setattr(
+        lattice.TypeTerm, "sort_key", counted("sort_key", lattice.TypeTerm.sort_key)
+    )
+    chains.chain_base(sp, sp.points[0], chain)
+    t = len(space.indexed_types(sp))
+    assert 0 < calls["leq"] <= 2 * (chain.k - 1) * t
+    assert calls["sort_key"] <= t
 
 
 def test_is_generator_chain(street5):

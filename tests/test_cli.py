@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import C_ANC5, C_RIGHT5
-from typedtopo import basis, chains, cli, closure, connect, oracle, space as space_mod
+from typedtopo import basis, chains, cli, closure, connect, ingest, oracle, space as space_mod
 from typedtopo.lattice import Context, Poset, parse_type_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -238,3 +238,23 @@ def test_malformed_budget_variable_fails_loudly(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "TTS_BUDGET_POINTS" in err
+
+
+def test_connect_without_budget_applies_the_connectivity_default(capsys, monkeypatch, tmp_path):
+    """11 points: over the connectivity search's default budget, not the dense one's."""
+    monkeypatch.delenv("TTS_BUDGET_POINTS", raising=False)
+    people = [f"p{i}" for i in range(11)]
+    heap = tuple((people[(k - 1) // 2], people[k]) for k in range(1, 11))
+    path = tmp_path / "tree11.json"
+    path.write_text(json.dumps(space_mod.space_to_json(
+        ingest.build_genealogy(ingest.GenealogyDataset(heap)))))
+    argv = ("connect", str(path), "--chain", "anc & @" + " & @".join(people) + " ; anc",
+            "--x", "p3", "--y", "p4", "--stable")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert (result["oracle"], result["definitive"]) == ("skipped", False)
+    assert result["certificate"] is not None
+    code, out, err = _run(capsys, *argv, "--budget-points", "11")
+    assert code == 0, err
+    assert json.loads(out)["result"]["definitive"] is True

@@ -155,6 +155,13 @@ def test_evaluate_examples(gctx):
         assert evaluate(split, v2) == 1
 
 
+def test_evaluate_literals_outside_the_subcontext_never_hold(gctx):
+    v = lattice.Valuation.make(("anc",), ("W",), {"anc"}, {"W"})
+    assert evaluate(parse_type_expr("anc & @W", gctx), v) == 1
+    assert evaluate(parse_type_expr("anc & ~@C", gctx), v) == 0
+    assert evaluate(parse_type_expr("desc", gctx), v) == 0
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_valuations(Context(Poset({"anc", "desc"}), ()))) == 4
     chain2 = Context(Poset({"p", "q"}, [("p", "q")]), ())
@@ -205,6 +212,16 @@ def test_upward_filter_examples(gctx):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def test_clause_literal_order():
+    c = clause_of(gens=["desc", "anc"], pos=["y", "x"], neg=["x", "z"])
+    assert c.literals() == (
+        ("gen", "anc"), ("gen", "desc"), ("pos", "x"), ("neg", "x"), ("pos", "y"), ("neg", "z"),
+    )
+    assert c.sort_key() == (
+        (0, "anc", 0), (0, "desc", 0), (1, "x", 1), (1, "x", 2), (1, "y", 1), (1, "z", 2),
+    )
 
 
 def test_term_json_round_trip(gctx):

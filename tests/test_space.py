@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,41 @@ def test_validation_flags_monotonicity(genealogy5):
     report = validate_type_mapping(broken)
     assert not report.ok
     assert report.by_code("monotone")
+
+
+def _without(sp: TypedSpace, drop=(), untyped=()) -> TypedSpace:
+    """``sp`` less the opens ``drop``, with the opens ``untyped`` left untyped."""
+    opens = sp.opens - set(drop)
+    sigma = {m: t for m, t in sp.sigma.items() if m in opens and m not in untyped}
+    return TypedSpace(sp.points, opens, sigma, sp.poset, sp.generators)
+
+
+def test_validation_flags_missing_empty_and_whole_set(street5):
+    report = validate_type_mapping(_without(street5, drop=(0, street5.full_mask)))
+    assert report.by_code("empty-open-missing")
+    assert report.by_code("whole-set-missing")
+
+
+def test_validation_flags_untyped_open(street5):
+    m = street5.mask_of(["r2", "r3"])
+    report = validate_type_mapping(_without(street5, untyped=(m,)))
+    assert [f.witness for f in report.by_code("type-missing")] == [(("r2", "r3"),)]
+
+
+def test_closure_failures_name_each_bad_pair_once(street5):
+    broken = _without(street5, drop=(street5.mask_of(["r3", "r4", "r5"]),))
+    expected = []
+    for u, v in itertools.combinations(sorted(broken.opens), 2):
+        pair = frozenset({broken.ids_of(u), broken.ids_of(v)})
+        if (u | v) not in broken.opens:
+            expected.append(("union-closure", pair))
+        if (u & v) not in broken.opens:
+            expected.append(("intersection-closure", pair))
+    report = validate_type_mapping(broken)
+    assert len(report.by_code("union-closure")) == 6
+    assert len(report.by_code("intersection-closure")) == 1
+    got = [(f.code, frozenset(f.witness)) for f in report.failures]
+    assert Counter(got) == Counter(expected)
 
 
 def test_meet_join_bounds_hold_exhaustively(street5):
@@ -225,6 +261,41 @@ def test_realized_types_singleton_space():
         [GeneratorSpec("g", frozenset(pts), parse_type_expr("anc", ctx))], poset, pts
     )
     assert len(realized_types(sp)) == 1
+
+
+def test_order_rows_of_realized_levels_match_leq(genealogy5, street5, street2x3):
+    rng = random.Random(4)
+    spaces = [genealogy5, street5, street2x3]
+    while len(spaces) < 10:
+        sp = random_generated_space(rng, max_points=6)
+        if sp is not None:
+            spaces.append(sp)
+    for sp in spaces:
+        rt = realized_types(sp)
+        for i, a in enumerate(rt.terms):
+            for j, b in enumerate(rt.terms):
+                assert rt.leq(i, j) == lattice.leq(a, b)
+            assert rt.below(a) == tuple(lattice.leq(b, a) for b in rt.terms)
+
+
+def test_order_rows_of_chain_levels_match_leq(
+    genealogy5, street5, street2x3, c_anc5, c_right5, c_right6
+):
+    assert not set(c_right5.levels) & set(realized_types(street5).terms)
+    for sp, chain in ((street5, c_right5), (genealogy5, c_anc5), (street2x3, c_right6)):
+        rt = realized_types(sp)
+        for level in chain.levels:
+            assert rt.above(level) == tuple(lattice.leq(level, t) for t in rt.terms)
+            assert rt.below(level) == tuple(lattice.leq(t, level) for t in rt.terms)
+
+
+def test_order_rows_are_memoized_by_term_value(street5, c_right5):
+    rt = realized_types(street5)
+    for level in c_right5.levels + rt.terms[:3]:
+        again = parse_type_expr(format_term(level), street5.ctx)
+        assert again is not level
+        assert rt.above(again) is rt.above(level)
+        assert rt.below(again) is rt.below(level)
 
 
 def test_incompatible_types_never_share_a_point(genealogy5):

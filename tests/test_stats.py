@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import statistics
 
 import pytest
 
-from typedtopo import ingest, stats
+from typedtopo import chains, ingest, space, stats
 from typedtopo.errors import NoVarianceError, PreconditionError
 from typedtopo.ingest import CommunityDataset, GenealogyDataset
 from typedtopo.stats import pair_key, score_table
@@ -67,6 +68,20 @@ def test_family_sizes_cross_street_ray_unions_count():
         ("y1",): 1.0,
         ("x1", "y1"): 2.0,
     }
+
+
+def test_family_sizes_build_realized_types_once(monkeypatch, street2x3):
+    build = space.realized_types
+    builds = []
+
+    def counted(sp):
+        builds.append(sp)
+        return build(sp)
+
+    monkeypatch.setattr(space, "realized_types", counted)
+    monkeypatch.setattr(chains, "realized_types", counted)
+    stats.family_size_scores(dataclasses.replace(street2x3), "right")
+    assert len(builds) == 1
 
 
 def test_point_activity_street5(street5):
