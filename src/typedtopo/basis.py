@@ -44,7 +44,9 @@ def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> Typ
     if p.is_bottom:
         raise PreconditionError("anchor BOT would select every open vacuously")
     space_mod.require_strict(space)
-    members = {m for m in space.opens if m and lattice.leq(p, space.sigma[m])}
+    rt = space_mod.indexed_types(space)
+    above = rt.above(p)
+    members = {m for m, ti in rt.type_of_open.items() if above[ti]}
     if at is not None:
         bit = space.point_bit(at)
         members = {m for m in members if m & bit}

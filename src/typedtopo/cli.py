@@ -124,11 +124,12 @@ def _table_csv(table: stats.ScoreTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each handler returns (exit code, space, result); a result of None means the
+# Each handler takes the parsed arguments and the loaded space (None for
+# build) and returns (exit code, space, result); a result of None means the
 # handler already wrote its output and no report follows.
 
 
-def _cmd_build(args):
+def _cmd_build(args, _):
     kind = args.kind
     if kind == "genealogy":
         with open(args.dataset, encoding="utf-8") as fh:
@@ -153,27 +154,22 @@ def _cmd_build(args):
     return 0, built, {"written": args.output} if args.output else None
 
 
-def _cmd_validate(args):
-    sp = space.load_space(args.space)
-    report = space.validate_type_mapping(sp)
+def _cmd_validate(args, sp):
+    # load_space validated the document: one that fails raises before this
     strictness = space.strictness(sp)
     result = {
-        "valid": report.ok,
-        "failures": [
-            {"code": f.code, "detail": f.detail, "witness": [list(w) for w in f.witness]}
-            for f in report.failures
-        ],
+        "valid": True,
+        "failures": [],
         "strict": strictness.strict,
         "strict_witness": (
             [list(w) for w in strictness.witness] if strictness.witness else None
         ),
     }
-    code = 0 if report.ok and (strictness.strict or not args.strict) else _EXIT_VALIDATION
+    code = 0 if strictness.strict or not args.strict else _EXIT_VALIDATION
     return code, sp, result
 
 
-def _cmd_basis(args):
-    sp = space.load_space(args.space)
+def _cmd_basis(args, sp):
     if not args.p:
         raise PreconditionError("basis needs --p")
     p = lattice.parse_type_expr(args.p, sp.ctx)
@@ -186,8 +182,7 @@ def _cmd_basis(args):
     }
 
 
-def _cmd_nbhd(args):
-    sp = space.load_space(args.space)
+def _cmd_nbhd(args, sp):
     ch = _chain_arg(args, sp)
     if not args.x:
         raise PreconditionError("nbhd needs --x")
@@ -201,8 +196,7 @@ def _cmd_nbhd(args):
     }
 
 
-def _cmd_closure(args):
-    sp = space.load_space(args.space)
+def _cmd_closure(args, sp):
     ch = _chain_arg(args, sp)
     start = _set_arg(args.set)
     rep = closure.chain_closure(sp, start, ch)
@@ -220,8 +214,7 @@ def _cmd_closure(args):
     }
 
 
-def _cmd_dense(args):
-    sp = space.load_space(args.space)
+def _cmd_dense(args, sp):
     ch = _chain_arg(args, sp)
     rep = closure.min_chain_dense(sp, ch)
     return 0, sp, {
@@ -234,8 +227,7 @@ def _cmd_dense(args):
     }
 
 
-def _cmd_connect(args):
-    sp = space.load_space(args.space)
+def _cmd_connect(args, sp):
     ch = _chain_arg(args, sp)
     if args.set:
         pts = _set_arg(args.set)
@@ -273,8 +265,7 @@ def _cmd_connect(args):
     }
 
 
-def _cmd_stats(args):
-    sp = space.load_space(args.space)
+def _cmd_stats(args, sp):
     kind = args.kind or "sizes"
     if kind == "sizes":
         if not args.p:
@@ -294,8 +285,7 @@ def _cmd_stats(args):
     return 0, sp, {"kind": kind, "table": _table_json(table)}
 
 
-def _cmd_oracle(args):
-    sp = space.load_space(args.space)
+def _cmd_oracle(args, sp):
     if args.check:
         rep = oracle.check_space(sp)
         lines = [
@@ -411,7 +401,8 @@ def run(argv) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, sp, result = _HANDLERS[args.command](args)
+        sp = None if args.command == "build" else space.load_space(args.space)
+        code, sp, result = _HANDLERS[args.command](args, sp)
         if result is None:
             return code
         report = {"command": args.command, "space": _space_digest(sp), "result": result}

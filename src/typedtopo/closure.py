@@ -77,7 +77,7 @@ def unsupported_points(space: TypedSpace, chain: TypeChain) -> frozenset:
             "unsupported region disagrees with the uncovered remainder",
             witness=sorted(bare ^ out),
         )
-    closed = chain_closure(space, out, chain, _assert_core=False)
+    closed = chain_closure(space, out, chain)
     if closed.members != out:
         raise InvariantViolationError(
             "unsupported region is not closed", witness=sorted(closed.members - out)
@@ -85,12 +85,7 @@ def unsupported_points(space: TypedSpace, chain: TypeChain) -> frozenset:
     return out
 
 
-def chain_closure(
-    space: TypedSpace,
-    start,
-    chain: TypeChain,
-    _assert_core: bool = True,
-) -> ClosureReport:
+def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
     """Points all of whose base neighborhoods meet ``start``.
 
     For supported points the definitional test is re-derived from the common
@@ -113,20 +108,17 @@ def chain_closure(
             witnesses[p] = ("vacuous",)
             continue
         inside = all(m & start_mask for m in fam)
-        if _assert_core:
-            core = space.full_mask
-            for m in fam:
-                core &= m
-            by_core = bool(core & start_mask)
-            if by_core != inside:
-                raise InvariantViolationError(
-                    "definitional closure disagrees with the common-core test",
-                    witness=(p, sorted(start_set)),
-                )
+        core = space.full_mask
+        for m in fam:
+            core &= m
+        if bool(core & start_mask) != inside:
+            raise InvariantViolationError(
+                "definitional closure disagrees with the common-core test",
+                witness=(p, sorted(start_set)),
+            )
         if inside:
             members.add(p)
-            if _assert_core:
-                witnesses[p] = ("core", space.ids_of(core))
+            witnesses[p] = ("core", space.ids_of(core))
     return ClosureReport(space, chain, start_set, frozenset(members), witnesses)
 
 

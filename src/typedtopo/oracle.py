@@ -31,6 +31,7 @@ from .space import TypedSpace, realized_types
 
 DEFAULT_DENSE_POINTS = 12
 DEFAULT_CONNECT_POINTS = 10
+MAX_SUBSETS = 1 << 20
 
 
 def _env_points(default: int) -> int:
@@ -51,10 +52,9 @@ class SearchBudget:
     """Hard limits for the exhaustive searches."""
 
     max_points: int = field(default_factory=lambda: _env_points(DEFAULT_DENSE_POINTS))
-    max_subsets: int = 1 << 20
 
     def __post_init__(self):
-        if self.max_points <= 0 or self.max_subsets <= 0:
+        if self.max_points <= 0:
             raise OracleSkip("budgets must be positive")
 
 
@@ -78,7 +78,7 @@ def exhaustive_min_dense(
         fams.append(fam)
         if not fam:
             forced |= 1 << i
-    if (1 << n) > budget.max_subsets:
+    if (1 << n) > MAX_SUBSETS:
         raise OracleSkip("subset budget exceeded")
 
     def dense(mask: int) -> bool:
@@ -130,7 +130,7 @@ def exhaustive_connected(
         return False
     free = supported & ~(xbit | ybit)
     free_bits = [1 << i for i in range(n) if free >> i & 1]
-    if (1 << len(free_bits)) > budget.max_subsets:
+    if (1 << len(free_bits)) > MAX_SUBSETS:
         raise OracleSkip("subset budget exceeded")
     for r in range(len(free_bits) + 1):
         for combo in itertools.combinations(free_bits, r):
@@ -168,7 +168,7 @@ class CheckReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _realized_chains(space: TypedSpace, max_len: int = 3):
+def _realized_chains(space: TypedSpace):
     """Ascending level tuples (length 2 and 3) over the realized types."""
     rt = realized_types(space)
     n = len(rt)
@@ -177,17 +177,16 @@ def _realized_chains(space: TypedSpace, max_len: int = 3):
         for j in usable:
             if rt.leq(i, j):
                 yield TypeChain((rt.terms[i], rt.terms[j]))
-    if max_len >= 3:
-        for i in usable:
-            for j in usable:
-                if not rt.leq(i, j):
-                    continue
-                for k in usable:
-                    if rt.leq(j, k):
-                        yield TypeChain((rt.terms[i], rt.terms[j], rt.terms[k]))
+    for i in usable:
+        for j in usable:
+            if not rt.leq(i, j):
+                continue
+            for k in usable:
+                if rt.leq(j, k):
+                    yield TypeChain((rt.terms[i], rt.terms[j], rt.terms[k]))
 
 
-def check_space(space: TypedSpace, max_chain_len: int = 3) -> CheckReport:
+def check_space(space: TypedSpace) -> CheckReport:
     """Replay the structural properties of a typed space and its chains.
 
     Covers: topology closure, the three type-mapping conditions, the meet
@@ -221,7 +220,7 @@ def check_space(space: TypedSpace, max_chain_len: int = 3) -> CheckReport:
             tuple(bad[:5]),
         )
     )
-    strictness = space_mod.is_strictly_typed(space)
+    strictness = space_mod.strictness(space)
     results.append(
         CheckResult(
             "strictly-typed",
@@ -290,7 +289,7 @@ def check_space(space: TypedSpace, max_chain_len: int = 3) -> CheckReport:
         )
     )
 
-    chain_list = list(_realized_chains(space, max_chain_len))
+    chain_list = list(_realized_chains(space))
 
     # base property: every sandwiched neighborhood contains a base member
     bad = []

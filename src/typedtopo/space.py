@@ -144,6 +144,32 @@ def _structure_failures(space: TypedSpace) -> list[Failure]:
     return out
 
 
+def _order_scan(space: TypedSpace) -> tuple[list[Failure], StrictnessReport]:
+    """Monotone failures and strictness verdict, one `lattice.leq` per ``U < V``.
+
+    Given ``sigma(U) <= sigma(V)``, the converse holds only for equal
+    canonical terms, so the first pair with nonempty ``U`` that fails or
+    ties is the strictness witness. Opens without a type take no part.
+    """
+    sig = space.sigma
+    opens = sorted(m for m in space.opens if m in sig)
+    failures: list[Failure] = []
+    witness = None
+    for i, u in enumerate(opens):
+        for v in opens[i + 1:]:  # a proper superset of u is a larger mask
+            if (u & v) != u:
+                continue
+            ok = lattice.leq(sig[u], sig[v])
+            if not ok:
+                failures.append(Failure(
+                    "monotone", "inclusion with non-increasing types",
+                    (space.ids_of(u), space.ids_of(v)),
+                ))
+            if witness is None and u and (not ok or lattice.term_eq(sig[u], sig[v])):
+                witness = (space.ids_of(u), space.ids_of(v))
+    return failures, StrictnessReport(witness is None, witness)
+
+
 def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     """Exhaustive check of the type-mapping contract.
 
@@ -151,7 +177,9 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     monotone along inclusion, and topology closed under union/intersection.
     The bounds ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
     ``sigma(U) v sigma(V) <= sigma(U | V)`` follow from the last two, so
-    they are not re-checked here; `oracle.check_space` replays them.
+    they are not re-checked here; `oracle.check_space` replays them. When
+    every open has a type, the monotone pass also records the strictness
+    verdict in ``space.index.strict_report``.
     """
     failures = _structure_failures(space)
     if failures and any(f.code == "type-missing" for f in failures):
@@ -166,27 +194,14 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
                 "bottom-off-empty", "nonempty open typed BOT", (space.ids_of(m),)))
         if t.is_top:
             failures.append(Failure("top-forbidden", "open typed TOP", (space.ids_of(m),)))
-    opens = sorted(space.opens)
-    for u in opens:
-        for v in opens:
-            if u != v and (u & v) == u and not lattice.leq(sig[u], sig[v]):
-                failures.append(Failure(
-                    "monotone", "inclusion with non-increasing types",
-                    (space.ids_of(u), space.ids_of(v)),
-                ))
+    monotone, space.index.strict_report = _order_scan(space)
+    failures += monotone
     return ValidationReport(not failures, tuple(failures))
 
 
 def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
     """Proper inclusion of nonempty opens must strictly increase the type."""
-    sig = space.sigma
-    opens = sorted(m for m in space.opens if m)
-    for u in opens:
-        for v in opens:
-            if u != v and (u & v) == u:
-                if not lattice.leq(sig[u], sig[v]) or lattice.leq(sig[v], sig[u]):
-                    return StrictnessReport(False, (space.ids_of(u), space.ids_of(v)))
-    return StrictnessReport(True)
+    return _order_scan(space)[1]
 
 
 class SpaceIndex:
@@ -194,10 +209,11 @@ class SpaceIndex:
 
     Every `TypedSpace` owns one as ``space.index``, and a copy made with
     `dataclasses.replace` starts with a fresh one. The index keeps no
-    reference to its space, so it dies with it. The verdict and the realized
-    types are read through `strictness` and `indexed_types`, which take the
-    owning space; the realized types memoize their own order rows, and
-    `chains` fills the irreducible pools, keyed by level term and support.
+    reference to its space, so it dies with it. Validation records the
+    strictness verdict; it and the realized types are read through
+    `strictness` and `indexed_types`, which take the owning space. The
+    realized types memoize their own order rows, and `chains` fills the
+    irreducible pools, keyed by level term and support.
     """
 
     __slots__ = ("strict_report", "realized", "irreducible_pools")
@@ -209,7 +225,7 @@ class SpaceIndex:
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:
-    """`is_strictly_typed`, computed once per space."""
+    """`is_strictly_typed`, computed once per space (validation records it)."""
     idx = space.index
     if idx.strict_report is None:
         idx.strict_report = is_strictly_typed(space)
@@ -219,6 +235,14 @@ def strictness(space: TypedSpace) -> StrictnessReport:
 def require_strict(space: TypedSpace) -> None:
     if not strictness(space).strict:
         raise NotStrictlyTypedError("operation requires a strictly typed space")
+
+
+def _validated(space: TypedSpace, what: str) -> TypedSpace:
+    """``space`` once it passes validation; else `SpaceValidationError`."""
+    report = validate_type_mapping(space)
+    if not report.ok:
+        raise SpaceValidationError(f"{what}: {report.failures[0].code}", report)
+    return space
 
 
 def _induced_type_entries(
@@ -257,7 +281,6 @@ def generate_topology(
     specs: Sequence[GeneratorSpec],
     poset: Poset,
     points: Sequence[str],
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> TypedSpace:
     """Generate the typed topology spanned by the given generator families.
 
@@ -267,8 +290,8 @@ def generate_topology(
     induced mapping breaks any contract condition.
     """
     pts = tuple(points)
-    if len(pts) > max_points:
-        raise PreconditionError(f"{len(pts)} points exceed the limit of {max_points}")
+    if len(pts) > DEFAULT_MAX_POINTS:
+        raise PreconditionError(f"{len(pts)} points exceed the limit of {DEFAULT_MAX_POINTS}")
     ctx = Context(poset, pts)
     seen = set()
     for s in specs:
@@ -312,15 +335,10 @@ def generate_topology(
         parts = [t for m, t in entry_items if (m & u) == m]
         sigma[u] = lattice.join_all(ctx, parts)
 
-    space = TypedSpace(pts, frozenset(opens), sigma, poset, tuple(specs))
-    report = validate_type_mapping(space)
-    if not report.ok:
-        raise SpaceValidationError(
-            f"generated space violates the type-mapping contract: "
-            f"{report.failures[0].code}",
-            report,
-        )
-    return space
+    return _validated(
+        TypedSpace(pts, frozenset(opens), sigma, poset, tuple(specs)),
+        "generated space violates the type-mapping contract",
+    )
 
 
 def strictify(space: TypedSpace) -> TypedSpace:
@@ -330,8 +348,8 @@ def strictify(space: TypedSpace) -> TypedSpace:
     where ``N_U`` is the meet of the negated literals of the points outside
     ``U``. Meeting with ``sigma(X)`` keeps the added clause below the type of
     the whole set, so monotonicity survives; the whole set itself is left
-    alone (an empty negative meet would be Top). The result is re-validated
-    and re-checked for strictness; failures raise, never pass silently.
+    alone (an empty negative meet would be Top). The result is re-validated,
+    which also decides its strictness; failures raise, never pass silently.
     """
     ctx = space.ctx
     full = space.full_mask
@@ -343,17 +361,13 @@ def strictify(space: TypedSpace) -> TypedSpace:
         absent = [p for i, p in enumerate(space.points) if not (m >> i & 1)]
         tag = lattice.normalize(ctx, [clause_of(neg=absent)])
         sigma[m] = lattice.join(space.sigma[m], lattice.meet(tag, top_type))
-    out = TypedSpace(space.points, space.opens, sigma, space.poset, space.generators)
-    report = validate_type_mapping(out)
-    if not report.ok:
-        raise SpaceValidationError(
-            f"strictness repair broke the type mapping: {report.failures[0].code}", report
-        )
-    strictness = is_strictly_typed(out)
-    if not strictness.strict:
-        raise SpaceValidationError(
-            f"strictness repair failed on pair {strictness.witness}", report
-        )
+    out = _validated(
+        TypedSpace(space.points, space.opens, sigma, space.poset, space.generators),
+        "strictness repair broke the type mapping",
+    )
+    verdict = strictness(out)
+    if not verdict.strict:
+        raise SpaceValidationError(f"strictness repair failed on pair {verdict.witness}", verdict)
     return out
 
 
@@ -480,13 +494,10 @@ def space_from_json(obj: dict) -> TypedSpace:
         generators.append(
             GeneratorSpec(entry["name"], members, lattice.term_from_json(ctx, entry["type"]))
         )
-    space = TypedSpace(points, frozenset(opens), sigma, poset, tuple(generators))
-    report = validate_type_mapping(space)
-    if not report.ok:
-        raise SpaceValidationError(
-            f"space document fails validation: {report.failures[0].code}", report
-        )
-    return space
+    return _validated(
+        TypedSpace(points, frozenset(opens), sigma, poset, tuple(generators)),
+        "space document fails validation",
+    )
 
 
 def load_space(path) -> TypedSpace:

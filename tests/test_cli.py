@@ -80,6 +80,26 @@ def test_validate_strict_refuses_nonstrict_space(capsys, nonstrict_path):
     assert json.loads(out)["space"]["strict"] is False
 
 
+def test_validate_validates_once(capsys, monkeypatch):
+    calls = []
+    validate = space_mod.validate_type_mapping
+    monkeypatch.setattr(
+        space_mod, "validate_type_mapping", lambda sp: calls.append(sp) or validate(sp)
+    )
+    assert _result(capsys, "validate", STREET5)["valid"] is True
+    assert len(calls) == 1
+
+
+def test_validate_rejects_a_document_that_lacks_an_open(capsys, street5, tmp_path):
+    doc = space_mod.space_to_json(street5)
+    doc["opens"] = [o for o in doc["opens"] if o["set"] != ["r3", "r4", "r5"]]
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(path), "--stable")
+    assert (code, out) == (1, "")
+    assert err == "tts validate: space document fails validation: union-closure\n"
+
+
 def test_basis(capsys, genealogy5):
     result = _result(capsys, "basis", GENEALOGY5, "--p", "anc & @W", "--x", "C")
     p = parse_type_expr("anc & @W", genealogy5.ctx)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,8 @@ from typedtopo.space import (
     strictify,
     validate_type_mapping,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_genealogy_topology_values(genealogy5):
@@ -225,6 +228,70 @@ def test_strictify_preserves_already_strict(street5):
     fixed = strictify(street5)
     assert is_strictly_typed(fixed).strict
     assert validate_type_mapping(fixed).ok
+
+
+def _two_scan_reference(sp: TypedSpace):
+    """Monotone witnesses and strictness verdict from two separate scans.
+
+    Every nested pair is ordered both ways for strictness, apart from the
+    monotone scan, as the two checks were computed before they shared a pass.
+    """
+    sig = sp.sigma
+    opens = sorted(sp.opens)
+    nested = [(u, v) for u in opens for v in opens if u != v and (u & v) == u]
+    monotone = [
+        (sp.ids_of(u), sp.ids_of(v)) for u, v in nested if not lattice.leq(sig[u], sig[v])
+    ]
+    for u, v in nested:
+        if u and (not lattice.leq(sig[u], sig[v]) or lattice.leq(sig[v], sig[u])):
+            return monotone, space.StrictnessReport(False, (sp.ids_of(u), sp.ids_of(v)))
+    return monotone, space.StrictnessReport(True)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_one_order_scan_matches_the_two_scan_reference(rng):
+    sp = random_generated_space(rng, max_points=5)
+    if sp is None:
+        return
+    nonempty = sp.nonempty_opens()
+    copied = {
+        rng.choice(nonempty): sp.sigma[rng.choice(nonempty)] for _ in range(rng.randint(0, 2))
+    }
+    probe = _with_sigma(sp, copied)
+    monotone, verdict = _two_scan_reference(probe)
+    assert is_strictly_typed(probe) == verdict
+    report = validate_type_mapping(probe)
+    assert [f.witness for f in report.by_code("monotone")] == monotone
+    assert probe.index.strict_report == verdict
+
+
+@pytest.mark.parametrize(
+    "name, pairs", [("street5.json", 211), ("genealogy5.json", 211), ("street2x3.json", 665)]
+)
+def test_load_and_verdict_order_each_nested_pair_once(monkeypatch, name, pairs):
+    """Validation's monotone pass also yields the strictness verdict."""
+    calls = []
+    leq = lattice.leq
+    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
+    sp = space.load_space(FIXTURES / name)
+    assert space.strictness(sp).strict
+    nested = sum(1 for u, v in itertools.permutations(sp.opens, 2) if (u & v) == u)
+    assert len(calls) == nested == pairs
+
+
+def test_built_loaded_and_repaired_spaces_carry_the_verdict(street5):
+    tied = space_from_json(space_to_json(_degenerate_space()))
+    spaces = [
+        generate_topology(street5.generators, street5.poset, street5.points),
+        space_from_json(space_to_json(street5)),
+        strictify(_degenerate_space()),
+        tied,
+    ]
+    for sp in spaces:
+        assert sp.index.strict_report is not None
+        assert sp.index.strict_report == is_strictly_typed(sp)
+    assert tied.index.strict_report.witness == (("x",), ("x", "y"))
 
 
 def test_strictify_cannot_fix_top_level_tie():
