@@ -250,7 +250,10 @@ def build_table(data: PredicateTableDataset, apply_strictify: bool = False) -> T
     its own poset element; declared implications order the poset and are
     verified extensionally against the rows (a false declaration is a hard
     error naming a witness row). ``apply_strictify`` runs the point-literal
-    strictness repair on the result.
+    strictness repair on the result. The repair leaves the whole set alone,
+    so it needs every row to match some predicate: otherwise the union of
+    the predicate sets ties with the whole set, and the rows outside it are
+    named in a `DatasetError` before anything is generated.
     """
     ids = data.row_ids()
     names = [p.name for p in data.predicates]
@@ -276,6 +279,13 @@ def build_table(data: PredicateTableDataset, apply_strictify: bool = False) -> T
                     f"{sorted(missing)[0]!r}"
                 )
             pairs.append((pred.name, target))
+    if apply_strictify:
+        unmatched = [rid for rid in ids if not any(rid in hits for hits in sat.values())]
+        if unmatched:
+            raise DatasetError(
+                f"strictness repair needs every row to match a predicate; "
+                f"rows matching none: {unmatched}"
+            )
     poset = Poset(names, pairs)
     ctx = Context(poset, ids)
     specs = [

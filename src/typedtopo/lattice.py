@@ -308,10 +308,13 @@ def meet_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
 
 
 def join_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
-    acc = ctx.bottom()
+    """The join of ``terms``, normalized once from the union of their clauses."""
+    clauses: set[Clause] = set()
     for t in terms:
-        acc = join(acc, t)
-    return acc
+        if t.ctx != ctx:
+            raise ContextMismatchError("terms come from different contexts")
+        clauses |= t.clauses
+    return normalize(ctx, clauses)
 
 
 def leq(a: TypeTerm, b: TypeTerm) -> bool:

@@ -3,10 +3,24 @@
 A space couples a finite topology (stored as bit-set opens) with a type
 mapping into the generator lattice: the empty set alone has type Bottom,
 no open has type Top, and inclusion of opens never decreases the type.
-Spaces are built from named generator families; the induced type of a
-generated open is the join, over all generator bundles whose intersection
-fits inside it, of the bundle's meet type. That extension is the least
-monotone one dominating the declared generator types.
+
+Every finite topology is Alexandrov: each point x has a least open
+neighborhood ``U_x``, the intersection of the opens around it, and the
+opens are exactly the unions of the ``U_x``. Construction and validation
+both work through that structure.
+
+* Building: the induced type of a generated open is the join, over all
+  generator bundles whose intersection fits inside it, of the bundle's
+  meet type. That extension is the least monotone one dominating the
+  declared generator types. The per-intersection entries come from a
+  dynamic program over the intersections, the opens from unions with
+  one entry at a time, and each type from the maximal entries inside it.
+* Validating: a family is a topology iff it holds the empty set, the whole
+  set, every ``U_x`` and every ``O | U_x``; and any proper inclusion of
+  opens is a chain of steps ``(U, U | U_x)``, so types rise along all
+  inclusions iff they rise along the steps. The step pass decides the
+  verdict. When it finds a failure or a tie, the exhaustive pair scans run
+  instead, and they alone write the failure lists and witnesses.
 """
 from __future__ import annotations
 
@@ -170,19 +184,71 @@ def _order_scan(space: TypedSpace) -> tuple[list[Failure], StrictnessReport]:
     return failures, StrictnessReport(witness is None, witness)
 
 
+def _minimal_neighborhoods(space: TypedSpace) -> Optional[frozenset]:
+    """The distinct ``U_x`` when the opens form a topology and all are typed.
+
+    A family holding the empty and the whole set is a topology iff it also
+    holds every ``U_x`` and every ``O | U_x``: then each open is the union
+    of the ``U_x`` inside it, every such union is reached one ``U_x`` at a
+    time, and ``U_x & U_y`` is the union of the ``U_z`` inside it. ``None``
+    when any test fails, so that the exhaustive scans run.
+    """
+    opens, full = space.opens, space.full_mask
+    if 0 not in opens or full not in opens or any(m not in space.sigma for m in opens):
+        return None
+    least = [full] * len(space.points)
+    for o in opens:
+        for i in range(len(least)):
+            if o >> i & 1:
+                least[i] &= o
+    mins = frozenset(least)
+    if mins <= opens and all(o | u in opens for o in opens for u in mins):
+        return mins
+    return None
+
+
+def _steps_rise(space: TypedSpace, mins: frozenset) -> bool:
+    """True when ``sigma(U) < sigma(V)`` on every step ``V = U | U_x``, U nonempty.
+
+    One `lattice.leq` per distinct step pair; from the empty set a step
+    only has to rise weakly. Every proper inclusion of opens is a chain of
+    steps, so this decides monotonicity and strictness for all pairs.
+    """
+    sig = space.sigma
+    for u in space.opens:
+        su = sig[u]
+        for v in {u | m for m in mins} - {u}:
+            if not lattice.leq(su, sig[v]) or (u and lattice.term_eq(su, sig[v])):
+                return False
+    return True
+
+
+def _order_pass(space: TypedSpace, mins: Optional[frozenset]):
+    """`_order_scan`'s answer, from the step pass when that finds nothing."""
+    if mins is not None and _steps_rise(space, mins):
+        return [], StrictnessReport(True)
+    return _order_scan(space)
+
+
 def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     """Exhaustive check of the type-mapping contract.
 
     Conditions checked: Bottom exactly on the empty set, Top nowhere,
     monotone along inclusion, and topology closed under union/intersection.
-    The bounds ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
+    The last two are decided through the least neighborhoods ``U_x``: the
+    structure by the tests of `_minimal_neighborhoods`, the order by one
+    `lattice.leq` per step pair ``(U, U | U_x)``. When either finds a fault
+    (or a tie, for the order), `_structure_failures` or `_order_scan` scans
+    every pair and writes the failure list. The bounds
+    ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
     ``sigma(U) v sigma(V) <= sigma(U | V)`` follow from the last two, so
     they are not re-checked here; `oracle.check_space` replays them. When
-    every open has a type, the monotone pass also records the strictness
+    every open has a type, the order pass also records the strictness
     verdict in ``space.index.strict_report``.
     """
-    failures = _structure_failures(space)
-    if failures and any(f.code == "type-missing" for f in failures):
+    mins = _minimal_neighborhoods(space)
+    failures = [] if mins is not None else _structure_failures(space)
+    if any(f.code == "type-missing" for f in failures):
         return ValidationReport(False, tuple(failures))
     sig = space.sigma
     if 0 in sig and not sig[0].is_bottom:
@@ -194,14 +260,19 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
                 "bottom-off-empty", "nonempty open typed BOT", (space.ids_of(m),)))
         if t.is_top:
             failures.append(Failure("top-forbidden", "open typed TOP", (space.ids_of(m),)))
-    monotone, space.index.strict_report = _order_scan(space)
+    monotone, space.index.strict_report = _order_pass(space, mins)
     failures += monotone
     return ValidationReport(not failures, tuple(failures))
 
 
 def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
-    """Proper inclusion of nonempty opens must strictly increase the type."""
-    return _order_scan(space)[1]
+    """Proper inclusion of nonempty opens must strictly increase the type.
+
+    Decided on the step pairs ``(U, U | U_x)`` of a typed topology; any
+    failure or tie there, or opens that are not a typed topology, make
+    `_order_scan` find the first witness among all nested pairs.
+    """
+    return _order_pass(space, _minimal_neighborhoods(space))[1]
 
 
 class SpaceIndex:
@@ -250,30 +321,39 @@ def _induced_type_entries(
 ) -> dict[int, TypeTerm]:
     """Map each nonempty generator-bundle intersection to its best meet type.
 
-    Depth-first over bundles; empty intersections prune the whole branch
-    since further meets only shrink the set.
+    Dynamic programming over the intersections by decreasing size: each
+    generator seeds its own set, and every intersection ``M`` passes
+    ``E[M] ^ sigma(g)`` on to ``M & g`` for each generator ``g`` that
+    shrinks it. A bundle is such a chain of shrinking generators (the
+    others only lower its meet), and the lattice is distributive, so
+    ``E[M]`` comes out as the join over the bundles meeting in ``M``.
+    Meets that come out Bottom add nothing and pass nothing on.
     """
-    entries: dict[int, TypeTerm] = {}
-    m = len(specs)
+    full = (1 << len(ctx.points)) - 1
     types = [s.type_term for s in specs]
+    parts: dict[int, list[TypeTerm]] = {}
+    by_size: list[list[int]] = [[] for _ in range(len(ctx.points) + 1)]
 
-    def record(mask: int, term: TypeTerm) -> None:
+    def add(mask: int, term: TypeTerm) -> None:
         if term.is_bottom:
             return
-        prev = entries.get(mask)
-        entries[mask] = term if prev is None else lattice.join(prev, term)
+        if mask not in parts:
+            parts[mask] = []
+            by_size[mask.bit_count()].append(mask)
+        parts[mask].append(term)
 
-    def rec(start: int, mask: int, term: TypeTerm) -> None:
-        for j in range(start, m):
-            nm = mask & masks[j]
-            if nm == 0:
-                continue
-            nt = lattice.meet(term, types[j])
-            record(nm, nt)
-            if not nt.is_bottom:
-                rec(j + 1, nm, nt)
-
-    rec(0, (1 << len(ctx.points)) - 1, ctx.top())
+    for mask, term in zip(masks, types):
+        add(mask, term)
+    entries: dict[int, TypeTerm] = {}
+    for size in range(len(ctx.points), 0, -1):
+        for mask in by_size[size]:  # every contribution comes from a larger set
+            entries[mask] = term = lattice.join_all(ctx, parts.pop(mask))
+            if mask == full:
+                continue  # only generators equal to the whole set type it
+            for g, t in zip(masks, types):
+                sub = mask & g
+                if sub and sub != mask:
+                    add(sub, lattice.meet(term, t))
     return entries
 
 
@@ -286,8 +366,14 @@ def generate_topology(
 
     Opens are the unions of nonempty generator intersections (plus the empty
     set and, when not already covered, the whole point set, which then takes
-    the join of all generator types). Raises `SpaceValidationError` when the
-    induced mapping breaks any contract condition.
+    the join of all generator types). The opens come from adding one
+    intersection at a time to every union found so far. An open's type is
+    the join of the intersections' types inside it; opens are typed in
+    increasing order, each from its own entry and the already joined types
+    of the maximal intersections strictly inside it. Validation then runs
+    through the least neighborhoods (`validate_type_mapping`), and raises
+    `SpaceValidationError` when the induced mapping breaks any contract
+    condition.
     """
     pts = tuple(points)
     if len(pts) > DEFAULT_MAX_POINTS:
@@ -311,28 +397,20 @@ def generate_topology(
     entries = _induced_type_entries(ctx, specs, masks)
 
     opens = {0}
-    frontier = set(entries)
-    opens |= frontier
-    while True:
-        new = set()
-        for a in frontier:
-            for b in opens:
-                u = a | b
-                if u not in opens:
-                    new.add(u)
-        if not new:
-            break
-        opens |= new
-        frontier = new
-    full = (1 << len(pts)) - 1
-    opens.add(full)
+    for e in entries:
+        opens |= {o | e for o in opens}
+    opens.add((1 << len(pts)) - 1)
 
-    entry_items = sorted(entries.items())
+    largest_first = sorted(entries, key=int.bit_count, reverse=True)
     sigma: dict[int, TypeTerm] = {0: ctx.bottom()}
-    for u in opens:
-        if u == 0:
-            continue
-        parts = [t for m, t in entry_items if (m & u) == m]
+    for u in sorted(opens)[1:]:  # a proper subset is a smaller mask
+        inside: list[int] = []
+        for m in largest_first:
+            if m != u and m & u == m and not any(m & k == m for k in inside):
+                inside.append(m)
+        parts = [sigma[m] for m in inside]
+        if u in entries:
+            parts.append(entries[u])
         sigma[u] = lattice.join_all(ctx, parts)
 
     return _validated(

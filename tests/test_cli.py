@@ -66,6 +66,20 @@ def test_build_writes_the_space_to_output(capsys, tmp_path, genealogy5):
     assert json.loads(target.read_text()) == space_mod.space_to_json(genealogy5)
 
 
+def test_build_strictified_table_with_an_unmatched_row_fails_as_usage(capsys, tmp_path):
+    rows, preds = tmp_path / "fees.csv", tmp_path / "preds.json"
+    rows.write_text("id,fee\n1,150\n2,450\n3,1500\n")
+    preds.write_text(json.dumps([
+        {"name": "cheap", "expr": "fee<200", "implies": ["affordable"]},
+        {"name": "affordable", "expr": "fee<1000"},
+    ]))
+    argv = ["build", "--kind", "table", "--dataset", str(rows), "--predicates", str(preds)]
+    code, _, err = _run(capsys, *argv, "--strictify", "--stable")
+    assert code == 2
+    assert "r3" in err
+    assert _run(capsys, *argv, "--stable")[0] == 0
+
+
 def test_validate(capsys):
     result = _result(capsys, "validate", STREET5, "--strict")
     assert result == {"valid": True, "failures": [], "strict": True, "strict_witness": None}

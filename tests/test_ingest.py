@@ -164,6 +164,26 @@ def test_table_builder_rejects_false_implication():
     assert "r2" in str(err.value)
 
 
+UNMATCHED_CSV = "id,fee\n1,150\n2,450\n3,1500\n"
+UNMATCHED_PREDICATES = json.dumps([
+    {"name": "cheap", "expr": "fee<200", "implies": ["affordable"]},
+    {"name": "affordable", "expr": "fee<1000"},
+])
+
+
+def test_table_strictify_names_rows_that_match_no_predicate(monkeypatch):
+    data = read_table_dataset(UNMATCHED_CSV, UNMATCHED_PREDICATES)
+    assert not is_strictly_typed(build_table(data)).strict
+
+    def no_generation(*_):
+        raise AssertionError("generated a space for a table the repair cannot fix")
+
+    monkeypatch.setattr(space, "generate_topology", no_generation)
+    with pytest.raises(DatasetError) as err:
+        build_table(data, apply_strictify=True)
+    assert "['r3']" in str(err.value)
+
+
 def test_table_predicate_type_mismatch():
     data = PredicateTableDataset(
         ("fee",), (("abc",),), (Predicate("p", "fee<10"),)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from typedtopo import lattice
 from typedtopo.errors import (
     BoundExceededError,
+    ContextMismatchError,
     ExprSyntaxError,
     PreconditionError,
     UnknownSymbolError,
@@ -307,6 +309,21 @@ def test_property_lattice_laws(idx, data):
     assert term_eq(join(a, meet(a, b)), a)
     assert term_eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c)))
     assert term_eq(join(a, meet(b, c)), meet(join(a, b), join(a, c)))
+
+
+@given(st.integers(0, len(_CTXS) - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_join_all_matches_the_pairwise_fold(idx, data):
+    """One normalization of all the clauses equals k-1 pairwise joins."""
+    ctx = _CTXS[idx]
+    terms = [data.draw(_terms(ctx_index=idx))[1] for _ in range(data.draw(st.integers(0, 4)))]
+    assert lattice.join_all(ctx, terms) == functools.reduce(join, terms, ctx.bottom())
+
+
+def test_join_all_rejects_a_foreign_term():
+    a, b = _CTXS[0], _CTXS[3]
+    with pytest.raises(ContextMismatchError):
+        lattice.join_all(a, [a.top(), b.bottom()])
 
 
 @given(_terms(), st.randoms(use_true_random=False))

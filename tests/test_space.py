@@ -4,12 +4,13 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_generated_space
-from typedtopo import lattice, space
+from typedtopo import ingest, lattice, space
 from typedtopo.errors import (
     NotStrictlyTypedError,
     PreconditionError,
@@ -266,18 +267,159 @@ def test_one_order_scan_matches_the_two_scan_reference(rng):
     assert probe.index.strict_report == verdict
 
 
+def _bundle_dfs_entries(ctx, specs, masks) -> dict:
+    """Induced entries by depth-first search over generator bundles.
+
+    Each bundle is visited once, in index order, and its meet type joined
+    into the entry of its intersection; the slow twin of the dynamic
+    program in `space._induced_type_entries`.
+    """
+    entries = {}
+    types = [s.type_term for s in specs]
+
+    def rec(start, mask, term):
+        for j in range(start, len(specs)):
+            nm = mask & masks[j]
+            if nm == 0:
+                continue
+            nt = lattice.meet(term, types[j])
+            if not nt.is_bottom:
+                prev = entries.get(nm)
+                entries[nm] = nt if prev is None else lattice.join(prev, nt)
+                rec(j + 1, nm, nt)
+
+    rec(0, (1 << len(ctx.points)) - 1, ctx.top())
+    return entries
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_induced_entries_match_the_bundle_search(rng):
+    pts = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+    gnames = ["g", "h"]
+    poset = Poset(gnames, [("g", "h")] if rng.random() < 0.5 else [])
+    ctx = Context(poset, pts)
+    specs = []
+    for k in range(rng.randint(1, 6)):
+        # a whole-set generator now and then; signed literals make some
+        # bundles meet to Bottom
+        members = pts if rng.random() < 0.2 else rng.sample(pts, rng.randint(1, len(pts)))
+        clauses = []
+        for _ in range(rng.randint(1, 2)):
+            signed = {p: rng.random() for p in pts if rng.random() < 0.4}
+            clauses.append(clause_of(
+                gens=[rng.choice(gnames)],
+                pos=[p for p, r in signed.items() if r < 0.5],
+                neg=[p for p, r in signed.items() if r >= 0.5],
+            ))
+        specs.append(GeneratorSpec(f"s{k}", frozenset(members), normalize(ctx, clauses)))
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    masks = [sum(bit[p] for p in s.members) for s in specs]
+    got = space._induced_type_entries(ctx, specs, masks)
+    assert got == _bundle_dfs_entries(ctx, specs, masks)
+
+
+def test_induced_entries_whole_set_and_bottom_bundles():
+    poset = Poset({"g"})
+    pts = ("x", "y", "z")
+    ctx = Context(poset, pts)
+    specs = [
+        GeneratorSpec("a", frozenset(pts), parse_type_expr("g & @x", ctx)),
+        GeneratorSpec("b", frozenset("xy"), parse_type_expr("g & ~@x", ctx)),
+        GeneratorSpec("c", frozenset("yz"), parse_type_expr("g", ctx)),
+    ]
+    masks = [7, 3, 6]
+    got = space._induced_type_entries(ctx, specs, masks)
+    assert got == _bundle_dfs_entries(ctx, specs, masks)
+    # the whole set keeps a's own type; a ^ b is Bottom and adds nothing to
+    # {x, y}; a ^ c = g & @x joins into c's {y, z}; b ^ c types {y}
+    assert {m: format_term(t) for m, t in got.items()} == {
+        7: "g & @x", 3: "g & ~@x", 6: "g", 2: "g & ~@x",
+    }
+
+
+def _perturbed(rng, sp: TypedSpace) -> TypedSpace:
+    """``sp`` with 0-2 types copied between opens, then an open dropped or untyped."""
+    nonempty = sp.nonempty_opens()
+    sigma = dict(sp.sigma)
+    for _ in range(rng.randint(0, 2)):
+        sigma[rng.choice(nonempty)] = sp.sigma[rng.choice(nonempty)]
+    opens = set(sp.opens)
+    mode = rng.randrange(4)
+    if mode == 1:
+        opens.discard(rng.choice(sorted(sp.opens)))
+    elif mode == 2:
+        del sigma[rng.choice(sorted(sp.opens))]
+    return TypedSpace(sp.points, frozenset(opens), {m: sigma[m] for m in opens if m in sigma},
+                      sp.poset, sp.generators)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_step_pass_matches_the_full_scans(seed):
+    """The least-neighborhood tests report what the exhaustive scans report."""
+    rng = random.Random(seed)
+    sp = None
+    while sp is None:  # about one draw in three is usable
+        sp = random_generated_space(rng, max_points=5)
+    probe = _perturbed(rng, sp)
+    fast = dataclasses.replace(probe)
+    slow = dataclasses.replace(probe)
+    report = validate_type_mapping(fast)
+    verdict = is_strictly_typed(fast)
+    with mock.patch.object(space, "_minimal_neighborhoods", lambda _sp: None):
+        assert validate_type_mapping(slow) == report
+        assert is_strictly_typed(slow) == verdict
+    assert fast.index.strict_report == slow.index.strict_report
+    if fast.index.strict_report is not None:
+        assert fast.index.strict_report == verdict
+
+
+def _step_pairs(sp: TypedSpace) -> set:
+    """The distinct ``(U, U | U_x)`` with ``U_x`` the least open around ``x``."""
+    least = []
+    for i in range(len(sp.points)):
+        u = sp.full_mask
+        for o in sp.opens:
+            if o >> i & 1:
+                u &= o
+        least.append(u)
+    return {(u, u | m) for u in sp.opens for m in least if u | m != u}
+
+
 @pytest.mark.parametrize(
-    "name, pairs", [("street5.json", 211), ("genealogy5.json", 211), ("street2x3.json", 665)]
+    "name, steps, nested",
+    [("street5.json", 80, 211), ("genealogy5.json", 80, 211), ("street2x3.json", 192, 665)],
 )
-def test_load_and_verdict_order_each_nested_pair_once(monkeypatch, name, pairs):
-    """Validation's monotone pass also yields the strictness verdict."""
+def test_load_and_verdict_order_each_step_pair_once(monkeypatch, name, steps, nested):
+    """Validation orders each step pair once, and that pass yields the verdict."""
     calls = []
     leq = lattice.leq
     monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
     sp = space.load_space(FIXTURES / name)
     assert space.strictness(sp).strict
-    nested = sum(1 for u, v in itertools.permutations(sp.opens, 2) if (u & v) == u)
-    assert len(calls) == nested == pairs
+    assert len(calls) == len(_step_pairs(sp)) == steps
+    assert sum(1 for u, v in itertools.permutations(sp.opens, 2) if (u & v) == u) == nested
+
+
+def test_building_a_street_meets_at_most_once_per_entry_and_generator(monkeypatch):
+    """The induced types cost at most one meet per entry and generator."""
+    calls = Counter()
+
+    def counted(name):
+        op = getattr(lattice, name)
+        return lambda *args: calls.update([name]) or op(*args)
+
+    for name in ("meet", "normalize"):
+        monkeypatch.setattr(lattice, name, counted(name))
+    data = ingest.CommunityDataset((("main", tuple(f"r{i}" for i in range(1, 8))),))
+    sp = ingest.build_community(data)
+    meets, normalizes = calls["meet"], calls["normalize"]
+    entries = space._induced_type_entries(
+        sp.ctx, sp.generators, [sp.mask_of(g.members) for g in sp.generators])
+    assert (len(entries) + 1) * len(sp.generators) == 435
+    assert meets <= 435
+    assert normalizes <= 500
 
 
 def test_built_loaded_and_repaired_spaces_carry_the_verdict(street5):
