@@ -18,6 +18,7 @@ system of every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import lattice, space as space_mod
@@ -55,10 +56,11 @@ class TypeChain:
 
     def support(self) -> frozenset:
         """Generators the chain may talk about."""
-        out = frozenset()
-        for t in self.levels:
-            out |= t.generators()
-        return out
+        return self._support
+
+    @cached_property
+    def _support(self) -> frozenset:
+        return frozenset().union(*(t.generators() for t in self.levels))
 
     def text(self) -> str:
         return " ; ".join(lattice.format_term(t) for t in self.levels)
@@ -81,28 +83,34 @@ def _visible(space: TypedSpace, chain: TypeChain):
             yield m, ti
 
 
-def _pool_members(space: TypedSpace, chain: TypeChain) -> list[int]:
+def _pool_members(space: TypedSpace, chain: TypeChain) -> frozenset:
     rt = space_mod.indexed_types(space)
     rows = [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
-    return [
+    return frozenset(
         m
         for m, ti in _visible(space, chain)
         if any(above[ti] and below[ti] for above, below in rows)
-    ]
+    )
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
     """Visible opens through ``x`` sandwiched by some consecutive level pair."""
-    space_mod.require_strict(space)
     bit = space.point_bit(x)
-    members = {m for m in _pool_members(space, chain) if m & bit}
+    members = {m for m in chain_pool(space, chain) if m & bit}
     return TypedFamily(space, chain, frozenset(members), x)
 
 
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
-    """All sandwiched visible opens: the union of every point's neighborhoods."""
+    """All sandwiched visible opens: the union of every point's neighborhoods.
+
+    Scanned once per chain and space, and memoized on ``space.index``.
+    """
     space_mod.require_strict(space)
-    return frozenset(_pool_members(space, chain))
+    pools = space.index.chain_pools
+    got = pools.get(chain)
+    if got is None:
+        got = pools[chain] = _pool_members(space, chain)
+    return got
 
 
 def anchored_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
@@ -127,19 +135,21 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
 
     The irreducibility level ranges over every lower level whose value lies
     below the member's type; it is not tied to the sandwiching index.
+    Computed once per chain and space, and memoized on ``space.index``.
     """
-    rt = space_mod.indexed_types(space)
-    members = set()
-    lower = [
-        (rt.above(lo), _irreducible_pool(space, chain, lo)) for lo in chain.levels[:-1]
-    ]
-    for m in chain_pool(space, chain):
-        ti = rt.type_of_open[m]
-        for above, irr in lower:
-            if above[ti] and m in irr:
-                members.add(m)
-                break
-    return frozenset(members)
+    bases = space.index.base_pools
+    got = bases.get(chain)
+    if got is None:
+        rt = space_mod.indexed_types(space)
+        lower = [
+            (rt.above(lo), _irreducible_pool(space, chain, lo)) for lo in chain.levels[:-1]
+        ]
+        got = bases[chain] = frozenset(
+            m
+            for m in chain_pool(space, chain)
+            if any(above[rt.type_of_open[m]] and m in irr for above, irr in lower)
+        )
+    return got
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
@@ -228,7 +238,7 @@ def _union_over_generator_chains(space: TypedSpace, x: str, gen: str) -> frozens
         for hi in levels:
             if not lattice.leq(lo, hi):
                 continue
-            for m in _pool_members(space, TypeChain((lo, hi))):
+            for m in chain_pool(space, TypeChain((lo, hi))):
                 if m & bit:
                     out.add(m)
     return frozenset(out)

@@ -3,24 +3,42 @@
 The lattice is generated by a finite poset of named generators together with
 two complemented literals per point (``@x`` and ``~@x``, glued by
 ``@x & ~@x = BOT`` and ``@x | ~@x = TOP``). A term is a join of clauses,
-each clause a meet of literals. Canonical form keeps, for every term, exactly
-its maximal implicant clauses:
+each clause a meet of literals.
 
-* inside a clause, generators are reduced to the minimal antichain and a
-  clause containing both ``@x`` and ``~@x`` is dropped;
-* the clause set is closed under consensus on complemented point literals
-  and then thinned to an antichain under clause implication.
+Each clause is stored against its `Context` as a cube of three ints
+``(up, pos, neg)``, the cube bit-vectors of ESPRESSO (Brayton et al., *Logic
+Minimization Algorithms for VLSI Synthesis*, 1984):
 
-With that, structural equality coincides with semantic equality over all
-admissible valuations (monotone on the generator poset, complement-consistent
-on points), and the clause-witnessing order test below is exact.  The
-valuation machinery (`evaluate`, `enumerate_valuations`) stays an independent
-decision procedure used to cross-check the syntactic one in the test suite.
+* ``up`` is the up-closure of the clause's generators in the poset, one bit
+  per generator in sorted name order;
+* ``pos`` and ``neg`` hold the points of its ``@x`` and ``~@x`` literals, one
+  bit per point in the order of ``Context.points``, the bit order the opens
+  use.
+
+A clause ``c`` then implies ``d`` iff each of ``d``'s masks is a subset of
+``c``'s. Canonical form keeps, for every term, exactly its maximal implicant
+clauses: contradictory cubes (``pos & neg``) vanish, the cube set is closed
+under Quine's consensus ("A way to simplify truth functions", 1955) on the
+single bit of ``c.pos & d.neg | d.pos & c.neg``, and thinned to an antichain
+under implication. With that, structural equality coincides with semantic
+equality over all admissible valuations (monotone on the generator poset,
+complement-consistent on points), equality and hashing of terms run over
+the ints, and the clause-witnessing order test below is exact.
+
+The name-level `Clause` is the input of `normalize` and the decoded view
+``TypeTerm.clauses``, whose generator antichain is the set of minimal
+elements of ``up``. Rendering (`format_term`, `term_to_json`,
+`TypeTerm.sort_key`) reads the literal list and sort key of each cube, built
+from its bits once per context (`_Code.render`). The valuation machinery
+(`evaluate`, `enumerate_valuations`) reads the decoded view and stays an
+independent decision procedure used to cross-check the encoded one in the
+test suite.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -37,6 +55,7 @@ GEN = "gen"
 POS = "pos"
 NEG = "neg"
 _POINT_RANK = {POS: 1, NEG: 2}  # ``@x`` sorts before ``~@x``
+_TOP_CUBE = (0, 0, 0)  # the empty clause
 
 
 class Poset:
@@ -76,11 +95,6 @@ class Poset:
     @property
     def pairs(self) -> frozenset:
         return self._pairs
-
-    def minimal(self, names: Iterable[str]) -> frozenset:
-        """Antichain of the <=-minimal members of ``names``."""
-        ns = set(names)
-        return frozenset(a for a in ns if not any(b != a and self.leq(b, a) for b in ns))
 
     def restricted(self, names: Iterable[str]) -> "Poset":
         sub = frozenset(names) & self.elements
@@ -127,11 +141,15 @@ class Context:
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
+    @cached_property
+    def _code(self) -> "_Code":
+        return _Code(self.poset, self.points)
+
     def bottom(self) -> "TypeTerm":
         return TypeTerm(self, frozenset())
 
     def top(self) -> "TypeTerm":
-        return TypeTerm(self, frozenset({Clause(frozenset(), frozenset(), frozenset())}))
+        return TypeTerm(self, frozenset({_TOP_CUBE}))
 
 
 @dataclass(frozen=True)
@@ -152,87 +170,174 @@ class Clause:
         return not (self.gens or self.pos or self.neg)
 
     def sort_key(self) -> tuple:
-        return tuple(
-            (0, name, 0) if kind == GEN else (1, name, _POINT_RANK[kind])
-            for kind, name in self.literals()
-        )
+        return _literals_key(self.literals())
 
 
 def clause_of(gens=(), pos=(), neg=()) -> Clause:
     return Clause(frozenset(gens), frozenset(pos), frozenset(neg))
 
 
-def _reduce_clause(poset: Poset, c: Clause) -> Optional[Clause]:
-    """Minimal-antichain generator part; ``None`` for a contradictory clause."""
-    if c.pos & c.neg:
-        return None
-    return Clause(poset.minimal(c.gens), c.pos, c.neg)
+def _literals_key(literals) -> tuple:
+    """Sort key of a clause from its literals: generators first, then points."""
+    return tuple(
+        (0, name, 0) if kind == GEN else (1, name, _POINT_RANK[kind]) for kind, name in literals
+    )
 
 
-def _clause_implies(c: Clause, d: Clause, poset: Poset) -> bool:
-    """True when satisfaction of ``c`` forces satisfaction of ``d`` (c <= d)."""
-    if not (d.pos <= c.pos and d.neg <= c.neg):
-        return False
-    return all(any(poset.leq(g, h) for g in c.gens) for h in d.gens)
+class _Code:
+    """The cube encoding of one context: literal bits, and the way back to names."""
+
+    __slots__ = ("gens", "up", "strict_down", "points", "point_bit", "by_name", "rendered")
+
+    def __init__(self, poset: Poset, points: tuple[str, ...]):
+        gens = tuple(sorted(poset.elements))
+        self.gens = gens
+        self.up = {
+            g: sum(1 << j for j, h in enumerate(gens) if poset.leq(g, h)) for g in gens
+        }
+        self.strict_down = tuple(
+            sum(1 << j for j, h in enumerate(gens) if h != g and poset.leq(h, g)) for g in gens
+        )
+        self.points = points
+        self.point_bit = {p: 1 << i for i, p in enumerate(points)}
+        self.by_name = tuple(sorted(range(len(points)), key=points.__getitem__))
+        self.rendered: dict = {}  # cube -> (sort key, literals)
+
+    def encode(self, c: Clause) -> tuple[int, int, int]:
+        return (
+            _mask(self.up, c.gens, "generator"),
+            _mask(self.point_bit, c.pos, "point"),
+            _mask(self.point_bit, c.neg, "point"),
+        )
+
+    def render(self, cube: tuple[int, int, int]) -> tuple[tuple, tuple]:
+        """``(sort key, literals)`` of the decoded clause, built once per cube.
+
+        The literals are those of `Clause.literals`, and the key that of
+        `Clause.sort_key`, read straight off the bits: the generators are
+        the minimal members of ``up``.
+        """
+        got = self.rendered.get(cube)
+        if got is None:
+            up, pos, neg = cube
+            lits = [
+                (GEN, g) for i, g in enumerate(self.gens)
+                if up >> i & 1 and not self.strict_down[i] & up
+            ]
+            for i in self.by_name:
+                if pos >> i & 1:
+                    lits.append((POS, self.points[i]))
+                elif neg >> i & 1:
+                    lits.append((NEG, self.points[i]))
+            got = self.rendered[cube] = (_literals_key(lits), tuple(lits))
+        return got
+
+    def decode(self, cube: tuple[int, int, int]) -> Clause:
+        lits = self.render(cube)[1]
+        return Clause(*(frozenset(n for k, n in lits if k == kind) for kind in (GEN, POS, NEG)))
 
 
-def _absorb(poset: Poset, clauses: set[Clause]) -> set[Clause]:
-    """Keep only clauses not implying another clause (the maximal antichain)."""
-    out: set[Clause] = set()
-    for c in clauses:
-        if any(d != c and _clause_implies(c, d, poset) for d in clauses):
-            continue
-        out.add(c)
-    return out
+def _mask(bits: dict, names, what: str) -> int:
+    mask = 0
+    for name in names:
+        bit = bits.get(name)
+        if bit is None:
+            raise UnknownSymbolError(f"unknown {what} {name!r}")
+        mask |= bit
+    return mask
 
 
-def _consensus_closure(poset: Poset, clauses: set[Clause]) -> set[Clause]:
-    work = _absorb(poset, clauses)
+def _cube_size(cube: tuple[int, int, int]) -> int:
+    return cube[0].bit_count() + cube[1].bit_count() + cube[2].bit_count()
+
+
+def _absorb(cubes: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Keep only cubes not implying another cube (the maximal antichain).
+
+    ``c`` implies a different ``d`` only when ``d``'s masks are a proper
+    subset of ``c``'s, so ``d`` has fewer bits: taken by size, a cube needs
+    comparing only against the cubes kept before it.
+    """
+    kept: list[tuple[int, int, int]] = []
+    for cube in sorted(cubes, key=_cube_size):
+        u, p, n = cube
+        for du, dp, dn in kept:
+            if not (du & ~u or dp & ~p or dn & ~n):
+                break
+        else:
+            kept.append(cube)
+    return kept
+
+
+def _consensus_closure(cubes: set) -> list[tuple[int, int, int]]:
+    """The maximal implicants of a set of non-contradictory cubes.
+
+    Two cubes have a non-contradictory consensus only when they clash on
+    exactly one point, ``x = c.pos & d.neg | d.pos & c.neg``; it is
+    ``(c.up | d.up, (c.pos | d.pos) - x, (c.neg | d.neg) - x)``.
+    """
+    work = _absorb(cubes)
     while True:
-        fresh: set[Clause] = set()
-        items = tuple(work)
-        for c, d in itertools.combinations(items, 2):
-            for x in (c.pos & d.neg) | (d.pos & c.neg):
-                merged = Clause(
-                    poset.minimal(c.gens | d.gens),
-                    (c.pos | d.pos) - {x},
-                    (c.neg | d.neg) - {x},
-                )
-                if merged.pos & merged.neg:
+        fresh = set()
+        for i, (cu, cp, cn) in enumerate(work):
+            for du, dp, dn in work[i + 1:]:
+                x = cp & dn | dp & cn
+                if not x or x & (x - 1):
                     continue
-                if not any(_clause_implies(merged, e, poset) for e in work):
-                    fresh.add(merged)
+                mu, mp, mn = cu | du, (cp | dp) & ~x, (cn | dn) & ~x
+                for eu, ep, en in work:
+                    if not (eu & ~mu or ep & ~mp or en & ~mn):
+                        break
+                else:
+                    fresh.add((mu, mp, mn))
         if not fresh:
             return work
-        work = _absorb(poset, work | fresh)
+        fresh.update(work)
+        work = _absorb(fresh)
+
+
+def _canonical(ctx: Context, cubes: Iterable[tuple[int, int, int]]) -> "TypeTerm":
+    """The canonical term of a raw cube collection over ``ctx``."""
+    live = {c for c in cubes if not c[1] & c[2]}
+    if len(live) < 2:  # no cube, or one: already canonical
+        return TypeTerm(ctx, frozenset(live))
+    return TypeTerm(ctx, frozenset(_consensus_closure(live)))
 
 
 @dataclass(frozen=True)
 class TypeTerm:
     """A lattice element in canonical join-of-meets form.
 
-    ``clauses`` empty means Bottom; the presence of the empty clause means
-    Top (and canonically Top is exactly the singleton empty clause).
-    Construct terms through `normalize`, `meet`, `join`, or the parser;
-    the constructor itself trusts its input.
+    ``cubes`` holds the canonical ``(up, pos, neg)`` cube of every clause
+    (see the module docstring); empty means Bottom, and Top is exactly the
+    empty cube. ``clauses`` is the same set decoded to name-level `Clause`
+    objects. Construct terms through `normalize`, `meet`, `join`, or the
+    parser; the constructor itself trusts its input.
     """
 
     ctx: Context
-    clauses: frozenset
+    cubes: frozenset
 
     @property
     def is_bottom(self) -> bool:
-        return not self.clauses
+        return not self.cubes
 
     @property
     def is_top(self) -> bool:
-        return any(c.is_empty() for c in self.clauses)
+        return _TOP_CUBE in self.cubes
 
-    def sorted_clauses(self) -> tuple[Clause, ...]:
-        return tuple(sorted(self.clauses, key=Clause.sort_key))
+    @cached_property
+    def clauses(self) -> frozenset:
+        decode = self.ctx._code.decode
+        return frozenset(decode(c) for c in self.cubes)
+
+    def _rendered(self) -> list[tuple[tuple, tuple]]:
+        """``(sort key, literals)`` per clause, in sort-key order."""
+        render = self.ctx._code.render
+        return sorted(render(c) for c in self.cubes)
 
     def sort_key(self) -> tuple:
-        return tuple(c.sort_key() for c in self.sorted_clauses())
+        return tuple(key for key, _ in self._rendered())
 
     def generators(self) -> frozenset:
         return frozenset(g for c in self.clauses for g in c.gens)
@@ -245,59 +350,41 @@ class TypeTerm:
         allowed = frozenset(gens)
         return all(c.gens <= allowed for c in self.clauses)
 
+    def __hash__(self):
+        # equal terms have equal cubes, and a frozenset caches its hash
+        return hash(self.cubes)
+
     def __repr__(self):
         return f"TypeTerm({format_term(self)!r})"
 
 
 def _require_same_context(a: TypeTerm, b: TypeTerm) -> None:
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatchError("terms come from different contexts")
-
-
-def _check_symbols(ctx: Context, clauses: Iterable[Clause]) -> None:
-    for c in clauses:
-        for g in c.gens:
-            if g not in ctx.poset.elements:
-                raise UnknownSymbolError(f"unknown generator {g!r}")
-        for x in c.pos | c.neg:
-            if x not in ctx.point_set:
-                raise UnknownSymbolError(f"unknown point {x!r}")
 
 
 def normalize(ctx: Context, clauses: Iterable[Clause]) -> TypeTerm:
     """Canonicalize a raw clause collection into a `TypeTerm`.
 
-    Contradictory clauses vanish, generator parts become antichains, the
-    clause set is consensus-closed and thinned to clause-order maximal
-    members. Semantically equal inputs come out structurally identical.
+    Unknown generator or point names raise `UnknownSymbolError`.
+    Contradictory clauses vanish, the clause set is consensus-closed and
+    thinned to clause-order maximal members. Semantically equal inputs come
+    out structurally identical.
     """
-    _check_symbols(ctx, clauses)
-    reduced: set[Clause] = set()
-    for c in clauses:
-        rc = _reduce_clause(ctx.poset, c)
-        if rc is not None:
-            reduced.add(rc)
-    if not reduced:
-        return ctx.bottom()
-    closed = _consensus_closure(ctx.poset, reduced)
-    if any(c.is_empty() for c in closed):
-        return ctx.top()
-    return TypeTerm(ctx, frozenset(closed))
+    encode = ctx._code.encode
+    return _canonical(ctx, [encode(c) for c in clauses])
 
 
 def meet(a: TypeTerm, b: TypeTerm) -> TypeTerm:
     _require_same_context(a, b)
-    products = [
-        Clause(ca.gens | cb.gens, ca.pos | cb.pos, ca.neg | cb.neg)
-        for ca in a.clauses
-        for cb in b.clauses
-    ]
-    return normalize(a.ctx, products)
+    return _canonical(a.ctx, {
+        (au | bu, ap | bp, an | bn) for au, ap, an in a.cubes for bu, bp, bn in b.cubes
+    })
 
 
 def join(a: TypeTerm, b: TypeTerm) -> TypeTerm:
     _require_same_context(a, b)
-    return normalize(a.ctx, set(a.clauses) | set(b.clauses))
+    return _canonical(a.ctx, a.cubes | b.cubes)
 
 
 def meet_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
@@ -308,13 +395,13 @@ def meet_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
 
 
 def join_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
-    """The join of ``terms``, normalized once from the union of their clauses."""
-    clauses: set[Clause] = set()
+    """The join of ``terms``, canonicalized once from the union of their cubes."""
+    cubes: set = set()
     for t in terms:
-        if t.ctx != ctx:
+        if t.ctx is not ctx and t.ctx != ctx:
             raise ContextMismatchError("terms come from different contexts")
-        clauses |= t.clauses
-    return normalize(ctx, clauses)
+        cubes |= t.cubes
+    return _canonical(ctx, cubes)
 
 
 def leq(a: TypeTerm, b: TypeTerm) -> bool:
@@ -326,15 +413,19 @@ def leq(a: TypeTerm, b: TypeTerm) -> bool:
     exercised wholesale by the acceptance suite.
     """
     _require_same_context(a, b)
-    poset = a.ctx.poset
-    return all(
-        any(_clause_implies(ca, cb, poset) for cb in b.clauses) for ca in a.clauses
-    )
+    theirs = b.cubes
+    for u, p, n in a.cubes:
+        for bu, bp, bn in theirs:
+            if not (bu & ~u or bp & ~p or bn & ~n):
+                break
+        else:
+            return False
+    return True
 
 
 def term_eq(a: TypeTerm, b: TypeTerm) -> bool:
     _require_same_context(a, b)
-    return a.clauses == b.clauses
+    return a.cubes == b.cubes
 
 
 @dataclass(frozen=True)
@@ -581,30 +672,24 @@ def parse_type_expr(text: str, ctx: Context) -> TypeTerm:
     return _Parser(text, ctx).parse()
 
 
+_PREFIX = {GEN: "", POS: "@", NEG: "~@"}
+
+
 def format_term(t: TypeTerm) -> str:
     """Render a canonical term back into the expression grammar."""
     if t.is_bottom:
         return "BOT"
     if t.is_top:
         return "TOP"
-    parts = []
-    for c in t.sorted_clauses():
-        bits = []
-        for kind, name in c.literals():
-            if kind == GEN:
-                bits.append(name)
-            elif kind == POS:
-                bits.append(f"@{name}")
-            else:
-                bits.append(f"~@{name}")
-        parts.append(" & ".join(bits))
-    return " | ".join(parts)
+    return " | ".join(
+        " & ".join(_PREFIX[kind] + name for kind, name in lits) for _, lits in t._rendered()
+    )
 
 
 def term_to_json(t: TypeTerm):
     if t.is_top:
         return {"top": True}
-    return {"clauses": [[{kind: name} for kind, name in c.literals()] for c in t.sorted_clauses()]}
+    return {"clauses": [[{kind: name} for kind, name in lits] for _, lits in t._rendered()]}
 
 
 def term_from_json(ctx: Context, obj) -> TypeTerm:

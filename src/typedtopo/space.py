@@ -40,7 +40,13 @@ from .errors import (
 )
 from .lattice import Clause, Context, Poset, TypeTerm, clause_of
 
-DEFAULT_MAX_POINTS = 64
+# Every open is typed and validated, so the opens, not the points, bound a
+# build: n points may span up to 2^n opens (a discrete street), and one more
+# point doubles the work. On a 2-core Xeon VM, `ingest.build_community` takes
+# 0.24 s on a 12-point street (4,096 opens) and 0.6 s on a 13-point one
+# (8,192), the largest that fits; a 16-point street (65,536 opens) fails in
+# 0.03 s, while its opens are enumerated and before any of them is typed.
+MAX_OPENS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class TypedSpace:
     def index(self) -> "SpaceIndex":
         return SpaceIndex()
 
-    @property
+    @cached_property
     def ctx(self) -> Context:
         return Context(self.poset, self.points)
 
@@ -283,15 +289,20 @@ class SpaceIndex:
     reference to its space, so it dies with it. Validation records the
     strictness verdict; it and the realized types are read through
     `strictness` and `indexed_types`, which take the owning space. The
-    realized types memoize their own order rows, and `chains` fills the
-    irreducible pools, keyed by level term and support.
+    realized types memoize their own order rows. `chains` fills three
+    memos: the pools of `chain_pool` and the bases of `chain_base_pool`,
+    keyed by the chain (a frozen dataclass of canonical terms, so equal
+    chains share an entry), and the irreducible pools, keyed by level term
+    and support.
     """
 
-    __slots__ = ("strict_report", "realized", "irreducible_pools")
+    __slots__ = ("strict_report", "realized", "chain_pools", "base_pools", "irreducible_pools")
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
         self.realized: Optional[RealizedTypes] = None
+        self.chain_pools: dict = {}  # TypeChain -> frozenset of masks
+        self.base_pools: dict = {}  # TypeChain -> frozenset of masks
         self.irreducible_pools: dict = {}  # (level term, support) -> frozenset
 
 
@@ -367,17 +378,16 @@ def generate_topology(
     Opens are the unions of nonempty generator intersections (plus the empty
     set and, when not already covered, the whole point set, which then takes
     the join of all generator types). The opens come from adding one
-    intersection at a time to every union found so far. An open's type is
-    the join of the intersections' types inside it; opens are typed in
-    increasing order, each from its own entry and the already joined types
-    of the maximal intersections strictly inside it. Validation then runs
-    through the least neighborhoods (`validate_type_mapping`), and raises
-    `SpaceValidationError` when the induced mapping breaks any contract
-    condition.
+    intersection at a time to every union found so far; a family growing
+    past `MAX_OPENS` raises `PreconditionError` before any open is typed.
+    An open's type is the join of the intersections' types inside it; opens
+    are typed in increasing order, each from its own entry and the already
+    joined types of the maximal intersections strictly inside it. Validation
+    then runs through the least neighborhoods (`validate_type_mapping`), and
+    raises `SpaceValidationError` when the induced mapping breaks any
+    contract condition.
     """
     pts = tuple(points)
-    if len(pts) > DEFAULT_MAX_POINTS:
-        raise PreconditionError(f"{len(pts)} points exceed the limit of {DEFAULT_MAX_POINTS}")
     ctx = Context(poset, pts)
     seen = set()
     for s in specs:
@@ -396,10 +406,14 @@ def generate_topology(
     masks = [sum(bit[p] for p in s.members) for s in specs]
     entries = _induced_type_entries(ctx, specs, masks)
 
-    opens = {0}
+    opens = {0, (1 << len(pts)) - 1}
     for e in entries:
         opens |= {o | e for o in opens}
-    opens.add((1 << len(pts)) - 1)
+        if len(opens) > MAX_OPENS:
+            raise PreconditionError(
+                f"the generated topology on {len(pts)} points has more than "
+                f"{MAX_OPENS} opens"
+            )
 
     largest_first = sorted(entries, key=int.bit_count, reverse=True)
     sigma: dict[int, TypeTerm] = {0: ctx.bottom()}

@@ -61,7 +61,7 @@ def random_generated_space(rng: random.Random, max_points: int = 8):
     specs = []
     for k in range(rng.randint(2, 5)):
         members = frozenset(rng.sample(pts, rng.randint(1, npts)))
-        extra = [p for p in members if rng.random() < 0.3]
+        extra = [p for p in sorted(members) if rng.random() < 0.3]
         term = normalize(ctx, [clause_of(gens=[rng.choice(gnames)], pos=extra)])
         specs.append(GeneratorSpec(f"s{k}", members, term))
     try:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import C_RIGHT5, C_RIGHT6
-from typedtopo import basis, chains, lattice, space
+from typedtopo import basis, chains, lattice, oracle, space
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
     InvariantViolationError,
@@ -101,6 +101,30 @@ def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
     del copy
     gc.collect()
     assert ref() is None
+
+
+def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
+    """One theorem replay scans the visible opens once per distinct chain."""
+    scanned = []
+    scan = chains._pool_members
+
+    def counted(sp, chain):
+        scanned.append(chain)
+        return scan(sp, chain)
+
+    monkeypatch.setattr(chains, "_pool_members", counted)
+    assert oracle.check_space(dataclasses.replace(street5)).ok
+    assert len(scanned) == len(set(scanned)) == 1000
+
+
+def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
+    base = chains.chain_base_pool(street5, c_right5)
+    assert street5.index.chain_pools and street5.index.base_pools
+    copy = dataclasses.replace(street5)
+    idx = copy.index
+    assert not (idx.chain_pools or idx.base_pools or idx.irreducible_pools)
+    assert chains.chain_base_pool(copy, c_right5) == base
+    assert set(idx.chain_pools) == set(idx.base_pools) == {c_right5}
 
 
 @pytest.mark.parametrize("fixture, text", [("street5", C_RIGHT5), ("street2x3", C_RIGHT6)])

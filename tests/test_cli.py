@@ -80,6 +80,16 @@ def test_build_strictified_table_with_an_unmatched_row_fails_as_usage(capsys, tm
     assert _run(capsys, *argv, "--stable")[0] == 0
 
 
+def test_build_past_the_opens_budget_exits_2(capsys, tmp_path):
+    residents = [f"r{i}" for i in range(1, 17)]
+    data = tmp_path / "street16.json"
+    data.write_text(json.dumps({"streets": [{"name": "main", "residents": residents}]}))
+    code, out, err = _run(capsys, "build", "--kind", "community", "--dataset", str(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tts build: ") and f"more than {space_mod.MAX_OPENS} opens" in err
+
+
 def test_validate(capsys):
     result = _result(capsys, "validate", STREET5, "--strict")
     assert result == {"valid": True, "failures": [], "strict": True, "strict_witness": None}

@@ -14,6 +14,7 @@ from typedtopo.errors import (
     UnknownSymbolError,
 )
 from typedtopo.lattice import (
+    Clause,
     Context,
     Poset,
     clause_of,
@@ -96,6 +97,13 @@ def test_normalize_consensus(gctx):
 
 def test_normalize_contradictory_clause_is_bottom(gctx):
     assert normalize(gctx, [clause_of(pos=["W"], neg=["W"])]).is_bottom
+
+
+def test_normalize_rejects_unknown_names(gctx):
+    with pytest.raises(UnknownSymbolError, match="unknown generator 'uncle'"):
+        normalize(gctx, [clause_of(gens=["anc"]), clause_of(gens=["uncle"])])
+    with pytest.raises(UnknownSymbolError, match="unknown point 'Q'"):
+        normalize(gctx, [clause_of(pos=["W"], neg=["Q"])])
 
 
 def test_normalize_poset_meet_absorption():
@@ -318,6 +326,121 @@ def test_property_join_all_matches_the_pairwise_fold(idx, data):
     ctx = _CTXS[idx]
     terms = [data.draw(_terms(ctx_index=idx))[1] for _ in range(data.draw(st.integers(0, 4)))]
     assert lattice.join_all(ctx, terms) == functools.reduce(join, terms, ctx.bottom())
+
+
+# ---------------------------------------------------------------------------
+# the name-level canonicalizer: slow twin of the cube encoding
+# ---------------------------------------------------------------------------
+
+
+def _minimal(poset: Poset, names) -> frozenset:
+    """Antichain of the <=-minimal members of ``names``."""
+    ns = set(names)
+    return frozenset(a for a in ns if not any(b != a and poset.leq(b, a) for b in ns))
+
+
+def _clause_implies(c: Clause, d: Clause, poset: Poset) -> bool:
+    """True when satisfaction of ``c`` forces satisfaction of ``d`` (c <= d)."""
+    if not (d.pos <= c.pos and d.neg <= c.neg):
+        return False
+    return all(any(poset.leq(g, h) for g in c.gens) for h in d.gens)
+
+
+def _absorb(poset: Poset, clauses: set) -> set:
+    """Keep only clauses not implying another clause (the maximal antichain)."""
+    return {
+        c for c in clauses if not any(d != c and _clause_implies(c, d, poset) for d in clauses)
+    }
+
+
+def _consensus_closure(poset: Poset, clauses: set) -> set:
+    work = _absorb(poset, clauses)
+    while True:
+        fresh = set()
+        for c, d in itertools.combinations(tuple(work), 2):
+            for x in (c.pos & d.neg) | (d.pos & c.neg):
+                merged = Clause(
+                    _minimal(poset, c.gens | d.gens), (c.pos | d.pos) - {x}, (c.neg | d.neg) - {x}
+                )
+                if merged.pos & merged.neg:
+                    continue
+                if not any(_clause_implies(merged, e, poset) for e in work):
+                    fresh.add(merged)
+        if not fresh:
+            return work
+        work = _absorb(poset, work | fresh)
+
+
+def _reference_normalize(ctx: Context, clauses) -> frozenset:
+    """The canonical clause set computed on names, clause by clause."""
+    reduced = {
+        Clause(_minimal(ctx.poset, c.gens), c.pos, c.neg) for c in clauses if not c.pos & c.neg
+    }
+    if not reduced:
+        return frozenset()
+    closed = _consensus_closure(ctx.poset, reduced)
+    if any(c.is_empty() for c in closed):
+        return frozenset({clause_of()})
+    return frozenset(closed)
+
+
+def _reference_leq(a, b) -> bool:
+    poset = a.ctx.poset
+    return all(any(_clause_implies(ca, cb, poset) for cb in b.clauses) for ca in a.clauses)
+
+
+@st.composite
+def _poset_and_clause_sets(draw):
+    """A poset with comparabilities, and two raw clause lists over it.
+
+    Each point of a clause is absent, positive, negative or both (a
+    contradictory clause); one list in four also holds the empty clause, Top.
+    """
+    gens = [f"g{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=4))
+    poset = Poset(gens, [(a, b) for a, b in pairs if a < b])
+    ctx = Context(poset, ("x", "y", "z")[: draw(st.integers(1, 3))])
+
+    def clauses():
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            marks = [draw(st.integers(0, 3)) for _ in ctx.points]
+            out.append(clause_of(
+                draw(st.sets(st.sampled_from(gens))),
+                [p for p, m in zip(ctx.points, marks) if m & 1],
+                [p for p, m in zip(ctx.points, marks) if m & 2],
+            ))
+        if draw(st.integers(0, 3)) == 0:
+            out.append(clause_of())
+        return out
+
+    return ctx, clauses(), clauses()
+
+
+@given(_poset_and_clause_sets())
+@settings(max_examples=300, deadline=None)
+def test_property_cube_encoding_matches_the_name_level_reference(drawn):
+    """Encoded `normalize`, `meet`, `join` and `leq` against names and valuations."""
+    ctx, raw_a, raw_b = drawn
+    a, b = normalize(ctx, raw_a), normalize(ctx, raw_b)
+    ref_a, ref_b = _reference_normalize(ctx, raw_a), _reference_normalize(ctx, raw_b)
+    assert a.clauses == ref_a and b.clauses == ref_b
+    products = [
+        clause_of(ca.gens | cb.gens, ca.pos | cb.pos, ca.neg | cb.neg)
+        for ca in ref_a
+        for cb in ref_b
+    ]
+    assert meet(a, b).clauses == _reference_normalize(ctx, products)
+    assert join(a, b).clauses == _reference_normalize(ctx, ref_a | ref_b)
+    for x, y in ((a, b), (b, a), (meet(a, b), a), (a, join(a, b))):
+        assert leq(x, y) == _reference_leq(x, y) == leq_by_valuations(x, y)
+    for t in (a, b):
+        named = sorted(t.clauses, key=Clause.sort_key)
+        assert t.sort_key() == tuple(c.sort_key() for c in named)
+        if not t.is_top:
+            assert term_to_json(t)["clauses"] == [
+                [{kind: name} for kind, name in c.literals()] for c in named
+            ]
 
 
 def test_join_all_rejects_a_foreign_term():

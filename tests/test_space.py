@@ -58,13 +58,38 @@ def test_generate_topology_single_full_generator():
     assert lattice.term_eq(sp.sigma[sp.full_mask], t)
 
 
-def test_generate_topology_point_bound():
+def test_generate_topology_opens_budget(monkeypatch):
+    """The budget counts opens, not points, and stops a build before typing.
+
+    70 points spanning 2 opens build; a 16-point street would span 2^16
+    opens and fails once the enumeration passes `space.MAX_OPENS`, after
+    the generator intersections are typed and before any open is.
+    """
     poset = Poset({"g"})
     pts = tuple(f"x{i}" for i in range(70))
     ctx = Context(poset, pts)
     spec = GeneratorSpec("g0", frozenset(pts), parse_type_expr("g", ctx))
-    with pytest.raises(PreconditionError):
-        generate_topology([spec], poset, pts)
+    assert len(generate_topology([spec], poset, pts).opens) == 2
+
+    entries, typed = [], []
+    induced_type_entries, join_all = space._induced_type_entries, lattice.join_all
+
+    def induced(*args):
+        entries.append(induced_type_entries(*args))
+        return entries[-1]
+
+    def counted_join_all(ctx, terms):
+        if entries:
+            typed.append(terms)
+        return join_all(ctx, terms)
+
+    monkeypatch.setattr(space, "_induced_type_entries", induced)
+    monkeypatch.setattr(lattice, "join_all", counted_join_all)
+    data = ingest.CommunityDataset((("main", tuple(f"r{i}" for i in range(1, 17))),))
+    with pytest.raises(PreconditionError, match=f"more than {space.MAX_OPENS} opens"):
+        ingest.build_community(data)
+    assert len(entries) == 1 and not typed
+    assert space.MAX_OPENS >= 2 ** 12  # a 12-point street still builds
 
 
 def test_validation_passes_on_fixtures(genealogy5, street5, street2x3):
@@ -145,17 +170,18 @@ def test_meet_join_bounds_hold_exhaustively(street5):
         assert lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v])
 
 
-@given(st.randoms(use_true_random=False))
+@given(st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
-def test_validation_implies_meet_and_join_bounds(rng):
+def test_validation_implies_meet_and_join_bounds(seed):
     """Monotone + closed under union and intersection gives both bounds.
 
     Validation checks only the former; one swapped type keeps a space
     valid now and then, and every valid one must satisfy the bounds.
     """
-    sp = random_generated_space(rng, max_points=5)
-    if sp is None:
-        return
+    rng = random.Random(seed)
+    sp = None
+    while sp is None:  # about one draw in three is usable
+        sp = random_generated_space(rng, max_points=5)
     nonempty = [m for m in sorted(sp.opens) if m]
     realized = sorted({sp.sigma[m].sort_key(): sp.sigma[m] for m in nonempty}.items())
     swapped = _with_sigma(sp, {rng.choice(nonempty): rng.choice(realized)[1]})
@@ -249,12 +275,13 @@ def _two_scan_reference(sp: TypedSpace):
     return monotone, space.StrictnessReport(True)
 
 
-@given(st.randoms(use_true_random=False))
+@given(st.integers(0, 2**32))
 @settings(max_examples=300, deadline=None)
-def test_one_order_scan_matches_the_two_scan_reference(rng):
-    sp = random_generated_space(rng, max_points=5)
-    if sp is None:
-        return
+def test_one_order_scan_matches_the_two_scan_reference(seed):
+    rng = random.Random(seed)
+    sp = None
+    while sp is None:  # about one draw in three is usable
+        sp = random_generated_space(rng, max_points=5)
     nonempty = sp.nonempty_opens()
     copied = {
         rng.choice(nonempty): sp.sigma[rng.choice(nonempty)] for _ in range(rng.randint(0, 2))
@@ -403,18 +430,22 @@ def test_load_and_verdict_order_each_step_pair_once(monkeypatch, name, steps, ne
 
 
 def test_building_a_street_meets_at_most_once_per_entry_and_generator(monkeypatch):
-    """The induced types cost at most one meet per entry and generator."""
+    """The induced types cost at most one meet per entry and generator.
+
+    Every canonicalization counts, whether it comes from `normalize`,
+    `meet`, `join` or `join_all`.
+    """
     calls = Counter()
 
     def counted(name):
         op = getattr(lattice, name)
         return lambda *args: calls.update([name]) or op(*args)
 
-    for name in ("meet", "normalize"):
+    for name in ("meet", "_canonical"):
         monkeypatch.setattr(lattice, name, counted(name))
     data = ingest.CommunityDataset((("main", tuple(f"r{i}" for i in range(1, 8))),))
     sp = ingest.build_community(data)
-    meets, normalizes = calls["meet"], calls["normalize"]
+    meets, normalizes = calls["meet"], calls["_canonical"]
     entries = space._induced_type_entries(
         sp.ctx, sp.generators, [sp.mask_of(g.members) for g in sp.generators])
     assert (len(entries) + 1) * len(sp.generators) == 435
