@@ -14,6 +14,11 @@ above at least one lower level, with candidate covers drawn from the same
 confined universe. Covering the realized types with few chains (a minimum
 chain partition via bipartite matching) recovers the full neighborhood
 system of every point.
+
+The pools are mask algebra over the realized types' int bitset rows
+(`space.RealizedTypes`): a chain pool is the opens of
+``visible(support) & OR(above(lo) & below(hi))`` over the consecutive level
+pairs, an anchored pool the opens of ``visible(support) & above(level)``.
 """
 from __future__ import annotations
 
@@ -74,23 +79,12 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _visible(space: TypedSpace, chain: TypeChain):
-    """(mask, realized-type index) of the nonempty opens typed in the chain's support."""
-    rt = space_mod.indexed_types(space)
-    support = chain.support()
-    for m, ti in rt.type_of_open.items():
-        if rt.generators[ti] <= support:
-            yield m, ti
-
-
 def _pool_members(space: TypedSpace, chain: TypeChain) -> frozenset:
     rt = space_mod.indexed_types(space)
-    rows = [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
-    return frozenset(
-        m
-        for m, ti in _visible(space, chain)
-        if any(above[ti] and below[ti] for above, below in rows)
-    )
+    sandwiched = 0
+    for lo, hi in chain.pairs():
+        sandwiched |= rt.above(lo) & rt.below(hi)
+    return rt.opens_in(rt.visible(chain.support()) & sandwiched)
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
@@ -115,8 +109,8 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
 
 def anchored_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
     """Visible opens whose type dominates ``level`` (irreducibility universe)."""
-    above = space_mod.indexed_types(space).above(level)
-    return frozenset(m for m, ti in _visible(space, chain) if above[ti])
+    rt = space_mod.indexed_types(space)
+    return rt.opens_in(rt.visible(chain.support()) & rt.above(level))
 
 
 def _irreducible_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
@@ -134,21 +128,18 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """Sandwiched visible opens irreducible above some lower chain level.
 
     The irreducibility level ranges over every lower level whose value lies
-    below the member's type; it is not tied to the sandwiching index.
-    Computed once per chain and space, and memoized on ``space.index``.
+    below the member's type; it is not tied to the sandwiching index. The
+    irreducible pool of a level holds only opens typed above it, so the
+    base is the chain pool met with the union of those pools. Computed
+    once per chain and space, and memoized on ``space.index``.
     """
     bases = space.index.base_pools
     got = bases.get(chain)
     if got is None:
-        rt = space_mod.indexed_types(space)
-        lower = [
-            (rt.above(lo), _irreducible_pool(space, chain, lo)) for lo in chain.levels[:-1]
-        ]
-        got = bases[chain] = frozenset(
-            m
-            for m in chain_pool(space, chain)
-            if any(above[rt.type_of_open[m]] and m in irr for above, irr in lower)
+        irreducible = frozenset().union(
+            *(_irreducible_pool(space, chain, lo) for lo in chain.levels[:-1])
         )
+        got = bases[chain] = chain_pool(space, chain) & irreducible
     return got
 
 
@@ -229,8 +220,9 @@ def _union_over_generator_chains(space: TypedSpace, x: str, gen: str) -> frozens
     under_top = rt.below(top)
     levels = [top] + [
         t
-        for t, under in zip(rt.terms, under_top)
-        if under and t != top and t.uses_only({gen}) and not (t.is_bottom or t.is_top)
+        for j, t in enumerate(rt.terms)
+        if under_top >> j & 1 and t != top and t.uses_only({gen})
+        and not (t.is_bottom or t.is_top)
     ]
     bit = space.point_bit(x)
     out = set()
@@ -268,8 +260,9 @@ def chain_cover(space: TypedSpace) -> ChainCover:
     space_mod.require_strict(space)
     rt = realized_types(space)
     n = len(rt)
+    rows = [rt.above(t) for t in rt.terms]
     succ_candidates: dict[int, list[int]] = {
-        i: [j for j in range(n) if i != j and rt.leq(i, j)] for i in range(n)
+        i: [j for j in range(n) if i != j and rows[i] >> j & 1] for i in range(n)
     }
     match_right: dict[int, int] = {}
     match_left: dict[int, int] = {}

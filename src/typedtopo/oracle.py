@@ -374,11 +374,11 @@ def check_space(space: TypedSpace) -> CheckReport:
         if remainder != empty:
             bad.append((chain.text(), "remainder", tuple(sorted(remainder ^ empty))))
             continue
+        empty_mask = space.mask_of(empty)
         for i, x in enumerate(space.points):
             if x in empty:
                 continue
             fam = [m for m in base if m >> i & 1]
-            empty_mask = space.mask_of(empty)
             if all(m & empty_mask for m in fam):
                 bad.append((chain.text(), "not-closed", x))
     results.append(
@@ -393,6 +393,7 @@ def check_space(space: TypedSpace) -> CheckReport:
     # connectivity of irreducible base members, anchored family members, and
     # pure single-generator members
     bad_base, bad_anchor, bad_pure = [], [], []
+    irreducibles = {}  # first-level anchored pool -> its irreducible members
     for chain in chain_list:
         pool = sorted(chains_mod.chain_pool(space, chain))
         disjoint = [
@@ -407,13 +408,18 @@ def check_space(space: TypedSpace) -> CheckReport:
 
         p0 = chain.levels[0]
         anchored0 = chains_mod.anchored_pool(space, chain, p0)
+        irr0 = irreducibles.get(anchored0)
+        if irr0 is None:
+            irr0 = irreducibles[anchored0] = frozenset(
+                m for m in anchored0 if chains_mod.is_irreducible_in(anchored0, m)
+            )
         for m in chains_mod.chain_base_pool(space, chain):
-            if chains_mod.is_irreducible_in(anchored0, m) and (m in anchored0):
+            if m in irr0:
                 w = separated(m)
                 if w:
                     bad_base.append((chain.text(), ids(m), w))
         for m in anchored0:
-            if chains_mod.is_irreducible_in(anchored0, m):
+            if m in irr0:
                 w = separated(m)
                 if w:
                     bad_anchor.append((chain.text(), ids(m), w))

@@ -114,9 +114,6 @@ class TypedSpace:
     def nonempty_opens(self) -> tuple[int, ...]:
         return tuple(sorted(m for m in self.opens if m))
 
-    def sorted_opens(self) -> tuple[int, ...]:
-        return tuple(sorted(self.opens, key=lambda m: self.ids_of(m)))
-
 
 @dataclass(frozen=True)
 class Failure:
@@ -289,11 +286,11 @@ class SpaceIndex:
     reference to its space, so it dies with it. Validation records the
     strictness verdict; it and the realized types are read through
     `strictness` and `indexed_types`, which take the owning space. The
-    realized types memoize their own order rows. `chains` fills three
-    memos: the pools of `chain_pool` and the bases of `chain_base_pool`,
-    keyed by the chain (a frozen dataclass of canonical terms, so equal
-    chains share an entry), and the irreducible pools, keyed by level term
-    and support.
+    realized types memoize their own order and visibility rows, int bitsets
+    over the type indexes. `chains` fills three memos: the pools of
+    `chain_pool` and the bases of `chain_base_pool`, keyed by the chain (a
+    frozen dataclass of canonical terms, so equal chains share an entry),
+    and the irreducible pools, keyed by level term and support.
     """
 
     __slots__ = ("strict_report", "realized", "chain_pools", "base_pools", "irreducible_pools")
@@ -471,40 +468,64 @@ def forces(space: TypedSpace, p: TypeTerm, x: str) -> bool:
     )
 
 
+def _bits(items, test) -> int:
+    """The int with bit ``j`` set iff ``test(items[j])``."""
+    return sum(1 << j for j, item in enumerate(items) if test(item))
+
+
 @dataclass(frozen=True, eq=False)
 class RealizedTypes:
     """The distinct types of nonempty opens, in `TypeTerm.sort_key` order.
 
-    The order between a level and the realized types is computed one row at
-    a time, on first use, for any level term, realized or not. Canonical
-    form makes equal types structurally equal, so the rows are memoized by
-    the level term itself, and a chain query pays for its own levels' rows
-    rather than for the whole order table.
+    Sets of realized types are int bitsets, bit ``j`` standing for
+    ``terms[j]``. The order between a level and the realized types is one
+    such row per direction, computed on first use for any level term,
+    realized or not. Canonical form makes equal types structurally equal,
+    so the rows are memoized by the level term itself, and a chain query
+    pays for its own levels' rows rather than for the whole order table.
+    The types visible to a generator support are memoized the same way,
+    and `opens_in` expands any type bitset into its opens.
     """
 
     terms: tuple[TypeTerm, ...]
-    opens_by_type: dict  # index -> tuple of masks
-    type_of_open: dict  # nonempty mask -> index
+    opens_by_type: tuple[tuple[int, ...], ...]  # index -> its opens' masks, ascending
     generators: tuple[frozenset, ...]  # index -> generators the type mentions
     _above: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
     _below: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
+    _visible: dict = field(default_factory=dict, init=False, repr=False)  # support -> row
 
-    def above(self, level: TypeTerm) -> tuple[bool, ...]:
-        """Per realized type ``t``: whether ``level <= t``."""
+    def above(self, level: TypeTerm) -> int:
+        """Bit ``j`` set iff ``level <= terms[j]``."""
         row = self._above.get(level)
         if row is None:
-            row = self._above[level] = tuple(lattice.leq(level, t) for t in self.terms)
+            row = self._above[level] = _bits(self.terms, lambda t: lattice.leq(level, t))
         return row
 
-    def below(self, level: TypeTerm) -> tuple[bool, ...]:
-        """Per realized type ``t``: whether ``t <= level``."""
+    def below(self, level: TypeTerm) -> int:
+        """Bit ``j`` set iff ``terms[j] <= level``."""
         row = self._below.get(level)
         if row is None:
-            row = self._below[level] = tuple(lattice.leq(t, level) for t in self.terms)
+            row = self._below[level] = _bits(self.terms, lambda t: lattice.leq(t, level))
         return row
 
+    def visible(self, support: frozenset) -> int:
+        """Bit ``j`` set iff every generator ``terms[j]`` mentions is in ``support``."""
+        row = self._visible.get(support)
+        if row is None:
+            row = self._visible[support] = _bits(self.generators, support.issuperset)
+        return row
+
+    def opens_in(self, types: int) -> frozenset:
+        """The opens whose type index is a bit of ``types``."""
+        out: list[int] = []
+        while types:
+            low = types & -types
+            out += self.opens_by_type[low.bit_length() - 1]
+            types ^= low
+        return frozenset(out)
+
     def leq(self, i: int, j: int) -> bool:
-        return self.above(self.terms[i])[j]
+        return bool(self.above(self.terms[i]) >> j & 1)
 
     def __len__(self):
         return len(self.terms)
@@ -518,8 +539,7 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
     terms = tuple(sorted(buckets, key=TypeTerm.sort_key))
     return RealizedTypes(
         terms,
-        {i: tuple(sorted(buckets[t])) for i, t in enumerate(terms)},
-        {m: i for i, t in enumerate(terms) for m in buckets[t]},
+        tuple(tuple(sorted(buckets[t])) for t in terms),
         tuple(t.generators() for t in terms),
     )
 
@@ -539,6 +559,7 @@ def indexed_types(space: TypedSpace) -> RealizedTypes:
 
 def space_to_json(space: TypedSpace) -> dict:
     poset_pairs = sorted((a, b) for a, b in space.poset.pairs if a != b)
+    opens = sorted((space.ids_of(m), m) for m in space.opens)  # ids differ per open
     return {
         "points": list(space.points),
         "poset": {
@@ -546,8 +567,8 @@ def space_to_json(space: TypedSpace) -> dict:
             "leq": [list(p) for p in poset_pairs],
         },
         "opens": [
-            {"set": list(space.ids_of(m)), "type": lattice.term_to_json(space.sigma[m])}
-            for m in space.sorted_opens()
+            {"set": list(ids), "type": lattice.term_to_json(space.sigma[m])}
+            for ids, m in opens
         ],
         "generators": [
             {

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from typedtopo import basis, lattice, space
 from typedtopo.errors import InvariantViolationError, PreconditionError
@@ -155,3 +157,53 @@ def test_monotone_anchor_transfer(street5):
             if basis.is_join_irreducible(sp, u, p):
                 assert basis.is_join_irreducible(sp, u, q)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the plain pairwise search: slow twin of the union pre-test
+# ---------------------------------------------------------------------------
+
+
+def pairwise_irreducible(pool, mask: int) -> bool:
+    """No two other pool members union to ``mask``, by trying every pair."""
+    inside = [m for m in pool if m != mask and (m & mask) == m]
+    return not any((w | v) == mask for w, v in itertools.combinations(inside, 2))
+
+
+def _union_closure(masks) -> frozenset:
+    closed: set = set()
+    for m in masks:
+        closed |= {m} | {m | c for c in closed}
+    return frozenset(closed)
+
+
+@st.composite
+def _pools(draw):
+    """A pool over up to 6 bits, union-closed or arbitrary, and extra masks."""
+    top = (1 << draw(st.integers(1, 6))) - 1
+    pool = draw(st.frozensets(st.integers(0, top), max_size=8))
+    if draw(st.booleans()):
+        pool = _union_closure(pool)
+    return pool, draw(st.lists(st.integers(0, top), max_size=6))
+
+
+@given(_pools())
+@settings(max_examples=300, deadline=None)
+def test_property_irreducibility_matches_the_pairwise_search(drawn):
+    """Members and non-members alike; on a union-closed pool the union decides.
+
+    A nonempty mask is reducible in a union-closed pool exactly when the
+    members strictly inside it cover it: adding them one at a time, the
+    last partial union short of the mask and the next member are a pair.
+    """
+    pool, extra = drawn
+    union_closed = _union_closure(pool) == pool
+    for mask in sorted(pool) + extra:
+        got = basis.is_irreducible_in(pool, mask)
+        assert got == pairwise_irreducible(pool, mask)
+        if union_closed and mask:
+            union = 0
+            for m in pool:
+                if m != mask and (m & mask) == m:
+                    union |= m
+            assert got == (union != mask)

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import random
 import weakref
 from collections import Counter
 
 import pytest
 
-from conftest import C_RIGHT5, C_RIGHT6
+from conftest import C_RIGHT5, C_RIGHT6, random_generated_space, random_realized_chain
+from test_basis import pairwise_irreducible
 from typedtopo import basis, chains, lattice, oracle, space
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
@@ -266,3 +268,99 @@ def test_refining_a_chain_never_drops_members(street5):
         before = chains.chain_neighborhoods(street5, x, coarse).members
         after = chains.chain_neighborhoods(street5, x, fine).members
         assert before <= after
+
+
+# ---------------------------------------------------------------------------
+# per-open scans: slow twin of the chain pools' mask algebra
+# ---------------------------------------------------------------------------
+
+
+def _visible(sp, chain):
+    """The nonempty opens whose type mentions only the chain's generators."""
+    support = chain.support()
+    return [m for m in sp.nonempty_opens() if sp.sigma[m].generators() <= support]
+
+
+def _reference_pool(sp, chain):
+    return frozenset(
+        m
+        for m in _visible(sp, chain)
+        if any(lattice.leq(lo, sp.sigma[m]) and lattice.leq(sp.sigma[m], hi)
+               for lo, hi in chain.pairs())
+    )
+
+
+def _reference_anchored(sp, chain, level):
+    return frozenset(m for m in _visible(sp, chain) if lattice.leq(level, sp.sigma[m]))
+
+
+def _reference_base(sp, chain):
+    lower = [_reference_anchored(sp, chain, lo) for lo in chain.levels[:-1]]
+    return frozenset(
+        m
+        for m in _reference_pool(sp, chain)
+        if any(m in pool and pairwise_irreducible(pool, m) for pool in lower)
+    )
+
+
+def _random_chain(rng, sp):
+    """Levels around a realized type, mostly unrealized: ``a ^ b <= a <= a v c``.
+
+    ``c`` is a realized type or a single generator, so the top level may
+    bring in generators that no open of the chain's pool mentions.
+    """
+    rt = realized_types(sp)
+    ctx = sp.ctx
+    gens = [lattice.normalize(ctx, [lattice.clause_of(gens=[g])])
+            for g in sorted(sp.poset.elements)]
+    a, b = rng.choice(rt.terms), rng.choice(rt.terms)
+    c = rng.choice(rt.terms + tuple(gens))
+    levels = [lattice.meet(a, b), a, lattice.join(a, c)]
+    if rng.random() < 0.5:
+        del levels[1]
+    try:
+        return TypeChain(tuple(levels))
+    except PreconditionError:
+        return None
+
+
+def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
+    """Pools, anchored pools and bases against per-open `lattice.leq` scans."""
+    rng = random.Random(8)
+    spaces = [genealogy5, street5, street2x3]
+    while len(spaces) < 12:
+        sp = random_generated_space(rng, max_points=6)
+        if sp is not None:
+            spaces.append(sp)
+    checked = 0
+    for sp in spaces:
+        sp = dataclasses.replace(sp)
+        drawn = [random_realized_chain(rng, sp) for _ in range(4)]
+        drawn += [_random_chain(rng, sp) for _ in range(6)]
+        for chain in filter(None, drawn):
+            assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
+            for level in chain.levels:
+                got = chains.anchored_pool(sp, chain, level)
+                assert got == _reference_anchored(sp, chain, level)
+            assert chains.chain_base_pool(sp, chain) == _reference_base(sp, chain)
+            checked += 1
+    assert checked >= 80
+
+
+def test_check_space_decides_irreducibility_at_most_1062_times(monkeypatch, street5):
+    """The union pre-test and one decision per distinct anchored pool.
+
+    Measured on STREET5: 1,062 calls, where per-member and per-chain
+    decisions without the pre-test made 13,949.
+    """
+    calls = []
+    test = basis.is_irreducible_in
+
+    def counted(pool, mask):
+        calls.append(mask)
+        return test(pool, mask)
+
+    monkeypatch.setattr(basis, "is_irreducible_in", counted)
+    monkeypatch.setattr(chains, "is_irreducible_in", counted)
+    assert oracle.check_space(dataclasses.replace(street5)).ok
+    assert 0 < len(calls) <= 1062
