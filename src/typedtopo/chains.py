@@ -195,7 +195,7 @@ def generator_neighborhoods(
             members.add(m)
     fam = TypedFamily(space, bound, frozenset(members), x)
     if cross_check and len(gen_list) == 1:
-        union = _union_over_generator_chains(space, x, gen_list[0])
+        union = frozenset(m for m in _generator_chain_union(space, gen_list[0]) if m & bit)
         if union != fam.members:
             raise InvariantViolationError(
                 "single-generator family disagrees with its chain union",
@@ -208,32 +208,35 @@ def generator_neighborhoods(
     return fam
 
 
-def _union_over_generator_chains(space: TypedSpace, x: str, gen: str) -> frozenset:
-    """Union of sandwiched neighborhoods over realized-level generator chains.
+def _generator_chain_union(space: TypedSpace, gen: str) -> frozenset:
+    """Union of the chain pools over realized-level generator chains.
 
     Any such chain decomposes into consecutive level pairs drawn from the
     generator's sublattice, so scanning pairs ``q <= r`` over realized
     in-sublattice levels (plus the generator itself on top) is exhaustive.
+    The opens through a point ``x`` are the union of ``x``'s sandwiched
+    neighborhoods over those chains. Computed once per generator and space,
+    and memoized on ``space.index``.
     """
-    top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-    rt = space_mod.indexed_types(space)
-    under_top = rt.below(top)
-    levels = [top] + [
-        t
-        for j, t in enumerate(rt.terms)
-        if under_top >> j & 1 and t != top and t.uses_only({gen})
-        and not (t.is_bottom or t.is_top)
-    ]
-    bit = space.point_bit(x)
-    out = set()
-    for lo in levels:
-        for hi in levels:
-            if not lattice.leq(lo, hi):
-                continue
-            for m in chain_pool(space, TypeChain((lo, hi))):
-                if m & bit:
-                    out.add(m)
-    return frozenset(out)
+    unions = space.index.generator_unions
+    got = unions.get(gen)
+    if got is None:
+        top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
+        rt = space_mod.indexed_types(space)
+        under_top = rt.below(top)
+        levels = [top] + [
+            t
+            for j, t in enumerate(rt.terms)
+            if under_top >> j & 1 and t != top and t.uses_only({gen})
+            and not (t.is_bottom or t.is_top)
+        ]
+        out: set = set()
+        for lo in levels:
+            for hi in levels:
+                if lattice.leq(lo, hi):
+                    out |= chain_pool(space, TypeChain((lo, hi)))
+        got = unions[gen] = frozenset(out)
+    return got
 
 
 # ---------------------------------------------------------------------------

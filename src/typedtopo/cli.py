@@ -6,7 +6,8 @@ query. Reports are JSON objects ``{"command", "space", "result", "timing"}``
 on stdout (or in the ``-o`` file) with diagnostics on stderr; ``--stable``
 drops the timing block so identical inputs produce byte-identical output.
 ``build`` prints the space document itself, or writes it to ``-o`` and
-reports where.
+reports where. The argument parser is built once per process and holds no
+space or query state; every `run` loads, validates and indexes its space anew.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 3 query error (unknown point, exceeded budget, degenerate population).
@@ -14,6 +15,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -315,6 +317,7 @@ def _cmd_oracle(args, sp):
     raise PreconditionError("oracle needs one of --check, --dense, --connected")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tts", description="typed-topology queries over finite spaces"

@@ -27,12 +27,13 @@ the ints, and the clause-witnessing order test below is exact.
 
 The name-level `Clause` is the input of `normalize` and the decoded view
 ``TypeTerm.clauses``, whose generator antichain is the set of minimal
-elements of ``up``. Rendering (`format_term`, `term_to_json`,
-`TypeTerm.sort_key`) reads the literal list and sort key of each cube, built
-from its bits once per context (`_Code.render`). The valuation machinery
-(`evaluate`, `enumerate_valuations`) reads the decoded view and stays an
-independent decision procedure used to cross-check the encoded one in the
-test suite.
+elements of ``up``; `term_from_json` encodes names straight into cubes.
+Rendering (`format_term`, `term_to_json`, `TypeTerm.sort_key`) and the name
+accessors (`TypeTerm.generators`, `point_ids`, `uses_only`) read the literal
+list and sort key of each cube, built from its bits once per context
+(`_Code.render`). The valuation machinery (`evaluate`,
+`enumerate_valuations`) reads the decoded view and stays an independent
+decision procedure used to cross-check the encoded one in the test suite.
 """
 from __future__ import annotations
 
@@ -203,11 +204,12 @@ class _Code:
         self.by_name = tuple(sorted(range(len(points)), key=points.__getitem__))
         self.rendered: dict = {}  # cube -> (sort key, literals)
 
-    def encode(self, c: Clause) -> tuple[int, int, int]:
+    def encode(self, gens, pos, neg) -> tuple[int, int, int]:
+        """The cube of the clause with these generator, ``@x`` and ``~@x`` names."""
         return (
-            _mask(self.up, c.gens, "generator"),
-            _mask(self.point_bit, c.pos, "point"),
-            _mask(self.point_bit, c.neg, "point"),
+            _mask(self.up, gens, "generator"),
+            _mask(self.point_bit, pos, "point"),
+            _mask(self.point_bit, neg, "point"),
         )
 
     def render(self, cube: tuple[int, int, int]) -> tuple[tuple, tuple]:
@@ -311,8 +313,11 @@ class TypeTerm:
     ``cubes`` holds the canonical ``(up, pos, neg)`` cube of every clause
     (see the module docstring); empty means Bottom, and Top is exactly the
     empty cube. ``clauses`` is the same set decoded to name-level `Clause`
-    objects. Construct terms through `normalize`, `meet`, `join`, or the
-    parser; the constructor itself trusts its input.
+    objects; only the semantic reference paths, `evaluate` and
+    `is_join_irreducible`, decode it. `generators`, `point_ids` and
+    `uses_only` read the rendered literals of the cubes instead, once per
+    term. Construct terms through `normalize`, `meet`, `join`, the parser
+    or `term_from_json`; the constructor itself trusts its input.
     """
 
     ctx: Context
@@ -339,16 +344,26 @@ class TypeTerm:
     def sort_key(self) -> tuple:
         return tuple(key for key, _ in self._rendered())
 
+    @cached_property
+    def _names(self) -> tuple[frozenset, frozenset]:
+        """The generator names and the point ids of the literals."""
+        render = self.ctx._code.render
+        gens: set = set()
+        points: set = set()
+        for c in self.cubes:
+            for kind, name in render(c)[1]:
+                (gens if kind == GEN else points).add(name)
+        return frozenset(gens), frozenset(points)
+
     def generators(self) -> frozenset:
-        return frozenset(g for c in self.clauses for g in c.gens)
+        return self._names[0]
 
     def point_ids(self) -> frozenset:
-        return frozenset(x for c in self.clauses for x in (c.pos | c.neg))
+        return self._names[1]
 
     def uses_only(self, gens: Iterable[str]) -> bool:
         """True when every clause draws its generators from ``gens``."""
-        allowed = frozenset(gens)
-        return all(c.gens <= allowed for c in self.clauses)
+        return self.generators().issubset(gens)
 
     def __hash__(self):
         # equal terms have equal cubes, and a frozenset caches its hash
@@ -372,7 +387,7 @@ def normalize(ctx: Context, clauses: Iterable[Clause]) -> TypeTerm:
     out structurally identical.
     """
     encode = ctx._code.encode
-    return _canonical(ctx, [encode(c) for c in clauses])
+    return _canonical(ctx, [encode(c.gens, c.pos, c.neg) for c in clauses])
 
 
 def meet(a: TypeTerm, b: TypeTerm) -> TypeTerm:
@@ -693,21 +708,28 @@ def term_to_json(t: TypeTerm):
 
 
 def term_from_json(ctx: Context, obj) -> TypeTerm:
+    """The canonical term of a `term_to_json` document, read into cubes directly.
+
+    Documents may be hand-written, so the cubes are canonicalized. A
+    malformed literal anywhere raises `PreconditionError` before an unknown
+    name raises `UnknownSymbolError`.
+    """
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad term encoding: {obj!r}")
     if obj.get("top"):
         return ctx.top()
     clauses = []
     for lits in obj.get("clauses", []):
-        gens, pos, neg = set(), set(), set()
+        gens, pos, neg = [], [], []
         for entry in lits:
             if GEN in entry:
-                gens.add(entry[GEN])
+                gens.append(entry[GEN])
             elif POS in entry:
-                pos.add(entry[POS])
+                pos.append(entry[POS])
             elif NEG in entry:
-                neg.add(entry[NEG])
+                neg.append(entry[NEG])
             else:
                 raise PreconditionError(f"bad literal encoding: {entry!r}")
-        clauses.append(clause_of(gens, pos, neg))
-    return normalize(ctx, clauses)
+        clauses.append((gens, pos, neg))
+    encode = ctx._code.encode
+    return _canonical(ctx, [encode(*names) for names in clauses])

@@ -169,21 +169,26 @@ class CheckReport:
 
 
 def _realized_chains(space: TypedSpace):
-    """Ascending level tuples (length 2 and 3) over the realized types."""
+    """Ascending level tuples (length 2 and 3) over the realized types.
+
+    Each usable level's ``above`` row is read once; bit ``j`` of level
+    ``i``'s row says ``terms[i] <= terms[j]``.
+    """
     rt = realized_types(space)
-    n = len(rt)
-    usable = [i for i in range(n) if not (rt.terms[i].is_bottom or rt.terms[i].is_top)]
+    terms = rt.terms
+    usable = [i for i, t in enumerate(terms) if not (t.is_bottom or t.is_top)]
+    above = {i: rt.above(terms[i]) for i in usable}
     for i in usable:
         for j in usable:
-            if rt.leq(i, j):
-                yield TypeChain((rt.terms[i], rt.terms[j]))
+            if above[i] >> j & 1:
+                yield TypeChain((terms[i], terms[j]))
     for i in usable:
         for j in usable:
-            if not rt.leq(i, j):
+            if not above[i] >> j & 1:
                 continue
             for k in usable:
-                if rt.leq(j, k):
-                    yield TypeChain((rt.terms[i], rt.terms[j], rt.terms[k]))
+                if above[j] >> k & 1:
+                    yield TypeChain((terms[i], terms[j], terms[k]))
 
 
 def check_space(space: TypedSpace) -> CheckReport:

@@ -38,7 +38,7 @@ from .errors import (
     SpaceValidationError,
     UnknownPointError,
 )
-from .lattice import Clause, Context, Poset, TypeTerm, clause_of
+from .lattice import Context, Poset, TypeTerm, clause_of
 
 # Every open is typed and validated, so the opens, not the points, bound a
 # build: n points may span up to 2^n opens (a discrete street), and one more
@@ -287,13 +287,19 @@ class SpaceIndex:
     strictness verdict; it and the realized types are read through
     `strictness` and `indexed_types`, which take the owning space. The
     realized types memoize their own order and visibility rows, int bitsets
-    over the type indexes. `chains` fills three memos: the pools of
+    over the type indexes. `chains` fills four memos: the pools of
     `chain_pool` and the bases of `chain_base_pool`, keyed by the chain (a
-    frozen dataclass of canonical terms, so equal chains share an entry),
-    and the irreducible pools, keyed by level term and support.
+    frozen dataclass of canonical terms, so equal chains share an entry);
+    the irreducible pools, keyed by level term and support; and, keyed by
+    generator name, the union of the chain pools over that generator's
+    realized-level chains, which the cross-check of
+    `chains.generator_neighborhoods` masks by each point's bit.
     """
 
-    __slots__ = ("strict_report", "realized", "chain_pools", "base_pools", "irreducible_pools")
+    __slots__ = (
+        "strict_report", "realized", "chain_pools", "base_pools", "irreducible_pools",
+        "generator_unions",
+    )
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
@@ -301,6 +307,7 @@ class SpaceIndex:
         self.chain_pools: dict = {}  # TypeChain -> frozenset of masks
         self.base_pools: dict = {}  # TypeChain -> frozenset of masks
         self.irreducible_pools: dict = {}  # (level term, support) -> frozenset
+        self.generator_unions: dict = {}  # generator name -> frozenset of masks
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:

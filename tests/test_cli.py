@@ -1,4 +1,5 @@
 """The ``tts`` contract, run in process: exit codes, report shape, --stable, -o."""
+import argparse
 import json
 from pathlib import Path
 
@@ -302,3 +303,52 @@ def test_connect_without_budget_applies_the_connectivity_default(capsys, monkeyp
     code, out, err = _run(capsys, *argv, "--budget-points", "11")
     assert code == 0, err
     assert json.loads(out)["result"]["definitive"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: reuse must carry nothing from one run to the next
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    """Two runs build the parser once; later runs reuse the same object."""
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers",
+        lambda self, **kw: builds.append(self) or add_subparsers(self, **kw),
+    )
+    cli._parser.cache_clear()
+    try:
+        assert _run(capsys, "validate", STREET5, "--stable")[0] == 0
+        assert _run(capsys, "validate", GENEALOGY5, "--stable")[0] == 0
+        assert len(builds) == 1
+        assert cli._parser() is cli._parser()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_reused_parser_forgets_strict(capsys, nonstrict_path):
+    assert _run(capsys, "validate", nonstrict_path, "--strict", "--stable")[0] == 1
+    code, out, _ = _run(capsys, "validate", nonstrict_path, "--stable")
+    assert code == 0
+    assert json.loads(out)["space"]["strict"] is False
+
+
+def test_reused_parser_forgets_the_format(capsys):
+    argv = ("stats", STREET5, "--kind", "sizes", "--p", "right")
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.startswith("subject,value,z\n")
+    code, out, _ = _run(capsys, *argv, "--stable")
+    assert code == 0
+    assert json.loads(out)["result"]["kind"] == "sizes"
+
+
+def test_reused_parser_recovers_from_usage_errors(capsys):
+    with pytest.raises(SystemExit) as raised:
+        cli.run(["nbhd", STREET5, "--no-such-flag"])
+    assert raised.value.code == 2
+    assert _run(capsys, "basis", GENEALOGY5)[0] == 2  # missing --p
+    code, out, err = _run(capsys, "basis", GENEALOGY5, "--p", "anc", "--stable")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["anchor"] == "anc"

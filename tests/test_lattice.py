@@ -11,6 +11,7 @@ from typedtopo.errors import (
     ContextMismatchError,
     ExprSyntaxError,
     PreconditionError,
+    TypedTopoError,
     UnknownSymbolError,
 )
 from typedtopo.lattice import (
@@ -441,6 +442,83 @@ def test_property_cube_encoding_matches_the_name_level_reference(drawn):
             assert term_to_json(t)["clauses"] == [
                 [{kind: name} for kind, name in c.literals()] for c in named
             ]
+
+
+def _clause_json(c: Clause, rng: random.Random) -> list:
+    """A clause as `term_to_json` literals, shuffled, some written twice."""
+    lits = [{"gen": g} for g in c.gens] + [{"pos": x} for x in c.pos]
+    lits += [{"neg": x} for x in c.neg]
+    lits += [dict(lit) for lit in lits if rng.random() < 0.2]
+    rng.shuffle(lits)
+    return lits
+
+
+@given(_poset_and_clause_sets(), st.integers(0, 1 << 16))
+@settings(max_examples=300, deadline=None)
+def test_property_term_from_json_matches_normalize(drawn, seed):
+    """Cubes read straight from JSON against `normalize` of name-level clauses.
+
+    The drawn clauses are non-canonical on purpose: contradictory clauses and
+    Top come from the strategy, and every clause may gain an absorbed
+    extension or be split on a free point into a consensus pair.
+    """
+    ctx, raw, _ = drawn
+    rng = random.Random(seed)
+    gens = sorted(ctx.poset.elements)
+    clauses = []
+    for c in raw:
+        clauses.append(c)
+        if rng.random() < 0.5:
+            more = {g for g in gens if rng.random() < 0.5}
+            clauses.append(clause_of(c.gens | more, c.pos | {ctx.points[0]}, c.neg))
+        free = [x for x in ctx.points if x not in c.pos | c.neg]
+        if free and rng.random() < 0.5:
+            x = rng.choice(free)
+            if rng.random() < 0.5:
+                clauses.remove(c)
+            clauses.append(clause_of(c.gens, c.pos | {x}, c.neg))
+            clauses.append(clause_of(c.gens, c.pos, c.neg | {x}))
+    rng.shuffle(clauses)
+    reference = normalize(ctx, clauses)
+    doc = {"clauses": [_clause_json(c, rng) for c in clauses]}
+    assert term_from_json(ctx, doc) == reference
+    assert term_from_json(ctx, term_to_json(reference)) == reference
+    assert term_from_json(ctx, {"top": True, **doc}) == ctx.top() == normalize(ctx, [clause_of()])
+    assert term_from_json(ctx, {}) == ctx.bottom()
+
+
+def test_term_from_json_errors(gctx):
+    anc = [{"gen": "anc"}]
+    cases = [
+        (["anc"], PreconditionError, "bad term encoding: ['anc']"),
+        ({"clauses": [anc + [{"atom": "B"}]]}, PreconditionError,
+         "bad literal encoding: {'atom': 'B'}"),
+        ({"clauses": [anc + [{"gen": "zz"}]]}, UnknownSymbolError, "unknown generator 'zz'"),
+        ({"clauses": [anc, [{"pos": "zz"}]]}, UnknownSymbolError, "unknown point 'zz'"),
+        ({"clauses": [[{"neg": "zz"}]]}, UnknownSymbolError, "unknown point 'zz'"),
+        # a malformed literal anywhere in the term wins over an unknown name
+        ({"clauses": [[{"gen": "zz"}], anc + [{}]]}, PreconditionError, "bad literal encoding: {}"),
+        ({"clauses": [[{"pos": "zz"}, {"nope": 1}]]}, PreconditionError,
+         "bad literal encoding: {'nope': 1}"),
+    ]
+    for doc, kind, message in cases:
+        with pytest.raises(TypedTopoError) as raised:
+            term_from_json(gctx, doc)
+        assert type(raised.value) is kind
+        assert str(raised.value) == message
+
+
+@given(_terms(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_name_accessors_match_the_decoded_clauses(pair, data):
+    """`generators`, `point_ids` and `uses_only` against the decoded clauses."""
+    idx, t = pair
+    gens = sorted(_CTXS[idx].poset.elements)
+    assert t.generators() == frozenset(g for c in t.clauses for g in c.gens)
+    assert t.point_ids() == frozenset(x for c in t.clauses for x in c.pos | c.neg)
+    allowed = data.draw(st.sets(st.sampled_from(gens)))
+    assert t.uses_only(allowed) == all(c.gens <= allowed for c in t.clauses)
+    assert t.uses_only(gens)
 
 
 def test_join_all_rejects_a_foreign_term():

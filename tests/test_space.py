@@ -503,6 +503,19 @@ def test_realized_types_singleton_space():
     assert len(realized_types(sp)) == 1
 
 
+def test_loading_and_indexing_a_space_decodes_no_clause(monkeypatch):
+    """Loading reads JSON types into cubes; sorting and generator sets read bits."""
+    decoded = []
+    decode = lattice._Code.decode
+    monkeypatch.setattr(
+        lattice._Code, "decode", lambda code, cube: decoded.append(cube) or decode(code, cube)
+    )
+    sp = space.load_space(FIXTURES / "street2x3.json")
+    rt = realized_types(sp)
+    assert len(rt) == 63 and rt.generators[0]
+    assert decoded == []
+
+
 def _row_bits(row: int, n: int) -> list:
     """The first ``n`` bits of an int row, after checking no higher bit is set."""
     assert row >> n == 0

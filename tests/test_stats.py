@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 
-from typedtopo import chains, ingest, space, stats
+from typedtopo import chains, ingest, lattice, space, stats
 from typedtopo.errors import NoVarianceError, PreconditionError
 from typedtopo.ingest import CommunityDataset, GenealogyDataset
 from typedtopo.stats import pair_key, score_table
@@ -94,6 +95,18 @@ def test_point_activity_street5(street5):
         "r5": 4.0,
     }
     assert table.ranked()[0] == "r5"
+
+
+def test_point_activity_reads_each_type_once(monkeypatch):
+    """Each open's type renders its cubes once, not once per point that tests it."""
+    sp = space.load_space(Path(__file__).resolve().parent.parent / "fixtures" / "street2x3.json")
+    rendered = []
+    render = lattice._Code.render
+    monkeypatch.setattr(
+        lattice._Code, "render", lambda code, cube: rendered.append(cube) or render(code, cube)
+    )
+    stats.point_activity_scores(sp, "right")
+    assert 0 < len(rendered) <= sum(len(sp.sigma[m].cubes) for m in sp.opens) == 256
 
 
 def test_point_activity_genealogy_root_scores_highest(genealogy5):
