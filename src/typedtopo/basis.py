@@ -26,9 +26,6 @@ class TypedFamily:
     members: frozenset  # of masks
     at_point: Optional[str] = None
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
     def ids(self) -> tuple[tuple[str, ...], ...]:
         return tuple(sorted(self.space.ids_of(m) for m in self.members))
 

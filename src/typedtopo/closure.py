@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import chains as chains_mod, space as space_mod
 from .chains import TypeChain
-from .errors import InvariantViolationError, PreconditionError, UnknownPointError
+from .errors import InvariantViolationError, PreconditionError
 from .space import TypedSpace
 
 ORACLE_CROSS_CHECK_MAX_POINTS = 12
@@ -95,8 +95,6 @@ def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
     """
     space_mod.require_strict(space)
     start_set = frozenset(start)
-    for p in start_set:
-        space.point_index(p)
     start_mask = space.mask_of(start_set)
     fams = _point_families(space, chain)
     members = set()

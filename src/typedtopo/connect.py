@@ -42,10 +42,7 @@ def is_chain_connected(
     Returns ``(True, None)`` or ``(False, witness)``; the witness pair is
     disjoint, covers the set, and splits it nontrivially.
     """
-    pts = frozenset(points)
-    for p in pts:
-        space.point_index(p)
-    mask = space.mask_of(pts)
+    mask = space.mask_of(frozenset(points))
     pool = sorted(chains_mod.chain_pool(space, chain))
     for u, v in itertools.combinations(pool, 2):
         if u & v:

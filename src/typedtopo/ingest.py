@@ -9,8 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import lattice, space
 from .errors import DatasetError, PreconditionError

@@ -138,7 +138,7 @@ class Context:
         if clash:
             raise PreconditionError(f"names used as both generator and point: {sorted(clash)}")
 
-    @property
+    @cached_property
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
@@ -722,6 +722,8 @@ def term_from_json(ctx: Context, obj) -> TypeTerm:
     for lits in obj.get("clauses", []):
         gens, pos, neg = [], [], []
         for entry in lits:
+            if not isinstance(entry, dict):
+                raise PreconditionError(f"bad literal encoding: {entry!r}")
             if GEN in entry:
                 gens.append(entry[GEN])
             elif POS in entry:

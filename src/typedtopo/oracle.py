@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import basis, chains as chains_mod, connect as connect_mod, lattice
-from . import closure as closure_mod, space as space_mod
+from . import space as space_mod
 from .chains import TypeChain
 from .errors import OracleSkip, PreconditionError
 from .space import TypedSpace, realized_types

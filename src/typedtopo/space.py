@@ -3,6 +3,8 @@
 A space couples a finite topology (stored as bit-set opens) with a type
 mapping into the generator lattice: the empty set alone has type Bottom,
 no open has type Top, and inclusion of opens never decreases the type.
+The space owns the one `Context` its types live in, and a
+`dataclasses.replace` copy shares it.
 
 Every finite topology is Alexandrov: each point x has a least open
 neighborhood ``U_x``, the intersection of the opens around it, and the
@@ -66,16 +68,20 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class TypedSpace:
-    """Immutable (points, opens, type mapping, poset, generators) bundle.
+    """Immutable (context, opens, type mapping, generators) bundle.
 
+    The space owns the `Context` its types live in: ``points`` and ``poset``
+    are read from ``ctx``, and the types of ``sigma`` (and, for a loaded
+    space, of the generators) are terms of that very object, so the lattice
+    operations between them and terms parsed against ``space.ctx`` settle
+    on identity. A `dataclasses.replace` copy shares the context.
     ``sigma`` is stored as a read-only copy of the mapping it is given, so
     nothing can change a type behind the verdicts cached in ``index``.
     """
 
-    points: tuple[str, ...]
+    ctx: Context
     opens: frozenset  # of int bit masks over ``points``
     sigma: MappingProxyType  # mask -> TypeTerm
-    poset: Poset
     generators: tuple[GeneratorSpec, ...]
 
     def __post_init__(self):
@@ -85,9 +91,13 @@ class TypedSpace:
     def index(self) -> "SpaceIndex":
         return SpaceIndex()
 
-    @cached_property
-    def ctx(self) -> Context:
-        return Context(self.poset, self.points)
+    @property
+    def points(self) -> tuple[str, ...]:
+        return self.ctx.points
+
+    @property
+    def poset(self) -> Poset:
+        return self.ctx.poset
 
     @property
     def full_mask(self) -> int:
@@ -372,6 +382,22 @@ def _induced_type_entries(
     return entries
 
 
+def _check_generators(ctx: Context, specs: Sequence[GeneratorSpec]) -> None:
+    """Generators fit to build or load: unique names, nonempty known members, ``ctx`` types."""
+    seen = set()
+    for s in specs:
+        if s.name in seen:
+            raise PreconditionError(f"duplicate generator name {s.name!r}")
+        seen.add(s.name)
+        if s.type_term.ctx is not ctx and s.type_term.ctx != ctx:
+            raise PreconditionError(f"generator {s.name!r} typed in a foreign context")
+        for p in s.members:
+            if p not in ctx.point_set:
+                raise UnknownPointError(f"generator {s.name!r} uses unknown point {p!r}")
+        if not s.members:
+            raise PreconditionError(f"generator {s.name!r} has an empty member set")
+
+
 def generate_topology(
     specs: Sequence[GeneratorSpec],
     poset: Poset,
@@ -393,19 +419,7 @@ def generate_topology(
     """
     pts = tuple(points)
     ctx = Context(poset, pts)
-    seen = set()
-    for s in specs:
-        if s.name in seen:
-            raise PreconditionError(f"duplicate generator name {s.name!r}")
-        seen.add(s.name)
-        if s.type_term.ctx != ctx:
-            raise PreconditionError(f"generator {s.name!r} typed in a foreign context")
-        for p in s.members:
-            if p not in ctx.point_set:
-                raise UnknownPointError(f"generator {s.name!r} uses unknown point {p!r}")
-        if not s.members:
-            raise PreconditionError(f"generator {s.name!r} has an empty member set")
-
+    _check_generators(ctx, specs)
     bit = {p: 1 << i for i, p in enumerate(pts)}
     masks = [sum(bit[p] for p in s.members) for s in specs]
     entries = _induced_type_entries(ctx, specs, masks)
@@ -432,7 +446,7 @@ def generate_topology(
         sigma[u] = lattice.join_all(ctx, parts)
 
     return _validated(
-        TypedSpace(pts, frozenset(opens), sigma, poset, tuple(specs)),
+        TypedSpace(ctx, frozenset(opens), sigma, tuple(specs)),
         "generated space violates the type-mapping contract",
     )
 
@@ -458,7 +472,7 @@ def strictify(space: TypedSpace) -> TypedSpace:
         tag = lattice.normalize(ctx, [clause_of(neg=absent)])
         sigma[m] = lattice.join(space.sigma[m], lattice.meet(tag, top_type))
     out = _validated(
-        TypedSpace(space.points, space.opens, sigma, space.poset, space.generators),
+        TypedSpace(ctx, space.opens, sigma, space.generators),
         "strictness repair broke the type mapping",
     )
     verdict = strictness(out)
@@ -588,34 +602,46 @@ def space_to_json(space: TypedSpace) -> dict:
     }
 
 
+def _field(doc, key: str):
+    """``doc[key]`` of an object in a space document, else `SpaceValidationError`."""
+    if not isinstance(doc, dict):
+        raise SpaceValidationError(f"space document: expected an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise SpaceValidationError(f"space document missing field {key!r}")
+    return doc[key]
+
+
 def space_from_json(obj: dict) -> TypedSpace:
-    try:
-        points = tuple(obj["points"])
-        poset = Poset(obj["poset"]["elements"], [tuple(p) for p in obj["poset"]["leq"]])
-    except KeyError as exc:
-        raise SpaceValidationError(f"space document missing field {exc}") from None
-    ctx = Context(poset, points)
+    points = tuple(_field(obj, "points"))
+    poset_doc = _field(obj, "poset")
+    elements, pairs = _field(poset_doc, "elements"), _field(poset_doc, "leq")
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SpaceValidationError(f"space document: poset order entry {pair!r} is not a pair")
+    ctx = Context(Poset(elements, [tuple(p) for p in pairs]), points)
     bit = {p: 1 << i for i, p in enumerate(points)}
     sigma: dict[int, TypeTerm] = {}
     opens = set()
     for entry in obj.get("opens", []):
         mask = 0
-        for p in entry["set"]:
+        for p in _field(entry, "set"):
             if p not in bit:
                 raise UnknownPointError(f"open uses unknown point {p!r}")
             mask |= bit[p]
         if mask in opens:
             raise SpaceValidationError(f"duplicate open {sorted(entry['set'])}")
         opens.add(mask)
-        sigma[mask] = lattice.term_from_json(ctx, entry["type"])
-    generators = []
-    for entry in obj.get("generators", []):
-        members = frozenset(entry["set"])
-        generators.append(
-            GeneratorSpec(entry["name"], members, lattice.term_from_json(ctx, entry["type"]))
+        sigma[mask] = lattice.term_from_json(ctx, _field(entry, "type"))
+    generators = tuple(
+        GeneratorSpec(
+            _field(g, "name"), frozenset(_field(g, "set")),
+            lattice.term_from_json(ctx, _field(g, "type")),
         )
+        for g in obj.get("generators", [])
+    )
+    _check_generators(ctx, generators)
     return _validated(
-        TypedSpace(points, frozenset(opens), sigma, poset, tuple(generators)),
+        TypedSpace(ctx, frozenset(opens), sigma, generators),
         "space document fails validation",
     )
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import chains as chains_mod, lattice, space as space_mod
+from . import chains as chains_mod, space as space_mod
 from .errors import NoVarianceError, PreconditionError
 from .space import TypedSpace
 

@@ -91,7 +91,7 @@ def test_requires_strict_space():
     ctx = Context(poset, pts)
     g = parse_type_expr("g", ctx)
     sigma = {0: ctx.bottom(), 1: g, 3: g}
-    sp = TypedSpace(pts, frozenset(sigma), sigma, poset, ())
+    sp = TypedSpace(ctx, frozenset(sigma), sigma, ())
     with pytest.raises(NotStrictlyTypedError):
         chains.chain_neighborhoods(sp, "x", TypeChain((g, g)))
 

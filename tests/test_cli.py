@@ -1,16 +1,26 @@
-"""The ``tts`` contract, run in process: exit codes, report shape, --stable, -o."""
+"""The ``tts`` contract, run in process and through ``python -m typedtopo.cli``.
+
+Exit codes, report shape, --stable, -o, and malformed space documents.
+"""
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import C_ANC5, C_RIGHT5
+from conftest import C_ANC5, C_RIGHT5, C_RIGHT6
 from typedtopo import basis, chains, cli, closure, connect, ingest, oracle, space as space_mod
+from typedtopo.errors import TypedTopoError
 from typedtopo.lattice import Context, Poset, parse_type_expr
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 STREET5 = str(FIXTURES / "street5.json")
+STREET2X3 = str(FIXTURES / "street2x3.json")
 GENEALOGY5 = str(FIXTURES / "genealogy5.json")
 STREET5_DATA = str(FIXTURES / "datasets" / "street5.json")
 GENEALOGY5_DATA = str(FIXTURES / "datasets" / "genealogy5.csv")
@@ -40,7 +50,7 @@ def nonstrict_path(tmp_path):
     ctx = Context(poset, pts)
     g = parse_type_expr("g", ctx)
     sigma = {0: ctx.bottom(), 1: g, 3: g}
-    sp = space_mod.TypedSpace(pts, frozenset(sigma), sigma, poset, ())
+    sp = space_mod.TypedSpace(ctx, frozenset(sigma), sigma, ())
     path = tmp_path / "tie.json"
     path.write_text(json.dumps(space_mod.space_to_json(sp)))
     return str(path)
@@ -352,3 +362,111 @@ def test_reused_parser_recovers_from_usage_errors(capsys):
     code, out, err = _run(capsys, "basis", GENEALOGY5, "--p", "anc", "--stable")
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["anchor"] == "anc"
+
+
+# ---------------------------------------------------------------------------
+# malformed and ill-generated space documents fail through the contract
+# ---------------------------------------------------------------------------
+
+
+MALFORMED = {  # case -> (exit code, message)
+    "open-without-type": (1, "space document missing field 'type'"),
+    "open-without-set": (1, "space document missing field 'set'"),
+    "generator-without-name": (1, "space document missing field 'name'"),
+    "string-literal": (2, "bad literal encoding: 'gen'"),
+    "one-element-order-pair": (1, "space document: poset order entry ['right'] is not a pair"),
+    "list-document": (1, "space document: expected an object, got list"),
+}
+
+
+def _malformed_path(street5, tmp_path, case) -> str:
+    doc = space_mod.space_to_json(street5)
+    if case == "open-without-type":
+        del doc["opens"][1]["type"]
+    elif case == "open-without-set":
+        del doc["opens"][1]["set"]
+    elif case == "generator-without-name":
+        del doc["generators"][0]["name"]
+    elif case == "string-literal":
+        doc["opens"][1]["type"]["clauses"][0].insert(0, "gen")
+    elif case == "one-element-order-pair":
+        doc["poset"]["leq"] = [["right"]]
+    else:
+        doc = [doc]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_fails_through_the_contract(capsys, street5, tmp_path, case):
+    """One ``tts validate:`` line and the contract's exit code; no traceback."""
+    code, message = MALFORMED[case]
+    got = _run(capsys, "validate", _malformed_path(street5, tmp_path, case))
+    assert got == (code, "", f"tts validate: {message}\n")
+
+
+@pytest.mark.parametrize("fault, code", [("duplicate", 2), ("empty", 2), ("unknown-point", 3)])
+def test_loading_checks_generators_as_building_does(capsys, street5, tmp_path, fault, code):
+    gens = list(street5.generators)
+    first = gens[0]
+    if fault == "duplicate":
+        gens.append(first)
+    else:
+        members = frozenset() if fault == "empty" else first.members | {"zz"}
+        gens[0] = dataclasses.replace(first, members=members)
+    with pytest.raises(TypedTopoError) as built:
+        space_mod.generate_topology(gens, street5.poset, street5.points)
+    doc = space_mod.space_to_json(dataclasses.replace(street5, generators=tuple(gens)))
+    path = tmp_path / "generators.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, "validate", str(path)) == (code, "", f"tts validate: {built.value}\n")
+
+
+# ---------------------------------------------------------------------------
+# one context per loaded space
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("nbhd", "--x", "a1"),
+    ("dense",),
+    ("connect", "--x", "a1", "--y", "b3"),
+])
+def test_a_query_builds_one_context_and_compares_none(capsys, monkeypatch, argv):
+    made, compared = [], []
+    init, eq = Context.__init__, Context.__eq__
+    monkeypatch.setattr(Context, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(Context, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    code, _, err = _run(capsys, argv[0], STREET2X3, "--chain", C_RIGHT6, *argv[1:], "--stable")
+    assert code == 0, err
+    assert (len(made), len(compared)) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the shell entry point
+# ---------------------------------------------------------------------------
+
+
+def _shell(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "typedtopo.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, check=False,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", STREET5, "--strict", "--stable"),
+    ("nbhd", STREET5, "--chain", C_RIGHT5, "--x", "r3", "--stable"),
+])
+def test_shell_entry_point_matches_run(capsys, argv):
+    shell = _shell(*argv)
+    code, out, err = _run(capsys, *argv)
+    assert (shell.returncode, shell.stdout, shell.stderr) == (code, out, err)
+
+
+def test_shell_entry_point_reports_a_malformed_document(street5, tmp_path):
+    shell = _shell("validate", _malformed_path(street5, tmp_path, "open-without-type"))
+    assert (shell.returncode, shell.stdout) == (1, "")
+    assert shell.stderr == "tts validate: space document missing field 'type'\n"

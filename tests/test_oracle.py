@@ -61,7 +61,7 @@ def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
     g = genealogy5
     sigma = dict(g.sigma)
     sigma[g.full_mask] = g.sigma[g.mask_of(["C"])]
-    broken = TypedSpace(g.points, g.opens, sigma, g.poset, g.generators)
+    broken = TypedSpace(g.ctx, g.opens, sigma, g.generators)
     monkeypatch.setattr(
         space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
     )
@@ -82,7 +82,7 @@ def test_check_space_pinpoints_corruption(genealogy5):
     target = g.mask_of(["C"])
     sigma = dict(g.sigma)
     sigma[target] = g.sigma[g.mask_of(["C", "W"])]
-    broken = TypedSpace(g.points, g.opens, sigma, g.poset, g.generators)
+    broken = TypedSpace(g.ctx, g.opens, sigma, g.generators)
     rep = check_space(broken)
     assert not rep.ok
     failed = rep.failed()

@@ -100,7 +100,7 @@ def test_validation_passes_on_fixtures(genealogy5, street5, street2x3):
 def _with_sigma(sp: TypedSpace, replacements: dict) -> TypedSpace:
     sigma = dict(sp.sigma)
     sigma.update(replacements)
-    return TypedSpace(sp.points, sp.opens, sigma, sp.poset, sp.generators)
+    return TypedSpace(sp.ctx, sp.opens, sigma, sp.generators)
 
 
 def test_validation_flags_top_type(genealogy5):
@@ -132,7 +132,7 @@ def _without(sp: TypedSpace, drop=(), untyped=()) -> TypedSpace:
     """``sp`` less the opens ``drop``, with the opens ``untyped`` left untyped."""
     opens = sp.opens - set(drop)
     sigma = {m: t for m, t in sp.sigma.items() if m in opens and m not in untyped}
-    return TypedSpace(sp.points, opens, sigma, sp.poset, sp.generators)
+    return TypedSpace(sp.ctx, opens, sigma, sp.generators)
 
 
 def test_validation_flags_missing_empty_and_whole_set(street5):
@@ -221,6 +221,26 @@ def test_replace_gives_a_cold_index(street5):
     assert space.strictness(copy) == space.strictness(street5)
 
 
+def test_a_space_owns_the_context_of_its_types(street2x3):
+    """Built, loaded, strictified and replaced spaces type every open in ``sp.ctx``."""
+    assert [f.name for f in dataclasses.fields(TypedSpace)] == [
+        "ctx", "opens", "sigma", "generators",
+    ]
+    loaded = [space.load_space(FIXTURES / f"{name}.json")
+              for name in ("genealogy5", "street5", "street2x3")]
+    for sp in loaded:
+        assert all(g.type_term.ctx is sp.ctx for g in sp.generators)
+    table = ingest.build_table(ingest.read_table_dataset(
+        (FIXTURES / "datasets" / "fees.csv").read_text(),
+        (FIXTURES / "datasets" / "fees_predicates.json").read_text(),
+    ), apply_strictify=True)
+    copy = dataclasses.replace(loaded[2])
+    assert copy.ctx is loaded[2].ctx
+    for sp in (*loaded, street2x3, table, copy):
+        assert (sp.points, sp.poset) == (sp.ctx.points, sp.ctx.poset)
+        assert all(t.ctx is sp.ctx for t in sp.sigma.values())
+
+
 def test_strictness_on_fixtures(genealogy5, street5):
     assert is_strictly_typed(genealogy5).strict
     assert is_strictly_typed(street5).strict
@@ -232,7 +252,7 @@ def _degenerate_space() -> TypedSpace:
     ctx = Context(poset, pts)
     gx = parse_type_expr("g & @x", ctx)
     sigma = {0: ctx.bottom(), 1: gx, 3: gx, 7: parse_type_expr("g", ctx)}
-    return TypedSpace(pts, frozenset(sigma), sigma, poset, ())
+    return TypedSpace(ctx, frozenset(sigma), sigma, ())
 
 
 def test_strictness_counterexample():
@@ -377,8 +397,8 @@ def _perturbed(rng, sp: TypedSpace) -> TypedSpace:
         opens.discard(rng.choice(sorted(sp.opens)))
     elif mode == 2:
         del sigma[rng.choice(sorted(sp.opens))]
-    return TypedSpace(sp.points, frozenset(opens), {m: sigma[m] for m in opens if m in sigma},
-                      sp.poset, sp.generators)
+    return TypedSpace(sp.ctx, frozenset(opens), {m: sigma[m] for m in opens if m in sigma},
+                      sp.generators)
 
 
 @given(st.integers(0, 2**32))
@@ -473,7 +493,7 @@ def test_strictify_cannot_fix_top_level_tie():
     ctx = Context(poset, pts)
     g = parse_type_expr("g", ctx)
     sigma = {0: ctx.bottom(), 1: g, 3: g}
-    sp = TypedSpace(pts, frozenset(sigma), sigma, poset, ())
+    sp = TypedSpace(ctx, frozenset(sigma), sigma, ())
     assert not is_strictly_typed(sp).strict
     with pytest.raises(SpaceValidationError):
         strictify(sp)
