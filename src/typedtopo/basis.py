@@ -3,7 +3,13 @@
 For an anchor type ``p``, the family of opens typed at or above ``p`` has a
 canonical base: the members that cannot be written as a union of two other
 family members. Every family member is the union of the base members inside
-it, which is asserted at decomposition time.
+it, which `oracle.check_space` replays as its anchored decomposition.
+
+Such a family is the opens of a realized-type bitset (`space.RealizedTypes`),
+and so is every pool the chain bases draw on. `irreducibles` is the one
+routine that decides irreducible members: it memoizes them per space by
+that int row, so the anchored families, the chain bases and the oracle
+share each decision.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice, space as space_mod
-from .errors import InvariantViolationError, PreconditionError
+from .errors import PreconditionError
 from .lattice import TypeTerm
 from .space import TypedSpace
 
@@ -36,17 +42,25 @@ class TypedFamily:
         return len(self.members)
 
 
-def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
-    """All opens whose type dominates ``p`` (optionally through a point)."""
+def _above_row(space: TypedSpace, p: TypeTerm) -> int:
+    """The realized types at or above the anchor ``p``, as a bitset."""
     if p.is_bottom:
         raise PreconditionError("anchor BOT would select every open vacuously")
     space_mod.require_strict(space)
-    rt = space_mod.indexed_types(space)
-    members = rt.opens_in(rt.above(p))
+    return space_mod.realized_types(space).above(p)
+
+
+def _family(space: TypedSpace, p: TypeTerm, members: frozenset, at: Optional[str]) -> TypedFamily:
     if at is not None:
         bit = space.point_bit(at)
         members = frozenset(m for m in members if m & bit)
     return TypedFamily(space, p, members, at)
+
+
+def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
+    """All opens whose type dominates ``p`` (optionally through a point)."""
+    row = _above_row(space, p)
+    return _family(space, p, space_mod.realized_types(space).opens_in(row), at)
 
 
 def is_irreducible_in(pool, mask: int) -> bool:
@@ -68,10 +82,25 @@ def is_irreducible_in(pool, mask: int) -> bool:
     return not any((w | v) == mask for w, v in itertools.combinations(inside, 2))
 
 
+def irreducibles(space: TypedSpace, types: int) -> frozenset:
+    """The members of the opens typed in ``types`` that `is_irreducible_in` keeps.
+
+    ``types`` is a realized-type bitset of ``space`` (`space.RealizedTypes`).
+    The result is memoized on ``space.index.irreducibles``, keyed by that
+    int, so equal rows share one decision per member.
+    """
+    memo = space.index.irreducibles
+    got = memo.get(types)
+    if got is None:
+        pool = space_mod.realized_types(space).opens_in(types)
+        got = memo[types] = frozenset(m for m in pool if is_irreducible_in(pool, m))
+    return got
+
+
 def is_join_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
     """No two anchored opens other than the set itself union to it."""
     _check_anchored(space, open_mask, p)
-    return is_irreducible_in(opens_above(space, p).members, open_mask)
+    return open_mask in irreducibles(space, _above_row(space, p))
 
 
 def is_meet_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
@@ -93,30 +122,4 @@ def _check_anchored(space: TypedSpace, open_mask: int, p: TypeTerm) -> None:
 
 def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
     """The join-irreducible members of `opens_above` (the family's base)."""
-    members = opens_above(space, p).members
-    irr = {u for u in members if is_irreducible_in(members, u)}
-    if at is not None:
-        bit = space.point_bit(at)
-        irr = {m for m in irr if m & bit}
-    return TypedFamily(space, p, frozenset(irr), at)
-
-
-def join_decompose(space: TypedSpace, open_mask: int, p: TypeTerm) -> tuple[int, ...]:
-    """All irreducible anchored opens inside the set; their union is the set.
-
-    A union shortfall would contradict the base property of strictly typed
-    spaces, so it is surfaced as an invariant violation rather than patched.
-    """
-    _check_anchored(space, open_mask, p)
-    space_mod.require_strict(space)
-    base = irreducibles_above(space, p)
-    parts = tuple(sorted(m for m in base.members if (m & open_mask) == m))
-    covered = 0
-    for m in parts:
-        covered |= m
-    if covered != open_mask:
-        raise InvariantViolationError(
-            "irreducible members fail to cover the open",
-            witness=(space.ids_of(open_mask), [space.ids_of(m) for m in parts]),
-        )
-    return parts
+    return _family(space, p, irreducibles(space, _above_row(space, p)), at)

@@ -18,7 +18,9 @@ system of every point.
 The pools are mask algebra over the realized types' int bitset rows
 (`space.RealizedTypes`): a chain pool is the opens of
 ``visible(support) & OR(above(lo) & below(hi))`` over the consecutive level
-pairs, an anchored pool the opens of ``visible(support) & above(level)``.
+pairs. The irreducible members above a lower level are those of the row
+``visible(support) & above(level)``, read from `basis.irreducibles`, whose
+memo on ``space.index`` is keyed by that row.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from . import lattice, space as space_mod
 from .errors import InvariantViolationError, PreconditionError
 from .lattice import Context, TypeTerm
 from .space import TypedSpace, realized_types
-from .basis import TypedFamily, is_irreducible_in
+from .basis import TypedFamily, irreducibles
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
 
 
 def _pool_members(space: TypedSpace, chain: TypeChain) -> frozenset:
-    rt = space_mod.indexed_types(space)
+    rt = realized_types(space)
     sandwiched = 0
     for lo, hi in chain.pairs():
         sandwiched |= rt.above(lo) & rt.below(hi)
@@ -107,39 +109,25 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     return got
 
 
-def anchored_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
-    """Visible opens whose type dominates ``level`` (irreducibility universe)."""
-    rt = space_mod.indexed_types(space)
-    return rt.opens_in(rt.visible(chain.support()) & rt.above(level))
-
-
-def _irreducible_pool(space: TypedSpace, chain: TypeChain, level: TypeTerm) -> frozenset:
-    cache = space.index.irreducible_pools
-    key = (level, chain.support())
-    got = cache.get(key)
-    if got is None:
-        pool = anchored_pool(space, chain, level)
-        got = frozenset(m for m in pool if is_irreducible_in(pool, m))
-        cache[key] = got
-    return got
-
-
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """Sandwiched visible opens irreducible above some lower chain level.
 
     The irreducibility level ranges over every lower level whose value lies
     below the member's type; it is not tied to the sandwiching index. The
-    irreducible pool of a level holds only opens typed above it, so the
-    base is the chain pool met with the union of those pools. Computed
-    once per chain and space, and memoized on ``space.index``.
+    irreducibles of a level's visible row hold only opens typed above it,
+    so the base is the chain pool met with their union. Computed once per
+    chain and space, and memoized on ``space.index``.
     """
     bases = space.index.base_pools
     got = bases.get(chain)
     if got is None:
+        pool = chain_pool(space, chain)
+        rt = realized_types(space)
+        visible = rt.visible(chain.support())
         irreducible = frozenset().union(
-            *(_irreducible_pool(space, chain, lo) for lo in chain.levels[:-1])
+            *(irreducibles(space, visible & rt.above(lo)) for lo in chain.levels[:-1])
         )
-        got = bases[chain] = chain_pool(space, chain) & irreducible
+        got = bases[chain] = pool & irreducible
     return got
 
 
@@ -222,7 +210,7 @@ def _generator_chain_union(space: TypedSpace, gen: str) -> frozenset:
     got = unions.get(gen)
     if got is None:
         top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-        rt = space_mod.indexed_types(space)
+        rt = realized_types(space)
         under_top = rt.below(top)
         levels = [top] + [
             t

@@ -83,7 +83,7 @@ class Poset:
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-        for a, b in rel:
+        for a, b in sorted(rel):
             if a != b and (b, a) in rel:
                 raise PreconditionError(f"order is not antisymmetric: {a!r} <= {b!r} <= {a!r}")
         object.__setattr__(self, "elements", elems)
@@ -242,10 +242,10 @@ class _Code:
 def _mask(bits: dict, names, what: str) -> int:
     mask = 0
     for name in names:
-        bit = bits.get(name)
-        if bit is None:
-            raise UnknownSymbolError(f"unknown {what} {name!r}")
-        mask |= bit
+        try:
+            mask |= bits[name]
+        except (KeyError, TypeError):  # TypeError: a name of an unhashable type
+            raise UnknownSymbolError(f"unknown {what} {name!r}") from None
     return mask
 
 
@@ -573,8 +573,6 @@ def upward_filter(t: TypeTerm, candidates: Sequence[TypeTerm]) -> list[TypeTerm]
 # parsing and serialization
 # ---------------------------------------------------------------------------
 
-_RESERVED = {"BOT", "TOP"}
-
 
 def _tokenize(text: str):
     tokens = []
@@ -710,16 +708,22 @@ def term_to_json(t: TypeTerm):
 def term_from_json(ctx: Context, obj) -> TypeTerm:
     """The canonical term of a `term_to_json` document, read into cubes directly.
 
-    Documents may be hand-written, so the cubes are canonicalized. A
-    malformed literal anywhere raises `PreconditionError` before an unknown
-    name raises `UnknownSymbolError`.
+    Documents may be hand-written, so the cubes are canonicalized. Clauses
+    that are not a list of lists, or a malformed literal anywhere, raise
+    `PreconditionError` before an unknown name, or a name that is not a
+    string, raises `UnknownSymbolError`.
     """
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad term encoding: {obj!r}")
     if obj.get("top"):
         return ctx.top()
     clauses = []
-    for lits in obj.get("clauses", []):
+    listed = obj.get("clauses", [])
+    if not isinstance(listed, list):
+        raise PreconditionError(f"bad term encoding: {obj!r}")
+    for lits in listed:
+        if not isinstance(lits, list):
+            raise PreconditionError(f"bad clause encoding: {lits!r}")
         gens, pos, neg = [], [], []
         for entry in lits:
             if not isinstance(entry, dict):

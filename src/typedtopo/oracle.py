@@ -19,14 +19,13 @@ Budgets make the exponential cost explicit: exceeding one raises
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import basis, chains as chains_mod, connect as connect_mod, lattice
 from . import space as space_mod
 from .chains import TypeChain
-from .errors import OracleSkip, PreconditionError
+from .errors import OracleSkip
 from .space import TypedSpace, realized_types
 
 DEFAULT_DENSE_POINTS = 12
@@ -34,24 +33,11 @@ DEFAULT_CONNECT_POINTS = 10
 MAX_SUBSETS = 1 << 20
 
 
-def _env_points(default: int) -> int:
-    """The point budget from ``TTS_BUDGET_POINTS``, else ``default``."""
-    raw = os.environ.get("TTS_BUDGET_POINTS")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(
-            f"TTS_BUDGET_POINTS must be an integer, got {raw!r}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     """Hard limits for the exhaustive searches."""
 
-    max_points: int = field(default_factory=lambda: _env_points(DEFAULT_DENSE_POINTS))
+    max_points: int = DEFAULT_DENSE_POINTS
 
     def __post_init__(self):
         if self.max_points <= 0:
@@ -116,7 +102,7 @@ def exhaustive_connected(
     never covered by two pool opens and the separation test degenerates;
     restricting to supported subsets keeps the notion meaningful.
     """
-    budget = budget or SearchBudget(max_points=_env_points(DEFAULT_CONNECT_POINTS))
+    budget = budget or SearchBudget(max_points=DEFAULT_CONNECT_POINTS)
     n = len(space.points)
     if n > budget.max_points:
         raise OracleSkip(
@@ -398,7 +384,6 @@ def check_space(space: TypedSpace) -> CheckReport:
     # connectivity of irreducible base members, anchored family members, and
     # pure single-generator members
     bad_base, bad_anchor, bad_pure = [], [], []
-    irreducibles = {}  # first-level anchored pool -> its irreducible members
     for chain in chain_list:
         pool = sorted(chains_mod.chain_pool(space, chain))
         disjoint = [
@@ -411,23 +396,15 @@ def check_space(space: TypedSpace) -> CheckReport:
                     return (ids(u), ids(v))
             return None
 
-        p0 = chain.levels[0]
-        anchored0 = chains_mod.anchored_pool(space, chain, p0)
-        irr0 = irreducibles.get(anchored0)
-        if irr0 is None:
-            irr0 = irreducibles[anchored0] = frozenset(
-                m for m in anchored0 if chains_mod.is_irreducible_in(anchored0, m)
-            )
-        for m in chains_mod.chain_base_pool(space, chain):
-            if m in irr0:
-                w = separated(m)
-                if w:
+        visible = rt.visible(chain.support())
+        irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
+        base = chains_mod.chain_base_pool(space, chain)
+        for m in irr0:
+            w = separated(m)
+            if w:
+                bad_anchor.append((chain.text(), ids(m), w))
+                if m in base:
                     bad_base.append((chain.text(), ids(m), w))
-        for m in anchored0:
-            if m in irr0:
-                w = separated(m)
-                if w:
-                    bad_anchor.append((chain.text(), ids(m), w))
     results.append(
         CheckResult(
             "base-connectivity",

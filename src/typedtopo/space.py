@@ -113,8 +113,9 @@ class TypedSpace:
         return 1 << self.point_index(point)
 
     def mask_of(self, ids: Iterable[str]) -> int:
+        """The bits of ``ids``; of several unknown ids, the first sorted one raises."""
         m = 0
-        for p in ids:
+        for p in sorted(ids):
             m |= self.point_bit(p)
         return m
 
@@ -295,28 +296,30 @@ class SpaceIndex:
     `dataclasses.replace` starts with a fresh one. The index keeps no
     reference to its space, so it dies with it. Validation records the
     strictness verdict; it and the realized types are read through
-    `strictness` and `indexed_types`, which take the owning space. The
+    `strictness` and `realized_types`, which take the owning space. The
     realized types memoize their own order and visibility rows, int bitsets
-    over the type indexes. `chains` fills four memos: the pools of
-    `chain_pool` and the bases of `chain_base_pool`, keyed by the chain (a
-    frozen dataclass of canonical terms, so equal chains share an entry);
-    the irreducible pools, keyed by level term and support; and, keyed by
-    generator name, the union of the chain pools over that generator's
-    realized-level chains, which the cross-check of
+    over the type indexes, and such a row is the one key of
+    ``irreducibles``: `basis.irreducibles` keeps there the join-irreducible
+    members of the opens a row selects, whether an anchored family or a
+    chain level's visible pool asked for them. `chains` fills three memos:
+    the pools of `chain_pool` and the bases of `chain_base_pool`, keyed by
+    the chain (a frozen dataclass of canonical terms, so equal chains share
+    an entry); and, keyed by generator name, the union of the chain pools
+    over that generator's realized-level chains, which the cross-check of
     `chains.generator_neighborhoods` masks by each point's bit.
     """
 
     __slots__ = (
-        "strict_report", "realized", "chain_pools", "base_pools", "irreducible_pools",
+        "strict_report", "realized", "irreducibles", "chain_pools", "base_pools",
         "generator_unions",
     )
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
         self.realized: Optional[RealizedTypes] = None
+        self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
         self.chain_pools: dict = {}  # TypeChain -> frozenset of masks
         self.base_pools: dict = {}  # TypeChain -> frozenset of masks
-        self.irreducible_pools: dict = {}  # (level term, support) -> frozenset
         self.generator_unions: dict = {}  # generator name -> frozenset of masks
 
 
@@ -391,7 +394,7 @@ def _check_generators(ctx: Context, specs: Sequence[GeneratorSpec]) -> None:
         seen.add(s.name)
         if s.type_term.ctx is not ctx and s.type_term.ctx != ctx:
             raise PreconditionError(f"generator {s.name!r} typed in a foreign context")
-        for p in s.members:
+        for p in sorted(s.members):
             if p not in ctx.point_set:
                 raise UnknownPointError(f"generator {s.name!r} uses unknown point {p!r}")
         if not s.members:
@@ -553,23 +556,19 @@ class RealizedTypes:
 
 
 def realized_types(space: TypedSpace) -> RealizedTypes:
-    buckets: dict[TypeTerm, list[int]] = {}
-    for m in space.opens:
-        if m:
-            buckets.setdefault(space.sigma[m], []).append(m)
-    terms = tuple(sorted(buckets, key=TypeTerm.sort_key))
-    return RealizedTypes(
-        terms,
-        tuple(tuple(sorted(buckets[t])) for t in terms),
-        tuple(t.generators() for t in terms),
-    )
-
-
-def indexed_types(space: TypedSpace) -> RealizedTypes:
-    """`realized_types`, computed once per space."""
+    """The realized types of ``space``, built once and kept on ``space.index``."""
     idx = space.index
     if idx.realized is None:
-        idx.realized = realized_types(space)
+        buckets: dict[TypeTerm, list[int]] = {}
+        for m in space.opens:
+            if m:
+                buckets.setdefault(space.sigma[m], []).append(m)
+        terms = tuple(sorted(buckets, key=TypeTerm.sort_key))
+        idx.realized = RealizedTypes(
+            terms,
+            tuple(tuple(sorted(buckets[t])) for t in terms),
+            tuple(t.generators() for t in terms),
+        )
     return idx.realized
 
 
@@ -602,42 +601,66 @@ def space_to_json(space: TypedSpace) -> dict:
     }
 
 
-def _field(doc, key: str):
-    """``doc[key]`` of an object in a space document, else `SpaceValidationError`."""
+def _field(doc, key: str, kind: type, default=None):
+    """``doc[key]`` of an object in a space document, checked to be a ``kind``.
+
+    A missing field takes ``default`` if there is one; otherwise, like a
+    value of another type, it raises `SpaceValidationError`.
+    """
     if not isinstance(doc, dict):
         raise SpaceValidationError(f"space document: expected an object, got {type(doc).__name__}")
     if key not in doc:
-        raise SpaceValidationError(f"space document missing field {key!r}")
-    return doc[key]
+        if default is None:
+            raise SpaceValidationError(f"space document missing field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise SpaceValidationError(
+            f"space document: field {key!r} is not a {kind.__name__}: {value!r}"
+        )
+    return value
+
+
+def _names(doc, key: str) -> list:
+    """``doc[key]``, checked to be a list of point or generator names."""
+    names = _field(doc, key, list)
+    if not all(isinstance(name, str) for name in names):
+        raise SpaceValidationError(
+            f"space document: field {key!r} is not a list of names: {names!r}"
+        )
+    return names
 
 
 def space_from_json(obj: dict) -> TypedSpace:
-    points = tuple(_field(obj, "points"))
-    poset_doc = _field(obj, "poset")
-    elements, pairs = _field(poset_doc, "elements"), _field(poset_doc, "leq")
+    points = tuple(_names(obj, "points"))
+    poset_doc = _field(obj, "poset", dict)
+    elements, pairs = _names(poset_doc, "elements"), _field(poset_doc, "leq", list)
     for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        named = isinstance(pair, list) and all(isinstance(g, str) for g in pair)
+        if not named or len(pair) != 2:
             raise SpaceValidationError(f"space document: poset order entry {pair!r} is not a pair")
     ctx = Context(Poset(elements, [tuple(p) for p in pairs]), points)
     bit = {p: 1 << i for i, p in enumerate(points)}
     sigma: dict[int, TypeTerm] = {}
     opens = set()
-    for entry in obj.get("opens", []):
+    for entry in _field(obj, "opens", list, []):
+        ids = _field(entry, "set", list)
         mask = 0
-        for p in _field(entry, "set"):
-            if p not in bit:
-                raise UnknownPointError(f"open uses unknown point {p!r}")
-            mask |= bit[p]
+        for p in ids:
+            try:
+                mask |= bit[p]
+            except (KeyError, TypeError):  # TypeError: a point of an unhashable type
+                raise UnknownPointError(f"open uses unknown point {p!r}") from None
         if mask in opens:
-            raise SpaceValidationError(f"duplicate open {sorted(entry['set'])}")
+            raise SpaceValidationError(f"duplicate open {sorted(ids)}")
         opens.add(mask)
-        sigma[mask] = lattice.term_from_json(ctx, _field(entry, "type"))
+        sigma[mask] = lattice.term_from_json(ctx, _field(entry, "type", dict))
     generators = tuple(
         GeneratorSpec(
-            _field(g, "name"), frozenset(_field(g, "set")),
-            lattice.term_from_json(ctx, _field(g, "type")),
+            _field(g, "name", str), frozenset(_names(g, "set")),
+            lattice.term_from_json(ctx, _field(g, "type", dict)),
         )
-        for g in obj.get("generators", [])
+        for g in _field(obj, "generators", list, [])
     )
     _check_generators(ctx, generators)
     return _validated(

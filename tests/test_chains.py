@@ -124,7 +124,7 @@ def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
     assert street5.index.chain_pools and street5.index.base_pools
     copy = dataclasses.replace(street5)
     idx = copy.index
-    assert not (idx.chain_pools or idx.base_pools or idx.irreducible_pools)
+    assert not (idx.chain_pools or idx.base_pools or idx.irreducibles)
     assert chains.chain_base_pool(copy, c_right5) == base
     assert set(idx.chain_pools) == set(idx.base_pools) == {c_right5}
 
@@ -153,7 +153,7 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
         lattice.TypeTerm, "sort_key", counted("sort_key", lattice.TypeTerm.sort_key)
     )
     chains.chain_base(sp, sp.points[0], chain)
-    t = len(space.indexed_types(sp))
+    t = len(space.realized_types(sp))
     assert 0 < calls["leq"] <= 2 * (chain.k - 1) * t
     assert calls["sort_key"] <= t
 
@@ -350,7 +350,7 @@ def _random_chain(rng, sp):
 
 
 def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
-    """Pools, anchored pools and bases against per-open `lattice.leq` scans."""
+    """Pools, anchored pools, their irreducibles and bases against per-open scans."""
     rng = random.Random(8)
     spaces = [genealogy5, street5, street2x3]
     while len(spaces) < 12:
@@ -360,23 +360,29 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
     checked = 0
     for sp in spaces:
         sp = dataclasses.replace(sp)
+        rt = realized_types(sp)
         drawn = [random_realized_chain(rng, sp) for _ in range(4)]
         drawn += [_random_chain(rng, sp) for _ in range(6)]
         for chain in filter(None, drawn):
             assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
             for level in chain.levels:
-                got = chains.anchored_pool(sp, chain, level)
-                assert got == _reference_anchored(sp, chain, level)
+                row = rt.visible(chain.support()) & rt.above(level)
+                anchored = _reference_anchored(sp, chain, level)
+                assert rt.opens_in(row) == anchored
+                assert basis.irreducibles(sp, row) == {
+                    m for m in anchored if pairwise_irreducible(anchored, m)
+                }
             assert chains.chain_base_pool(sp, chain) == _reference_base(sp, chain)
             checked += 1
     assert checked >= 80
 
 
-def test_check_space_decides_irreducibility_at_most_1062_times(monkeypatch, street5):
-    """The union pre-test and one decision per distinct anchored pool.
+def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5):
+    """The union pre-test and one decision per member of each distinct row.
 
-    Measured on STREET5: 1,062 calls, where per-member and per-chain
-    decisions without the pre-test made 13,949.
+    Measured on STREET5: 409 calls. Per-member and per-chain decisions
+    without the pre-test made 13,949, and one memo per anchored pool beside
+    per-call decisions for each anchor made 1,062.
     """
     calls = []
     test = basis.is_irreducible_in
@@ -386,6 +392,5 @@ def test_check_space_decides_irreducibility_at_most_1062_times(monkeypatch, stre
         return test(pool, mask)
 
     monkeypatch.setattr(basis, "is_irreducible_in", counted)
-    monkeypatch.setattr(chains, "is_irreducible_in", counted)
     assert oracle.check_space(dataclasses.replace(street5)).ok
-    assert 0 < len(calls) <= 1062
+    assert 0 < len(calls) <= 409

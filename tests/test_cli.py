@@ -3,7 +3,10 @@
 Exit codes, report shape, --stable, -o, and malformed space documents.
 """
 import argparse
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import C_ANC5, C_RIGHT5, C_RIGHT6
 from typedtopo import basis, chains, cli, closure, connect, ingest, oracle, space as space_mod
@@ -286,18 +290,8 @@ def test_non_positive_budget_fails_loudly(capsys, argv):
     assert "budgets must be positive" in err
 
 
-def test_malformed_budget_variable_fails_loudly(capsys, monkeypatch):
-    monkeypatch.setenv("TTS_BUDGET_POINTS", "twelve")
-    code, out, err = _run(capsys, "connect", STREET5, "--chain", C_RIGHT5,
-                          "--x", "r2", "--y", "r4", "--stable")
-    assert code == 2
-    assert out == ""
-    assert "TTS_BUDGET_POINTS" in err
-
-
-def test_connect_without_budget_applies_the_connectivity_default(capsys, monkeypatch, tmp_path):
+def test_connect_without_budget_applies_the_connectivity_default(capsys, tmp_path):
     """11 points: over the connectivity search's default budget, not the dense one's."""
-    monkeypatch.delenv("TTS_BUDGET_POINTS", raising=False)
     people = [f"p{i}" for i in range(11)]
     heap = tuple((people[(k - 1) // 2], people[k]) for k in range(1, 11))
     path = tmp_path / "tree11.json"
@@ -376,6 +370,8 @@ MALFORMED = {  # case -> (exit code, message)
     "string-literal": (2, "bad literal encoding: 'gen'"),
     "one-element-order-pair": (1, "space document: poset order entry ['right'] is not a pair"),
     "list-document": (1, "space document: expected an object, got list"),
+    "number-points": (1, "space document: field 'points' is not a list: 5"),
+    "string-set": (1, "space document: field 'set' is not a list: 'r1'"),
 }
 
 
@@ -391,6 +387,10 @@ def _malformed_path(street5, tmp_path, case) -> str:
         doc["opens"][1]["type"]["clauses"][0].insert(0, "gen")
     elif case == "one-element-order-pair":
         doc["poset"]["leq"] = [["right"]]
+    elif case == "number-points":
+        doc["points"] = 5
+    elif case == "string-set":
+        doc["opens"][1]["set"] = "r1"
     else:
         doc = [doc]
     path = tmp_path / f"{case}.json"
@@ -404,6 +404,83 @@ def test_malformed_document_fails_through_the_contract(capsys, street5, tmp_path
     code, message = MALFORMED[case]
     got = _run(capsys, "validate", _malformed_path(street5, tmp_path, case))
     assert got == (code, "", f"tts validate: {message}\n")
+
+
+def _json_paths(node, at=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _json_paths(child, at + (key,))
+
+
+def _strings(node) -> set:
+    """The field names and string values inside a JSON document."""
+    if isinstance(node, str):
+        return {node}
+    if isinstance(node, dict):
+        return set(node).union(*map(_strings, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_strings, node))
+    return set()
+
+
+FIXTURE_DOCS = [json.loads(Path(p).read_text()) for p in (GENEALOGY5, STREET5, STREET2X3)]
+OTHER_JSON = [None, True, 5, 1.5, "r1", "right", [], ["r1"], {}, {"gen": "right"}]
+# the fixtures' field names, points, generators and literal kinds, and one unknown name
+NAMES = sorted(set().union(*map(_strings, FIXTURE_DOCS)) | {"zz"})
+
+
+@st.composite
+def _mutants(draw):
+    """A fixture document with one to three fields, points or literals mutated.
+
+    Each mutation drops a value, gives it another JSON type, duplicates it
+    (a list item in place, a field over a sibling field) or renames it (a
+    string value, or else its field).
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["drop", "retype", "duplicate", "rename"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = draw(st.sampled_from(OTHER_JSON))
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "duplicate":
+            parent[draw(st.sampled_from(sorted(parent)))] = copy.deepcopy(parent[key])
+        elif isinstance(parent[key], str) or isinstance(parent, list):
+            parent[key] = draw(st.sampled_from(NAMES))
+        else:
+            parent[draw(st.sampled_from(NAMES))] = parent.pop(key)
+    return doc
+
+
+@given(_mutants())
+@settings(max_examples=150, deadline=None)
+def test_property_mutated_documents_fail_through_the_contract(tmp_path_factory, doc):
+    """Any mutant loads or fails with a contract exit code and one stderr line."""
+    path = tmp_path_factory.mktemp("mutant") / "space.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["validate", str(path), "--stable"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) <= 1 and all(line.startswith("tts validate: ") for line in lines)
+    assert (code == 0) == (not lines)
 
 
 @pytest.mark.parametrize("fault, code", [("duplicate", 2), ("empty", 2), ("unknown-point", 3)])
@@ -448,8 +525,10 @@ def test_a_query_builds_one_context_and_compares_none(capsys, monkeypatch, argv)
 # ---------------------------------------------------------------------------
 
 
-def _shell(*argv):
+def _shell(*argv, hash_seed=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "typedtopo.cli", *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, check=False,
@@ -470,3 +549,28 @@ def test_shell_entry_point_reports_a_malformed_document(street5, tmp_path):
     shell = _shell("validate", _malformed_path(street5, tmp_path, "open-without-type"))
     assert (shell.returncode, shell.stdout) == (1, "")
     assert shell.stderr == "tts validate: space document missing field 'type'\n"
+
+
+def test_stable_output_does_not_depend_on_the_hash_seed(street5, tmp_path):
+    """Of several unknown points or order cycles, the first in sorted order is reported."""
+    doc = space_mod.space_to_json(street5)
+    doc["generators"][0]["set"] += ["zz", "qq", "yy", "xx"]
+    bad_generator = tmp_path / "generator.json"
+    bad_generator.write_text(json.dumps(doc))
+    doc = space_mod.space_to_json(street5)
+    doc["poset"]["leq"] = [["right", "left"], ["left", "right"]]
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps(doc))
+    cases = [
+        (("connect", STREET5, "--chain", "right ; right", "--set", "zz,qq,yy,xx", "--stable"),
+         3, "tts connect: unknown point 'qq'\n"),
+        (("validate", str(bad_generator), "--stable"),
+         3, "tts validate: generator 'street_mainst' uses unknown point 'qq'\n"),
+        (("validate", str(cycle), "--stable"),
+         2, "tts validate: order is not antisymmetric: 'left' <= 'right' <= 'left'\n"),
+        (("connect", STREET5, "--chain", C_RIGHT5, "--set", "r4,r2,r5", "--stable"), 0, ""),
+    ]
+    for argv, code, err in cases:
+        runs = [_shell(*argv, hash_seed=seed) for seed in ("1", "2")]
+        assert [(r.returncode, r.stderr) for r in runs] == [(code, err)] * 2
+        assert runs[0].stdout == runs[1].stdout

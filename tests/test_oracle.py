@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from typedtopo import chains, closure, connect, oracle, space
-from typedtopo.errors import OracleSkip, PreconditionError
+from typedtopo.errors import OracleSkip
 from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace
 
@@ -46,14 +48,6 @@ def test_budget_skips(street5, c_right5):
         exhaustive_connected(street5, c_right5, "r2", "r4", SearchBudget(max_points=3))
     with pytest.raises(OracleSkip):
         SearchBudget(max_points=0)
-
-
-def test_malformed_budget_variable_raises(monkeypatch):
-    monkeypatch.setenv("TTS_BUDGET_POINTS", "12 points")
-    with pytest.raises(PreconditionError):
-        SearchBudget()
-    monkeypatch.setenv("TTS_BUDGET_POINTS", "4")
-    assert SearchBudget().max_points == 4
 
 
 def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
@@ -134,3 +128,14 @@ def test_realized_chains_read_one_order_row_per_usable_level(monkeypatch, street
     got = list(oracle._realized_chains(street5))
     assert [c.levels for c in got] == [tuple(rt.terms[i] for i in ix) for ix in reference]
     assert 0 < len(reads) <= len(rt) == 31
+
+
+@pytest.mark.parametrize("fixture", ["genealogy5", "street5", "street2x3"])
+def test_check_space_builds_realized_types_once(request, monkeypatch, fixture):
+    """The oracle, the chains and the bases all read the memo on ``space.index``."""
+    init = space.RealizedTypes.__init__
+    builds = []
+    monkeypatch.setattr(space.RealizedTypes, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    assert check_space(dataclasses.replace(request.getfixturevalue(fixture))).ok
+    assert len(builds) == 1

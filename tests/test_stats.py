@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from typedtopo import chains, ingest, lattice, space, stats
+from typedtopo import ingest, lattice, space, stats
 from typedtopo.errors import NoVarianceError, PreconditionError
 from typedtopo.ingest import CommunityDataset, GenealogyDataset
 from typedtopo.stats import pair_key, score_table
@@ -72,15 +72,10 @@ def test_family_sizes_cross_street_ray_unions_count():
 
 
 def test_family_sizes_build_realized_types_once(monkeypatch, street2x3):
-    build = space.realized_types
+    init = space.RealizedTypes.__init__
     builds = []
-
-    def counted(sp):
-        builds.append(sp)
-        return build(sp)
-
-    monkeypatch.setattr(space, "realized_types", counted)
-    monkeypatch.setattr(chains, "realized_types", counted)
+    monkeypatch.setattr(space.RealizedTypes, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
     stats.family_size_scores(dataclasses.replace(street2x3), "right")
     assert len(builds) == 1
 
