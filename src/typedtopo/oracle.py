@@ -12,6 +12,10 @@ logic of the operations they judge:
   points (independent of the overlap-graph search in `connect`);
 * `check_space` replays the structural theorems of the domain over a whole
   space, listing each check with its quantifier ranges and counterexamples.
+  Its chain theorems are decided in one pass per realized chain over the
+  int mask rows of the chain's pool and base. It reads those pools from
+  `chains`, and so judges them, but decides every theorem by its own
+  mask algebra.
 
 Budgets make the exponential cost explicit: exceeding one raises
 `OracleSkip`, never a silent pass.
@@ -177,6 +181,15 @@ def _realized_chains(space: TypedSpace):
                     yield TypeChain((terms[i], terms[j], terms[k]))
 
 
+def _covered(members, u: int) -> int:
+    """The union of the ``members`` that lie inside ``u``."""
+    covered = 0
+    for m in members:
+        if (m & u) == m:
+            covered |= m
+    return covered
+
+
 def check_space(space: TypedSpace) -> CheckReport:
     """Replay the structural properties of a typed space and its chains.
 
@@ -188,6 +201,15 @@ def check_space(space: TypedSpace) -> CheckReport:
     property and the pure-family membership claim for realized chains, the
     closure core identity, the unsupported-region identities, and the three
     connectivity statements.
+
+    The chain theorems are decided in one pass per realized chain over the
+    int masks of its pool and base, read once each. A pool member has a
+    base member inside it at each of its points iff the base members inside
+    it cover it; only a chain where one does not is walked point by point
+    for the counterexamples. One pass per point over the base gives its
+    core and the supported points, and the region identities compare masks.
+    The incompatible-forcing check reads the Bottom meets that the
+    type-mapping pair loop found, one representative open per type.
     """
     results = []
     sig = space.sigma
@@ -196,10 +218,15 @@ def check_space(space: TypedSpace) -> CheckReport:
     report = space_mod.validate_type_mapping(space)
     bad = [(f.code,) + tuple(f.witness) for f in report.failures]
     opens = sorted(m for m in space.opens if m in sig)
+    bottoms = set()  # open pairs u <= v whose types meet at Bottom
     for i, u in enumerate(opens):
         for v in opens[i:]:
-            if (u & v) in sig and not lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v])):
-                bad.append(("meet-bound", ids(u), ids(v)))
+            if (u & v) in sig:
+                meet = lattice.meet(sig[u], sig[v])
+                if meet.is_bottom:
+                    bottoms.add((u, v))
+                if not lattice.leq(sig[u & v], meet):
+                    bad.append(("meet-bound", ids(u), ids(v)))
             if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
                 bad.append(("join-bound", ids(u), ids(v)))
     type_ok = not bad
@@ -226,11 +253,14 @@ def check_space(space: TypedSpace) -> CheckReport:
     rt = realized_types(space)
     nonempty = space.nonempty_opens()
 
-    # incompatible forcing: disjoint-typed realized pairs never share a point
+    # incompatible forcing: disjoint-typed realized pairs never share a point;
+    # the opens are closed under intersection and typed, so the pair loop
+    # above met every two types' first opens
     bad = []
+    first = [ms[0] for ms in rt.opens_by_type]
     for i in range(len(rt)):
         for j in range(i + 1, len(rt)):
-            if not lattice.meet(rt.terms[i], rt.terms[j]).is_bottom:
+            if (min(first[i], first[j]), max(first[i], first[j])) not in bottoms:
                 continue
             for u in rt.opens_by_type[i]:
                 for v in rt.opens_by_type[j]:
@@ -265,11 +295,7 @@ def check_space(space: TypedSpace) -> CheckReport:
         fam = sorted(basis.opens_above(space, p).members)
         base = basis.irreducibles_above(space, p).members
         for u in fam:
-            covered = 0
-            for m in base:
-                if (m & u) == m:
-                    covered |= m
-            if covered != u:
+            if _covered(base, u) != u:
                 bad.append((lattice.format_term(p), ids(u)))
     results.append(
         CheckResult(
@@ -280,26 +306,69 @@ def check_space(space: TypedSpace) -> CheckReport:
         )
     )
 
+    # the chain theorems, one pass per chain: base property, closure core,
+    # unsupported region, and connectivity of irreducible base members and
+    # anchored family members
     chain_list = list(_realized_chains(space))
-
-    # base property: every sandwiched neighborhood contains a base member
-    bad = []
+    points = space.points
+    full = space.full_mask
+    bad_nbhd, bad_core, bad_region, bad_base, bad_anchor = [], [], [], [], []
     for chain in chain_list:
         pool = chains_mod.chain_pool(space, chain)
         base = chains_mod.chain_base_pool(space, chain)
-        for i, x in enumerate(space.points):
+        # every sandwiched neighborhood contains a base member at each point
+        if any(_covered(base, u) != u for u in pool):
+            for i, x in enumerate(points):
+                bit = 1 << i
+                for u in pool:
+                    if u & bit and not any((v & u) == v and (v & bit) for v in base):
+                        bad_nbhd.append((chain.text(), x, ids(u)))
+        # every nonempty base family has a least member, its core
+        supported = 0
+        for i, x in enumerate(points):
             bit = 1 << i
-            for u in pool:
-                if not (u & bit):
-                    continue
-                if not any((v & u) == v and (v & bit) for v in base):
-                    bad.append((chain.text(), x, ids(u)))
+            core = -1
+            for m in base:
+                if m & bit:
+                    core &= m
+            if core != -1:
+                supported |= bit
+                if core not in base:
+                    bad_core.append((chain.text(), x))
+        # the uncovered remainder is the unsupported region, which is closed
+        empty = full & ~supported
+        covered = free = 0
+        for m in base:
+            if m & supported:
+                covered |= m
+            if not m & empty:
+                free |= m
+        remainder = full & ~covered
+        if remainder != empty:
+            bad_region.append((chain.text(), "remainder", ids(remainder ^ empty)))
+        else:
+            cut_off = supported & ~free
+            bad_region += [(chain.text(), "not-closed", x)
+                           for i, x in enumerate(points) if cut_off >> i & 1]
+        # no first-level irreducible is split by two disjoint pool members
+        disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
+        if not disjoint:
+            continue
+        row = rt.visible(chain.support()) & rt.above(chain.levels[0])
+        for m in sorted(basis.irreducibles(space, row)):
+            for u, v in disjoint:
+                if (m & ~(u | v)) == 0 and (m & u) and (m & v):
+                    w = (ids(u), ids(v))
+                    bad_anchor.append((chain.text(), ids(m), w))
+                    if m in base:
+                        bad_base.append((chain.text(), ids(m), w))
+                    break
     results.append(
         CheckResult(
             "neighborhood-base",
-            f"{len(chain_list)} realized chains x {len(space.points)} points",
-            not bad,
-            tuple(bad[:5]),
+            f"{len(chain_list)} realized chains x {len(points)} points",
+            not bad_nbhd,
+            tuple(bad_nbhd[:5]),
         )
     )
 
@@ -326,101 +395,17 @@ def check_space(space: TypedSpace) -> CheckReport:
             tuple(bad[:5]),
         )
     )
-
-    # closure core identity: every nonempty base family has a least member
-    bad = []
-    for chain in chain_list:
-        base = chains_mod.chain_base_pool(space, chain)
-        for i, x in enumerate(space.points):
-            fam = [m for m in base if m >> i & 1]
-            if not fam:
-                continue
-            core = space.full_mask
-            for m in fam:
-                core &= m
-            if core not in fam:
-                bad.append((chain.text(), x))
-    results.append(
-        CheckResult(
-            "closure-core",
-            f"{len(chain_list)} realized chains x supported points",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
-
-    # unsupported region: uncovered remainder identity and closedness
-    bad = []
-    for chain in chain_list:
-        base = chains_mod.chain_base_pool(space, chain)
-        empty = {x for i, x in enumerate(space.points) if not any(m >> i & 1 for m in base)}
-        covered = 0
-        for i, x in enumerate(space.points):
-            if x in empty:
-                continue
-            for m in base:
-                if m >> i & 1:
-                    covered |= m
-        remainder = set(ids(space.full_mask & ~covered))
-        if remainder != empty:
-            bad.append((chain.text(), "remainder", tuple(sorted(remainder ^ empty))))
-            continue
-        empty_mask = space.mask_of(empty)
-        for i, x in enumerate(space.points):
-            if x in empty:
-                continue
-            fam = [m for m in base if m >> i & 1]
-            if all(m & empty_mask for m in fam):
-                bad.append((chain.text(), "not-closed", x))
-    results.append(
-        CheckResult(
-            "unsupported-region",
-            f"{len(chain_list)} realized chains",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
-
-    # connectivity of irreducible base members, anchored family members, and
-    # pure single-generator members
-    bad_base, bad_anchor, bad_pure = [], [], []
-    for chain in chain_list:
-        pool = sorted(chains_mod.chain_pool(space, chain))
-        disjoint = [
-            (u, v) for u, v in itertools.combinations(pool, 2) if not (u & v)
-        ]
-
-        def separated(mask: int) -> Optional[tuple]:
-            for u, v in disjoint:
-                if (mask & ~(u | v)) == 0 and (mask & u) and (mask & v):
-                    return (ids(u), ids(v))
-            return None
-
-        visible = rt.visible(chain.support())
-        irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
-        base = chains_mod.chain_base_pool(space, chain)
-        for m in irr0:
-            w = separated(m)
-            if w:
-                bad_anchor.append((chain.text(), ids(m), w))
-                if m in base:
-                    bad_base.append((chain.text(), ids(m), w))
-    results.append(
-        CheckResult(
-            "base-connectivity",
-            f"{len(chain_list)} realized chains x first-level-irreducible base members",
-            not bad_base,
-            tuple(bad_base[:5]),
-        )
-    )
-    results.append(
-        CheckResult(
-            "anchored-connectivity",
-            f"{len(chain_list)} realized chains x first-level irreducibles",
-            not bad_anchor,
-            tuple(bad_anchor[:5]),
-        )
-    )
+    n = len(chain_list)
+    for name, scope, bad in (
+        ("closure-core", f"{n} realized chains x supported points", bad_core),
+        ("unsupported-region", f"{n} realized chains", bad_region),
+        ("base-connectivity",
+         f"{n} realized chains x first-level-irreducible base members", bad_base),
+        ("anchored-connectivity", f"{n} realized chains x first-level irreducibles",
+         bad_anchor),
+    ):
+        results.append(CheckResult(name, scope, not bad, tuple(bad[:5])))
+    bad_pure = []
     for gen in sorted(space.poset.elements):
         top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
         members = set()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from typedtopo import basis, lattice, space
-from typedtopo.errors import InvariantViolationError, PreconditionError
+from typedtopo.errors import PreconditionError
 from typedtopo.lattice import parse_type_expr
-from typedtopo.space import TypedSpace, realized_types
+from typedtopo.space import realized_types
 
 
 def test_opens_above_rejects_bottom_anchor(street5):

@@ -1,13 +1,12 @@
-import itertools
 import random
 
 import pytest
 
-from typedtopo import chains, closure, lattice, oracle, space
+from typedtopo import chains, closure, oracle
 from typedtopo.chains import TypeChain, parse_chain
 from typedtopo.errors import PreconditionError
 from typedtopo.lattice import Context, Poset, parse_type_expr
-from typedtopo.space import GeneratorSpec, TypedSpace, generate_topology
+from typedtopo.space import GeneratorSpec, generate_topology
 
 
 def test_closure_of_singleton_collects_left_neighbors(street5, c_right5):

@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from typedtopo import basis, chains, connect, lattice, oracle, space
+from typedtopo import basis, chains, connect, lattice, oracle
 from typedtopo.chains import TypeChain, parse_chain
 from typedtopo.errors import PreconditionError
 from typedtopo.lattice import Context, Poset, parse_type_expr

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a test module imports is used in it.
 
 ``__init__.py`` imports names to re-export them, and ``from __future__``
 imports switch on compiler features, so neither counts.
@@ -8,7 +8,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "typedtopo"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "typedtopo"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,12 +38,22 @@ def test_the_checker_sees_unused_and_used_names():
     assert unused_imports(source) == ["Iterable", "os"]
 
 
-def test_package_modules_use_every_import():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {
-        p.stem: names
+def unused_by_module(modules) -> dict[str, list[str]]:
+    """The unused imports of each module in ``modules`` that has any."""
+    return {
+        p.name: names
         for p in modules
         if (names := unused_imports(p.read_text(encoding="utf-8")))
     }
-    assert unused == {}
+
+
+def test_package_modules_use_every_import():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert unused_by_module(modules) == {}
+
+
+def test_test_modules_use_every_import():
+    modules = sorted(TESTS.glob("*.py"))
+    assert Path(__file__).resolve() in modules
+    assert unused_by_module(modules) == {}

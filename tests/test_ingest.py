@@ -17,7 +17,7 @@ from typedtopo.ingest import (
     read_genealogy_csv,
     read_table_dataset,
 )
-from typedtopo.lattice import format_term, parse_type_expr
+from typedtopo.lattice import format_term
 from typedtopo.space import is_strictly_typed, space_to_json, validate_type_mapping
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"

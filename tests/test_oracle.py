@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import random
+from typing import Optional
 
 import pytest
 
-from typedtopo import chains, closure, connect, oracle, space
+from conftest import random_generated_space
+from typedtopo import basis, chains, closure, lattice, oracle, space
 from typedtopo.errors import OracleSkip
 from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
-from typedtopo.space import TypedSpace
+from typedtopo.space import TypedSpace, realized_types
 
 
 def test_exhaustive_min_dense_street5(street5, c_right5):
@@ -139,3 +143,199 @@ def test_check_space_builds_realized_types_once(request, monkeypatch, fixture):
                         lambda self, *args: builds.append(args) or init(self, *args))
     assert check_space(dataclasses.replace(request.getfixturevalue(fixture))).ok
     assert len(builds) == 1
+
+
+def _reference_chain_results(space: TypedSpace) -> list:
+    """The per-check chain loops of `check_space`, one loop over every chain each.
+
+    Kept as the slow twin of the one-pass mask algebra: each check fetches
+    the pools again and walks points x pool x base.
+    """
+    results = []
+    ids = space.ids_of
+    rt = realized_types(space)
+    chain_list = list(oracle._realized_chains(space))
+
+    # base property: every sandwiched neighborhood contains a base member
+    bad = []
+    for chain in chain_list:
+        pool = chains.chain_pool(space, chain)
+        base = chains.chain_base_pool(space, chain)
+        for i, x in enumerate(space.points):
+            bit = 1 << i
+            for u in pool:
+                if not (u & bit):
+                    continue
+                if not any((v & u) == v and (v & bit) for v in base):
+                    bad.append((chain.text(), x, ids(u)))
+    results.append(
+        oracle.CheckResult(
+            "neighborhood-base",
+            f"{len(chain_list)} realized chains x {len(space.points)} points",
+            not bad,
+            tuple(bad[:5]),
+        )
+    )
+
+    # closure core identity: every nonempty base family has a least member
+    bad = []
+    for chain in chain_list:
+        base = chains.chain_base_pool(space, chain)
+        for i, x in enumerate(space.points):
+            fam = [m for m in base if m >> i & 1]
+            if not fam:
+                continue
+            core = space.full_mask
+            for m in fam:
+                core &= m
+            if core not in fam:
+                bad.append((chain.text(), x))
+    results.append(
+        oracle.CheckResult(
+            "closure-core",
+            f"{len(chain_list)} realized chains x supported points",
+            not bad,
+            tuple(bad[:5]),
+        )
+    )
+
+    # unsupported region: uncovered remainder identity and closedness
+    bad = []
+    for chain in chain_list:
+        base = chains.chain_base_pool(space, chain)
+        empty = {x for i, x in enumerate(space.points) if not any(m >> i & 1 for m in base)}
+        covered = 0
+        for i, x in enumerate(space.points):
+            if x in empty:
+                continue
+            for m in base:
+                if m >> i & 1:
+                    covered |= m
+        remainder = set(ids(space.full_mask & ~covered))
+        if remainder != empty:
+            bad.append((chain.text(), "remainder", tuple(sorted(remainder ^ empty))))
+            continue
+        empty_mask = space.mask_of(empty)
+        for i, x in enumerate(space.points):
+            if x in empty:
+                continue
+            fam = [m for m in base if m >> i & 1]
+            if all(m & empty_mask for m in fam):
+                bad.append((chain.text(), "not-closed", x))
+    results.append(
+        oracle.CheckResult(
+            "unsupported-region",
+            f"{len(chain_list)} realized chains",
+            not bad,
+            tuple(bad[:5]),
+        )
+    )
+
+    # connectivity of irreducible base members and anchored family members
+    bad_base, bad_anchor = [], []
+    for chain in chain_list:
+        pool = sorted(chains.chain_pool(space, chain))
+        disjoint = [
+            (u, v) for u, v in itertools.combinations(pool, 2) if not (u & v)
+        ]
+
+        def separated(mask: int) -> Optional[tuple]:
+            for u, v in disjoint:
+                if (mask & ~(u | v)) == 0 and (mask & u) and (mask & v):
+                    return (ids(u), ids(v))
+            return None
+
+        visible = rt.visible(chain.support())
+        irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
+        base = chains.chain_base_pool(space, chain)
+        for m in irr0:
+            w = separated(m)
+            if w:
+                bad_anchor.append((chain.text(), ids(m), w))
+                if m in base:
+                    bad_base.append((chain.text(), ids(m), w))
+    results.append(
+        oracle.CheckResult(
+            "base-connectivity",
+            f"{len(chain_list)} realized chains x first-level-irreducible base members",
+            not bad_base,
+            tuple(bad_base[:5]),
+        )
+    )
+    results.append(
+        oracle.CheckResult(
+            "anchored-connectivity",
+            f"{len(chain_list)} realized chains x first-level irreducibles",
+            not bad_anchor,
+            tuple(bad_anchor[:5]),
+        )
+    )
+    return results
+
+
+def _drop_smallest(sp, base):
+    return frozenset(sorted(base)[1:])
+
+
+def _add_whole_set(sp, base):
+    return base | {sp.full_mask}
+
+
+@pytest.mark.parametrize("corrupt", [None, _drop_smallest, _add_whole_set])
+@pytest.mark.parametrize("fixture", ["genealogy5", "street5", "street2x3"])
+def test_one_pass_chain_checks_match_the_per_check_loops(
+    request, monkeypatch, fixture, corrupt
+):
+    """Name, scope, verdict and counterexamples agree with the slow twin.
+
+    A corrupted chain base (its smallest member dropped, or the whole point
+    set added) makes the twins report failing counterexamples, not only
+    passing verdicts.
+    """
+    sp = request.getfixturevalue(fixture)
+    if corrupt is not None:
+        base_pool = chains.chain_base_pool
+        monkeypatch.setattr(
+            chains, "chain_base_pool", lambda s, ch: corrupt(s, base_pool(s, ch))
+        )
+    got = {r.name: r for r in check_space(dataclasses.replace(sp)).results}
+    want = _reference_chain_results(dataclasses.replace(sp))
+    assert [got[r.name] for r in want] == want
+    if corrupt is _drop_smallest:
+        assert not all(r.passed for r in want)
+
+
+def test_one_pass_chain_checks_match_on_random_spaces():
+    compared = failing = 0
+    for seed in range(40):
+        sp = random_generated_space(random.Random(seed), 7)
+        if sp is None:
+            continue
+        rep = check_space(dataclasses.replace(sp))
+        if len(rep.results) == 2:  # not a strict typed space: no chain checks
+            continue
+        got = {r.name: r for r in rep.results}
+        want = _reference_chain_results(dataclasses.replace(sp))
+        assert [got[r.name] for r in want] == want, seed
+        compared += 1
+        failing += sum(not r.passed for r in want)
+    assert compared >= 15 and failing > 0
+
+
+def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5):
+    """One pass per chain, and the meets of the type-mapping pair loop reused.
+
+    Measured on STREET5: 1,012 `chain_base_pool`, 2,000 `chain_pool` and 528
+    `lattice.meet` calls. One loop per check made 3,988, 2,992 and 993.
+    """
+    calls = {"chain_base_pool": 0, "chain_pool": 0, "meet": 0}
+    for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"), (lattice, "meet")):
+        def counted(*args, _f=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    assert check_space(dataclasses.replace(street5)).ok
+    assert 0 < calls["chain_base_pool"] <= 1012
+    assert 0 < calls["chain_pool"] <= 2000
+    assert 0 < calls["meet"] <= 528
