@@ -14,32 +14,12 @@ share each decision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice, space as space_mod
 from .errors import PreconditionError
 from .lattice import TypeTerm
 from .space import TypedSpace
-
-
-@dataclass(frozen=True, eq=False)
-class TypedFamily:
-    """A set of opens tied to the anchor that selected them."""
-
-    space: TypedSpace
-    anchor: object  # TypeTerm or TypeChain
-    members: frozenset  # of masks
-    at_point: Optional[str] = None
-
-    def ids(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(sorted(self.space.ids_of(m) for m in self.members))
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _above_row(space: TypedSpace, p: TypeTerm) -> int:
@@ -50,17 +30,18 @@ def _above_row(space: TypedSpace, p: TypeTerm) -> int:
     return space_mod.realized_types(space).above(p)
 
 
-def _family(space: TypedSpace, p: TypeTerm, members: frozenset, at: Optional[str]) -> TypedFamily:
-    if at is not None:
-        bit = space.point_bit(at)
-        members = frozenset(m for m in members if m & bit)
-    return TypedFamily(space, p, members, at)
+def _through(space: TypedSpace, members: frozenset, at: Optional[str]) -> frozenset:
+    """The ``members`` that contain the point ``at``, or all of them without one."""
+    if at is None:
+        return members
+    bit = space.point_bit(at)
+    return frozenset(m for m in members if m & bit)
 
 
-def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
-    """All opens whose type dominates ``p`` (optionally through a point)."""
+def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> frozenset:
+    """The masks of all opens whose type dominates ``p`` (optionally through a point)."""
     row = _above_row(space, p)
-    return _family(space, p, space_mod.realized_types(space).opens_in(row), at)
+    return _through(space, space_mod.realized_types(space).opens_in(row), at)
 
 
 def is_irreducible_in(pool, mask: int) -> bool:
@@ -103,16 +84,6 @@ def is_join_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
     return open_mask in irreducibles(space, _above_row(space, p))
 
 
-def is_meet_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
-    """Dual reading: no two anchored opens other than the set intersect to it."""
-    _check_anchored(space, open_mask, p)
-    pool = [m for m in opens_above(space, p).members if m != open_mask]
-    for w, v in itertools.combinations(pool, 2):
-        if (w & v) == open_mask:
-            return False
-    return True
-
-
 def _check_anchored(space: TypedSpace, open_mask: int, p: TypeTerm) -> None:
     if open_mask == 0 or open_mask not in space.opens:
         raise PreconditionError("irreducibility is defined for nonempty opens only")
@@ -120,6 +91,6 @@ def _check_anchored(space: TypedSpace, open_mask: int, p: TypeTerm) -> None:
         raise PreconditionError("the open's type does not dominate the anchor")
 
 
-def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> TypedFamily:
+def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> frozenset:
     """The join-irreducible members of `opens_above` (the family's base)."""
-    return _family(space, p, irreducibles(space, _above_row(space, p)), at)
+    return _through(space, irreducibles(space, _above_row(space, p)), at)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from . import lattice, space as space_mod
 from .errors import InvariantViolationError, PreconditionError
 from .lattice import Context, TypeTerm
 from .space import TypedSpace, realized_types
-from .basis import TypedFamily, irreducibles
+from .basis import irreducibles
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,10 @@ def _pool_members(space: TypedSpace, chain: TypeChain) -> frozenset:
     return rt.opens_in(rt.visible(chain.support()) & sandwiched)
 
 
-def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
+def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
     """Visible opens through ``x`` sandwiched by some consecutive level pair."""
     bit = space.point_bit(x)
-    members = {m for m in chain_pool(space, chain) if m & bit}
-    return TypedFamily(space, chain, frozenset(members), x)
+    return frozenset(m for m in chain_pool(space, chain) if m & bit)
 
 
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
@@ -131,69 +129,40 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     return got
 
 
-def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> TypedFamily:
+def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
     """The members of `chain_base_pool` that contain ``x``."""
     space_mod.require_strict(space)
     bit = space.point_bit(x)
-    members = {m for m in chain_base_pool(space, chain) if m & bit}
-    return TypedFamily(space, chain, frozenset(members), x)
+    return frozenset(m for m in chain_base_pool(space, chain) if m & bit)
 
 
-def is_generator_chain(chain: TypeChain, gen: str, ctx: Context) -> bool:
-    """Levels confined to one generator's sublattice, topping out at it."""
-    if gen not in ctx.poset.elements:
-        return False
-    if not all(t.uses_only({gen}) for t in chain.levels):
-        return False
-    top = lattice.normalize(ctx, [lattice.clause_of(gens=[gen])])
-    return lattice.term_eq(chain.levels[-1], top)
+def generator_neighborhoods(space: TypedSpace, x: str, gen: str) -> frozenset:
+    """Opens through ``x`` typed purely in ``gen`` and at or below it.
 
-
-def generator_neighborhoods(
-    space: TypedSpace,
-    x: str,
-    gens: Iterable[str],
-    cross_check: bool = True,
-) -> TypedFamily:
-    """Opens through ``x`` typed purely in ``gens`` and below their join.
-
-    For a single generator this family equals the union of the sandwiched
-    neighborhoods over every chain inside that generator's sublattice
-    topping out at the generator; with ``cross_check`` the equality is
-    re-derived from realized-level chains and enforced.
+    This family equals the union of ``x``'s sandwiched neighborhoods over
+    every chain inside the generator's sublattice topping out at the
+    generator. Each call re-derives that union from realized-level chains
+    and raises if the two disagree.
     """
     space_mod.require_strict(space)
-    gen_list = sorted(set(gens))
-    if not gen_list:
-        raise PreconditionError("need at least one generator")
-    for g in gen_list:
-        if g not in space.poset.elements:
-            raise PreconditionError(f"unknown generator {g!r}")
-    ctx = space.ctx
-    bound = lattice.join_all(
-        ctx, [lattice.normalize(ctx, [lattice.clause_of(gens=[g])]) for g in gen_list]
-    )
+    if gen not in space.poset.elements:
+        raise PreconditionError(f"unknown generator {gen!r}")
+    top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
     bit = space.point_bit(x)
     members = set()
     for m in space.opens:
         if not (m & bit):
             continue
         t = space.sigma[m]
-        if t.uses_only(gen_list) and lattice.leq(t, bound):
+        if t.uses_only({gen}) and lattice.leq(t, top):
             members.add(m)
-    fam = TypedFamily(space, bound, frozenset(members), x)
-    if cross_check and len(gen_list) == 1:
-        union = frozenset(m for m in _generator_chain_union(space, gen_list[0]) if m & bit)
-        if union != fam.members:
-            raise InvariantViolationError(
-                "single-generator family disagrees with its chain union",
-                witness=(
-                    x,
-                    gen_list[0],
-                    sorted(space.ids_of(m) for m in union ^ fam.members),
-                ),
-            )
-    return fam
+    union = {m for m in _generator_chain_union(space, gen) if m & bit}
+    if union != members:
+        raise InvariantViolationError(
+            "single-generator family disagrees with its chain union",
+            witness=(x, gen, sorted(space.ids_of(m) for m in union ^ members)),
+        )
+    return frozenset(members)
 
 
 def _generator_chain_union(space: TypedSpace, gen: str) -> frozenset:

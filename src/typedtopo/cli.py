@@ -63,8 +63,8 @@ def _space_digest(sp: space.TypedSpace) -> dict:
     }
 
 
-def _families_json(fam: basis.TypedFamily) -> list:
-    return [list(ids) for ids in fam.ids()]
+def _families_json(sp: space.TypedSpace, masks: frozenset) -> list:
+    return sorted(sp.ids_of(m) for m in masks)
 
 
 def _chain_arg(args, sp) -> chains.TypeChain:
@@ -175,12 +175,10 @@ def _cmd_basis(args, sp):
     if not args.p:
         raise PreconditionError("basis needs --p")
     p = lattice.parse_type_expr(args.p, sp.ctx)
-    fam = basis.opens_above(sp, p, at=args.x)
-    irr = basis.irreducibles_above(sp, p, at=args.x)
     return 0, sp, {
         "anchor": lattice.format_term(p),
-        "family": _families_json(fam),
-        "irreducible": _families_json(irr),
+        "family": _families_json(sp, basis.opens_above(sp, p, at=args.x)),
+        "irreducible": _families_json(sp, basis.irreducibles_above(sp, p, at=args.x)),
     }
 
 
@@ -188,13 +186,11 @@ def _cmd_nbhd(args, sp):
     ch = _chain_arg(args, sp)
     if not args.x:
         raise PreconditionError("nbhd needs --x")
-    fam = chains.chain_neighborhoods(sp, args.x, ch)
-    base = chains.chain_base(sp, args.x, ch)
     return 0, sp, {
         "chain": ch.text(),
         "point": args.x,
-        "neighborhoods": _families_json(fam),
-        "base": _families_json(base),
+        "neighborhoods": _families_json(sp, chains.chain_neighborhoods(sp, args.x, ch)),
+        "base": _families_json(sp, chains.chain_base(sp, args.x, ch)),
     }
 
 

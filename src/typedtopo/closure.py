@@ -57,34 +57,6 @@ def _point_families(space: TypedSpace, chain: TypeChain) -> dict:
     return fams
 
 
-def unsupported_points(space: TypedSpace, chain: TypeChain) -> frozenset:
-    """Points whose chain base is empty.
-
-    These never touch any base member: the union of the base families of the
-    supported points misses them entirely, and the region is closed under
-    the chain closure. Both facts are re-derived here and enforced.
-    """
-    fams = _point_families(space, chain)
-    out = frozenset(p for p, fam in fams.items() if not fam)
-    touched = 0
-    for p, fam in fams.items():
-        if p not in out:
-            for m in fam:
-                touched |= m
-    bare = frozenset(space.ids_of(space.full_mask & ~touched))
-    if bare != out:
-        raise InvariantViolationError(
-            "unsupported region disagrees with the uncovered remainder",
-            witness=sorted(bare ^ out),
-        )
-    closed = chain_closure(space, out, chain)
-    if closed.members != out:
-        raise InvariantViolationError(
-            "unsupported region is not closed", witness=sorted(closed.members - out)
-        )
-    return out
-
-
 def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
     """Points all of whose base neighborhoods meet ``start``.
 
@@ -131,11 +103,6 @@ def _class_groups(space: TypedSpace, fams: dict) -> dict[frozenset, list[str]]:
 
 def _sorted_classes(groups: Iterable[list[str]]) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(g)) for g in groups))
-
-
-def neighborhood_classes(space: TypedSpace, chain: TypeChain) -> tuple[tuple[str, ...], ...]:
-    """Partition of the supported points by equal base families."""
-    return _sorted_classes(_class_groups(space, _point_families(space, chain)).values())
 
 
 def is_chain_dense(space: TypedSpace, dense, region, chain: TypeChain) -> bool:
@@ -213,51 +180,3 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     return DensityReport(
         space, chain, unsupported, classes, maximal_classes, density, witness
     )
-
-
-def idempotence_gap(space: TypedSpace, start, chain: TypeChain) -> frozenset:
-    """Points gained by closing twice; informational only.
-
-    Nothing guarantees the closure operator is idempotent, so callers may
-    report a nonempty gap but must not treat it as an error.
-    """
-    once = chain_closure(space, start, chain).members
-    twice = chain_closure(space, once, chain).members
-    return frozenset(twice - once)
-
-
-def reach_equivalence(space: TypedSpace, chain: TypeChain, x: str, y: str) -> tuple[bool, bool, bool]:
-    """Three readings of 'x is reachable from y' that must agree.
-
-    (1) the base family of ``x`` is contained in that of ``y``;
-    (2) ``x`` lies in the closure of every set containing ``y`` (exhausted
-        up to twelve points, single additions beyond);
-    (3) ``x`` lies in the closure of ``{y}``.
-    """
-    if x == y:
-        raise PreconditionError("reach equivalence needs two distinct points")
-    for p in (x, y):
-        space.point_index(p)
-    fams = _point_families(space, chain)
-    if not fams[x] or not fams[y]:
-        raise PreconditionError("both points must be supported by the chain")
-    cond1 = fams[x] <= fams[y]
-
-    ybit = space.point_bit(y)
-    xfam = fams[x]
-    n = len(space.points)
-
-    def x_in_closure(mask: int) -> bool:
-        return all(m & mask for m in xfam)
-
-    if n <= ORACLE_CROSS_CHECK_MAX_POINTS:
-        candidates = [a | ybit for a in range(1 << n)]
-    else:
-        candidates = [ybit] + [ybit | (1 << i) for i in range(n)]
-    cond2 = all(x_in_closure(mask) for mask in candidates)
-    cond3 = x_in_closure(ybit)
-    if not (cond1 == cond2 == cond3):
-        raise InvariantViolationError(
-            "reach readings disagree", witness=(x, y, cond1, cond2, cond3)
-        )
-    return (cond1, cond2, cond3)

@@ -1,4 +1,4 @@
-"""Chain-restricted connectedness, connection certificates, and components.
+"""Chain-restricted connectedness and connection certificates.
 
 A set is chain-connected when no two disjoint members of the chain's open
 pool cover it while both touching it. Certificates connecting two points
@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import chains as chains_mod, space as space_mod
+from . import chains as chains_mod
 from .chains import TypeChain
 from .errors import InvariantViolationError, PreconditionError
 from .space import TypedSpace
@@ -52,15 +52,6 @@ def is_chain_connected(
     return True, None
 
 
-def _verified_connected_base(space: TypedSpace, chain: TypeChain) -> list[int]:
-    out = []
-    for m in sorted(chains_mod.chain_base_pool(space, chain)):
-        ok, _ = is_chain_connected(space, space.ids_of(m), chain)
-        if ok:
-            out.append(m)
-    return out
-
-
 def find_connection(
     space: TypedSpace, x: str, y: str, chain: TypeChain
 ) -> Optional[ConnectionCertificate]:
@@ -72,7 +63,10 @@ def find_connection(
     if x == y:
         raise PreconditionError("a connection needs two distinct points")
     xbit, ybit = space.point_bit(x), space.point_bit(y)
-    nodes = _verified_connected_base(space, chain)
+    nodes = [
+        m for m in sorted(chains_mod.chain_base_pool(space, chain))
+        if is_chain_connected(space, space.ids_of(m), chain)[0]
+    ]
     starts = [m for m in nodes if m & xbit]
     prev: dict[int, Optional[int]] = {m: None for m in starts}
     frontier = list(starts)
@@ -110,42 +104,3 @@ def find_connection(
     return ConnectionCertificate(
         x, y, space.ids_of(union), tuple(space.ids_of(m) for m in path)
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentReport:
-    components: tuple[tuple[str, ...], ...]
-    remainder: tuple[str, ...]
-
-
-def chain_components(space: TypedSpace, chain: TypeChain) -> ComponentReport:
-    """Overlap components of the verified-connected base opens.
-
-    Points in no base open cannot be connected to anything and are reported
-    separately as the remainder.
-    """
-    space_mod.require_strict(space)
-    nodes = _verified_connected_base(space, chain)
-    unassigned = set(nodes)
-    comps = []
-    while unassigned:
-        seed = min(unassigned)
-        group = {seed}
-        unassigned.discard(seed)
-        grew = True
-        while grew:
-            grew = False
-            for m in tuple(unassigned):
-                if any(m & g for g in group):
-                    group.add(m)
-                    unassigned.discard(m)
-                    grew = True
-        union = 0
-        for m in group:
-            union |= m
-        comps.append(space.ids_of(union))
-    covered = 0
-    for m in nodes:
-        covered |= m
-    remainder = space.ids_of(space.full_mask & ~covered)
-    return ComponentReport(tuple(sorted(comps)), remainder)

@@ -1,8 +1,9 @@
 """Dataset builders: advisor genealogies, street communities, predicate tables.
 
 Each builder turns a plain dataset into a typed space via
-`space.generate_topology`. Three small fixtures ship both as named built-ins
-(`fixture("STREET5")` etc.) and as JSON files under ``fixtures/``.
+`space.generate_topology`. The datasets of the three shipped fixtures,
+`GENEALOGY5`, `STREET5` and `STREET2X3`, are defined here; their built spaces
+ship as JSON files under ``fixtures/``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice, space
-from .errors import DatasetError, PreconditionError
+from .errors import DatasetError
 from .lattice import Context, Poset, clause_of
 from .space import GeneratorSpec, TypedSpace
 
@@ -95,16 +96,14 @@ def _ancestors(edges, person) -> set:
     return _descendants(flipped, person)
 
 
-def build_genealogy(data: GenealogyDataset, direct_students_only: bool = False) -> TypedSpace:
+def build_genealogy(data: GenealogyDataset) -> TypedSpace:
     """Typed space of an advisor forest.
 
     Two unordered generators, ``anc`` and ``desc``. A student ``x`` with an
     advisor contributes the open set of x's proper ancestors, typed
     ``@x & anc`` meeting the points of every proper descendant of x's
-    advisor(s) (or only the advisor's direct students when
-    ``direct_students_only`` is set). Dually, anyone with students
-    contributes the set of proper descendants typed through the ancestors
-    of the root person.
+    advisor(s). Dually, anyone with students contributes the set of proper
+    descendants typed through the ancestors of the root person.
     """
     people = data.people()
     for p in people:
@@ -113,22 +112,13 @@ def build_genealogy(data: GenealogyDataset, direct_students_only: bool = False) 
     poset = Poset({"anc", "desc"})
     ctx = Context(poset, people)
     specs: list[GeneratorSpec] = []
-    students: dict[str, set] = {}
-    for a, b in data.edges:
-        students.setdefault(a, set()).add(b)
     for x in people:
         anc = _ancestors(data.edges, x)
         if anc:
-            if direct_students_only:
-                scope = set()
-                for a, b in data.edges:
-                    if b == x:
-                        scope |= students.get(a, set())
-            else:
-                scope = set()
-                for a, b in data.edges:
-                    if b == x:
-                        scope |= _descendants(data.edges, a)
+            scope = set()
+            for a, b in data.edges:
+                if b == x:
+                    scope |= _descendants(data.edges, a)
             term = lattice.normalize(ctx, [clause_of(gens=["anc"], pos={x} | scope)])
             specs.append(GeneratorSpec(f"anc_{x}", frozenset(anc), term))
     for x in people:
@@ -353,23 +343,3 @@ STREET5 = CommunityDataset((("mainst", ("r1", "r2", "r3", "r4", "r5")),))
 STREET2X3 = CommunityDataset(
     (("ash", ("a1", "a2", "a3")), ("birch", ("b1", "b2", "b3")))
 )
-
-_BUILDERS = {
-    "GENEALOGY5": lambda: build_genealogy(GENEALOGY5),
-    "STREET5": lambda: build_community(STREET5),
-    "STREET2X3": lambda: build_community(STREET2X3),
-}
-
-FIXTURE_NAMES = tuple(sorted(_BUILDERS))
-
-_fixture_cache: dict[str, TypedSpace] = {}
-
-
-def fixture(name: str) -> TypedSpace:
-    """Return a shipped fixture space by name (GENEALOGY5, STREET5, STREET2X3)."""
-    key = name.upper()
-    if key not in _BUILDERS:
-        raise PreconditionError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
-    if key not in _fixture_cache:
-        _fixture_cache[key] = _BUILDERS[key]()
-    return _fixture_cache[key]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BoundExceededError,
@@ -166,9 +166,6 @@ class Clause:
         signed = [(POS, x) for x in self.pos] + [(NEG, x) for x in self.neg]
         signed.sort(key=lambda lit: (lit[1], _POINT_RANK[lit[0]]))
         return tuple((GEN, g) for g in sorted(self.gens)) + tuple(signed)
-
-    def is_empty(self) -> bool:
-        return not (self.gens or self.pos or self.neg)
 
     def sort_key(self) -> tuple:
         return _literals_key(self.literals())
@@ -402,13 +399,6 @@ def join(a: TypeTerm, b: TypeTerm) -> TypeTerm:
     return _canonical(a.ctx, a.cubes | b.cubes)
 
 
-def meet_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
-    acc = ctx.top()
-    for t in terms:
-        acc = meet(acc, t)
-    return acc
-
-
 def join_all(ctx: Context, terms: Iterable[TypeTerm]) -> TypeTerm:
     """The join of ``terms``, canonicalized once from the union of their cubes."""
     cubes: set = set()
@@ -479,13 +469,13 @@ def enumerate_valuations(
     ctx: Context,
     gens: Optional[Iterable[str]] = None,
     points: Optional[Iterable[str]] = None,
-    bound: int = DEFAULT_VALUATION_BOUND,
 ) -> Iterator[Valuation]:
     """Yield every admissible valuation on the chosen sub-context.
 
     Generator parts range over up-sets of the restricted poset, point parts
-    are free. Raises `BoundExceededError` when the sub-context has more than
-    ``bound`` literals; narrow the query instead of raising the bound.
+    are free. Raises `BoundExceededError` when the sub-context has more
+    literals than `DEFAULT_VALUATION_BOUND`; narrow the query instead of
+    raising the bound.
     """
     gen_list = sorted(ctx.poset.elements if gens is None else frozenset(gens))
     point_list = sorted(ctx.point_set if points is None else frozenset(points))
@@ -495,10 +485,10 @@ def enumerate_valuations(
     for x in point_list:
         if x not in ctx.point_set:
             raise UnknownSymbolError(f"unknown point {x!r}")
-    if len(gen_list) + len(point_list) > bound:
+    if len(gen_list) + len(point_list) > DEFAULT_VALUATION_BOUND:
         raise BoundExceededError(
-            f"{len(gen_list)} generators + {len(point_list)} points exceed the "
-            f"valuation bound of {bound}; restrict the query to fewer literals"
+            f"{len(gen_list)} generators + {len(point_list)} points exceed the valuation "
+            f"bound of {DEFAULT_VALUATION_BOUND}; restrict the query to fewer literals"
         )
     sub = ctx.poset.restricted(gen_list)
     for upset in sub.upsets():
@@ -507,7 +497,7 @@ def enumerate_valuations(
                 yield Valuation.make(gen_list, point_list, upset, frozenset(chosen))
 
 
-def relevant_valuations(*terms: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) -> Iterator[Valuation]:
+def relevant_valuations(*terms: TypeTerm) -> Iterator[Valuation]:
     """Valuations on the literals occurring in any of ``terms``."""
     ctx = terms[0].ctx
     gens: set[str] = set()
@@ -516,15 +506,15 @@ def relevant_valuations(*terms: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) 
         _require_same_context(terms[0], t)
         gens |= t.generators()
         points |= t.point_ids()
-    return enumerate_valuations(ctx, gens, points, bound=bound)
+    return enumerate_valuations(ctx, gens, points)
 
 
-def leq_by_valuations(a: TypeTerm, b: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) -> bool:
+def leq_by_valuations(a: TypeTerm, b: TypeTerm) -> bool:
     """Order decided by exhaustive evaluation; the semantic reference."""
-    return all(evaluate(a, v) <= evaluate(b, v) for v in relevant_valuations(a, b, bound=bound))
+    return all(evaluate(a, v) <= evaluate(b, v) for v in relevant_valuations(a, b))
 
 
-def is_join_irreducible(t: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) -> bool:
+def is_join_irreducible(t: TypeTerm) -> bool:
     """True when the satisfying valuations of ``t`` have one minimal element.
 
     Valuations compare pointwise over all literal coordinates, so two are
@@ -538,17 +528,17 @@ def is_join_irreducible(t: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) -> bo
     ctx = t.ctx
     gens = sorted(t.generators())
     points = sorted(ctx.point_set)
-    if len(gens) + len(points) > bound:
+    if len(gens) + len(points) > DEFAULT_VALUATION_BOUND:
         raise BoundExceededError(
             f"join-irreducibility check needs {len(gens) + len(points)} literals, "
-            f"over the bound of {bound}"
+            f"over the bound of {DEFAULT_VALUATION_BOUND}"
         )
     structural = False
     if len(t.clauses) == 1:
         (c,) = t.clauses
         structural = (c.pos | c.neg) == ctx.point_set
     by_points: dict[frozenset, list[frozenset]] = {}
-    for v in enumerate_valuations(ctx, gens, points, bound=bound):
+    for v in enumerate_valuations(ctx, gens, points):
         if evaluate(t, v):
             by_points.setdefault(v.points_true, []).append(v.gens_true)
     minima = 0
@@ -560,13 +550,6 @@ def is_join_irreducible(t: TypeTerm, bound: int = DEFAULT_VALUATION_BOUND) -> bo
     if semantic != structural:  # pragma: no cover - would witness a canonicity bug
         raise AssertionError(f"irreducibility fast path disagrees on {t!r}")
     return semantic
-
-
-def upward_filter(t: TypeTerm, candidates: Sequence[TypeTerm]) -> list[TypeTerm]:
-    """All candidates lying above ``t``; the principal filter on a list."""
-    if t.is_bottom:
-        raise PreconditionError("filters never contain the bottom element")
-    return [q for q in candidates if leq(t, q)]
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,8 @@ def check_space(space: TypedSpace) -> CheckReport:
     # anchored decomposition: irreducible members inside any anchored open cover it
     bad = []
     for i, p in enumerate(rt.terms):
-        fam = sorted(basis.opens_above(space, p).members)
-        base = basis.irreducibles_above(space, p).members
+        fam = sorted(basis.opens_above(space, p))
+        base = basis.irreducibles_above(space, p)
         for u in fam:
             if _covered(base, u) != u:
                 bad.append((lattice.format_term(p), ids(u)))
@@ -372,21 +372,22 @@ def check_space(space: TypedSpace) -> CheckReport:
         )
     )
 
-    # pure-family membership: every single-generator neighborhood is a base
-    # member of the two-level chain it generates
-    bad = []
+    # the pure families: per generator, the nonempty opens typed purely in
+    # it and at or below it, each with the chain from its type up to the
+    # generator; every member is a base member of its chain
+    families = []
     for gen in sorted(space.poset.elements):
         top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-        for x in space.points:
-            fam = chains_mod.generator_neighborhoods(space, x, [gen], cross_check=False)
-            for m in fam.members:
-                t = sig[m]
-                if lattice.term_eq(t, top):
-                    chain = TypeChain((t, t))
-                else:
-                    chain = TypeChain((t, top))
-                if m not in chains_mod.chain_base(space, x, chain).members:
-                    bad.append((gen, x, ids(m)))
+        family = []
+        for m in nonempty:
+            t = sig[m]
+            if t.uses_only({gen}) and lattice.leq(t, top):
+                family.append((m, TypeChain((t, t) if lattice.term_eq(t, top) else (t, top))))
+        families.append((gen, family))
+    bad = []
+    for gen, family in families:
+        unbased = [m for m, chain in family if m not in chains_mod.chain_base_pool(space, chain)]
+        bad += [(gen, x, ids(m)) for i, x in enumerate(points) for m in unbased if m >> i & 1]
     results.append(
         CheckResult(
             "pure-family-base",
@@ -406,16 +407,8 @@ def check_space(space: TypedSpace) -> CheckReport:
     ):
         results.append(CheckResult(name, scope, not bad, tuple(bad[:5])))
     bad_pure = []
-    for gen in sorted(space.poset.elements):
-        top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-        members = set()
-        for x in space.points:
-            members |= chains_mod.generator_neighborhoods(
-                space, x, [gen], cross_check=False
-            ).members
-        for m in members:
-            t = sig[m]
-            chain = TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
+    for gen, family in families:
+        for m, chain in family:
             ok, w = connect_mod.is_chain_connected(space, ids(m), chain)
             if not ok:
                 bad_pure.append((gen, ids(m), (w.left, w.right)))

@@ -484,14 +484,6 @@ def strictify(space: TypedSpace) -> TypedSpace:
     return out
 
 
-def forces(space: TypedSpace, p: TypeTerm, x: str) -> bool:
-    """True when some open of type exactly ``p`` contains ``x``."""
-    bit = space.point_bit(x)
-    return any(
-        m & bit and lattice.term_eq(space.sigma[m], p) for m in space.opens if m
-    )
-
-
 def _bits(items, test) -> int:
     """The int with bit ``j`` set iff ``test(items[j])``."""
     return sum(1 << j for j, item in enumerate(items) if test(item))

@@ -56,7 +56,7 @@ def family_size_scores(space: TypedSpace, gen: str) -> ScoreTable:
         raise PreconditionError(f"unknown generator {gen!r}")
     members = set()
     for x in space.points:
-        members |= chains_mod.generator_neighborhoods(space, x, [gen]).members
+        members |= chains_mod.generator_neighborhoods(space, x, gen)
     population = [
         (space.ids_of(m), float(bin(m).count("1"))) for m in sorted(members)
     ]

@@ -15,17 +15,17 @@ C_RIGHT6 = "right & @a1 & @a2 & @a3 & @b1 & @b2 & @b3 ; right"
 
 @pytest.fixture(scope="session")
 def genealogy5():
-    return ingest.fixture("GENEALOGY5")
+    return ingest.build_genealogy(ingest.GENEALOGY5)
 
 
 @pytest.fixture(scope="session")
 def street5():
-    return ingest.fixture("STREET5")
+    return ingest.build_community(ingest.STREET5)
 
 
 @pytest.fixture(scope="session")
 def street2x3():
-    return ingest.fixture("STREET2X3")
+    return ingest.build_community(ingest.STREET2X3)
 
 
 @pytest.fixture(scope="session")

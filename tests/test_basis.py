@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from typedtopo import basis, lattice, space
+from typedtopo import basis, lattice
 from typedtopo.errors import PreconditionError
 from typedtopo.lattice import parse_type_expr
 from typedtopo.space import realized_types
@@ -29,10 +30,10 @@ def test_opens_above_street5_minimum_right_type(street5):
     p = parse_type_expr("right & @r1 & @r2 & @r3 & @r4 & @r5", street5.ctx)
     fam = basis.opens_above(street5, p)
     want = {m for m in street5.opens if m & street5.point_bit("r5")}
-    assert fam.members == want
+    assert fam == want
     for m in street5.opens:
         if m:
-            assert (m in fam.members) == lattice.leq_by_valuations(
+            assert (m in fam) == lattice.leq_by_valuations(
                 p, street5.sigma[m]
             )
 
@@ -41,14 +42,14 @@ def test_opens_above_genealogy_at_point(genealogy5):
     g = genealogy5
     p = parse_type_expr("anc & @W", g.ctx)
     fam = basis.opens_above(g, p, at="C")
-    assert fam.ids() == (("B", "C", "H", "S"), ("B", "C", "H", "S", "W"))
+    assert sorted(g.ids_of(m) for m in fam) == [("B", "C", "H", "S"), ("B", "C", "H", "S", "W")]
 
 
 def _example_anchors(g):
     ray = g.mask_of(["B", "S", "H", "C"])
     p_own = g.sigma[ray]
-    p_mixed = lattice.meet_all(
-        g.ctx,
+    p_mixed = functools.reduce(
+        lattice.meet,
         [g.sigma[ray], g.sigma[g.mask_of(["B", "S", "H"])], g.sigma[g.mask_of(["C"])]],
     )
     return ray, p_own, p_mixed
@@ -63,7 +64,7 @@ def test_join_irreducible_fails_with_weaker_anchor(genealogy5):
     g = genealogy5
     ray, _, p_mixed = _example_anchors(g)
     assert not basis.is_join_irreducible(g, ray, p_mixed)
-    fam = basis.opens_above(g, p_mixed).members
+    fam = basis.opens_above(g, p_mixed)
     assert g.mask_of(["B", "S", "H"]) in fam and g.mask_of(["C"]) in fam
 
 
@@ -83,40 +84,16 @@ def test_join_irreducible_precondition(genealogy5):
         basis.is_join_irreducible(g, ray, g.sigma[g.mask_of(["W"])])
 
 
-def test_meet_irreducible_whole_space():
-    poset = lattice.Poset({"anc"})
-    pts = ("x", "y")
-    ctx = lattice.Context(poset, pts)
-    t = parse_type_expr("anc", ctx)
-    sp = space.generate_topology(
-        [space.GeneratorSpec("g", frozenset(pts), t)], poset, pts
-    )
-    assert basis.is_meet_irreducible(sp, sp.full_mask, t)
-
-
-def test_meet_irreducible_counterexample(genealogy5):
-    g = genealogy5
-    _, _, p_mixed = _example_anchors(g)
-    c = g.mask_of(["C"])
-    assert not basis.is_meet_irreducible(g, c, p_mixed)
-
-
-def test_meet_irreducible_positive_case(genealogy5):
-    g = genealogy5
-    ray, p_own, _ = _example_anchors(g)
-    assert basis.is_meet_irreducible(g, ray, p_own)
-
-
 def test_irreducibles_above_contains_every_own_typed_open(genealogy5):
     g = genealogy5
     for m in g.nonempty_opens():
         fam = basis.irreducibles_above(g, g.sigma[m])
-        assert m in fam.members
+        assert m in fam
 
 
 def _irreducible_parts(sp, open_mask, p) -> list:
     """The members of `basis.irreducibles_above` ``p`` inside the open, ascending."""
-    return sorted(m for m in basis.irreducibles_above(sp, p).members if (m & open_mask) == m)
+    return sorted(m for m in basis.irreducibles_above(sp, p) if (m & open_mask) == m)
 
 
 def test_irreducible_parts_mixed_anchor(genealogy5):
@@ -137,7 +114,7 @@ def test_decomposition_covers_every_anchored_open(street5, genealogy5):
         rt = realized_types(sp)
         for p in rt.terms:
             fam = basis.opens_above(sp, p)
-            for u in fam.members:
+            for u in fam:
                 parts = _irreducible_parts(sp, u, p)
                 covered = 0
                 for m in parts:
@@ -157,7 +134,7 @@ def test_monotone_anchor_transfer(street5):
         if not rt.leq(i, j):
             continue
         p, q = rt.terms[i], rt.terms[j]
-        for u in basis.opens_above(sp, q).members:
+        for u in basis.opens_above(sp, q):
             if basis.is_join_irreducible(sp, u, p):
                 assert basis.is_join_irreducible(sp, u, q)
         checked += 1

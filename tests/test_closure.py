@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from conftest import random_generated_space, random_realized_chain
 from typedtopo import chains, closure, oracle
 from typedtopo.chains import TypeChain, parse_chain
 from typedtopo.errors import PreconditionError
@@ -18,7 +20,7 @@ def test_closure_of_singleton_collects_left_neighbors(street5, c_right5):
 
 def test_closure_of_empty_set_is_unsupported_region(street5, c_right5):
     rep = closure.chain_closure(street5, set(), c_right5)
-    assert rep.members == closure.unsupported_points(street5, c_right5) == {"r1"}
+    assert rep.members == closure.min_chain_dense(street5, c_right5).unsupported == {"r1"}
 
 
 def test_closure_of_root_is_everything(genealogy5, c_anc5):
@@ -27,8 +29,8 @@ def test_closure_of_root_is_everything(genealogy5, c_anc5):
 
 
 def test_unsupported_points(street5, c_right5, genealogy5, c_anc5):
-    assert closure.unsupported_points(street5, c_right5) == {"r1"}
-    assert closure.unsupported_points(genealogy5, c_anc5) == {"W"}
+    assert closure.min_chain_dense(street5, c_right5).unsupported == {"r1"}
+    assert closure.min_chain_dense(genealogy5, c_anc5).unsupported == {"W"}
 
 
 def test_chain_admitting_every_open_supports_every_point():
@@ -45,12 +47,13 @@ def test_chain_admitting_every_open_supports_every_point():
     )
     ch = parse_chain("g & @x ; g", sp.ctx)
     assert chains.chain_pool(sp, ch) == frozenset(m for m in sp.opens if m)
-    assert closure.unsupported_points(sp, ch) == frozenset()
+    assert closure.min_chain_dense(sp, ch).unsupported == frozenset()
 
 
 def test_closure_is_extensive_and_monotone(street5, c_right5):
     rng = random.Random(3)
     pts = street5.points
+    unsupported = closure.min_chain_dense(street5, c_right5).unsupported
     for _ in range(25):
         a = frozenset(p for p in pts if rng.random() < 0.4)
         b = a | frozenset(p for p in pts if rng.random() < 0.3)
@@ -58,11 +61,11 @@ def test_closure_is_extensive_and_monotone(street5, c_right5):
         cb = closure.chain_closure(street5, b, c_right5).members
         assert a <= ca
         assert ca <= cb
-        assert closure.unsupported_points(street5, c_right5) <= ca
+        assert unsupported <= ca
 
 
 def test_neighborhood_classes_street5(street5, c_right5):
-    assert closure.neighborhood_classes(street5, c_right5) == (
+    assert closure.min_chain_dense(street5, c_right5).classes == (
         ("r2",),
         ("r3",),
         ("r4",),
@@ -83,7 +86,7 @@ def test_neighborhood_classes_merge_twins():
         pts,
     )
     ch = parse_chain("g & @x & @y ; g", sp.ctx)
-    assert ("x", "y") in closure.neighborhood_classes(sp, ch)
+    assert ("x", "y") in closure.min_chain_dense(sp, ch).classes
 
 
 def test_is_chain_dense_examples(street5, c_right5):
@@ -140,25 +143,56 @@ def test_min_dense_witnesses_interchange_within_classes(street5, c_right5):
         assert hit == classes
 
 
-def test_reach_equivalence(street5, c_right5):
-    assert closure.reach_equivalence(street5, c_right5, "r2", "r3") == (True, True, True)
-    assert closure.reach_equivalence(street5, c_right5, "r3", "r2") == (
-        False,
-        False,
-        False,
+def reach_readings(sp, chain, x: str, y: str) -> tuple[bool, bool, bool]:
+    """Three readings of 'x is reachable from y', which must agree.
+
+    (1) the base family of ``x`` is contained in that of ``y``;
+    (2) ``x`` lies in the closure of every set containing ``y``, decided
+        from ``x``'s base family over all of them;
+    (3) ``x`` lies in the `closure.chain_closure` of ``{y}``.
+    """
+    fam_x, fam_y = (chains.chain_base(sp, p, chain) for p in (x, y))
+    ybit = sp.point_bit(y)
+    every_superset = all(
+        all(m & (a | ybit) for m in fam_x) for a in range(1 << len(sp.points))
     )
-    with pytest.raises(PreconditionError):
-        closure.reach_equivalence(street5, c_right5, "r2", "r2")
-    with pytest.raises(PreconditionError):
-        closure.reach_equivalence(street5, c_right5, "r1", "r2")
+    return (
+        fam_x <= fam_y,
+        every_superset,
+        x in closure.chain_closure(sp, {y}, chain).members,
+    )
+
+
+def test_reach_equivalence(street5, c_right5):
+    assert reach_readings(street5, c_right5, "r2", "r3") == (True, True, True)
+    assert reach_readings(street5, c_right5, "r3", "r2") == (False, False, False)
+
+
+def test_reach_readings_agree_on_fixtures_and_random_spaces(
+    street5, c_right5, genealogy5, c_anc5, street2x3, c_right6
+):
+    cases = [(street5, c_right5), (genealogy5, c_anc5), (street2x3, c_right6)]
+    rng = random.Random(11)
+    while len(cases) < 15:
+        sp = random_generated_space(rng, max_points=7)
+        chain = sp and random_realized_chain(rng, sp)
+        if chain:
+            cases.append((sp, chain))
+    for sp, chain in cases:
+        for x, y in itertools.permutations(sp.points, 2):
+            assert len(set(reach_readings(sp, chain, x, y))) == 1, (x, y)
 
 
 def test_idempotence_reported_not_asserted(street5, c_right5, genealogy5, c_anc5):
-    gaps = {
-        "street5": closure.idempotence_gap(street5, {"r3"}, c_right5),
-        "genealogy5": closure.idempotence_gap(genealogy5, {"C"}, c_anc5),
-    }
+    gaps = {}
+    for name, sp, start, ch in (
+        ("street5", street5, {"r3"}, c_right5),
+        ("genealogy5", genealogy5, {"C"}, c_anc5),
+    ):
+        once = closure.chain_closure(sp, start, ch).members
+        twice = closure.chain_closure(sp, once, ch).members
+        assert once <= twice
+        gaps[name] = twice - once
     for name, gap in gaps.items():
         # informational: record the gap in the test log, assert nothing about it
         print(f"idempotence gap on {name}: {sorted(gap)}")
-    assert all(isinstance(g, frozenset) for g in gaps.values())

@@ -32,7 +32,7 @@ def test_first_level_irreducibles_are_connected(street5, c_right5, genealogy5, c
     """Members of the anchored base at the chain's first level never separate."""
     for sp, ch in ((street5, c_right5), (genealogy5, c_anc5)):
         fam = basis.irreducibles_above(sp, ch.levels[0])
-        for m in fam.members:
+        for m in fam:
             ok, _ = connect.is_chain_connected(sp, sp.ids_of(m), ch)
             assert ok
 
@@ -50,7 +50,7 @@ def test_irreducibles_above_connected_across_realized_chains(street2x3):
     ]
     for i, j in pairs[::7]:  # sampled; the full sweep lives in oracle.check_space
         ch = TypeChain((rt.terms[i], rt.terms[j]))
-        for m in basis.irreducibles_above(sp, ch.levels[0]).members:
+        for m in basis.irreducibles_above(sp, ch.levels[0]):
             ok, _ = connect.is_chain_connected(sp, sp.ids_of(m), ch)
             assert ok
 
@@ -59,8 +59,8 @@ def test_pure_generator_members_connect_under_their_own_chain(street5, genealogy
     for sp, gen in ((street5, "right"), (genealogy5, "anc")):
         top = parse_type_expr(gen, sp.ctx)
         for x in sp.points:
-            fam = chains.generator_neighborhoods(sp, x, [gen])
-            for m in fam.members:
+            fam = chains.generator_neighborhoods(sp, x, gen)
+            for m in fam:
                 t = sp.sigma[m]
                 ch = TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
                 ok, _ = connect.is_chain_connected(sp, sp.ids_of(m), ch)
@@ -135,15 +135,21 @@ def test_relation_ball_connects_classmates_directly():
 
 
 def test_components_street2x3(street2x3, c_right6):
-    rep = connect.chain_components(street2x3, c_right6)
-    assert rep.components == (("a2", "a3"), ("b2", "b3"))
-    assert rep.remainder == ("a1", "b1")
+    """Two components, {a2, a3} and {b2, b3}; a1 and b1 connect to nothing."""
+    for x, y in (("a2", "a3"), ("b2", "b3")):
+        assert connect.find_connection(street2x3, x, y, c_right6) is not None
+    for x, y in (("a3", "b3"), ("a1", "a2"), ("b1", "b2"), ("a1", "b1")):
+        assert connect.find_connection(street2x3, x, y, c_right6) is None
+        assert not oracle.exhaustive_connected(street2x3, c_right6, x, y)
 
 
 def test_components_street5(street5, c_right5):
-    rep = connect.chain_components(street5, c_right5)
-    assert rep.components == (("r2", "r3", "r4", "r5"),)
-    assert rep.remainder == ("r1",)
+    """One component, r2..r5, joined by one base open; r1 connects to nothing."""
+    cert = connect.find_connection(street5, "r2", "r5", c_right5)
+    assert cert.member_ids == ("r2", "r3", "r4", "r5")
+    for y in ("r2", "r5"):
+        assert connect.find_connection(street5, "r1", y, c_right5) is None
+        assert not oracle.exhaustive_connected(street5, c_right5, "r1", y)
 
 
 def test_single_open_pool_gives_one_component():
@@ -161,6 +167,5 @@ def test_single_open_pool_gives_one_component():
     g = parse_type_expr("g", sp.ctx)
     ch = TypeChain((g, g))
     assert chains.chain_pool(sp, ch) == frozenset({sp.full_mask})
-    rep = connect.chain_components(sp, ch)
-    assert rep.components == (("x", "y"),)
-    assert rep.remainder == ()
+    cert = connect.find_connection(sp, "x", "y", ch)
+    assert cert.sequence == (("x", "y"),)

@@ -57,3 +57,104 @@ def test_test_modules_use_every_import():
     modules = sorted(TESTS.glob("*.py"))
     assert Path(__file__).resolve() in modules
     assert unused_by_module(modules) == {}
+
+
+# Public functions that nothing in the package or the benchmark calls, kept
+# because tests compare the fast route against them.
+REFERENCE_ONLY = {
+    "lattice.is_join_irreducible": (
+        "the valuation reading of join-irreducibility; the lattice tests check "
+        "the structural fast path and the irreducible-term laws against it"
+    ),
+}
+
+
+def _reference_map(tree: ast.Module, home: str) -> dict[str, str]:
+    """Local name -> dotted target, for imports and the module's own functions."""
+    names = {
+        node.name: f"{home}.{node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "typedtopo" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return names
+
+
+def references(source: str, home: str) -> set[str]:
+    """Dotted targets, such as ``lattice.leq``, that ``source`` reads.
+
+    ``home`` is the module's own name; a function's reference to itself does
+    not count.
+    """
+    tree = ast.parse(source)
+    names = _reference_map(tree, home)
+
+    def resolve(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            return f"{base}.{node.attr}" if base else None
+        return None
+
+    out = set()
+    for top in tree.body:
+        own = f"{home}.{top.name}" if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            target = resolve(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+            if target and target != own:
+                out.add(target.removeprefix("typedtopo."))
+    return out
+
+
+def test_references_resolve_each_name_to_its_module():
+    source = (
+        "from . import basis, lattice as lat\n"
+        "from .space import forces\n"
+        "import typedtopo\n"
+        "def is_join_irreducible(x):\n"
+        "    return basis.is_join_irreducible(x) or is_join_irreducible(x)\n"
+        "def f():\n"
+        "    return lat.meet, forces, typedtopo.chains.chain_pool, is_join_irreducible\n"
+    )
+    assert references(source, "closure") >= {
+        "basis.is_join_irreducible", "lattice.meet", "space.forces", "chains.chain_pool",
+        "closure.is_join_irreducible",
+    }
+    assert "lattice.is_join_irreducible" not in references(source, "closure")
+    assert "closure.f" not in references(source, "closure")
+
+
+def public_functions() -> set[str]:
+    """``module.name`` of every public module-level function in the package."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.add(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    """A package module or a benchmark script reads each public function.
+
+    Tests do not count as callers, and neither do the re-exports of
+    ``__init__.py``.
+    """
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+    called = set()
+    for path in callers:
+        called |= references(path.read_text(encoding="utf-8"), path.stem)
+    assert REFERENCE_ONLY.keys() <= public_functions()
+    assert sorted(public_functions() - called - REFERENCE_ONLY.keys()) == []

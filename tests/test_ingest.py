@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from typedtopo import ingest, lattice, space
+from typedtopo import lattice, space
 from typedtopo.errors import DatasetError
 from typedtopo.ingest import (
     CommunityDataset,
@@ -67,14 +67,6 @@ def test_genealogy_co_students_share_ancestor_sets():
     sp = build_genealogy(branched)
     by_name = {s.name: s for s in sp.generators}
     assert by_name["anc_B1"].members == by_name["anc_B2"].members == frozenset({"A"})
-
-
-def test_genealogy_direct_students_flag_narrows_the_meet():
-    data = GenealogyDataset((("A", "B1"), ("A", "B2"), ("B1", "C1")))
-    wide = {s.name: s for s in build_genealogy(data).generators}
-    narrow = {s.name: s for s in build_genealogy(data, direct_students_only=True).generators}
-    assert format_term(wide["anc_B1"].type_term) == "anc & @B1 & @B2 & @C1"
-    assert format_term(narrow["anc_B1"].type_term) == "anc & @B1 & @B2"
 
 
 def test_genealogy_rejects_cycles():
@@ -206,14 +198,6 @@ def test_dataset_file_parsers():
         )
     )
     assert c.streets == (("a", ("x",)),)
-
-
-def test_fixture_lookup_and_unknown_name():
-    assert ingest.fixture("street5") is ingest.fixture("STREET5")
-    from typedtopo.errors import PreconditionError
-
-    with pytest.raises(PreconditionError):
-        ingest.fixture("NOPE")
 
 
 def test_shipped_fixture_files_match_builders(genealogy5, street5, street2x3):

@@ -32,7 +32,6 @@ from typedtopo.lattice import (
     term_eq,
     term_from_json,
     term_to_json,
-    upward_filter,
 )
 
 
@@ -193,7 +192,7 @@ def test_enumeration_bound_exceeded():
 
 
 # ---------------------------------------------------------------------------
-# join-irreducibility and filters
+# join-irreducibility
 # ---------------------------------------------------------------------------
 
 
@@ -208,16 +207,6 @@ def test_join_irreducible_bound():
     ctx = Context(Poset(set()), tuple(f"x{i}" for i in range(25)))
     with pytest.raises(BoundExceededError):
         is_join_irreducible(parse_type_expr("@x0", ctx))
-
-
-def test_upward_filter_examples(gctx):
-    t = parse_type_expr("anc & @W", gctx)
-    cands = [parse_type_expr(e, gctx) for e in ("anc", "desc", "TOP")]
-    got = upward_filter(t, cands)
-    assert [format_term(q) for q in got] == ["anc", "TOP"]
-    with pytest.raises(PreconditionError):
-        upward_filter(gctx.bottom(), cands)
-    assert upward_filter(gctx.top(), [parse_type_expr("anc", gctx)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +369,7 @@ def _reference_normalize(ctx: Context, clauses) -> frozenset:
     if not reduced:
         return frozenset()
     closed = _consensus_closure(ctx.poset, reduced)
-    if any(c.is_empty() for c in closed):
+    if clause_of() in closed:
         return frozenset({clause_of()})
     return frozenset(closed)
 
@@ -601,7 +590,7 @@ def test_ultrafilter_correspondence():
     ]
     assert irreducibles, "sublattice should contain at least one irreducible"
     for e in irreducibles:
-        filt = upward_filter(e, lattice_terms)
+        filt = [q for q in lattice_terms if leq(e, q)]
         keys = {q.sort_key() for q in filt}
         assert ctx.bottom().sort_key() not in keys
         for p, q in itertools.combinations(filt, 2):

@@ -6,7 +6,8 @@ from typing import Optional
 import pytest
 
 from conftest import random_generated_space
-from typedtopo import basis, chains, closure, lattice, oracle, space
+from typedtopo import basis, chains, closure, connect, lattice, oracle, space
+from typedtopo.chains import TypeChain
 from typedtopo.errors import OracleSkip
 from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace, realized_types
@@ -273,6 +274,53 @@ def _reference_chain_results(space: TypedSpace) -> list:
     return results
 
 
+def _reference_pure_family_results(space: TypedSpace) -> list:
+    """The pure-family checks of `check_space`, one point at a time.
+
+    Kept as the slow twin of the per-generator families: each point's
+    `chains.generator_neighborhoods` is walked in ascending mask order, and
+    its members are looked up in that point's `chains.chain_base`.
+    """
+    sig, ids = space.sigma, space.ids_of
+    bad_base, bad_conn = [], []
+    for gen in sorted(space.poset.elements):
+        top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
+
+        def chain_of(m: int) -> TypeChain:
+            t = sig[m]
+            return TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
+
+        members = set()
+        for x in space.points:
+            fam = chains.generator_neighborhoods(space, x, gen)
+            members |= fam
+            for m in sorted(fam):
+                if m not in chains.chain_base(space, x, chain_of(m)):
+                    bad_base.append((gen, x, ids(m)))
+        for m in sorted(members):
+            ok, w = connect.is_chain_connected(space, ids(m), chain_of(m))
+            if not ok:
+                bad_conn.append((gen, ids(m), (w.left, w.right)))
+    return [
+        oracle.CheckResult(
+            "pure-family-base",
+            "all generators x points x family members",
+            not bad_base,
+            tuple(bad_base[:5]),
+        ),
+        oracle.CheckResult(
+            "pure-family-connectivity",
+            "all generators x pure family members",
+            not bad_conn,
+            tuple(bad_conn[:5]),
+        ),
+    ]
+
+
+def _reference_results(space: TypedSpace) -> list:
+    return _reference_chain_results(space) + _reference_pure_family_results(space)
+
+
 def _drop_smallest(sp, base):
     return frozenset(sorted(base)[1:])
 
@@ -286,11 +334,11 @@ def _add_whole_set(sp, base):
 def test_one_pass_chain_checks_match_the_per_check_loops(
     request, monkeypatch, fixture, corrupt
 ):
-    """Name, scope, verdict and counterexamples agree with the slow twin.
+    """Name, scope, verdict and counterexamples agree with the slow twins.
 
     A corrupted chain base (its smallest member dropped, or the whole point
     set added) makes the twins report failing counterexamples, not only
-    passing verdicts.
+    passing verdicts; dropping a member fails the pure-family base check.
     """
     sp = request.getfixturevalue(fixture)
     if corrupt is not None:
@@ -299,10 +347,10 @@ def test_one_pass_chain_checks_match_the_per_check_loops(
             chains, "chain_base_pool", lambda s, ch: corrupt(s, base_pool(s, ch))
         )
     got = {r.name: r for r in check_space(dataclasses.replace(sp)).results}
-    want = _reference_chain_results(dataclasses.replace(sp))
+    want = _reference_results(dataclasses.replace(sp))
     assert [got[r.name] for r in want] == want
     if corrupt is _drop_smallest:
-        assert not all(r.passed for r in want)
+        assert not got["pure-family-base"].passed
 
 
 def test_one_pass_chain_checks_match_on_random_spaces():
@@ -315,7 +363,7 @@ def test_one_pass_chain_checks_match_on_random_spaces():
         if len(rep.results) == 2:  # not a strict typed space: no chain checks
             continue
         got = {r.name: r for r in rep.results}
-        want = _reference_chain_results(dataclasses.replace(sp))
+        want = _reference_results(dataclasses.replace(sp))
         assert [got[r.name] for r in want] == want, seed
         compared += 1
         failing += sum(not r.passed for r in want)
@@ -325,7 +373,7 @@ def test_one_pass_chain_checks_match_on_random_spaces():
 def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5):
     """One pass per chain, and the meets of the type-mapping pair loop reused.
 
-    Measured on STREET5: 1,012 `chain_base_pool`, 2,000 `chain_pool` and 528
+    Measured on STREET5: 1,000 `chain_base_pool`, 2,000 `chain_pool` and 528
     `lattice.meet` calls. One loop per check made 3,988, 2,992 and 993.
     """
     calls = {"chain_base_pool": 0, "chain_pool": 0, "meet": 0}
@@ -336,6 +384,6 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
 
         monkeypatch.setattr(mod, name, counted)
     assert check_space(dataclasses.replace(street5)).ok
-    assert 0 < calls["chain_base_pool"] <= 1012
+    assert 0 < calls["chain_base_pool"] <= 1000
     assert 0 < calls["chain_pool"] <= 2000
     assert 0 < calls["meet"] <= 528

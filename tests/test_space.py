@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -15,7 +16,6 @@ from typedtopo.errors import (
     NotStrictlyTypedError,
     PreconditionError,
     SpaceValidationError,
-    UnknownPointError,
 )
 from typedtopo.lattice import Context, Poset, clause_of, format_term, normalize, parse_type_expr
 from typedtopo.space import (
@@ -499,15 +499,6 @@ def test_strictify_cannot_fix_top_level_tie():
         strictify(sp)
 
 
-def test_forces_examples(genealogy5):
-    g = genealogy5
-    assert space.forces(g, parse_type_expr("anc & @W", g.ctx), "C")
-    assert not space.forces(g, parse_type_expr("desc", g.ctx), "W")
-    assert not space.forces(g, g.ctx.bottom(), "B")
-    with pytest.raises(UnknownPointError):
-        space.forces(g, parse_type_expr("anc", g.ctx), "Q")
-
-
 def test_realized_types_counts(genealogy5):
     rt = realized_types(genealogy5)
     assert len(rt) == len(genealogy5.opens) - 1 == 31
@@ -641,7 +632,7 @@ def test_induced_types_are_minimal_extension():
             for i in chosen:
                 inter &= gen_masks[i]
             if inter:
-                pool.append(lattice.meet_all(ctx, [specs[i].type_term for i in chosen]))
+                pool.append(functools.reduce(lattice.meet, [specs[i].type_term for i in chosen]))
         values = []
         for sub in itertools.product([0, 1], repeat=len(pool)):
             values.append(
