@@ -20,7 +20,12 @@ The pools are mask algebra over the realized types' int bitset rows
 ``visible(support) & OR(above(lo) & below(hi))`` over the consecutive level
 pairs. The irreducible members above a lower level are those of the row
 ``visible(support) & above(level)``, read from `basis.irreducibles`, whose
-memo on ``space.index`` is keyed by that row.
+memo on ``space.index`` is keyed by that row. One routine turns a chain's
+rows into its pool and base and memoizes the pair on ``space.index``, keyed
+by the pool row and the lower levels' rows. A `TypeChain` reaches it
+through its levels' rows (`chain_pool`, `chain_base_pool`); a chain of
+realized types reaches it by their indexes (`realized_chain_pools`), which
+builds no chain and hashes no term.
 """
 from __future__ import annotations
 
@@ -80,12 +85,64 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _pool_members(space: TypedSpace, chain: TypeChain) -> frozenset:
+def _pool_and_base(space: TypedSpace, visible: int, pairs) -> tuple[frozenset, frozenset]:
+    """The pool and base of a chain from its rows, memoized on ``space.index.pools``.
+
+    ``visible`` is the row of the chain's support, and ``pairs`` holds the
+    rows ``(above(lo), below(hi))`` of each consecutive level pair. The pool
+    is the visible opens in some sandwich ``above(lo) & below(hi)``. The
+    base keeps the pool members irreducible in some lower level's row
+    ``visible & above(lo)``; since `basis.irreducibles` of such a row holds
+    only opens typed above its level, that is the pool met with their union.
+    The key is the pool row and the distinct lower rows. These shrink level
+    by level up an ascending chain, so equal ones are adjacent, and chains
+    that select the same rows share one entry.
+    """
+    sandwich = 0
+    lows = []
+    for lo, hi in pairs:
+        sandwich |= lo & hi
+        low = visible & lo
+        if not lows or lows[-1] != low:
+            lows.append(low)
+    key = (visible & sandwich, *lows)
+    memo = space.index.pools
+    got = memo.get(key)
+    if got is None:
+        pool = realized_types(space).opens_in(key[0])
+        irreducible = frozenset().union(*(irreducibles(space, row) for row in lows))
+        got = memo[key] = (pool, pool & irreducible)
+    return got
+
+
+def _chain_pools(space: TypedSpace, chain: TypeChain) -> tuple[frozenset, frozenset]:
+    space_mod.require_strict(space)
     rt = realized_types(space)
-    sandwiched = 0
-    for lo, hi in chain.pairs():
-        sandwiched |= rt.above(lo) & rt.below(hi)
-    return rt.opens_in(rt.visible(chain.support()) & sandwiched)
+    return _pool_and_base(
+        space,
+        rt.visible(chain.support()),
+        [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()],
+    )
+
+
+def realized_chain_pools(
+    space: TypedSpace, levels: tuple[int, ...]
+) -> tuple[frozenset, frozenset]:
+    """`chain_pool` and `chain_base_pool` of the chain of realized types ``levels``.
+
+    ``levels`` are ascending indexes into ``realized_types(space).terms``;
+    the caller vouches for their order, which is not checked again. Their
+    rows are read by index (`RealizedTypes.up` and ``down``), so no
+    `TypeChain` is built and no term is hashed.
+    """
+    space_mod.require_strict(space)
+    rt = realized_types(space)
+    up, down = rt.up, rt.down
+    return _pool_and_base(
+        space,
+        rt.visible(frozenset().union(*map(rt.generators.__getitem__, levels))),
+        [(up[lo], down[hi]) for lo, hi in zip(levels, levels[1:])],
+    )
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -97,36 +154,20 @@ def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozense
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """All sandwiched visible opens: the union of every point's neighborhoods.
 
-    Scanned once per chain and space, and memoized on ``space.index``.
+    Computed once per distinct rows and space, and memoized on ``space.index``.
     """
-    space_mod.require_strict(space)
-    pools = space.index.chain_pools
-    got = pools.get(chain)
-    if got is None:
-        got = pools[chain] = _pool_members(space, chain)
-    return got
+    return _chain_pools(space, chain)[0]
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """Sandwiched visible opens irreducible above some lower chain level.
 
     The irreducibility level ranges over every lower level whose value lies
-    below the member's type; it is not tied to the sandwiching index. The
-    irreducibles of a level's visible row hold only opens typed above it,
-    so the base is the chain pool met with their union. Computed once per
-    chain and space, and memoized on ``space.index``.
+    below the member's type; it is not tied to the sandwiching index.
+    Computed with the pool, once per distinct rows and space, and memoized
+    on ``space.index``.
     """
-    bases = space.index.base_pools
-    got = bases.get(chain)
-    if got is None:
-        pool = chain_pool(space, chain)
-        rt = realized_types(space)
-        visible = rt.visible(chain.support())
-        irreducible = frozenset().union(
-            *(irreducibles(space, visible & rt.above(lo)) for lo in chain.levels[:-1])
-        )
-        got = bases[chain] = pool & irreducible
-    return got
+    return _chain_pools(space, chain)[1]
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -220,7 +261,7 @@ def chain_cover(space: TypedSpace) -> ChainCover:
     space_mod.require_strict(space)
     rt = realized_types(space)
     n = len(rt)
-    rows = [rt.above(t) for t in rt.terms]
+    rows = rt.up
     succ_candidates: dict[int, list[int]] = {
         i: [j for j in range(n) if i != j and rows[i] >> j & 1] for i in range(n)
     }

@@ -13,12 +13,14 @@ logic of the operations they judge:
 * `check_space` replays the structural theorems of the domain over a whole
   space, listing each check with its quantifier ranges and counterexamples.
   Its chain theorems are decided in one pass per realized chain over the
-  int mask rows of the chain's pool and base. It reads those pools from
-  `chains`, and so judges them, but decides every theorem by its own
-  mask algebra.
+  int mask rows of the chain's pool and base. It walks the chains as
+  tuples of realized-type indexes read off the order rows, and reads each
+  one's pool and base from `chains` by those indexes, so it judges them,
+  but decides every theorem by its own mask algebra.
 
 Budgets make the exponential cost explicit: exceeding one raises
-`OracleSkip`, never a silent pass.
+`OracleSkip`, never a silent pass. The theorem replay counts its chains
+before it walks them, against `MAX_CHAINS`.
 """
 from __future__ import annotations
 
@@ -35,6 +37,9 @@ from .space import TypedSpace, realized_types
 DEFAULT_DENSE_POINTS = 12
 DEFAULT_CONNECT_POINTS = 10
 MAX_SUBSETS = 1 << 20
+# realized chains one theorem replay may walk: an 8-point street has 65,280,
+# replayed in 3.4 s on a 2-core VM, and a 9-point street 261,632
+MAX_CHAINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -158,27 +163,35 @@ class CheckReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _realized_chains(space: TypedSpace):
-    """Ascending level tuples (length 2 and 3) over the realized types.
+def _chain_count(rt, budget: int) -> int:
+    """The realized 2- and 3-level chains, counted from the order rows.
 
-    Each usable level's ``above`` row is read once; bit ``j`` of level
-    ``i``'s row says ``terms[i] <= terms[j]``.
+    With ``A_j`` the realized types at or above ``j`` and ``B_j`` those at
+    or below it, there are ``sum |A_j|`` two-level chains and
+    ``sum |B_j| * |A_j|`` three-level ones, ``j`` being the middle level.
+    Rows are read level by level, and the count stops once the total passes
+    ``budget``, so an oversized space pays for few rows.
     """
-    rt = realized_types(space)
-    terms = rt.terms
-    usable = [i for i, t in enumerate(terms) if not (t.is_bottom or t.is_top)]
-    above = {i: rt.above(terms[i]) for i in usable}
-    for i in usable:
-        for j in usable:
-            if above[i] >> j & 1:
-                yield TypeChain((terms[i], terms[j]))
-    for i in usable:
-        for j in usable:
-            if not above[i] >> j & 1:
-                continue
-            for k in usable:
-                if above[j] >> k & 1:
-                    yield TypeChain((terms[i], terms[j], terms[k]))
+    total = 0
+    for term in rt.terms:
+        total += rt.above(term).bit_count() * (1 + rt.below(term).bit_count())
+        if total > budget:
+            break
+    return total
+
+
+def _chain_levels(rt) -> list[tuple[int, ...]]:
+    """Ascending realized-type index tuples of length 2, then 3.
+
+    Each level's order row is read once by index; bit ``j`` of ``rt.up[i]``
+    says ``terms[i] <= terms[j]``. A valid space realizes neither Bottom nor
+    Top, so every realized type is a chain level.
+    """
+    n = len(rt)
+    above = [[j for j in range(n) if row >> j & 1] for row in rt.up]
+    return [(i, j) for i in range(n) for j in above[i]] + [
+        (i, j, k) for i in range(n) for j in above[i] for k in above[j]
+    ]
 
 
 def _covered(members, u: int) -> int:
@@ -202,8 +215,13 @@ def check_space(space: TypedSpace) -> CheckReport:
     closure core identity, the unsupported-region identities, and the three
     connectivity statements.
 
-    The chain theorems are decided in one pass per realized chain over the
-    int masks of its pool and base, read once each. A pool member has a
+    When validation passes and the space is strictly typed, the realized
+    chains are counted from the order rows first, and more than `MAX_CHAINS`
+    of them raise `OracleSkip` before any pair loop runs. The chains are
+    walked as ascending tuples of realized-type indexes, and a chain's text
+    is formatted only for a counterexample. The chain theorems are decided
+    in one pass per chain over the int masks of its pool and base, read
+    once each by `chains.realized_chain_pools`. A pool member has a
     base member inside it at each of its points iff the base members inside
     it cover it; only a chain where one does not is walked point by point
     for the counterexamples. One pass per point over the base gives its
@@ -216,6 +234,15 @@ def check_space(space: TypedSpace) -> CheckReport:
     ids = space.ids_of
 
     report = space_mod.validate_type_mapping(space)
+    strictness = space_mod.strictness(space)
+    if report.ok and strictness.strict:
+        rt = realized_types(space)
+        count = _chain_count(rt, MAX_CHAINS)
+        if count > MAX_CHAINS:
+            raise OracleSkip(
+                f"at least {count} realized chains exceed the theorem-replay budget "
+                f"of {MAX_CHAINS}"
+            )
     bad = [(f.code,) + tuple(f.witness) for f in report.failures]
     opens = sorted(m for m in space.opens if m in sig)
     bottoms = set()  # open pairs u <= v whose types meet at Bottom
@@ -238,7 +265,6 @@ def check_space(space: TypedSpace) -> CheckReport:
             tuple(bad[:5]),
         )
     )
-    strictness = space_mod.strictness(space)
     results.append(
         CheckResult(
             "strictly-typed",
@@ -250,7 +276,6 @@ def check_space(space: TypedSpace) -> CheckReport:
     if not (type_ok and strictness.strict):
         return CheckReport(tuple(results))
 
-    rt = realized_types(space)
     nonempty = space.nonempty_opens()
 
     # incompatible forcing: disjoint-typed realized pairs never share a point;
@@ -309,20 +334,24 @@ def check_space(space: TypedSpace) -> CheckReport:
     # the chain theorems, one pass per chain: base property, closure core,
     # unsupported region, and connectivity of irreducible base members and
     # anchored family members
-    chain_list = list(_realized_chains(space))
+    chain_list = _chain_levels(rt)
+    terms, generators = rt.terms, rt.generators
     points = space.points
     full = space.full_mask
+
+    def text(levels: tuple[int, ...]) -> str:
+        return " ; ".join(lattice.format_term(terms[i]) for i in levels)
+
     bad_nbhd, bad_core, bad_region, bad_base, bad_anchor = [], [], [], [], []
-    for chain in chain_list:
-        pool = chains_mod.chain_pool(space, chain)
-        base = chains_mod.chain_base_pool(space, chain)
+    for levels in chain_list:
+        pool, base = chains_mod.realized_chain_pools(space, levels)
         # every sandwiched neighborhood contains a base member at each point
         if any(_covered(base, u) != u for u in pool):
             for i, x in enumerate(points):
                 bit = 1 << i
                 for u in pool:
                     if u & bit and not any((v & u) == v and (v & bit) for v in base):
-                        bad_nbhd.append((chain.text(), x, ids(u)))
+                        bad_nbhd.append((text(levels), x, ids(u)))
         # every nonempty base family has a least member, its core
         supported = 0
         for i, x in enumerate(points):
@@ -334,7 +363,7 @@ def check_space(space: TypedSpace) -> CheckReport:
             if core != -1:
                 supported |= bit
                 if core not in base:
-                    bad_core.append((chain.text(), x))
+                    bad_core.append((text(levels), x))
         # the uncovered remainder is the unsupported region, which is closed
         empty = full & ~supported
         covered = free = 0
@@ -345,23 +374,24 @@ def check_space(space: TypedSpace) -> CheckReport:
                 free |= m
         remainder = full & ~covered
         if remainder != empty:
-            bad_region.append((chain.text(), "remainder", ids(remainder ^ empty)))
+            bad_region.append((text(levels), "remainder", ids(remainder ^ empty)))
         else:
             cut_off = supported & ~free
-            bad_region += [(chain.text(), "not-closed", x)
+            bad_region += [(text(levels), "not-closed", x)
                            for i, x in enumerate(points) if cut_off >> i & 1]
         # no first-level irreducible is split by two disjoint pool members
         disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
         if not disjoint:
             continue
-        row = rt.visible(chain.support()) & rt.above(chain.levels[0])
+        support = frozenset().union(*(generators[i] for i in levels))
+        row = rt.visible(support) & rt.up[levels[0]]
         for m in sorted(basis.irreducibles(space, row)):
             for u, v in disjoint:
                 if (m & ~(u | v)) == 0 and (m & u) and (m & v):
                     w = (ids(u), ids(v))
-                    bad_anchor.append((chain.text(), ids(m), w))
+                    bad_anchor.append((text(levels), ids(m), w))
                     if m in base:
-                        bad_base.append((chain.text(), ids(m), w))
+                        bad_base.append((text(levels), ids(m), w))
                     break
     results.append(
         CheckResult(

@@ -301,25 +301,24 @@ class SpaceIndex:
     over the type indexes, and such a row is the one key of
     ``irreducibles``: `basis.irreducibles` keeps there the join-irreducible
     members of the opens a row selects, whether an anchored family or a
-    chain level's visible pool asked for them. `chains` fills three memos:
-    the pools of `chain_pool` and the bases of `chain_base_pool`, keyed by
-    the chain (a frozen dataclass of canonical terms, so equal chains share
-    an entry); and, keyed by generator name, the union of the chain pools
-    over that generator's realized-level chains, which the cross-check of
+    chain level's visible pool asked for them. `chains` fills two memos.
+    ``pools`` holds each chain's pool and base, keyed by the rows they are
+    computed from: the pool's row, then the distinct visible rows above its
+    lower levels. Equal rows share an entry whether the chain came as
+    `chains.TypeChain` terms or as realized-type indexes, and so do two
+    chains whose levels differ but select the same rows. Keyed by generator
+    name, ``generator_unions`` holds the union of the chain pools over that
+    generator's realized-level chains, which the cross-check of
     `chains.generator_neighborhoods` masks by each point's bit.
     """
 
-    __slots__ = (
-        "strict_report", "realized", "irreducibles", "chain_pools", "base_pools",
-        "generator_unions",
-    )
+    __slots__ = ("strict_report", "realized", "irreducibles", "pools", "generator_unions")
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
-        self.chain_pools: dict = {}  # TypeChain -> frozenset of masks
-        self.base_pools: dict = {}  # TypeChain -> frozenset of masks
+        self.pools: dict = {}  # (pool row, *lower-level rows) -> (pool, base)
         self.generator_unions: dict = {}  # generator name -> frozenset of masks
 
 
@@ -500,7 +499,9 @@ class RealizedTypes:
     so the rows are memoized by the level term itself, and a chain query
     pays for its own levels' rows rather than for the whole order table.
     The types visible to a generator support are memoized the same way,
-    and `opens_in` expands any type bitset into its opens.
+    and `opens_in` expands any type bitset into its opens. A walk over the
+    realized types themselves reads their rows by index from `up` and
+    `down`, and hashes no term.
     """
 
     terms: tuple[TypeTerm, ...]
@@ -530,6 +531,16 @@ class RealizedTypes:
         if row is None:
             row = self._visible[support] = _bits(self.generators, support.issuperset)
         return row
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """`above` of each realized type, by index."""
+        return tuple(map(self.above, self.terms))
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """`below` of each realized type, by index."""
+        return tuple(map(self.below, self.terms))
 
     def opens_in(self, types: int) -> frozenset:
         """The opens whose type index is a bit of ``types``."""

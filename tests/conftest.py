@@ -29,6 +29,13 @@ def street2x3():
 
 
 @pytest.fixture(scope="session")
+def street10():
+    """One street of ten residents: too many realized chains for the theorem replay."""
+    residents = tuple(f"r{i}" for i in range(1, 11))
+    return ingest.build_community(ingest.CommunityDataset((("main", residents),)))
+
+
+@pytest.fixture(scope="session")
 def c_right5(street5):
     return chains.parse_chain(C_RIGHT5, street5.ctx)
 

@@ -110,28 +110,50 @@ def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
     assert ref() is None
 
 
-def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
-    """One theorem replay scans the visible opens once per distinct chain."""
-    scanned = []
-    scan = chains._pool_members
+def test_check_space_scans_each_chain_pool_once(street5):
+    """One theorem replay computes each distinct rows' pool and base once.
 
-    def counted(sp, chain):
-        scanned.append(chain)
-        return scan(sp, chain)
+    Measured on STREET5: 781 computations for 992 realized chains and 8
+    pure-family chains, which hold 692 distinct (pool, base) pairs. Keying
+    the memo by `TypeChain` made 1,000.
+    """
+    stored = []
 
-    monkeypatch.setattr(chains, "_pool_members", counted)
-    assert oracle.check_space(dataclasses.replace(street5)).ok
-    assert len(scanned) == len(set(scanned)) == 1000
+    class Recorded(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    sp = dataclasses.replace(street5)
+    sp.index.pools = Recorded()
+    assert oracle.check_space(sp).ok
+    assert 0 < len(stored) == len(set(stored)) <= 781
+    assert len(set(sp.index.pools.values())) == 692
 
 
 def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
     base = chains.chain_base_pool(street5, c_right5)
-    assert street5.index.chain_pools and street5.index.base_pools
+    assert street5.index.pools
     copy = dataclasses.replace(street5)
     idx = copy.index
-    assert not (idx.chain_pools or idx.base_pools or idx.irreducibles)
+    assert not (idx.pools or idx.irreducibles)
     assert chains.chain_base_pool(copy, c_right5) == base
-    assert set(idx.chain_pools) == set(idx.base_pools) == {c_right5}
+    assert chains.chain_pool(copy, c_right5) == chains.chain_pool(street5, c_right5)
+    assert len(idx.pools) == 1
+
+
+def test_chains_with_equal_rows_share_one_memo_entry(street5):
+    """A padded chain, and the same realized chain by indexes, read one entry."""
+    sp = dataclasses.replace(street5)
+    rt = realized_types(sp)
+    i, j = next((i, j) for i in range(len(rt)) for j in range(len(rt)) if i != j and rt.leq(i, j))
+    t, u = rt.terms[i], rt.terms[j]
+    short, padded = TypeChain((t, u)), TypeChain((t, t, u))
+    got = (chains.chain_pool(sp, short), chains.chain_base_pool(sp, short))
+    assert (chains.chain_pool(sp, padded), chains.chain_base_pool(sp, padded)) == got
+    assert chains.realized_chain_pools(sp, (i, i, j)) == got
+    assert chains.realized_chain_pools(sp, (i, j)) == got
+    assert len(sp.index.pools) == 1
 
 
 @pytest.mark.parametrize("fixture, text", [("street5", C_RIGHT5), ("street2x3", C_RIGHT6)])
@@ -336,21 +358,44 @@ def _random_chain(rng, sp):
         return None
 
 
+def _parsed_chain(rng, sp):
+    """A chain parsed from text: a generator narrowed by one or two points, up to itself."""
+    gen = rng.choice(sorted(sp.poset.elements))
+    a, b = rng.sample(sp.points, 2)
+    text = rng.choice([f"{gen} & @{a} & @{b} ; {gen} & @{a} ; {gen}", f"{gen} & ~@{a} ; {gen}"])
+    try:
+        return parse_chain(text, sp.ctx)
+    except PreconditionError:
+        return None
+
+
 def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
-    """Pools, anchored pools, their irreducibles and bases against per-open scans."""
+    """Pools, anchored pools, their irreducibles and bases against per-open scans.
+
+    Chains come as realized levels, also read by index through
+    `chains.realized_chain_pools`; as meets and joins around a realized
+    type; and parsed from text, with levels that no open realizes.
+    """
     rng = random.Random(8)
     spaces = [genealogy5, street5, street2x3]
     while len(spaces) < 12:
         sp = random_generated_space(rng, max_points=6)
         if sp is not None:
             spaces.append(sp)
-    checked = 0
+    checked = unrealized = 0
     for sp in spaces:
         sp = dataclasses.replace(sp)
         rt = realized_types(sp)
-        drawn = [random_realized_chain(rng, sp) for _ in range(4)]
-        drawn += [_random_chain(rng, sp) for _ in range(6)]
+        realized = [random_realized_chain(rng, sp) for _ in range(4)]
+        for chain in filter(None, realized):
+            levels = tuple(rt.terms.index(t) for t in chain.levels)
+            assert chains.realized_chain_pools(sp, levels) == (
+                _reference_pool(sp, chain), _reference_base(sp, chain)
+            )
+        drawn = realized + [_random_chain(rng, sp) for _ in range(6)]
+        drawn += [_parsed_chain(rng, sp) for _ in range(3)]
         for chain in filter(None, drawn):
+            unrealized += any(t not in rt.terms for t in chain.levels)
             assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
             for level in chain.levels:
                 row = rt.visible(chain.support()) & rt.above(level)
@@ -361,7 +406,7 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
                 }
             assert chains.chain_base_pool(sp, chain) == _reference_base(sp, chain)
             checked += 1
-    assert checked >= 80
+    assert checked >= 100 and unrealized >= 40
 
 
 def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5):

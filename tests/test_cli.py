@@ -574,3 +574,14 @@ def test_stable_output_does_not_depend_on_the_hash_seed(street5, tmp_path):
         runs = [_shell(*argv, hash_seed=seed) for seed in ("1", "2")]
         assert [(r.returncode, r.stderr) for r in runs] == [(code, err)] * 2
         assert runs[0].stdout == runs[1].stdout
+
+
+def test_oracle_check_on_too_many_chains_exits_3_with_one_line(street10, tmp_path):
+    """The theorem replay's chain budget is a query skip: exit 3, no traceback."""
+    doc = tmp_path / "street10.json"
+    doc.write_text(json.dumps(space_mod.space_to_json(street10)))
+    shell = _shell("oracle", str(doc), "--check", "--stable")
+    assert (shell.returncode, shell.stdout) == (3, "")
+    assert shell.stderr.startswith("tts oracle: at least ")
+    assert shell.stderr.endswith(f"budget of {oracle.MAX_CHAINS}\n")
+    assert shell.stderr.count("\n") == 1

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from typing import Optional
 
 import pytest
@@ -111,28 +112,33 @@ def test_check_report_shape(street5):
         assert r.scope
 
 
-def test_realized_chains_read_one_order_row_per_usable_level(monkeypatch, street5):
-    """Chains come in the order of the per-pair `leq` scan, one row read per level.
-
-    Measured on STREET2X3: the per-pair scan made 49,833 row lookups, one
-    row read per level makes 63.
-    """
-    rt = space.realized_types(street5)
-    usable = range(len(rt))  # a valid space realizes neither BOT nor TOP
-    reference = [
+def _realized_levels(rt) -> list:
+    """Ascending index tuples of length 2, then 3, from the per-pair `leq` scan."""
+    usable = [i for i, t in enumerate(rt.terms) if not (t.is_bottom or t.is_top)]
+    return [
         (i, j) for i in usable for j in usable if rt.leq(i, j)
     ] + [
         (i, j, k) for i in usable for j in usable if rt.leq(i, j)
         for k in usable if rt.leq(j, k)
     ]
+
+
+def test_realized_chains_read_one_order_row_per_usable_level(monkeypatch, street5):
+    """Chains come in the order of the per-pair `leq` scan, one row read per level.
+
+    Measured on STREET2X3: the per-pair scan made 49,833 row lookups, one
+    row read per level makes 63. The count from the order rows agrees.
+    """
+    rt = space.realized_types(dataclasses.replace(street5))
+    reference = _realized_levels(rt)
+    assert oracle._chain_count(rt, oracle.MAX_CHAINS) == len(reference) == 992
     reads = []
     above = space.RealizedTypes.above
     monkeypatch.setattr(
         space.RealizedTypes, "above", lambda self, level: reads.append(level) or above(self, level)
     )
-    got = list(oracle._realized_chains(street5))
-    assert [c.levels for c in got] == [tuple(rt.terms[i] for i in ix) for ix in reference]
-    assert 0 < len(reads) <= len(rt) == 31
+    assert oracle._chain_levels(rt) == reference
+    assert len(reads) == len(rt) == 31
 
 
 @pytest.mark.parametrize("fixture", ["genealogy5", "street5", "street2x3"])
@@ -155,7 +161,7 @@ def _reference_chain_results(space: TypedSpace) -> list:
     results = []
     ids = space.ids_of
     rt = realized_types(space)
-    chain_list = list(oracle._realized_chains(space))
+    chain_list = [TypeChain(tuple(rt.terms[i] for i in ix)) for ix in _realized_levels(rt)]
 
     # base property: every sandwiched neighborhood contains a base member
     bad = []
@@ -339,13 +345,18 @@ def test_one_pass_chain_checks_match_the_per_check_loops(
     A corrupted chain base (its smallest member dropped, or the whole point
     set added) makes the twins report failing counterexamples, not only
     passing verdicts; dropping a member fails the pure-family base check.
+    The corruption is made in the one routine that computes every pool and
+    base, so the index walk and the `TypeChain` route both see it.
     """
     sp = request.getfixturevalue(fixture)
     if corrupt is not None:
-        base_pool = chains.chain_base_pool
-        monkeypatch.setattr(
-            chains, "chain_base_pool", lambda s, ch: corrupt(s, base_pool(s, ch))
-        )
+        pool_and_base = chains._pool_and_base
+
+        def corrupted(s, *rows):
+            pool, base = pool_and_base(s, *rows)
+            return pool, corrupt(s, base)
+
+        monkeypatch.setattr(chains, "_pool_and_base", corrupted)
     got = {r.name: r for r in check_space(dataclasses.replace(sp)).results}
     want = _reference_results(dataclasses.replace(sp))
     assert [got[r.name] for r in want] == want
@@ -371,19 +382,46 @@ def test_one_pass_chain_checks_match_on_random_spaces():
 
 
 def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5):
-    """One pass per chain, and the meets of the type-mapping pair loop reused.
+    """Realized chains walked by index, and the meets of the type-mapping pair loop reused.
 
-    Measured on STREET5: 1,000 `chain_base_pool`, 2,000 `chain_pool` and 528
-    `lattice.meet` calls. One loop per check made 3,988, 2,992 and 993.
+    Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
+    member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
+    chains read by index; 528 `lattice.meet` calls. Building a `TypeChain`
+    for each realized chain made 1,000 constructions, 1,000 `chain_base_pool`
+    and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
+    `test_chains.test_check_space_scans_each_chain_pool_once`.
     """
-    calls = {"chain_base_pool": 0, "chain_pool": 0, "meet": 0}
-    for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"), (lattice, "meet")):
+    calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0, "meet": 0}
+    for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"),
+                      (chains, "realized_chain_pools"), (lattice, "meet")):
         def counted(*args, _f=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(mod, name, counted)
+    built = []
+    post_init = TypeChain.__post_init__
+    monkeypatch.setattr(
+        TypeChain, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
     assert check_space(dataclasses.replace(street5)).ok
-    assert 0 < calls["chain_base_pool"] <= 1000
-    assert 0 < calls["chain_pool"] <= 2000
+    assert 0 < len(built) <= 8
+    assert 0 < calls["chain_base_pool"] <= 8
+    assert 0 < calls["chain_pool"] <= 8
+    assert calls["realized_chain_pools"] == 992
     assert 0 < calls["meet"] <= 528
+
+
+def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):
+    """A 10-point street fails fast, naming the count and the budget.
+
+    Its realized order is too large to row in a second, so the count reads
+    rows only until it passes `oracle.MAX_CHAINS`.
+    """
+    start = time.perf_counter()
+    with pytest.raises(OracleSkip) as err:
+        check_space(dataclasses.replace(street10))
+    assert time.perf_counter() - start < 1
+    message = str(err.value)
+    count = int(message.split()[2])
+    assert count > oracle.MAX_CHAINS and f"budget of {oracle.MAX_CHAINS}" in message
