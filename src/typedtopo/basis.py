@@ -9,7 +9,8 @@ Such a family is the opens of a realized-type bitset (`space.RealizedTypes`),
 and so is every pool the chain bases draw on. `irreducibles` is the one
 routine that decides irreducible members: it memoizes them per space by
 that int row, so the anchored families, the chain bases and the oracle
-share each decision.
+share each decision. Only a chain's base reads it; the chain pools are
+memoized apart, by their own row, and decide nothing here.
 """
 from __future__ import annotations
 

@@ -20,12 +20,15 @@ The pools are mask algebra over the realized types' int bitset rows
 ``visible(support) & OR(above(lo) & below(hi))`` over the consecutive level
 pairs. The irreducible members above a lower level are those of the row
 ``visible(support) & above(level)``, read from `basis.irreducibles`, whose
-memo on ``space.index`` is keyed by that row. One routine turns a chain's
-rows into its pool and base and memoizes the pair on ``space.index``, keyed
-by the pool row and the lower levels' rows. A `TypeChain` reaches it
+memo on ``space.index`` is keyed by that row. The pools have a memo of
+their own there, keyed by the pool row alone, and a base is the memoized
+pool met with the memoized irreducibles of its lower rows, so a query that
+reads only the pool decides no irreducibility. A `TypeChain` reaches them
 through its levels' rows (`chain_pool`, `chain_base_pool`); a chain of
-realized types reaches it by their indexes (`realized_chain_pools`), which
-builds no chain and hashes no term.
+realized types reaches them by their indexes (`realized_chain_pools`),
+which builds no chain and hashes no term. A single generator's family
+(`generator_family`) is one scan of the opens, checked against the union
+of its chains' pools read from the same rows.
 """
 from __future__ import annotations
 
@@ -65,12 +68,9 @@ class TypeChain:
     def pairs(self) -> tuple[tuple[TypeTerm, TypeTerm], ...]:
         return tuple(zip(self.levels, self.levels[1:]))
 
+    @cached_property
     def support(self) -> frozenset:
         """Generators the chain may talk about."""
-        return self._support
-
-    @cached_property
-    def _support(self) -> frozenset:
         return frozenset().union(*(t.generators() for t in self.levels))
 
     def text(self) -> str:
@@ -85,44 +85,44 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _pool_and_base(space: TypedSpace, visible: int, pairs) -> tuple[frozenset, frozenset]:
-    """The pool and base of a chain from its rows, memoized on ``space.index.pools``.
+def _pool(space: TypedSpace, visible: int, pairs) -> frozenset:
+    """The visible opens in some sandwich ``above(lo) & below(hi)``.
 
     ``visible`` is the row of the chain's support, and ``pairs`` holds the
-    rows ``(above(lo), below(hi))`` of each consecutive level pair. The pool
-    is the visible opens in some sandwich ``above(lo) & below(hi)``. The
-    base keeps the pool members irreducible in some lower level's row
-    ``visible & above(lo)``; since `basis.irreducibles` of such a row holds
-    only opens typed above its level, that is the pool met with their union.
-    The key is the pool row and the distinct lower rows. These shrink level
-    by level up an ascending chain, so equal ones are adjacent, and chains
-    that select the same rows share one entry.
+    rows ``(above(lo), below(hi))`` of each consecutive level pair. The
+    pool is memoized on ``space.index.pools``, keyed by its own row, so
+    chains that select the same types share one entry.
     """
-    sandwich = 0
-    lows = []
+    row = 0
     for lo, hi in pairs:
-        sandwich |= lo & hi
-        low = visible & lo
-        if not lows or lows[-1] != low:
-            lows.append(low)
-    key = (visible & sandwich, *lows)
+        row |= lo & hi
+    row &= visible
     memo = space.index.pools
-    got = memo.get(key)
+    got = memo.get(row)
     if got is None:
-        pool = realized_types(space).opens_in(key[0])
-        irreducible = frozenset().union(*(irreducibles(space, row) for row in lows))
-        got = memo[key] = (pool, pool & irreducible)
+        got = memo[row] = realized_types(space).opens_in(row)
     return got
 
 
-def _chain_pools(space: TypedSpace, chain: TypeChain) -> tuple[frozenset, frozenset]:
+def _pool_and_base(space: TypedSpace, visible: int, pairs) -> tuple[frozenset, frozenset]:
+    """The pool of a chain from its rows (`_pool`), and its base.
+
+    The base keeps the pool members irreducible in some lower level's row
+    ``visible & above(lo)``; since `basis.irreducibles` of such a row holds
+    only opens typed above its level, that is the memoized pool met with
+    the memoized irreducibles of those rows. Only the base decides
+    irreducibility, so a caller that reads the pool alone calls `_pool`.
+    """
+    pool = _pool(space, visible, pairs)
+    lows = {visible & lo for lo, _ in pairs}
+    return pool, pool & frozenset().union(*(irreducibles(space, row) for row in lows))
+
+
+def _chain_rows(space: TypedSpace, chain: TypeChain) -> tuple[int, list]:
+    """The visible row of ``chain``'s support and the rows of its level pairs."""
     space_mod.require_strict(space)
     rt = realized_types(space)
-    return _pool_and_base(
-        space,
-        rt.visible(chain.support()),
-        [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()],
-    )
+    return rt.visible(chain.support), [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
 
 
 def realized_chain_pools(
@@ -154,87 +154,59 @@ def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozense
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """All sandwiched visible opens: the union of every point's neighborhoods.
 
-    Computed once per distinct rows and space, and memoized on ``space.index``.
+    Computed once per pool row and space, and memoized on ``space.index``;
+    no irreducibility is decided.
     """
-    return _chain_pools(space, chain)[0]
+    return _pool(space, *_chain_rows(space, chain))
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """Sandwiched visible opens irreducible above some lower chain level.
 
     The irreducibility level ranges over every lower level whose value lies
-    below the member's type; it is not tied to the sandwiching index.
-    Computed with the pool, once per distinct rows and space, and memoized
-    on ``space.index``.
+    below the member's type; it is not tied to the sandwiching index. Read
+    from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    return _chain_pools(space, chain)[1]
+    return _pool_and_base(space, *_chain_rows(space, chain))[1]
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
     """The members of `chain_base_pool` that contain ``x``."""
-    space_mod.require_strict(space)
+    pool = chain_base_pool(space, chain)
     bit = space.point_bit(x)
-    return frozenset(m for m in chain_base_pool(space, chain) if m & bit)
+    return frozenset(m for m in pool if m & bit)
 
 
-def generator_neighborhoods(space: TypedSpace, x: str, gen: str) -> frozenset:
-    """Opens through ``x`` typed purely in ``gen`` and at or below it.
+def generator_family(space: TypedSpace, gen: str) -> frozenset:
+    """The nonempty opens typed purely in ``gen`` and at or below it.
 
-    This family equals the union of ``x``'s sandwiched neighborhoods over
-    every chain inside the generator's sublattice topping out at the
-    generator. Each call re-derives that union from realized-level chains
-    and raises if the two disagree.
+    Found by one scan of the opens. This family equals the union of the
+    sandwiched pools over every chain inside the generator's sublattice
+    topping out at the generator. Each call re-derives that union from the
+    realized-type rows and raises if the two disagree: a sandwich under a
+    level ``hi <= gen`` lies inside the one under ``gen``, so the union is
+    the opens of ``visible({gen}) & below(gen) & OR(above(t))`` over the
+    family's own types ``t``.
     """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
         raise PreconditionError(f"unknown generator {gen!r}")
     top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-    bit = space.point_bit(x)
-    members = set()
-    for m in space.opens:
-        if not (m & bit):
-            continue
-        t = space.sigma[m]
-        if t.uses_only({gen}) and lattice.leq(t, top):
-            members.add(m)
-    union = {m for m in _generator_chain_union(space, gen) if m & bit}
-    if union != members:
+    sig = space.sigma
+    family = frozenset(
+        m for m in space.opens if m and sig[m].uses_only({gen}) and lattice.leq(sig[m], top)
+    )
+    rt = realized_types(space)
+    above = 0
+    for t in {sig[m] for m in family}:
+        above |= rt.above(t)
+    union = rt.opens_in(rt.visible(frozenset({gen})) & rt.below(top) & above)
+    if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",
-            witness=(x, gen, sorted(space.ids_of(m) for m in union ^ members)),
+            witness=(gen, sorted(space.ids_of(m) for m in union ^ family)),
         )
-    return frozenset(members)
-
-
-def _generator_chain_union(space: TypedSpace, gen: str) -> frozenset:
-    """Union of the chain pools over realized-level generator chains.
-
-    Any such chain decomposes into consecutive level pairs drawn from the
-    generator's sublattice, so scanning pairs ``q <= r`` over realized
-    in-sublattice levels (plus the generator itself on top) is exhaustive.
-    The opens through a point ``x`` are the union of ``x``'s sandwiched
-    neighborhoods over those chains. Computed once per generator and space,
-    and memoized on ``space.index``.
-    """
-    unions = space.index.generator_unions
-    got = unions.get(gen)
-    if got is None:
-        top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-        rt = realized_types(space)
-        under_top = rt.below(top)
-        levels = [top] + [
-            t
-            for j, t in enumerate(rt.terms)
-            if under_top >> j & 1 and t != top and t.uses_only({gen})
-            and not (t.is_bottom or t.is_top)
-        ]
-        out: set = set()
-        for lo in levels:
-            for hi in levels:
-                if lattice.leq(lo, hi):
-                    out |= chain_pool(space, TypeChain((lo, hi)))
-        got = unions[gen] = frozenset(out)
-    return got
+    return family
 
 
 # ---------------------------------------------------------------------------

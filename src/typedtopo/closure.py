@@ -24,9 +24,6 @@ ORACLE_CROSS_CHECK_MAX_POINTS = 12
 
 @dataclass(frozen=True, eq=False)
 class ClosureReport:
-    space: TypedSpace
-    chain: TypeChain
-    start: frozenset
     members: frozenset
     witnesses: dict  # point -> ("core", ids) | ("vacuous",)
 
@@ -36,8 +33,6 @@ class ClosureReport:
 
 @dataclass(frozen=True, eq=False)
 class DensityReport:
-    space: TypedSpace
-    chain: TypeChain
     unsupported: frozenset
     classes: tuple[tuple[str, ...], ...]
     maximal_classes: tuple[tuple[str, ...], ...]
@@ -89,7 +84,7 @@ def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
         if inside:
             members.add(p)
             witnesses[p] = ("core", space.ids_of(core))
-    return ClosureReport(space, chain, start_set, frozenset(members), witnesses)
+    return ClosureReport(frozenset(members), witnesses)
 
 
 def _class_groups(space: TypedSpace, fams: dict) -> dict[frozenset, list[str]]:
@@ -117,8 +112,7 @@ def is_chain_dense(space: TypedSpace, dense, region, chain: TypeChain) -> bool:
     dense_set, region_set = frozenset(dense), frozenset(region)
     if not dense_set <= region_set:
         raise PreconditionError("the dense candidate must sit inside the region")
-    for p in region_set:
-        space.point_index(p)
+    space.mask_of(region_set)  # raises on the first unknown region point, sorted
     fams = _point_families(space, chain)
     dense_mask = space.mask_of(dense_set)
     verdict = True
@@ -177,6 +171,4 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
                 f"density formula gives {density} but exhaustive search gives {size}",
                 witness={"unsupported": sorted(unsupported), "classes": classes},
             )
-    return DensityReport(
-        space, chain, unsupported, classes, maximal_classes, density, witness
-    )
+    return DensityReport(unsupported, classes, maximal_classes, density, witness)

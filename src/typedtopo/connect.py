@@ -28,8 +28,6 @@ class SeparationWitness:
 class ConnectionCertificate:
     """A verified connection: overlapping connected base opens joining x to y."""
 
-    x: str
-    y: str
     member_ids: tuple[str, ...]
     sequence: tuple[tuple[str, ...], ...]
 
@@ -101,6 +99,4 @@ def find_connection(
         raise InvariantViolationError(
             "certificate union failed verification", witness=witness
         )
-    return ConnectionCertificate(
-        x, y, space.ids_of(union), tuple(space.ids_of(m) for m in path)
-    )
+    return ConnectionCertificate(space.ids_of(union), tuple(space.ids_of(m) for m in path))

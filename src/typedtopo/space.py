@@ -301,25 +301,21 @@ class SpaceIndex:
     over the type indexes, and such a row is the one key of
     ``irreducibles``: `basis.irreducibles` keeps there the join-irreducible
     members of the opens a row selects, whether an anchored family or a
-    chain level's visible pool asked for them. `chains` fills two memos.
-    ``pools`` holds each chain's pool and base, keyed by the rows they are
-    computed from: the pool's row, then the distinct visible rows above its
-    lower levels. Equal rows share an entry whether the chain came as
-    `chains.TypeChain` terms or as realized-type indexes, and so do two
-    chains whose levels differ but select the same rows. Keyed by generator
-    name, ``generator_unions`` holds the union of the chain pools over that
-    generator's realized-level chains, which the cross-check of
-    `chains.generator_neighborhoods` masks by each point's bit.
+    chain level's visible pool asked for them. ``pools`` is keyed the same
+    way: `chains` keeps there the opens of each chain's pool row, whether
+    the chain came as `chains.TypeChain` terms or as realized-type indexes,
+    and two chains whose levels differ but select the same row share it. A
+    chain's base is that pool met with the ``irreducibles`` of its lower
+    rows, so it needs no memo of its own.
     """
 
-    __slots__ = ("strict_report", "realized", "irreducibles", "pools", "generator_unions")
+    __slots__ = ("strict_report", "realized", "irreducibles", "pools")
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
-        self.pools: dict = {}  # (pool row, *lower-level rows) -> (pool, base)
-        self.generator_unions: dict = {}  # generator name -> frozenset of masks
+        self.pools: dict = {}  # realized-type row -> frozenset of masks
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:

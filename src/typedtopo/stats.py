@@ -51,12 +51,7 @@ def family_size_scores(space: TypedSpace, gen: str) -> ScoreTable:
     Subjects are the distinct member opens (as sorted id tuples); each
     contributes its own cardinality to the population.
     """
-    space_mod.require_strict(space)
-    if gen not in space.poset.elements:
-        raise PreconditionError(f"unknown generator {gen!r}")
-    members = set()
-    for x in space.points:
-        members |= chains_mod.generator_neighborhoods(space, x, gen)
+    members = chains_mod.generator_family(space, gen)
     population = [
         (space.ids_of(m), float(bin(m).count("1"))) for m in sorted(members)
     ]

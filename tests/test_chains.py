@@ -8,7 +8,7 @@ import pytest
 
 from conftest import C_RIGHT5, C_RIGHT6, random_generated_space, random_realized_chain
 from test_basis import pairwise_irreducible
-from typedtopo import basis, chains, lattice, oracle, space, stats
+from typedtopo import basis, chains, connect, lattice, oracle, space, stats
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
     InvariantViolationError,
@@ -38,7 +38,7 @@ def test_chain_validation():
 def test_parse_chain(street5):
     ch = parse_chain("right & @r3 ; right", street5.ctx)
     assert ch.k == 2
-    assert ch.support() == frozenset({"right"})
+    assert ch.support == frozenset({"right"})
     with pytest.raises(PreconditionError):
         parse_chain("right ;; right", street5.ctx)
 
@@ -110,25 +110,48 @@ def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
     assert ref() is None
 
 
-def test_check_space_scans_each_chain_pool_once(street5):
-    """One theorem replay computes each distinct rows' pool and base once.
+def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
+    """One theorem replay computes each distinct pool row's opens once.
 
-    Measured on STREET5: 781 computations for 992 realized chains and 8
-    pure-family chains, which hold 692 distinct (pool, base) pairs. Keying
-    the memo by `TypeChain` made 1,000.
+    Measured on STREET5: 593 pool rows for 992 realized chains and 8
+    pure-family chains, and the realized chains return 692 distinct
+    (pool, base) pairs. Keying the memo by the pool row and the distinct
+    lower rows made 781 computations, and keying it by `TypeChain` 1,000.
     """
-    stored = []
+    stored, returned = [], set()
 
     class Recorded(dict):
         def __setitem__(self, key, value):
             stored.append(key)
             super().__setitem__(key, value)
 
+    realized_chain_pools = chains.realized_chain_pools
+
+    def recorded(*args):
+        got = realized_chain_pools(*args)
+        returned.add(got)
+        return got
+
+    monkeypatch.setattr(chains, "realized_chain_pools", recorded)
     sp = dataclasses.replace(street5)
     sp.index.pools = Recorded()
     assert oracle.check_space(sp).ok
-    assert 0 < len(stored) == len(set(stored)) <= 781
-    assert len(set(sp.index.pools.values())) == 692
+    assert 0 < len(stored) == len(set(stored)) <= 593
+    assert len(returned) == 692
+
+
+def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
+    """Pools, neighborhoods and connectedness read the pool memo alone."""
+    calls = []
+    monkeypatch.setattr(basis, "is_irreducible_in", lambda pool, m: calls.append(m))
+    for sp, text in ((street5, C_RIGHT5), (street2x3, C_RIGHT6)):
+        sp = dataclasses.replace(sp)
+        chain = parse_chain(text, sp.ctx)
+        assert chains.chain_pool(sp, chain)
+        assert any(chains.chain_neighborhoods(sp, x, chain) for x in sp.points)
+        assert connect.is_chain_connected(sp, sp.points[-1:], chain)[0]
+        assert sp.index.pools and not sp.index.irreducibles
+    assert calls == []
 
 
 def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
@@ -185,13 +208,19 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     assert calls["sort_key"] <= t
 
 
+def generator_neighborhoods(sp, x, gen) -> frozenset:
+    """The members of `chains.generator_family` that contain ``x``."""
+    bit = sp.point_bit(x)
+    return frozenset(m for m in chains.generator_family(sp, gen) if m & bit)
+
+
 def test_generator_neighborhoods_street5(street5):
-    fam = chains.generator_neighborhoods(street5, "r3", "right")
+    fam = generator_neighborhoods(street5, "r3", "right")
     assert family_ids(street5, fam) == [("r2", "r3", "r4", "r5"), ("r3", "r4", "r5")]
 
 
 def test_generator_neighborhoods_genealogy(genealogy5):
-    fam = chains.generator_neighborhoods(genealogy5, "B", "anc")
+    fam = generator_neighborhoods(genealogy5, "B", "anc")
     assert family_ids(genealogy5, fam) == [
         ("B",),
         ("B", "C", "H", "S"),
@@ -204,7 +233,7 @@ def test_generator_neighborhood_members_reappear_in_some_base(genealogy5):
     g = genealogy5
     anc = parse_type_expr("anc", g.ctx)
     for x in g.points:
-        fam = chains.generator_neighborhoods(g, x, "anc")
+        fam = generator_neighborhoods(g, x, "anc")
         for m in fam:
             t = g.sigma[m]
             ch = TypeChain((t, t)) if lattice.term_eq(t, anc) else TypeChain((t, anc))
@@ -212,34 +241,79 @@ def test_generator_neighborhood_members_reappear_in_some_base(genealogy5):
             assert m in chains.chain_base(g, x, ch)
 
 
-def test_generator_chain_union_is_memoized_and_checked_at_every_point(monkeypatch, street5):
-    """The union is built once per generator; every point still checks against it.
+def _reference_generator_union(sp, gen) -> frozenset:
+    """Union of the chain pools over every comparable pair of generator levels.
 
-    Measured on STREET5: `stats.family_size_scores` makes 440 `lattice.leq`
-    calls, where rebuilding the union per point made 600.
+    The levels are the generator itself and the realized types typed purely
+    in it below it; each pair ``lo <= hi`` is ordered by `lattice.leq` and
+    read as a two-level `TypeChain` through `chains.chain_pool`.
     """
+    top = lattice.normalize(sp.ctx, [lattice.clause_of(gens=[gen])])
+    levels = [top] + [
+        t for t in realized_types(sp).terms
+        if t != top and t.uses_only({gen}) and lattice.leq(t, top)
+    ]
+    out = set()
+    for lo in levels:
+        for hi in levels:
+            if lattice.leq(lo, hi):
+                out |= chains.chain_pool(sp, TypeChain((lo, hi)))
+    return frozenset(out)
+
+
+def test_generator_family_matches_the_pairwise_chain_union(genealogy5, street5, street2x3):
+    rng = random.Random(15)
+    spaces = [genealogy5, street5, street2x3]
+    while len(spaces) < 23:
+        sp = random_generated_space(rng, max_points=6)
+        if sp is not None:
+            spaces.append(sp)
+    nonempty = 0
+    for sp in spaces:
+        for gen in sorted(sp.poset.elements):
+            fam = chains.generator_family(dataclasses.replace(sp), gen)
+            assert fam == _reference_generator_union(dataclasses.replace(sp), gen)
+            nonempty += bool(fam)
+    assert nonempty >= 20
+
+
+def test_generator_family_is_checked_against_the_realized_chain_union(monkeypatch, street5):
+    """One scan of the opens, and one check of it against the rows' union.
+
+    Measured on STREET5, once the strictness check has run:
+    `stats.family_size_scores` makes 159 `lattice.leq` calls, 4 for the scan
+    and 155 for the rows. The union of two-level chain pools over every
+    comparable pair of levels made 360. A realized-type index that loses or
+    gains a family member makes every call raise.
+    """
+    copy = dataclasses.replace(street5)
+    space.strictness(copy)
     calls = []
     leq = lattice.leq
     monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
-    copy = dataclasses.replace(street5)
     table = stats.family_size_scores(copy, "right")
-    assert 0 < len(calls) <= 440
+    assert 0 < len(calls) <= 159
     monkeypatch.undo()
     assert table.population == stats.family_size_scores(street5, "right").population
-    union = copy.index.generator_unions["right"]
-    assert set(copy.index.generator_unions) == {"right"}
-    for i, x in enumerate(copy.points):
-        fam = chains.generator_neighborhoods(copy, x, "right")
-        assert fam == {m for m in union if m >> i & 1}
-    copy.index.generator_unions["right"] = frozenset()
-    for x in ("r2", "r5"):
+    assert chains.generator_family(copy, "right") == {
+        m for m in copy.opens if m and copy.sigma[m].uses_only({"right"})
+    }
+    rt = realized_types(copy)
+    member = max(chains.generator_family(copy, "right"))
+    j = rt.terms.index(copy.sigma[member])
+    outsider = next(m for m in copy.nonempty_opens() if not copy.sigma[m].uses_only({"right"}))
+    for opens in ((), rt.opens_by_type[j] + (outsider,)):
+        buckets = rt.opens_by_type[:j] + (opens,) + rt.opens_by_type[j + 1:]
+        copy.index.realized = dataclasses.replace(rt, opens_by_type=buckets)
         with pytest.raises(InvariantViolationError):
-            chains.generator_neighborhoods(copy, x, "right")
+            chains.generator_family(copy, "right")
+        with pytest.raises(InvariantViolationError):
+            stats.family_size_scores(copy, "right")
 
 
 def test_generator_neighborhoods_needs_known_generator(street5):
     with pytest.raises(PreconditionError):
-        chains.generator_neighborhoods(street5, "r3", "nosuch")
+        chains.generator_family(street5, "nosuch")
 
 
 def test_chain_cover_width_one_for_nested_types():
@@ -311,7 +385,7 @@ def test_refining_a_chain_never_drops_members(street5):
 
 def _visible(sp, chain):
     """The nonempty opens whose type mentions only the chain's generators."""
-    support = chain.support()
+    support = chain.support
     return [m for m in sp.nonempty_opens() if sp.sigma[m].generators() <= support]
 
 
@@ -398,7 +472,7 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
             unrealized += any(t not in rt.terms for t in chain.levels)
             assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
             for level in chain.levels:
-                row = rt.visible(chain.support()) & rt.above(level)
+                row = rt.visible(chain.support) & rt.above(level)
                 anchored = _reference_anchored(sp, chain, level)
                 assert rt.opens_in(row) == anchored
                 assert basis.irreducibles(sp, row) == {

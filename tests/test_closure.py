@@ -6,7 +6,7 @@ import pytest
 from conftest import random_generated_space, random_realized_chain
 from typedtopo import chains, closure, oracle
 from typedtopo.chains import TypeChain, parse_chain
-from typedtopo.errors import PreconditionError
+from typedtopo.errors import PreconditionError, UnknownPointError
 from typedtopo.lattice import Context, Poset, parse_type_expr
 from typedtopo.space import GeneratorSpec, generate_topology
 
@@ -97,6 +97,21 @@ def test_is_chain_dense_examples(street5, c_right5):
     assert closure.is_chain_dense(street5, {"r3"}, {"r2", "r3"}, c_right5)
     with pytest.raises(PreconditionError):
         closure.is_chain_dense(street5, {"r1"}, {"r2"}, c_right5)
+
+
+class _Slotted(str):
+    """A point name with a fixed hash, so a set iterates it in a known order."""
+
+    def __hash__(self):
+        return {"zz": 0, "yy": 1, "xx": 2, "qq": 3}[str(self)]
+
+
+def test_is_chain_dense_names_the_first_sorted_unknown_point(street5, c_right5):
+    """Whatever order the region's set iterates in, the error names ``qq``."""
+    region = ("zz", "qq", "yy", "xx")
+    for names in (set(region), {_Slotted(p) for p in region}):
+        with pytest.raises(UnknownPointError, match="'qq'"):
+            closure.is_chain_dense(street5, set(), names, c_right5)
 
 
 def test_min_dense_street5(street5, c_right5):

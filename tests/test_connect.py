@@ -58,13 +58,11 @@ def test_irreducibles_above_connected_across_realized_chains(street2x3):
 def test_pure_generator_members_connect_under_their_own_chain(street5, genealogy5):
     for sp, gen in ((street5, "right"), (genealogy5, "anc")):
         top = parse_type_expr(gen, sp.ctx)
-        for x in sp.points:
-            fam = chains.generator_neighborhoods(sp, x, gen)
-            for m in fam:
-                t = sp.sigma[m]
-                ch = TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
-                ok, _ = connect.is_chain_connected(sp, sp.ids_of(m), ch)
-                assert ok
+        for m in chains.generator_family(sp, gen):
+            t = sp.sigma[m]
+            ch = TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
+            ok, _ = connect.is_chain_connected(sp, sp.ids_of(m), ch)
+            assert ok
 
 
 def test_find_connection_within_one_ray(street5, c_right5):

@@ -252,7 +252,7 @@ def _reference_chain_results(space: TypedSpace) -> list:
                     return (ids(u), ids(v))
             return None
 
-        visible = rt.visible(chain.support())
+        visible = rt.visible(chain.support)
         irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
         base = chains.chain_base_pool(space, chain)
         for m in irr0:
@@ -283,9 +283,9 @@ def _reference_chain_results(space: TypedSpace) -> list:
 def _reference_pure_family_results(space: TypedSpace) -> list:
     """The pure-family checks of `check_space`, one point at a time.
 
-    Kept as the slow twin of the per-generator families: each point's
-    `chains.generator_neighborhoods` is walked in ascending mask order, and
-    its members are looked up in that point's `chains.chain_base`.
+    Kept as the slow twin of the per-generator families: the members of
+    `chains.generator_family` through each point are walked in ascending
+    mask order, and looked up in that point's `chains.chain_base`.
     """
     sig, ids = space.sigma, space.ids_of
     bad_base, bad_conn = [], []
@@ -296,11 +296,10 @@ def _reference_pure_family_results(space: TypedSpace) -> list:
             t = sig[m]
             return TypeChain((t, t)) if lattice.term_eq(t, top) else TypeChain((t, top))
 
-        members = set()
+        members = chains.generator_family(space, gen)
         for x in space.points:
-            fam = chains.generator_neighborhoods(space, x, gen)
-            members |= fam
-            for m in sorted(fam):
+            bit = space.point_bit(x)
+            for m in sorted(m for m in members if m & bit):
                 if m not in chains.chain_base(space, x, chain_of(m)):
                     bad_base.append((gen, x, ids(m)))
         for m in sorted(members):
