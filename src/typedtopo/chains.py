@@ -16,19 +16,20 @@ chain partition via bipartite matching) recovers the full neighborhood
 system of every point.
 
 The pools are mask algebra over the realized types' int bitset rows
-(`space.RealizedTypes`): a chain pool is the opens of
-``visible(support) & OR(above(lo) & below(hi))`` over the consecutive level
-pairs. The irreducible members above a lower level are those of the row
-``visible(support) & above(level)``, read from `basis.irreducibles`, whose
-memo on ``space.index`` is keyed by that row. The pools have a memo of
-their own there, keyed by the pool row alone, and a base is the memoized
-pool met with the memoized irreducibles of its lower rows, so a query that
-reads only the pool decides no irreducibility. A `TypeChain` reaches them
-through its levels' rows (`chain_pool`, `chain_base_pool`); a chain of
-realized types reaches them by their indexes (`realized_chain_pools`),
-which builds no chain and hashes no term. A single generator's family
-(`generator_family`) is one scan of the opens, checked against the union
-of its chains' pools read from the same rows.
+(`space.RealizedTypes`, read off a table of their cubes with no
+`lattice.leq`): a chain pool is the opens of ``visible(support) &
+OR(above(lo) & below(hi))`` over the consecutive level pairs, ``support``
+the bitset of the chain's generators. The irreducible members above a lower
+level are those of the row ``visible(support) & above(level)``, read from
+`basis.irreducibles`, whose memo on ``space.index`` is keyed by that row.
+The pools have a memo of their own there, keyed by the pool row alone, and
+a base is the memoized pool met with the memoized irreducibles of its lower
+rows, so a query that reads only the pool decides no irreducibility. A
+`TypeChain` reaches them through its levels' rows (`chain_pool`,
+`chain_base_pool`); a chain of realized types by their indexes
+(`realized_chain_pools`), which builds no chain and hashes no term. A
+single generator's family (`generator_family`) is one scan of the opens,
+checked against the union of its chains' pools read from the same rows.
 """
 from __future__ import annotations
 
@@ -122,7 +123,8 @@ def _chain_rows(space: TypedSpace, chain: TypeChain) -> tuple[int, list]:
     """The visible row of ``chain``'s support and the rows of its level pairs."""
     space_mod.require_strict(space)
     rt = realized_types(space)
-    return rt.visible(chain.support), [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
+    visible = rt.visible(rt.generator_bits(chain.support))
+    return visible, [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
 
 
 def realized_chain_pools(
@@ -132,16 +134,17 @@ def realized_chain_pools(
 
     ``levels`` are ascending indexes into ``realized_types(space).terms``;
     the caller vouches for their order, which is not checked again. Their
-    rows are read by index (`RealizedTypes.up` and ``down``), so no
-    `TypeChain` is built and no term is hashed.
+    rows are read by index (`RealizedTypes.up` and ``down``), and their
+    generator bitsets ORed, so no `TypeChain` is built and no term hashed.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
-    up, down = rt.up, rt.down
+    up, down, generators = rt.up, rt.down, rt.generators
+    support = 0
+    for i in levels:
+        support |= generators[i]
     return _pool_and_base(
-        space,
-        rt.visible(frozenset().union(*map(rt.generators.__getitem__, levels))),
-        [(up[lo], down[hi]) for lo, hi in zip(levels, levels[1:])],
+        space, rt.visible(support), [(up[lo], down[hi]) for lo, hi in zip(levels, levels[1:])]
     )
 
 
@@ -200,7 +203,7 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
     above = 0
     for t in {sig[m] for m in family}:
         above |= rt.above(t)
-    union = rt.opens_in(rt.visible(frozenset({gen})) & rt.below(top) & above)
+    union = rt.opens_in(rt.visible(rt.generator_bits({gen})) & rt.below(top) & above)
     if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",
@@ -234,9 +237,7 @@ def chain_cover(space: TypedSpace) -> ChainCover:
     rt = realized_types(space)
     n = len(rt)
     rows = rt.up
-    succ_candidates: dict[int, list[int]] = {
-        i: [j for j in range(n) if i != j and rows[i] >> j & 1] for i in range(n)
-    }
+    succ_candidates = {i: space_mod.bit_indexes(rows[i] & ~(1 << i)) for i in range(n)}
     match_right: dict[int, int] = {}
     match_left: dict[int, int] = {}
 

@@ -169,12 +169,12 @@ def _chain_count(rt, budget: int) -> int:
     With ``A_j`` the realized types at or above ``j`` and ``B_j`` those at
     or below it, there are ``sum |A_j|`` two-level chains and
     ``sum |B_j| * |A_j|`` three-level ones, ``j`` being the middle level.
-    Rows are read level by level, and the count stops once the total passes
-    ``budget``, so an oversized space pays for few rows.
+    The rows are read by index from ``rt.up`` and ``rt.down``, and the count
+    stops once the total passes ``budget``.
     """
     total = 0
-    for term in rt.terms:
-        total += rt.above(term).bit_count() * (1 + rt.below(term).bit_count())
+    for above, below in zip(rt.up, rt.down):
+        total += above.bit_count() * (1 + below.bit_count())
         if total > budget:
             break
     return total
@@ -187,10 +187,9 @@ def _chain_levels(rt) -> list[tuple[int, ...]]:
     says ``terms[i] <= terms[j]``. A valid space realizes neither Bottom nor
     Top, so every realized type is a chain level.
     """
-    n = len(rt)
-    above = [[j for j in range(n) if row >> j & 1] for row in rt.up]
-    return [(i, j) for i in range(n) for j in above[i]] + [
-        (i, j, k) for i in range(n) for j in above[i] for k in above[j]
+    above = [space_mod.bit_indexes(row) for row in rt.up]
+    return [(i, j) for i, js in enumerate(above) for j in js] + [
+        (i, j, k) for i, js in enumerate(above) for j in js for k in above[j]
     ]
 
 
@@ -383,7 +382,9 @@ def check_space(space: TypedSpace) -> CheckReport:
         disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
         if not disjoint:
             continue
-        support = frozenset().union(*(generators[i] for i in levels))
+        support = 0
+        for i in levels:
+            support |= generators[i]
         row = rt.visible(support) & rt.up[levels[0]]
         for m in sorted(basis.irreducibles(space, row)):
             for u, v in disjoint:

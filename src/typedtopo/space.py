@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import lattice
 from .errors import (
+    ContextMismatchError,
     NotStrictlyTypedError,
     PreconditionError,
     SpaceValidationError,
@@ -292,21 +293,17 @@ def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
 class SpaceIndex:
     """Derived data of one space, each part built on first use.
 
-    Every `TypedSpace` owns one as ``space.index``, and a copy made with
-    `dataclasses.replace` starts with a fresh one. The index keeps no
-    reference to its space, so it dies with it. Validation records the
-    strictness verdict; it and the realized types are read through
-    `strictness` and `realized_types`, which take the owning space. The
-    realized types memoize their own order and visibility rows, int bitsets
-    over the type indexes, and such a row is the one key of
-    ``irreducibles``: `basis.irreducibles` keeps there the join-irreducible
-    members of the opens a row selects, whether an anchored family or a
-    chain level's visible pool asked for them. ``pools`` is keyed the same
-    way: `chains` keeps there the opens of each chain's pool row, whether
-    the chain came as `chains.TypeChain` terms or as realized-type indexes,
-    and two chains whose levels differ but select the same row share it. A
-    chain's base is that pool met with the ``irreducibles`` of its lower
-    rows, so it needs no memo of its own.
+    Every `TypedSpace` owns one as ``space.index``; a `dataclasses.replace`
+    copy starts with a fresh one, and the index keeps no reference to its
+    space. Validation records the strictness verdict; it and the realized
+    types are read through `strictness` and `realized_types`. The realized
+    types read their order and visibility rows, int bitsets over the type
+    indexes, off a table of their cubes built once. Such a row is the key
+    of ``irreducibles``, where `basis.irreducibles` keeps the
+    join-irreducible members of the opens it selects, and of ``pools``,
+    where `chains` keeps the opens of each chain's pool row, from
+    `chains.TypeChain` terms or realized-type indexes alike. A chain's base
+    is that pool met with the ``irreducibles`` of its lower rows.
     """
 
     __slots__ = ("strict_report", "realized", "irreducibles", "pools")
@@ -484,48 +481,110 @@ def _bits(items, test) -> int:
     return sum(1 << j for j, item in enumerate(items) if test(item))
 
 
+def bit_indexes(row: int) -> list[int]:
+    """The indexes of the set bits of ``row``, ascending."""
+    out = []
+    while row:
+        out.append((row & -row).bit_length() - 1)
+        row &= row - 1
+    return out
+
+
+def _implied(rows, cube) -> int:
+    """The OR of the ``(d, row)`` rows whose cube ``d`` has masks inside ``cube``'s."""
+    u, p, n = cube
+    out = 0
+    for (du, dp, dn), row in rows:
+        if not (du & ~u or dp & ~p or dn & ~n):
+            out |= row
+    return out
+
+
+def _cube_table(ctx: Context, terms) -> tuple:
+    """``terms`` in `TypeTerm.sort_key` order, and the rows of their distinct cubes.
+
+    Distinct cubes have distinct rendered keys, so ranking the cubes once by
+    key and a term by its cubes' ranks gives that order. ``holders`` maps a
+    cube to the terms holding it, ``reach`` to those holding a cube it
+    implies; ``generators`` ORs each term's cubes' generator bitsets.
+    """
+    code = ctx._code
+    keyed = sorted((code.render(c), c) for c in {c for t in terms for c in t.cubes})
+    rank = {c: r for r, (_, c) in enumerate(keyed)}
+    named = {c: _bits(code.gens, {n for kind, n in lits if kind == lattice.GEN}.__contains__)
+             for (_, lits), c in keyed}
+    terms = tuple(sorted(terms, key=lambda t: sorted(map(rank.__getitem__, t.cubes))))
+    holders = dict.fromkeys(rank, 0)
+    generators = [0] * len(terms)
+    for j, t in enumerate(terms):
+        for c in t.cubes:
+            holders[c] |= 1 << j
+            generators[j] |= named[c]
+    reach = {c: _implied(holders.items(), c) for c in rank}
+    return terms, holders, reach, tuple(generators)
+
+
 @dataclass(frozen=True, eq=False)
 class RealizedTypes:
     """The distinct types of nonempty opens, in `TypeTerm.sort_key` order.
 
-    Sets of realized types are int bitsets, bit ``j`` standing for
-    ``terms[j]``. The order between a level and the realized types is one
-    such row per direction, computed on first use for any level term,
-    realized or not. Canonical form makes equal types structurally equal,
-    so the rows are memoized by the level term itself, and a chain query
-    pays for its own levels' rows rather than for the whole order table.
-    The types visible to a generator support are memoized the same way,
-    and `opens_in` expands any type bitset into its opens. A walk over the
-    realized types themselves reads their rows by index from `up` and
-    `down`, and hashes no term.
+    Sets of realized types are int bitsets, bit ``j`` for ``terms[j]``, and
+    so are sets of generators, bit ``i`` for the ``i``-th by name. The order
+    rows are bitset algebra over the table of the terms' distinct cubes
+    (`_cube_table`), with no `lattice.leq`: a level is below ``terms[j]``
+    iff each of its cubes implies one of ``terms[j]``, so `above` ANDs its
+    cubes' ``reach`` rows, and `below` drops the ``holders`` of each table
+    cube implying none of the level's. Rows are memoized by the level term,
+    realized or not; `up` and `down` hold them by realized-type index.
     """
 
+    ctx: Context
     terms: tuple[TypeTerm, ...]
+    holders: dict  # cube -> bitset of the terms holding it
+    reach: dict  # cube -> bitset of the terms holding a cube it implies
+    generators: tuple[int, ...]  # index -> bitset of the generators the type mentions
     opens_by_type: tuple[tuple[int, ...], ...]  # index -> its opens' masks, ascending
-    generators: tuple[frozenset, ...]  # index -> generators the type mentions
     _above: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
     _below: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
     _visible: dict = field(default_factory=dict, init=False, repr=False)  # support -> row
+
+    def _cubes(self, level: TypeTerm) -> frozenset:
+        """The cubes of ``level``, which must come from an equal context."""
+        if level.ctx is not self.ctx and level.ctx != self.ctx:
+            raise ContextMismatchError("level and realized types come from different contexts")
+        return level.cubes
 
     def above(self, level: TypeTerm) -> int:
         """Bit ``j`` set iff ``level <= terms[j]``."""
         row = self._above.get(level)
         if row is None:
-            row = self._above[level] = _bits(self.terms, lambda t: lattice.leq(level, t))
+            row = (1 << len(self.terms)) - 1
+            for c in self._cubes(level):
+                row &= self.reach[c] if c in self.reach else _implied(self.holders.items(), c)
+            self._above[level] = row
         return row
 
     def below(self, level: TypeTerm) -> int:
         """Bit ``j`` set iff ``terms[j] <= level``."""
         row = self._below.get(level)
         if row is None:
-            row = self._below[level] = _bits(self.terms, lambda t: lattice.leq(t, level))
+            cubes = self._cubes(level)
+            row = (1 << len(self.terms)) - 1
+            for (u, p, n), held in self.holders.items():
+                if all(cu & ~u or cp & ~p or cn & ~n for cu, cp, cn in cubes):
+                    row &= ~held
+            self._below[level] = row
         return row
 
-    def visible(self, support: frozenset) -> int:
+    def generator_bits(self, names) -> int:
+        """The generator bitset of ``names``."""
+        return _bits(self.ctx._code.gens, names.__contains__)
+
+    def visible(self, support: int) -> int:
         """Bit ``j`` set iff every generator ``terms[j]`` mentions is in ``support``."""
         row = self._visible.get(support)
         if row is None:
-            row = self._visible[support] = _bits(self.generators, support.issuperset)
+            row = self._visible[support] = _bits(self.generators, lambda g: not g & ~support)
         return row
 
     @cached_property
@@ -535,20 +594,22 @@ class RealizedTypes:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """`below` of each realized type, by index."""
-        return tuple(map(self.below, self.terms))
+        """`below` of each realized type, by index: the transpose of `up`."""
+        down = [0] * len(self.terms)
+        for i, row in enumerate(self.up):
+            for j in bit_indexes(row):
+                down[j] |= 1 << i
+        return tuple(down)
 
     def opens_in(self, types: int) -> frozenset:
         """The opens whose type index is a bit of ``types``."""
         out: list[int] = []
-        while types:
-            low = types & -types
-            out += self.opens_by_type[low.bit_length() - 1]
-            types ^= low
+        for j in bit_indexes(types):
+            out += self.opens_by_type[j]
         return frozenset(out)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.above(self.terms[i]) >> j & 1)
+        return bool(self.up[i] >> j & 1)
 
     def __len__(self):
         return len(self.terms)
@@ -562,12 +623,9 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
         for m in space.opens:
             if m:
                 buckets.setdefault(space.sigma[m], []).append(m)
-        terms = tuple(sorted(buckets, key=TypeTerm.sort_key))
-        idx.realized = RealizedTypes(
-            terms,
-            tuple(tuple(sorted(buckets[t])) for t in terms),
-            tuple(t.generators() for t in terms),
-        )
+        table = _cube_table(space.ctx, buckets)  # terms, holders, reach, generators
+        opens = tuple(tuple(sorted(buckets[t])) for t in table[0])
+        idx.realized = RealizedTypes(space.ctx, *table, opens)
     return idx.realized
 
 

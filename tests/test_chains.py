@@ -181,11 +181,12 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
 
 @pytest.mark.parametrize("fixture, text", [("street5", C_RIGHT5), ("street2x3", C_RIGHT6)])
 def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, text):
-    """One query pays its levels' rows of the order, not the full table.
+    """One query reads its levels' rows off the cube table, built once.
 
-    The lower levels need the row of types above them and the upper levels
-    the row below, so at most 2 (k - 1) T `lattice.leq` calls for T realized
-    types, and each realized type's sort key is computed once.
+    Once strictness is decided, the query makes no `lattice.leq` call and
+    computes no `TypeTerm.sort_key`: the realized types are sorted by their
+    cubes' ranks, and the rows are bitset algebra over the table of their
+    distinct cubes, which the index builds once.
     """
     sp = dataclasses.replace(request.getfixturevalue(fixture))
     chain = parse_chain(text, sp.ctx)
@@ -202,10 +203,10 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     monkeypatch.setattr(
         lattice.TypeTerm, "sort_key", counted("sort_key", lattice.TypeTerm.sort_key)
     )
+    monkeypatch.setattr(space, "_cube_table", counted("table", space._cube_table))
     chains.chain_base(sp, sp.points[0], chain)
-    t = len(space.realized_types(sp))
-    assert 0 < calls["leq"] <= 2 * (chain.k - 1) * t
-    assert calls["sort_key"] <= t
+    chains.chain_base(sp, sp.points[-1], chain)
+    assert calls == {"table": 1}
 
 
 def generator_neighborhoods(sp, x, gen) -> frozenset:
@@ -472,7 +473,7 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
             unrealized += any(t not in rt.terms for t in chain.levels)
             assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
             for level in chain.levels:
-                row = rt.visible(chain.support) & rt.above(level)
+                row = rt.visible(rt.generator_bits(chain.support)) & rt.above(level)
                 anchored = _reference_anchored(sp, chain, level)
                 assert rt.opens_in(row) == anchored
                 assert basis.irreducibles(sp, row) == {

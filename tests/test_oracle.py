@@ -113,13 +113,14 @@ def test_check_report_shape(street5):
 
 
 def _realized_levels(rt) -> list:
-    """Ascending index tuples of length 2, then 3, from the per-pair `leq` scan."""
+    """Ascending index tuples of length 2, then 3, from a per-pair `lattice.leq` table."""
     usable = [i for i, t in enumerate(rt.terms) if not (t.is_bottom or t.is_top)]
+    le = [[lattice.leq(a, b) for b in rt.terms] for a in rt.terms]
     return [
-        (i, j) for i in usable for j in usable if rt.leq(i, j)
+        (i, j) for i in usable for j in usable if le[i][j]
     ] + [
-        (i, j, k) for i in usable for j in usable if rt.leq(i, j)
-        for k in usable if rt.leq(j, k)
+        (i, j, k) for i in usable for j in usable if le[i][j]
+        for k in usable if le[j][k]
     ]
 
 
@@ -127,16 +128,17 @@ def test_realized_chains_read_one_order_row_per_usable_level(monkeypatch, street
     """Chains come in the order of the per-pair `leq` scan, one row read per level.
 
     Measured on STREET2X3: the per-pair scan made 49,833 row lookups, one
-    row read per level makes 63. The count from the order rows agrees.
+    row read per level makes 63. Counting the chains from the rows and
+    walking them read the same rows.
     """
     rt = space.realized_types(dataclasses.replace(street5))
     reference = _realized_levels(rt)
-    assert oracle._chain_count(rt, oracle.MAX_CHAINS) == len(reference) == 992
     reads = []
     above = space.RealizedTypes.above
     monkeypatch.setattr(
         space.RealizedTypes, "above", lambda self, level: reads.append(level) or above(self, level)
     )
+    assert oracle._chain_count(rt, oracle.MAX_CHAINS) == len(reference) == 992
     assert oracle._chain_levels(rt) == reference
     assert len(reads) == len(rt) == 31
 
@@ -252,7 +254,7 @@ def _reference_chain_results(space: TypedSpace) -> list:
                     return (ids(u), ids(v))
             return None
 
-        visible = rt.visible(chain.support)
+        visible = rt.visible(rt.generator_bits(chain.support))
         irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
         base = chains.chain_base_pool(space, chain)
         for m in irr0:
@@ -414,8 +416,8 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
 def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):
     """A 10-point street fails fast, naming the count and the budget.
 
-    Its realized order is too large to row in a second, so the count reads
-    rows only until it passes `oracle.MAX_CHAINS`.
+    The count reads the order rows by index and stops once it passes
+    `oracle.MAX_CHAINS`, before any pair loop runs.
     """
     start = time.perf_counter()
     with pytest.raises(OracleSkip) as err:

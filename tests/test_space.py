@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_generated_space
 from typedtopo import ingest, lattice, space
 from typedtopo.errors import (
+    ContextMismatchError,
     NotStrictlyTypedError,
     PreconditionError,
     SpaceValidationError,
@@ -533,19 +534,25 @@ def _row_bits(row: int, n: int) -> list:
     return [bool(row >> j & 1) for j in range(n)]
 
 
-def test_order_rows_of_realized_levels_match_leq(genealogy5, street5, street2x3):
-    rng = random.Random(4)
-    spaces = [genealogy5, street5, street2x3]
+def _sample_spaces(seed: int, fixtures) -> list:
+    """The fixtures, then random generated spaces, 10 in all."""
+    rng = random.Random(seed)
+    spaces = list(fixtures)
     while len(spaces) < 10:
         sp = random_generated_space(rng, max_points=6)
         if sp is not None:
             spaces.append(sp)
-    for sp in spaces:
+    return spaces
+
+
+def test_order_rows_of_realized_levels_match_leq(genealogy5, street5, street2x3):
+    for sp in _sample_spaces(4, (genealogy5, street5, street2x3)):
         rt = realized_types(sp)
         for i, a in enumerate(rt.terms):
             for j, b in enumerate(rt.terms):
                 assert rt.leq(i, j) == lattice.leq(a, b)
-            assert _row_bits(rt.below(a), len(rt)) == [lattice.leq(b, a) for b in rt.terms]
+            below = [lattice.leq(b, a) for b in rt.terms]
+            assert _row_bits(rt.below(a), len(rt)) == _row_bits(rt.down[i], len(rt)) == below
 
 
 def test_order_rows_of_chain_levels_match_leq(
@@ -570,6 +577,41 @@ def test_order_rows_are_memoized_by_term_value(street5, c_right5):
         assert again is not level
         assert rt.above(again) is rt.above(level)
         assert rt.below(again) is rt.below(level)
+
+
+def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
+    """Sorting by cube ranks gives the order of `TypeTerm.sort_key`."""
+    for sp in _sample_spaces(5, (genealogy5, street5, street2x3)):
+        distinct = {sp.sigma[m] for m in sp.opens if m}
+        assert realized_types(sp).terms == tuple(sorted(distinct, key=lattice.TypeTerm.sort_key))
+
+
+def test_visible_rows_match_the_generator_sets(genealogy5, street5, street2x3):
+    """The generator-bitset row against the named test, for every support."""
+    for sp in _sample_spaces(6, (genealogy5, street5, street2x3)):
+        rt = realized_types(sp)
+        gens = sorted(sp.poset.elements)
+        for k in range(len(gens) + 1):
+            for support in map(frozenset, itertools.combinations(gens, k)):
+                assert _row_bits(rt.visible(rt.generator_bits(support)), len(rt)) == [
+                    support.issuperset(t.generators()) for t in rt.terms
+                ]
+
+
+def test_order_rows_of_a_foreign_level_fail_loudly(street5, c_right5):
+    """A level from an unequal context raises; an equal context reads the same rows."""
+    rt = realized_types(dataclasses.replace(street5))
+    foreign = Context(street5.poset, street5.points + ("r6",))
+    for text in (format_term(rt.terms[0]), "right"):
+        with pytest.raises(ContextMismatchError):
+            rt.above(parse_type_expr(text, foreign))
+        with pytest.raises(ContextMismatchError):
+            rt.below(parse_type_expr(text, foreign))
+    twin = Context(street5.poset, street5.points)
+    assert twin is not street5.ctx
+    for level in c_right5.levels + rt.terms[:3]:
+        again = parse_type_expr(format_term(level), twin)
+        assert (rt.above(again), rt.below(again)) == (rt.above(level), rt.below(level))
 
 
 def test_incompatible_types_never_share_a_point(genealogy5):
