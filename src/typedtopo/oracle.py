@@ -202,12 +202,46 @@ def _covered(members, u: int) -> int:
     return covered
 
 
+def _bounds(space: TypedSpace) -> tuple[list, set]:
+    """The meet- and join-bound failures of all open pairs, and their Bottom meets.
+
+    A type is at or below ``a ^ b`` iff it is at or below both, and at or
+    above ``a v b`` iff it is at or above both, so each bound is two order
+    facts about nested opens, decided once per pair in a memo keyed
+    ``(inner, outer)``. Where ``sigma(u & v)`` is not Bottom and its bound
+    holds, it is a lower bound of the meet other than Bottom; only the other
+    pairs call `lattice.meet`. Returns the failures in pair order and the
+    pairs ``u <= v`` whose types meet at Bottom.
+    """
+    sig, ids, memo = space.sigma, space.ids_of, {}
+
+    def le(inner: int, outer: int) -> bool:
+        if (inner, outer) not in memo:
+            memo[inner, outer] = lattice.leq(sig[inner], sig[outer])
+        return memo[inner, outer]
+
+    failures, bottoms = [], set()
+    opens = sorted(m for m in space.opens if m in sig)
+    for i, u in enumerate(opens):
+        for v in opens[i:]:
+            w, j = u & v, u | v
+            if w in sig:
+                ok = le(w, u) and le(w, v)
+                if (not ok or sig[w].is_bottom) and lattice.meet(sig[u], sig[v]).is_bottom:
+                    bottoms.add((u, v))
+                if not ok:
+                    failures.append(("meet-bound", ids(u), ids(v)))
+            if j in sig and not (le(u, j) and le(v, j)):
+                failures.append(("join-bound", ids(u), ids(v)))
+    return failures, bottoms
+
+
 def check_space(space: TypedSpace) -> CheckReport:
     """Replay the structural properties of a typed space and its chains.
 
     Covers: topology closure, the three type-mapping conditions, the meet
     and join bounds (implied by the rest, so validation leaves them out and
-    they are re-derived here on every open pair), incompatibility of
+    `_bounds` re-derives them from nested-pair order facts), incompatibility of
     forcing, self-irreducibility of every open at its own type, the
     anchored decomposition identity for every realized anchor, the base
     property and the pure-family membership claim for realized chains, the
@@ -225,8 +259,10 @@ def check_space(space: TypedSpace) -> CheckReport:
     it cover it; only a chain where one does not is walked point by point
     for the counterexamples. One pass per point over the base gives its
     core and the supported points, and the region identities compare masks.
-    The incompatible-forcing check reads the Bottom meets that the
-    type-mapping pair loop found, one representative open per type.
+    The incompatible-forcing check reads the Bottom meets `_bounds` found,
+    one representative open per type. Once the bounds pass, a Bottom meet
+    means a Bottom intersection type, which validation allows only on the
+    empty set: so that check cannot fail after them.
     """
     results = []
     sig = space.sigma
@@ -242,19 +278,8 @@ def check_space(space: TypedSpace) -> CheckReport:
                 f"at least {count} realized chains exceed the theorem-replay budget "
                 f"of {MAX_CHAINS}"
             )
-    bad = [(f.code,) + tuple(f.witness) for f in report.failures]
-    opens = sorted(m for m in space.opens if m in sig)
-    bottoms = set()  # open pairs u <= v whose types meet at Bottom
-    for i, u in enumerate(opens):
-        for v in opens[i:]:
-            if (u & v) in sig:
-                meet = lattice.meet(sig[u], sig[v])
-                if meet.is_bottom:
-                    bottoms.add((u, v))
-                if not lattice.leq(sig[u & v], meet):
-                    bad.append(("meet-bound", ids(u), ids(v)))
-            if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
-                bad.append(("join-bound", ids(u), ids(v)))
+    bounds, bottoms = _bounds(space)
+    bad = [(f.code,) + tuple(f.witness) for f in report.failures] + bounds
     type_ok = not bad
     results.append(
         CheckResult(
@@ -278,8 +303,8 @@ def check_space(space: TypedSpace) -> CheckReport:
     nonempty = space.nonempty_opens()
 
     # incompatible forcing: disjoint-typed realized pairs never share a point;
-    # the opens are closed under intersection and typed, so the pair loop
-    # above met every two types' first opens
+    # the opens are closed under intersection and typed, so `_bounds` saw
+    # every two types' first opens
     bad = []
     first = [ms[0] for ms in rt.opens_by_type]
     for i in range(len(rt)):

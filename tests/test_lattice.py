@@ -307,6 +307,9 @@ def test_property_lattice_laws(idx, data):
     assert term_eq(join(a, meet(a, b)), a)
     assert term_eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c)))
     assert term_eq(join(a, meet(b, c)), meet(join(a, b), join(a, c)))
+    # the glb and lub characterizations the oracle's meet and join bounds rely on
+    assert leq(c, meet(a, b)) == (leq(c, a) and leq(c, b))
+    assert leq(join(a, b), c) == (leq(a, c) and leq(b, c))
 
 
 @given(st.integers(0, len(_CTXS) - 1), st.data())

@@ -71,6 +71,97 @@ def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
     assert codes and codes <= {"meet-bound", "join-bound"}
 
 
+def _reference_bounds(sp: TypedSpace) -> tuple:
+    """The type-mapping result and Bottom pairs by one meet and one join per open pair.
+
+    Kept as the slow twin of `oracle._bounds`, which decides each bound as
+    two order facts about nested opens and meets only some pairs.
+    """
+    sig, ids = sp.sigma, sp.ids_of
+    bad = [(f.code,) + tuple(f.witness) for f in space.validate_type_mapping(sp).failures]
+    bottoms = set()
+    opens = sorted(m for m in sp.opens if m in sig)
+    for i, u in enumerate(opens):
+        for v in opens[i:]:
+            if (u & v) in sig:
+                meet = lattice.meet(sig[u], sig[v])
+                if meet.is_bottom:
+                    bottoms.add((u, v))
+                if not lattice.leq(sig[u & v], meet):
+                    bad.append(("meet-bound", ids(u), ids(v)))
+            if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
+                bad.append(("join-bound", ids(u), ids(v)))
+    result = oracle.CheckResult(
+        "type-mapping", f"all {len(sp.opens)}^2 open pairs", not bad, tuple(bad[:5])
+    )
+    return result, bottoms
+
+
+def _retyped(sp: TypedSpace, rng: random.Random):
+    """Copies of ``sp`` with types swapped, set to Bottom, or met with another's."""
+    opens = sp.nonempty_opens()
+    for _ in range(2 if len(opens) > 1 else 0):
+        u, v = rng.sample(opens, 2)
+        for change in ({u: sp.sigma[v], v: sp.sigma[u]}, {u: sp.ctx.bottom()},
+                       {u: lattice.meet(sp.sigma[u], sp.sigma[v])}):
+            yield TypedSpace(sp.ctx, sp.opens, {**sp.sigma, **change}, sp.generators)
+
+
+def test_bounds_match_the_meet_and_join_per_pair_reference(
+    monkeypatch, genealogy5, street5, street2x3
+):
+    """The nested-pair memo gives the per-pair meet and join loop's result and Bottom pairs.
+
+    Validation is made to pass on the retyped copies, so their bounds fail,
+    and strictness to fail, so the replay stops after the type-mapping check.
+    """
+    rng = random.Random(0)
+    spaces = [genealogy5, street5, street2x3]
+    spaces += [sp for sp in (random_generated_space(rng, 6) for _ in range(60)) if sp][:20]
+
+    def compare(sp: TypedSpace) -> bool:
+        want, bottoms = _reference_bounds(sp)
+        assert check_space(dataclasses.replace(sp)).results[0] == want
+        assert oracle._bounds(dataclasses.replace(sp))[1] == bottoms
+        return want.passed
+
+    assert len(spaces) == 23 and all(compare(sp) for sp in spaces)
+    monkeypatch.setattr(
+        space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
+    )
+    monkeypatch.setattr(space, "strictness", lambda sp: space.StrictnessReport(False))
+    copies = [b for sp in spaces if sp is not street2x3 for b in _retyped(sp, rng)]
+    passed = [compare(b) for b in copies]
+    assert len(copies) > 100 and passed.count(False) > len(copies) // 2
+
+
+def test_check_space_names_the_meet_bound_of_an_unnested_pair(genealogy5, monkeypatch):
+    """Lowering sigma(CHSW) to sigma(CHW) makes the meet bound name an unnested pair.
+
+    On (BS, CHSW), sigma(BS & CHSW) = sigma(S) is at or below sigma(BS) but
+    no longer below sigma(CHSW). The exact counterexamples catch a memo that
+    answers one of the two order facts for the other, or decides one in the
+    wrong direction.
+    """
+    g = genealogy5
+    sigma = {**g.sigma, g.mask_of("CHSW"): g.sigma[g.mask_of("CHW")]}
+    broken = TypedSpace(g.ctx, g.opens, sigma, g.generators)
+    assert lattice.leq(sigma[g.mask_of("S")], sigma[g.mask_of("BS")])
+    assert not lattice.leq(sigma[g.mask_of("S")], sigma[g.mask_of("CHSW")])
+    monkeypatch.setattr(
+        space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
+    )
+    result = check_space(broken).results[0]
+    assert result.counterexamples == (
+        ("join-bound", ("S",), ("C", "H", "W")),
+        ("meet-bound", ("S",), ("C", "H", "S", "W")),
+        ("join-bound", ("S",), ("C", "H", "S", "W")),
+        ("meet-bound", ("B", "S"), ("C", "H", "S", "W")),
+        ("join-bound", ("H",), ("C", "S", "W")),
+    )
+    assert result == _reference_bounds(broken)[0]
+
+
 def test_check_space_green_on_fixtures(genealogy5, street5):
     for sp in (genealogy5, street5):
         rep = check_space(sp)
@@ -383,18 +474,23 @@ def test_one_pass_chain_checks_match_on_random_spaces():
 
 
 def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5):
-    """Realized chains walked by index, and the meets of the type-mapping pair loop reused.
+    """Realized chains walked by index, and the Bottom meets of the bounds reused.
 
     Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
     member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
-    chains read by index; 528 `lattice.meet` calls. Building a `TypeChain`
-    for each realized chain made 1,000 constructions, 1,000 `chain_base_pool`
+    chains read by index. The bounds make 243 nested-pair `lattice.leq`
+    calls (validation makes 127) and 122 `lattice.meet` calls, one per
+    disjoint open pair, and no `lattice.join`; a meet and a join per open
+    pair made 528 of each and 1,183 `leq` calls. Building a `TypeChain` for
+    each realized chain made 1,000 constructions, 1,000 `chain_base_pool`
     and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
     `test_chains.test_check_space_scans_each_chain_pool_once`.
     """
-    calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0, "meet": 0}
+    calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0,
+             "meet": 0, "join": 0, "leq": 0}
     for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"),
-                      (chains, "realized_chain_pools"), (lattice, "meet")):
+                      (chains, "realized_chain_pools"), (lattice, "meet"),
+                      (lattice, "join"), (lattice, "leq")):
         def counted(*args, _f=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _f(*args)
@@ -410,7 +506,9 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     assert 0 < calls["chain_base_pool"] <= 8
     assert 0 < calls["chain_pool"] <= 8
     assert calls["realized_chain_pools"] == 992
-    assert 0 < calls["meet"] <= 528
+    assert calls["meet"] == 122
+    assert calls["join"] == 0
+    assert calls["leq"] <= 370
 
 
 def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):
