@@ -19,8 +19,6 @@ from .chains import TypeChain
 from .errors import InvariantViolationError, PreconditionError
 from .space import TypedSpace
 
-ORACLE_CROSS_CHECK_MAX_POINTS = 12
-
 
 @dataclass(frozen=True, eq=False)
 class ClosureReport:
@@ -144,8 +142,9 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
 
     Representatives are the smallest point id of each maximal class, which
     Cor-style interchangeability makes as good as any other choice. On
-    spaces of at most twelve points the arithmetic is compared against the
-    exhaustive search; a mismatch raises with the witness attached.
+    spaces within the exhaustive search's default budget
+    (`oracle.DEFAULT_DENSE_POINTS`, twelve points) the arithmetic is
+    compared against it; a mismatch raises with the witness attached.
     """
     space_mod.require_strict(space)
     fams = _point_families(space, chain)
@@ -160,12 +159,10 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
         raise InvariantViolationError(
             "constructed witness is not dense", witness=sorted(witness)
         )
-    if len(space.points) <= ORACLE_CROSS_CHECK_MAX_POINTS:
-        from . import oracle
+    from . import oracle
 
-        size, _ = oracle.exhaustive_min_dense(
-            space, chain, oracle.SearchBudget(max_points=ORACLE_CROSS_CHECK_MAX_POINTS)
-        )
+    if len(space.points) <= oracle.DEFAULT_DENSE_POINTS:
+        size, _ = oracle.exhaustive_min_dense(space, chain)
         if size != density:
             raise InvariantViolationError(
                 f"density formula gives {density} but exhaustive search gives {size}",

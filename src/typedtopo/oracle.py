@@ -11,12 +11,16 @@ logic of the operations they judge:
 * `exhaustive_connected` enumerates all supported subsets through two
   points (independent of the overlap-graph search in `connect`);
 * `check_space` replays the structural theorems of the domain over a whole
-  space, listing each check with its quantifier ranges and counterexamples.
-  Its chain theorems are decided in one pass per realized chain over the
-  int mask rows of the chain's pool and base. It walks the chains as
-  tuples of realized-type indexes read off the order rows, and reads each
-  one's pool and base from `chains` by those indexes, so it judges them,
-  but decides every theorem by its own mask algebra.
+  space, listing each check with its quantifier ranges and counterexamples:
+  the type mapping with its meet and join bounds, strictness,
+  self-irreducibility, the anchored decomposition, and the base, closure
+  core and connectivity theorems of the realized chains and the pure
+  families. Each is a small function, and every one can fail. Its chain
+  theorems are decided in one pass per realized chain over the int mask
+  rows of the chain's pool and base. It walks the chains as tuples of
+  realized-type indexes read off the order rows, and reads each one's pool
+  and base from `chains` by those indexes, so it judges them, but decides
+  every theorem by its own mask algebra.
 
 Budgets make the exponential cost explicit: exceeding one raises
 `OracleSkip`, never a silent pass. The theorem replay counts its chains
@@ -202,16 +206,14 @@ def _covered(members, u: int) -> int:
     return covered
 
 
-def _bounds(space: TypedSpace) -> tuple[list, set]:
-    """The meet- and join-bound failures of all open pairs, and their Bottom meets.
+def _bounds(space: TypedSpace) -> list:
+    """The meet- and join-bound failures of the typed open pairs, in pair order.
 
-    A type is at or below ``a ^ b`` iff it is at or below both, and at or
-    above ``a v b`` iff it is at or above both, so each bound is two order
-    facts about nested opens, decided once per pair in a memo keyed
-    ``(inner, outer)``. Where ``sigma(u & v)`` is not Bottom and its bound
-    holds, it is a lower bound of the meet other than Bottom; only the other
-    pairs call `lattice.meet`. Returns the failures in pair order and the
-    pairs ``u <= v`` whose types meet at Bottom.
+    The pairs are ``u <= v`` in mask order, the diagonal included: n(n+1)/2
+    of them for n typed opens. A type is at or below ``a ^ b`` iff it is at
+    or below both, and at or above ``a v b`` iff it is at or above both, so
+    each bound is two order facts about nested opens, decided once per pair
+    in a memo keyed ``(inner, outer)``: no pair is met or joined.
     """
     sig, ids, memo = space.sigma, space.ids_of, {}
 
@@ -220,153 +222,64 @@ def _bounds(space: TypedSpace) -> tuple[list, set]:
             memo[inner, outer] = lattice.leq(sig[inner], sig[outer])
         return memo[inner, outer]
 
-    failures, bottoms = [], set()
+    failures = []
     opens = sorted(m for m in space.opens if m in sig)
     for i, u in enumerate(opens):
         for v in opens[i:]:
             w, j = u & v, u | v
-            if w in sig:
-                ok = le(w, u) and le(w, v)
-                if (not ok or sig[w].is_bottom) and lattice.meet(sig[u], sig[v]).is_bottom:
-                    bottoms.add((u, v))
-                if not ok:
-                    failures.append(("meet-bound", ids(u), ids(v)))
+            if w in sig and not (le(w, u) and le(w, v)):
+                failures.append(("meet-bound", ids(u), ids(v)))
             if j in sig and not (le(u, j) and le(v, j)):
                 failures.append(("join-bound", ids(u), ids(v)))
-    return failures, bottoms
+    return failures
 
 
-def check_space(space: TypedSpace) -> CheckReport:
-    """Replay the structural properties of a typed space and its chains.
+def _result(name: str, scope: str, bad: list) -> CheckResult:
+    """A check that passed iff ``bad`` is empty, with its first five counterexamples."""
+    return CheckResult(name, scope, not bad, tuple(bad[:5]))
 
-    Covers: topology closure, the three type-mapping conditions, the meet
-    and join bounds (implied by the rest, so validation leaves them out and
-    `_bounds` re-derives them from nested-pair order facts), incompatibility of
-    forcing, self-irreducibility of every open at its own type, the
-    anchored decomposition identity for every realized anchor, the base
-    property and the pure-family membership claim for realized chains, the
-    closure core identity, the unsupported-region identities, and the three
-    connectivity statements.
 
-    When validation passes and the space is strictly typed, the realized
-    chains are counted from the order rows first, and more than `MAX_CHAINS`
-    of them raise `OracleSkip` before any pair loop runs. The chains are
-    walked as ascending tuples of realized-type indexes, and a chain's text
-    is formatted only for a counterexample. The chain theorems are decided
-    in one pass per chain over the int masks of its pool and base, read
-    once each by `chains.realized_chain_pools`. A pool member has a
-    base member inside it at each of its points iff the base members inside
-    it cover it; only a chain where one does not is walked point by point
-    for the counterexamples. One pass per point over the base gives its
-    core and the supported points, and the region identities compare masks.
-    The incompatible-forcing check reads the Bottom meets `_bounds` found,
-    one representative open per type. Once the bounds pass, a Bottom meet
-    means a Bottom intersection type, which validation allows only on the
-    empty set: so that check cannot fail after them.
-    """
-    results = []
-    sig = space.sigma
-    ids = space.ids_of
+def _type_mapping(space: TypedSpace, report: space_mod.ValidationReport) -> CheckResult:
+    """Validation's failures, then the meet and join bounds of `_bounds`."""
+    bad = [(f.code,) + tuple(f.witness) for f in report.failures] + _bounds(space)
+    n = sum(m in space.sigma for m in space.opens)
+    return _result("type-mapping", f"{n * (n + 1) // 2} open pairs U <= V", bad)
 
-    report = space_mod.validate_type_mapping(space)
-    strictness = space_mod.strictness(space)
-    if report.ok and strictness.strict:
-        rt = realized_types(space)
-        count = _chain_count(rt, MAX_CHAINS)
-        if count > MAX_CHAINS:
-            raise OracleSkip(
-                f"at least {count} realized chains exceed the theorem-replay budget "
-                f"of {MAX_CHAINS}"
-            )
-    bounds, bottoms = _bounds(space)
-    bad = [(f.code,) + tuple(f.witness) for f in report.failures] + bounds
-    type_ok = not bad
-    results.append(
-        CheckResult(
-            "type-mapping",
-            f"all {len(space.opens)}^2 open pairs",
-            type_ok,
-            tuple(bad[:5]),
-        )
-    )
-    results.append(
-        CheckResult(
-            "strictly-typed",
-            "all nested nonempty open pairs",
-            strictness.strict,
-            (strictness.witness,) if strictness.witness else (),
-        )
-    )
-    if not (type_ok and strictness.strict):
-        return CheckReport(tuple(results))
 
+def _self_irreducible(space: TypedSpace) -> CheckResult:
+    """Every nonempty open is join-irreducible at its own type."""
     nonempty = space.nonempty_opens()
+    bad = [(space.ids_of(m),) for m in nonempty
+           if not basis.is_join_irreducible(space, m, space.sigma[m])]
+    return _result("self-irreducible", f"all {len(nonempty)} nonempty opens", bad)
 
-    # incompatible forcing: disjoint-typed realized pairs never share a point;
-    # the opens are closed under intersection and typed, so `_bounds` saw
-    # every two types' first opens
-    bad = []
-    first = [ms[0] for ms in rt.opens_by_type]
-    for i in range(len(rt)):
-        for j in range(i + 1, len(rt)):
-            if (min(first[i], first[j]), max(first[i], first[j])) not in bottoms:
-                continue
-            for u in rt.opens_by_type[i]:
-                for v in rt.opens_by_type[j]:
-                    if u & v:
-                        bad.append((ids(u), ids(v)))
-    results.append(
-        CheckResult(
-            "incompatible-forcing",
-            f"{len(rt)} realized types, disjoint-meet pairs",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
 
-    # every open is join-irreducible at its own type
+def _anchored_decomposition(space: TypedSpace, rt) -> CheckResult:
+    """The irreducible members inside any anchored open cover it."""
     bad = []
-    for m in nonempty:
-        if not basis.is_join_irreducible(space, m, sig[m]):
-            bad.append((ids(m),))
-    results.append(
-        CheckResult(
-            "self-irreducible",
-            f"all {len(nonempty)} nonempty opens",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
-
-    # anchored decomposition: irreducible members inside any anchored open cover it
-    bad = []
-    for i, p in enumerate(rt.terms):
-        fam = sorted(basis.opens_above(space, p))
+    for p in rt.terms:
         base = basis.irreducibles_above(space, p)
-        for u in fam:
-            if _covered(base, u) != u:
-                bad.append((lattice.format_term(p), ids(u)))
-    results.append(
-        CheckResult(
-            "anchored-decomposition",
-            f"all {len(rt)} realized anchors x their families",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
+        bad += [(lattice.format_term(p), space.ids_of(u))
+                for u in sorted(basis.opens_above(space, p)) if _covered(base, u) != u]
+    return _result("anchored-decomposition",
+                   f"all {len(rt)} realized anchors x their families", bad)
 
-    # the chain theorems, one pass per chain: base property, closure core,
-    # unsupported region, and connectivity of irreducible base members and
-    # anchored family members
+
+def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
+    """The chain theorems, decided in one pass per realized chain.
+
+    A pool member has a base member inside it at each of its points iff the
+    base members inside it cover it; only a chain where one does not is
+    walked point by point for the counterexamples. Returns the
+    neighborhood-base, closure-core, base- and anchored-connectivity results.
+    """
     chain_list = _chain_levels(rt)
-    terms, generators = rt.terms, rt.generators
-    points = space.points
-    full = space.full_mask
+    terms, generators, points, ids = rt.terms, rt.generators, space.points, space.ids_of
 
     def text(levels: tuple[int, ...]) -> str:
         return " ; ".join(lattice.format_term(terms[i]) for i in levels)
 
-    bad_nbhd, bad_core, bad_region, bad_base, bad_anchor = [], [], [], [], []
+    bad_nbhd, bad_core, bad_base, bad_anchor = [], [], [], []
     for levels in chain_list:
         pool, base = chains_mod.realized_chain_pools(space, levels)
         # every sandwiched neighborhood contains a base member at each point
@@ -377,32 +290,13 @@ def check_space(space: TypedSpace) -> CheckReport:
                     if u & bit and not any((v & u) == v and (v & bit) for v in base):
                         bad_nbhd.append((text(levels), x, ids(u)))
         # every nonempty base family has a least member, its core
-        supported = 0
         for i, x in enumerate(points):
-            bit = 1 << i
             core = -1
             for m in base:
-                if m & bit:
+                if m >> i & 1:
                     core &= m
-            if core != -1:
-                supported |= bit
-                if core not in base:
-                    bad_core.append((text(levels), x))
-        # the uncovered remainder is the unsupported region, which is closed
-        empty = full & ~supported
-        covered = free = 0
-        for m in base:
-            if m & supported:
-                covered |= m
-            if not m & empty:
-                free |= m
-        remainder = full & ~covered
-        if remainder != empty:
-            bad_region.append((text(levels), "remainder", ids(remainder ^ empty)))
-        else:
-            cut_off = supported & ~free
-            bad_region += [(text(levels), "not-closed", x)
-                           for i, x in enumerate(points) if cut_off >> i & 1]
+            if core != -1 and core not in base:
+                bad_core.append((text(levels), x))
         # no first-level irreducible is split by two disjoint pool members
         disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
         if not disjoint:
@@ -419,19 +313,27 @@ def check_space(space: TypedSpace) -> CheckReport:
                     if m in base:
                         bad_base.append((text(levels), ids(m), w))
                     break
-    results.append(
-        CheckResult(
-            "neighborhood-base",
-            f"{len(chain_list)} realized chains x {len(points)} points",
-            not bad_nbhd,
-            tuple(bad_nbhd[:5]),
-        )
-    )
+    n = len(chain_list)
+    return [
+        _result("neighborhood-base", f"{n} realized chains x {len(points)} points", bad_nbhd),
+        _result("closure-core", f"{n} realized chains x supported points", bad_core),
+        _result("base-connectivity",
+                f"{n} realized chains x first-level-irreducible base members", bad_base),
+        _result("anchored-connectivity", f"{n} realized chains x first-level irreducibles",
+                bad_anchor),
+    ]
 
-    # the pure families: per generator, the nonempty opens typed purely in
-    # it and at or below it, each with the chain from its type up to the
-    # generator; every member is a base member of its chain
-    families = []
+
+def _pure_family_results(space: TypedSpace) -> list[CheckResult]:
+    """The pure-family base and connectivity results.
+
+    Per generator, the family is the nonempty opens typed purely in it and
+    at or below it, each with the chain from its type up to the generator.
+    Every member is a base member of its chain, and chain-connected.
+    """
+    sig, ids, points = space.sigma, space.ids_of, space.points
+    nonempty = space.nonempty_opens()
+    bad_base, bad_conn = [], []
     for gen in sorted(space.poset.elements):
         top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
         family = []
@@ -439,42 +341,63 @@ def check_space(space: TypedSpace) -> CheckReport:
             t = sig[m]
             if t.uses_only({gen}) and lattice.leq(t, top):
                 family.append((m, TypeChain((t, t) if lattice.term_eq(t, top) else (t, top))))
-        families.append((gen, family))
-    bad = []
-    for gen, family in families:
         unbased = [m for m, chain in family if m not in chains_mod.chain_base_pool(space, chain)]
-        bad += [(gen, x, ids(m)) for i, x in enumerate(points) for m in unbased if m >> i & 1]
-    results.append(
-        CheckResult(
-            "pure-family-base",
-            "all generators x points x family members",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
-    n = len(chain_list)
-    for name, scope, bad in (
-        ("closure-core", f"{n} realized chains x supported points", bad_core),
-        ("unsupported-region", f"{n} realized chains", bad_region),
-        ("base-connectivity",
-         f"{n} realized chains x first-level-irreducible base members", bad_base),
-        ("anchored-connectivity", f"{n} realized chains x first-level irreducibles",
-         bad_anchor),
-    ):
-        results.append(CheckResult(name, scope, not bad, tuple(bad[:5])))
-    bad_pure = []
-    for gen, family in families:
+        bad_base += [(gen, x, ids(m)) for i, x in enumerate(points) for m in unbased if m >> i & 1]
         for m, chain in family:
             ok, w = connect_mod.is_chain_connected(space, ids(m), chain)
             if not ok:
-                bad_pure.append((gen, ids(m), (w.left, w.right)))
-    results.append(
-        CheckResult(
-            "pure-family-connectivity",
-            "all generators x pure family members",
-            not bad_pure,
-            tuple(bad_pure[:5]),
-        )
-    )
+                bad_conn.append((gen, ids(m), (w.left, w.right)))
+    return [
+        _result("pure-family-base", "all generators x points x family members", bad_base),
+        _result("pure-family-connectivity", "all generators x pure family members", bad_conn),
+    ]
 
+
+def check_space(space: TypedSpace) -> CheckReport:
+    """Replay the structural properties of a typed space and its chains.
+
+    The ten results, in order:
+
+    * ``type-mapping``: validation's topology and type-mapping conditions,
+      and the meet and join bounds, which they imply, so validation leaves
+      them out and `_bounds` re-derives them;
+    * ``strictly-typed``: proper inclusion strictly raises the type;
+    * ``self-irreducible``: every open is irreducible at its own type;
+    * ``anchored-decomposition``: every realized anchor's family is covered
+      by its irreducible members;
+    * ``neighborhood-base``, ``pure-family-base``, ``closure-core``,
+      ``base-connectivity``, ``anchored-connectivity`` and
+      ``pure-family-connectivity``: the base property, the closure core
+      identity and the connectivity statements over the realized chains
+      (`_chain_results`) and the pure families (`_pure_family_results`).
+
+    Only the first two run unless both pass. When validation passes and the
+    space is strictly typed, the realized chains are counted from the order
+    rows first, and more than `MAX_CHAINS` of them raise `OracleSkip` before
+    any pair loop runs. The chains are walked as ascending tuples of
+    realized-type indexes, and a chain's text is formatted only for a
+    counterexample. The chain theorems are decided in one pass per chain
+    over the int masks of its pool and base, read once each by
+    `chains.realized_chain_pools`.
+    """
+    report = space_mod.validate_type_mapping(space)
+    strictness = space_mod.strictness(space)
+    if report.ok and strictness.strict:
+        rt = realized_types(space)
+        count = _chain_count(rt, MAX_CHAINS)
+        if count > MAX_CHAINS:
+            raise OracleSkip(
+                f"at least {count} realized chains exceed the theorem-replay budget "
+                f"of {MAX_CHAINS}"
+            )
+    results = [
+        _type_mapping(space, report),
+        CheckResult("strictly-typed", "all nested nonempty open pairs", strictness.strict,
+                    (strictness.witness,) if strictness.witness else ()),
+    ]
+    if results[0].passed and strictness.strict:
+        results += [_self_irreducible(space), _anchored_decomposition(space, rt)]
+        nbhd, *chain_rest = _chain_results(space, rt)
+        pure_base, pure_conn = _pure_family_results(space)
+        results += [nbhd, pure_base, *chain_rest, pure_conn]
     return CheckReport(tuple(results))

@@ -1,7 +1,8 @@
 """Every name a package module or a test module imports is used in it.
 
 ``__init__.py`` imports names to re-export them, and ``from __future__``
-imports switch on compiler features, so neither counts.
+imports switch on compiler features, so neither counts. The same parse
+gates the callers of public functions and the length of the oracle's.
 """
 from __future__ import annotations
 
@@ -158,3 +159,19 @@ def test_every_public_function_has_a_caller():
         called |= references(path.read_text(encoding="utf-8"), path.stem)
     assert REFERENCE_ONLY.keys() <= public_functions()
     assert sorted(public_functions() - called - REFERENCE_ONLY.keys()) == []
+
+
+def test_oracle_functions_stay_short():
+    """No function of ``oracle.py``, nested ones included, is longer than 60 lines.
+
+    The theorem replay stays a sequence of small checks that a reader can
+    match one by one against the statements they replay.
+    """
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    lengths = {
+        node.name: node.end_lineno - node.lineno + 1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "check_space" in lengths
+    assert {name: n for name, n in lengths.items() if n > 60} == {}

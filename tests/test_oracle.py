@@ -71,30 +71,25 @@ def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
     assert codes and codes <= {"meet-bound", "join-bound"}
 
 
-def _reference_bounds(sp: TypedSpace) -> tuple:
-    """The type-mapping result and Bottom pairs by one meet and one join per open pair.
+def _reference_bounds(sp: TypedSpace) -> oracle.CheckResult:
+    """The type-mapping result by one meet and one join per open pair.
 
     Kept as the slow twin of `oracle._bounds`, which decides each bound as
-    two order facts about nested opens and meets only some pairs.
+    two order facts about nested opens and meets no pair.
     """
     sig, ids = sp.sigma, sp.ids_of
     bad = [(f.code,) + tuple(f.witness) for f in space.validate_type_mapping(sp).failures]
-    bottoms = set()
     opens = sorted(m for m in sp.opens if m in sig)
     for i, u in enumerate(opens):
         for v in opens[i:]:
-            if (u & v) in sig:
-                meet = lattice.meet(sig[u], sig[v])
-                if meet.is_bottom:
-                    bottoms.add((u, v))
-                if not lattice.leq(sig[u & v], meet):
-                    bad.append(("meet-bound", ids(u), ids(v)))
+            if (u & v) in sig and not lattice.leq(sig[u & v], lattice.meet(sig[u], sig[v])):
+                bad.append(("meet-bound", ids(u), ids(v)))
             if (u | v) in sig and not lattice.leq(lattice.join(sig[u], sig[v]), sig[u | v]):
                 bad.append(("join-bound", ids(u), ids(v)))
-    result = oracle.CheckResult(
-        "type-mapping", f"all {len(sp.opens)}^2 open pairs", not bad, tuple(bad[:5])
+    n = len(opens)
+    return oracle.CheckResult(
+        "type-mapping", f"{n * (n + 1) // 2} open pairs U <= V", not bad, tuple(bad[:5])
     )
-    return result, bottoms
 
 
 def _retyped(sp: TypedSpace, rng: random.Random):
@@ -110,7 +105,7 @@ def _retyped(sp: TypedSpace, rng: random.Random):
 def test_bounds_match_the_meet_and_join_per_pair_reference(
     monkeypatch, genealogy5, street5, street2x3
 ):
-    """The nested-pair memo gives the per-pair meet and join loop's result and Bottom pairs.
+    """The nested-pair memo gives the per-pair meet and join loop's result.
 
     Validation is made to pass on the retyped copies, so their bounds fail,
     and strictness to fail, so the replay stops after the type-mapping check.
@@ -120,9 +115,8 @@ def test_bounds_match_the_meet_and_join_per_pair_reference(
     spaces += [sp for sp in (random_generated_space(rng, 6) for _ in range(60)) if sp][:20]
 
     def compare(sp: TypedSpace) -> bool:
-        want, bottoms = _reference_bounds(sp)
+        want = _reference_bounds(sp)
         assert check_space(dataclasses.replace(sp)).results[0] == want
-        assert oracle._bounds(dataclasses.replace(sp))[1] == bottoms
         return want.passed
 
     assert len(spaces) == 23 and all(compare(sp) for sp in spaces)
@@ -135,6 +129,29 @@ def test_bounds_match_the_meet_and_join_per_pair_reference(
     assert len(copies) > 100 and passed.count(False) > len(copies) // 2
 
 
+def test_validation_rejects_overlapping_opens_whose_types_meet_at_bottom(
+    genealogy5, street5
+):
+    """Two opens sharing a point never have types that meet at Bottom.
+
+    Their intersection is a nonempty open typed at or below both, so at or
+    below Bottom: monotonicity and ``bottom-off-empty`` reject it. So the
+    replay runs no such check after validation, and this test keeps the
+    statement in force on retyped copies of the fixtures and random spaces.
+    """
+    rng = random.Random(1)
+    spaces = [genealogy5, street5]
+    spaces += [sp for sp in (random_generated_space(rng, 6) for _ in range(30)) if sp]
+    forcing = 0
+    for sp in spaces:
+        for b in _retyped(sp, rng):
+            if any(u & v and lattice.meet(b.sigma[u], b.sigma[v]).is_bottom
+                   for u, v in itertools.combinations(b.nonempty_opens(), 2)):
+                forcing += 1
+                assert not space.validate_type_mapping(b).ok
+    assert forcing > 0
+
+
 def test_check_space_names_the_meet_bound_of_an_unnested_pair(genealogy5, monkeypatch):
     """Lowering sigma(CHSW) to sigma(CHW) makes the meet bound name an unnested pair.
 
@@ -144,13 +161,10 @@ def test_check_space_names_the_meet_bound_of_an_unnested_pair(genealogy5, monkey
     wrong direction.
     """
     g = genealogy5
-    sigma = {**g.sigma, g.mask_of("CHSW"): g.sigma[g.mask_of("CHW")]}
-    broken = TypedSpace(g.ctx, g.opens, sigma, g.generators)
+    broken = _lower_chsw_to_chw(g, monkeypatch)
+    sigma = broken.sigma
     assert lattice.leq(sigma[g.mask_of("S")], sigma[g.mask_of("BS")])
     assert not lattice.leq(sigma[g.mask_of("S")], sigma[g.mask_of("CHSW")])
-    monkeypatch.setattr(
-        space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
-    )
     result = check_space(broken).results[0]
     assert result.counterexamples == (
         ("join-bound", ("S",), ("C", "H", "W")),
@@ -159,7 +173,7 @@ def test_check_space_names_the_meet_bound_of_an_unnested_pair(genealogy5, monkey
         ("meet-bound", ("B", "S"), ("C", "H", "S", "W")),
         ("join-bound", ("H",), ("C", "S", "W")),
     )
-    assert result == _reference_bounds(broken)[0]
+    assert result == _reference_bounds(broken)
 
 
 def test_check_space_green_on_fixtures(genealogy5, street5):
@@ -188,19 +202,93 @@ def test_check_report_shape(street5):
     assert names == [
         "type-mapping",
         "strictly-typed",
-        "incompatible-forcing",
         "self-irreducible",
         "anchored-decomposition",
         "neighborhood-base",
         "pure-family-base",
         "closure-core",
-        "unsupported-region",
         "base-connectivity",
         "anchored-connectivity",
         "pure-family-connectivity",
     ]
     for r in rep.results:
         assert r.scope
+
+
+def _lower_chsw_to_chw(g: TypedSpace, monkeypatch) -> TypedSpace:
+    """The meet-bound corruption, with validation made to pass."""
+    monkeypatch.setattr(
+        space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
+    )
+    sigma = {**g.sigma, g.mask_of("CHSW"): g.sigma[g.mask_of("CHW")]}
+    return TypedSpace(g.ctx, g.opens, sigma, g.generators)
+
+
+def _tie_c_to_cw(g: TypedSpace, monkeypatch) -> TypedSpace:
+    """The strictness corruption: sigma(C) raised to sigma(CW)."""
+    sigma = {**g.sigma, g.mask_of("C"): g.sigma[g.mask_of("CW")]}
+    return TypedSpace(g.ctx, g.opens, sigma, g.generators)
+
+
+def _drop_an_irreducible(g: TypedSpace, monkeypatch) -> TypedSpace:
+    """Each row's smallest irreducible member dropped, for `basis` and `chains`."""
+    irreducibles = basis.irreducibles
+
+    def dropped(sp, types):
+        return frozenset(sorted(irreducibles(sp, types))[1:])
+
+    monkeypatch.setattr(basis, "irreducibles", dropped)
+    monkeypatch.setattr(chains, "irreducibles", dropped)
+    return g
+
+
+def _drop_a_base_member(g: TypedSpace, monkeypatch) -> TypedSpace:
+    """Each chain base's smallest member dropped."""
+    pool_and_base = chains._pool_and_base
+
+    def dropped(sp, *rows):
+        pool, base = pool_and_base(sp, *rows)
+        return pool, _drop_smallest(sp, base)
+
+    monkeypatch.setattr(chains, "_pool_and_base", dropped)
+    return g
+
+
+def _pool_every_open(g: TypedSpace, monkeypatch) -> TypedSpace:
+    """Every nonempty open added to each chain pool."""
+    pool = chains._pool
+    monkeypatch.setattr(
+        chains, "_pool", lambda sp, *rows: pool(sp, *rows) | frozenset(sp.nonempty_opens())
+    )
+    return g
+
+
+# one case per check of `check_space` that makes it fail on GENEALOGY5
+FAILING_CASES = {
+    "type-mapping": _lower_chsw_to_chw,
+    "strictly-typed": _tie_c_to_cw,
+    "self-irreducible": _drop_an_irreducible,
+    "anchored-decomposition": _drop_an_irreducible,
+    "neighborhood-base": _drop_a_base_member,
+    "pure-family-base": _drop_a_base_member,
+    "closure-core": _drop_a_base_member,
+    "base-connectivity": _pool_every_open,
+    "anchored-connectivity": _pool_every_open,
+    "pure-family-connectivity": _pool_every_open,
+}
+
+
+@pytest.mark.parametrize("name", FAILING_CASES)
+def test_every_check_can_fail(monkeypatch, genealogy5, street5, name):
+    """A check that no corruption can make fail tests nothing.
+
+    The table names every check `check_space` emits, so a new check needs
+    a case here.
+    """
+    assert list(FAILING_CASES) == [r.name for r in check_space(street5).results]
+    broken = FAILING_CASES[name](dataclasses.replace(genealogy5), monkeypatch)
+    result = {r.name: r for r in check_space(broken).results}[name]
+    assert not result.passed and result.counterexamples
 
 
 def _realized_levels(rt) -> list:
@@ -294,38 +382,6 @@ def _reference_chain_results(space: TypedSpace) -> list:
         oracle.CheckResult(
             "closure-core",
             f"{len(chain_list)} realized chains x supported points",
-            not bad,
-            tuple(bad[:5]),
-        )
-    )
-
-    # unsupported region: uncovered remainder identity and closedness
-    bad = []
-    for chain in chain_list:
-        base = chains.chain_base_pool(space, chain)
-        empty = {x for i, x in enumerate(space.points) if not any(m >> i & 1 for m in base)}
-        covered = 0
-        for i, x in enumerate(space.points):
-            if x in empty:
-                continue
-            for m in base:
-                if m >> i & 1:
-                    covered |= m
-        remainder = set(ids(space.full_mask & ~covered))
-        if remainder != empty:
-            bad.append((chain.text(), "remainder", tuple(sorted(remainder ^ empty))))
-            continue
-        empty_mask = space.mask_of(empty)
-        for i, x in enumerate(space.points):
-            if x in empty:
-                continue
-            fam = [m for m in base if m >> i & 1]
-            if all(m & empty_mask for m in fam):
-                bad.append((chain.text(), "not-closed", x))
-    results.append(
-        oracle.CheckResult(
-            "unsupported-region",
-            f"{len(chain_list)} realized chains",
             not bad,
             tuple(bad[:5]),
         )
@@ -474,16 +530,15 @@ def test_one_pass_chain_checks_match_on_random_spaces():
 
 
 def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5):
-    """Realized chains walked by index, and the Bottom meets of the bounds reused.
+    """Realized chains walked by index, and the bounds decided without a meet or join.
 
     Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
     member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
     chains read by index. The bounds make 243 nested-pair `lattice.leq`
-    calls (validation makes 127) and 122 `lattice.meet` calls, one per
-    disjoint open pair, and no `lattice.join`; a meet and a join per open
-    pair made 528 of each and 1,183 `leq` calls. Building a `TypeChain` for
-    each realized chain made 1,000 constructions, 1,000 `chain_base_pool`
-    and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
+    calls (validation makes 127) and no `lattice.meet` or `lattice.join`;
+    a meet and a join per open pair made 528 of each and 1,183 `leq` calls.
+    Building a `TypeChain` for each realized chain made 1,000 constructions,
+    1,000 `chain_base_pool` and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
     `test_chains.test_check_space_scans_each_chain_pool_once`.
     """
     calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0,
@@ -506,7 +561,7 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     assert 0 < calls["chain_base_pool"] <= 8
     assert 0 < calls["chain_pool"] <= 8
     assert calls["realized_chain_pools"] == 992
-    assert calls["meet"] == 122
+    assert calls["meet"] == 0
     assert calls["join"] == 0
     assert calls["leq"] <= 370
 
