@@ -6,11 +6,15 @@ query. Reports are JSON objects ``{"command", "space", "result", "timing"}``
 on stdout (or in the ``-o`` file) with diagnostics on stderr; ``--stable``
 drops the timing block so identical inputs produce byte-identical output.
 ``build`` prints the space document itself, or writes it to ``-o`` and
-reports where. The argument parser is built once per process and holds no
-space or query state; every `run` loads, validates and indexes its space anew.
+reports where; ``stats --format csv`` writes its table to ``-o`` too. Every
+command comes from one table, `_COMMANDS`, and accepts only the options its
+handler reads: ``--budget-points`` belongs to ``connect`` and ``oracle``
+alone. The argument parser is built once per process and holds no space or
+query state; every `run` loads, validates and indexes its space anew.
 
-Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
-3 query error (unknown point, exceeded budget, degenerate population).
+Exit codes: 0 success, 1 validation failure, 2 parse or usage error (an
+unreadable or non-JSON file included), 3 query error (unknown point,
+exceeded budget, degenerate population).
 """
 from __future__ import annotations
 
@@ -40,19 +44,27 @@ from .errors import (
 _EXIT_VALIDATION = 1
 _EXIT_USAGE = 2
 _EXIT_QUERY = 3
+# a file that cannot be opened, decoded or parsed: a usage error, not a traceback
+_READ_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 _ERROR_CODES = (
     ((SpaceValidationError, NotStrictlyTypedError, InvariantViolationError), _EXIT_VALIDATION),
-    ((ExprSyntaxError, UnknownSymbolError, PreconditionError, DatasetError), _EXIT_USAGE),
+    ((ExprSyntaxError, UnknownSymbolError, PreconditionError, DatasetError, *_READ_ERRORS),
+     _EXIT_USAGE),
     ((UnknownPointError, BoundExceededError, OracleSkip, NoVarianceError), _EXIT_QUERY),
 )
 
 
-def _exit_code_for(err: TypedTopoError) -> int:
+def _exit_code_for(err: Exception) -> int:
     for kinds, code in _ERROR_CODES:
         if isinstance(err, kinds):
             return code
     return _EXIT_VALIDATION
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _space_digest(sp: space.TypedSpace) -> dict:
@@ -103,16 +115,11 @@ def _json_text(doc: dict) -> str:
 
 
 def _table_json(table: stats.ScoreTable) -> dict:
-    def subject_json(s):
-        if isinstance(s, tuple):
-            return list(s)
-        return s
-
     return {
         "mean": table.mean,
         "sample_std": table.sample_std,
         "subjects": [
-            {"subject": subject_json(s), "value": v, "z": table.z[s]}
+            {"subject": list(s) if isinstance(s, tuple) else s, "value": v, "z": table.z[s]}
             for s, v in table.population
         ],
     }
@@ -132,26 +139,16 @@ def _table_csv(table: stats.ScoreTable) -> str:
 
 
 def _cmd_build(args, _):
-    kind = args.kind
-    if kind == "genealogy":
-        with open(args.dataset, encoding="utf-8") as fh:
-            built = ingest.build_genealogy(ingest.read_genealogy_csv(fh.read()))
-    elif kind == "community":
-        with open(args.dataset, encoding="utf-8") as fh:
-            built = ingest.build_community(ingest.read_community_json(fh.read()))
-    elif kind == "table":
-        if not args.predicates:
-            raise PreconditionError("--kind table needs --predicates")
-        with open(args.dataset, encoding="utf-8") as fh:
-            csv_text = fh.read()
-        with open(args.predicates, encoding="utf-8") as fh:
-            pred_text = fh.read()
-        built = ingest.build_table(
-            ingest.read_table_dataset(csv_text, pred_text),
-            apply_strictify=args.strictify,
-        )
-    else:  # pragma: no cover - argparse rejects other values
-        raise PreconditionError(f"unknown dataset kind {kind!r}")
+    text = _read(args.dataset)
+    if args.kind == "genealogy":
+        built = ingest.build_genealogy(ingest.read_genealogy_csv(text))
+    elif args.kind == "community":
+        built = ingest.build_community(ingest.read_community_json(text))
+    elif args.predicates:
+        data = ingest.read_table_dataset(text, _read(args.predicates))
+        built = ingest.build_table(data, apply_strictify=args.strictify)
+    else:
+        raise PreconditionError("--kind table needs --predicates")
     _write(_json_text(space.space_to_json(built)), args.output)
     return 0, built, {"written": args.output} if args.output else None
 
@@ -198,12 +195,10 @@ def _cmd_closure(args, sp):
     ch = _chain_arg(args, sp)
     start = _set_arg(args.set)
     rep = closure.chain_closure(sp, start, ch)
-    witnesses = {}
-    for p, w in sorted(rep.witnesses.items()):
-        witnesses[p] = {"kind": w[0]} if w[0] == "vacuous" else {
-            "kind": "core",
-            "core": list(w[1]),
-        }
+    witnesses = {
+        p: {"kind": w[0]} if w[0] == "vacuous" else {"kind": "core", "core": list(w[1])}
+        for p, w in sorted(rep.witnesses.items())
+    }
     return 0, sp, {
         "chain": ch.text(),
         "set": sorted(start),
@@ -234,13 +229,11 @@ def _cmd_connect(args, sp):
             "chain": ch.text(),
             "set": sorted(pts),
             "connected": ok,
-            "separator": (
-                [list(witness.left), list(witness.right)] if witness else None
-            ),
+            "separator": [list(witness.left), list(witness.right)] if witness else None,
         }
     if not (args.x and args.y):
         raise PreconditionError("connect needs --set or both --x and --y")
-    budget = _budget(args)
+    budget = _budget(args)  # outside the try: a bad budget is an error, not a skip
     cert = connect.find_connection(sp, args.x, args.y, ch)
     try:
         confirmed = oracle.exhaustive_connected(sp, ch, args.x, args.y, budget)
@@ -251,36 +244,28 @@ def _cmd_connect(args, sp):
         "x": args.x,
         "y": args.y,
         "certificate": (
-            {
-                "set": list(cert.member_ids),
-                "sequence": [list(s) for s in cert.sequence],
-            }
-            if cert
-            else None
+            {"set": list(cert.member_ids), "sequence": [list(s) for s in cert.sequence]}
+            if cert else None
         ),
         "oracle": "skipped" if confirmed is None else confirmed,
         "definitive": confirmed is not None,
     }
 
 
+_SCORES = {"sizes": stats.family_size_scores, "activity": stats.point_activity_scores}
+
+
 def _cmd_stats(args, sp):
-    kind = args.kind or "sizes"
-    if kind == "sizes":
-        if not args.p:
-            raise PreconditionError("stats --kind sizes needs --p")
-        table = stats.family_size_scores(sp, args.p)
-    elif kind == "activity":
-        if not args.p:
-            raise PreconditionError("stats --kind activity needs --p")
-        table = stats.point_activity_scores(sp, args.p)
-    elif kind == "affinity":
+    if args.kind == "affinity":
         table = stats.pair_affinity_scores(sp, two_witness=args.two_witness)
-    else:  # pragma: no cover - argparse rejects other values
-        raise PreconditionError(f"unknown stats kind {kind!r}")
+    elif args.p:
+        table = _SCORES[args.kind](sp, args.p)
+    else:
+        raise PreconditionError(f"stats --kind {args.kind} needs --p")
     if args.format == "csv":
-        sys.stdout.write(_table_csv(table))
+        _write(_table_csv(table), args.output)
         return 0, sp, None
-    return 0, sp, {"kind": kind, "table": _table_json(table)}
+    return 0, sp, {"kind": args.kind, "table": _table_json(table)}
 
 
 def _cmd_oracle(args, sp):
@@ -313,105 +298,87 @@ def _cmd_oracle(args, sp):
     raise PreconditionError("oracle needs one of --check, --dense, --connected")
 
 
+_FLAG = {"action": "store_true"}
+_CHAIN = ("--chain", {"help": "semicolon-separated chain levels"})
+_BUDGET = ("--budget-points", {"type": int, "help": "override the oracle point budget"})
+# every command also takes --stable and -o, which `run` reads
+_REPORT = (
+    ("--stable", _FLAG | {"help": "omit timing for diffable output"}),
+    ("-o", "--output", {"help": "write the report/space to a file"}),
+)
+
+# name -> (handler, help, whether it reads a space file, the options it reads);
+# an option is its flags followed by the keywords of `add_argument`
+_COMMANDS = {
+    "build": (_cmd_build, "build a space from a dataset", False, (
+        ("--dataset", {"required": True}),
+        ("--kind", {"required": True, "choices": ["genealogy", "community", "table"]}),
+        ("--predicates", {"help": "predicates JSON for --kind table"}),
+        ("--strictify", _FLAG | {"help": "apply the strictness repair"}),
+    )),
+    "validate": (_cmd_validate, "check the type-mapping contract", True, (
+        ("--strict", _FLAG | {"help": "also require strict typing"}),
+    )),
+    "basis": (_cmd_basis, "anchored families and their irreducibles", True, (
+        ("--p", {"help": "anchor type expression"}),
+        ("--x", {"help": "restrict to opens through this point"}),
+    )),
+    "nbhd": (_cmd_nbhd, "chain neighborhoods of a point", True, (
+        _CHAIN, ("--x", {"help": "the point"}),
+    )),
+    "closure": (_cmd_closure, "chain closure of a point set", True, (
+        _CHAIN, ("--set", {"help": "comma-separated point ids"}),
+    )),
+    "dense": (_cmd_dense, "minimum chain-dense set", True, (_CHAIN,)),
+    "connect": (_cmd_connect, "chain connectivity queries", True, (
+        _CHAIN, ("--set", {"help": "test this point set for connectedness"}),
+        ("--x", {}), ("--y", {}), _BUDGET,
+    )),
+    "stats": (_cmd_stats, "score tables", True, (
+        ("--p", {"help": "generator name"}),
+        ("--kind", {"choices": [*_SCORES, "affinity"], "default": "sizes"}),
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+        ("--two-witness", _FLAG | {"help": "affinity variant"}),
+    )),
+    "oracle": (_cmd_oracle, "brute-force reference searches", True, (
+        ("--check", _FLAG | {"help": "replay the theorem suite"}),
+        ("--dense", _FLAG), ("--connected", _FLAG), _CHAIN, ("--x", {}), ("--y", {}), _BUDGET,
+    )),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tts", description="typed-topology queries over finite spaces"
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, with_space=True):
-        if with_space:
+    for name, (_, help_text, reads_space, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if reads_space:
             p.add_argument("space", help="space JSON file")
-        p.add_argument("--stable", action="store_true", help="omit timing for diffable output")
-        p.add_argument("-o", "--output", help="write the report/space to a file")
-        p.add_argument("--budget-points", type=int, help="override the oracle point budget")
-
-    b = sub.add_parser("build", help="build a space from a dataset")
-    b.add_argument("--dataset", required=True)
-    b.add_argument("--kind", required=True, choices=["genealogy", "community", "table"])
-    b.add_argument("--predicates", help="predicates JSON for --kind table")
-    b.add_argument("--strictify", action="store_true", help="apply the strictness repair")
-    common(b, with_space=False)
-
-    v = sub.add_parser("validate", help="check the type-mapping contract")
-    v.add_argument("--strict", action="store_true", help="also require strict typing")
-    common(v)
-
-    ba = sub.add_parser("basis", help="anchored families and their irreducibles")
-    ba.add_argument("--p", help="anchor type expression")
-    ba.add_argument("--x", help="restrict to opens through this point")
-    common(ba)
-
-    nb = sub.add_parser("nbhd", help="chain neighborhoods of a point")
-    nb.add_argument("--chain", help="semicolon-separated chain levels")
-    nb.add_argument("--x", help="the point")
-    common(nb)
-
-    cl = sub.add_parser("closure", help="chain closure of a point set")
-    cl.add_argument("--chain")
-    cl.add_argument("--set", help="comma-separated point ids")
-    common(cl)
-
-    de = sub.add_parser("dense", help="minimum chain-dense set")
-    de.add_argument("--chain")
-    common(de)
-
-    co = sub.add_parser("connect", help="chain connectivity queries")
-    co.add_argument("--chain")
-    co.add_argument("--set", help="test this point set for connectedness")
-    co.add_argument("--x")
-    co.add_argument("--y")
-    common(co)
-
-    st = sub.add_parser("stats", help="score tables")
-    st.add_argument("--p", help="generator name")
-    st.add_argument("--kind", choices=["sizes", "activity", "affinity"])
-    st.add_argument("--format", choices=["json", "csv"], default="json")
-    st.add_argument("--two-witness", action="store_true", help="affinity variant")
-    common(st)
-
-    orc = sub.add_parser("oracle", help="brute-force reference searches")
-    orc.add_argument("--check", action="store_true", help="replay the theorem suite")
-    orc.add_argument("--dense", action="store_true")
-    orc.add_argument("--connected", action="store_true")
-    orc.add_argument("--chain")
-    orc.add_argument("--x")
-    orc.add_argument("--y")
-    common(orc)
-
+        for *flags, keywords in options + _REPORT:
+            p.add_argument(*flags, **keywords)
     return top
-
-
-_HANDLERS = {
-    "build": _cmd_build,
-    "validate": _cmd_validate,
-    "basis": _cmd_basis,
-    "nbhd": _cmd_nbhd,
-    "closure": _cmd_closure,
-    "dense": _cmd_dense,
-    "connect": _cmd_connect,
-    "stats": _cmd_stats,
-    "oracle": _cmd_oracle,
-}
 
 
 def run(argv) -> int:
     args = _parser().parse_args(argv)
+    handler, _, reads_space, _ = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        sp = None if args.command == "build" else space.load_space(args.space)
-        code, sp, result = _HANDLERS[args.command](args, sp)
+        code, sp, result = handler(args, space.load_space(args.space) if reads_space else None)
         if result is None:
             return code
         report = {"command": args.command, "space": _space_digest(sp), "result": result}
-    except TypedTopoError as err:
-        print(f"tts {args.command}: {err}", file=sys.stderr)
+        if not args.stable:
+            report["timing"] = {"seconds": time.perf_counter() - started}
+        # build writes the space itself to -o, so its report goes to stdout
+        _write(_json_text(report), None if args.command == "build" else args.output)
+    except (TypedTopoError, *_READ_ERRORS) as err:
+        detail = f"not JSON: {err}" if isinstance(err, json.JSONDecodeError) else err
+        print(f"tts {args.command}: {detail}", file=sys.stderr)
         return _exit_code_for(err)
-    if not args.stable:
-        report["timing"] = {"seconds": time.perf_counter() - started}
-    # build writes the space itself to -o, so its report goes to stdout
-    _write(_json_text(report), None if args.command == "build" else args.output)
     return code
 
 

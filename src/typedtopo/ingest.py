@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,25 +76,15 @@ class PredicateTableDataset:
 # ---------------------------------------------------------------------------
 
 
-def _descendants(edges, person) -> set:
-    out, frontier = set(), {person}
-    children: dict[str, set] = {}
-    for a, b in edges:
-        children.setdefault(a, set()).add(b)
+def _reach(step: dict, person: str) -> set:
+    """Everyone reached from ``person`` by one or more steps of ``step``."""
+    out, frontier = set(), [person]
     while frontier:
-        nxt = set()
-        for p in frontier:
-            for c in children.get(p, ()):
-                if c not in out:
-                    out.add(c)
-                    nxt.add(c)
-        frontier = nxt
+        for q in step.get(frontier.pop(), ()):
+            if q not in out:
+                out.add(q)
+                frontier.append(q)
     return out
-
-
-def _ancestors(edges, person) -> set:
-    flipped = tuple((b, a) for a, b in edges)
-    return _descendants(flipped, person)
 
 
 def build_genealogy(data: GenealogyDataset) -> TypedSpace:
@@ -106,27 +97,28 @@ def build_genealogy(data: GenealogyDataset) -> TypedSpace:
     descendants typed through the ancestors of the root person.
     """
     people = data.people()
+    students: dict[str, set] = {}
+    advisors: dict[str, set] = {}
+    for a, b in data.edges:
+        students.setdefault(a, set()).add(b)
+        advisors.setdefault(b, set()).add(a)
+    desc = {p: _reach(students, p) for p in people}
+    anc = {p: _reach(advisors, p) for p in people}
     for p in people:
-        if p in _descendants(data.edges, p):
+        if p in desc[p]:
             raise DatasetError(f"advisor cycle through {p!r}")
     poset = Poset({"anc", "desc"})
     ctx = Context(poset, people)
     specs: list[GeneratorSpec] = []
     for x in people:
-        anc = _ancestors(data.edges, x)
-        if anc:
-            scope = set()
-            for a, b in data.edges:
-                if b == x:
-                    scope |= _descendants(data.edges, a)
+        if anc[x]:
+            scope = set().union(*(desc[a] for a in advisors[x]))
             term = lattice.normalize(ctx, [clause_of(gens=["anc"], pos={x} | scope)])
-            specs.append(GeneratorSpec(f"anc_{x}", frozenset(anc), term))
+            specs.append(GeneratorSpec(f"anc_{x}", frozenset(anc[x]), term))
     for x in people:
-        desc = _descendants(data.edges, x)
-        if desc:
-            anc = _ancestors(data.edges, x)
-            term = lattice.normalize(ctx, [clause_of(gens=["desc"], pos={x} | anc)])
-            specs.append(GeneratorSpec(f"desc_{x}", frozenset(desc), term))
+        if desc[x]:
+            term = lattice.normalize(ctx, [clause_of(gens=["desc"], pos={x} | anc[x])])
+            specs.append(GeneratorSpec(f"desc_{x}", frozenset(desc[x]), term))
     return space.generate_topology(specs, poset, people)
 
 
@@ -149,26 +141,16 @@ def build_community(data: CommunityDataset) -> TypedSpace:
     poset = Poset(gens)
     ctx = Context(poset, residents)
     specs: list[GeneratorSpec] = []
+
+    def spec(name, members, gen, *at):
+        term = lattice.normalize(ctx, [clause_of(gens=[gen], pos=at)])
+        specs.append(GeneratorSpec(name, frozenset(members), term))
+
     for sname, members in data.streets:
-        term = lattice.normalize(ctx, [clause_of(gens=[sname])])
-        specs.append(GeneratorSpec(f"street_{sname}", frozenset(members), term))
+        spec(f"street_{sname}", members, sname)
         for i, x in enumerate(members):
-            right = members[i:]
-            left = members[: i + 1]
-            specs.append(
-                GeneratorSpec(
-                    f"right_{x}",
-                    frozenset(right),
-                    lattice.normalize(ctx, [clause_of(gens=["right"], pos=[x])]),
-                )
-            )
-            specs.append(
-                GeneratorSpec(
-                    f"left_{x}",
-                    frozenset(left),
-                    lattice.normalize(ctx, [clause_of(gens=["left"], pos=[x])]),
-                )
-            )
+            spec(f"right_{x}", members[i:], "right", x)
+            spec(f"left_{x}", members[: i + 1], "left", x)
     for rname, pairs in data.relations:
         partners: dict[str, set] = {}
         for a, b in pairs:
@@ -179,13 +161,7 @@ def build_community(data: CommunityDataset) -> TypedSpace:
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
         for x, ps in sorted(partners.items()):
-            specs.append(
-                GeneratorSpec(
-                    f"{rname}_{x}",
-                    frozenset(ps | {x}),
-                    lattice.normalize(ctx, [clause_of(gens=[rname], pos=[x])]),
-                )
-            )
+            spec(f"{rname}_{x}", ps | {x}, rname, x)
     return space.generate_topology(specs, poset, residents)
 
 
@@ -193,7 +169,11 @@ def build_community(data: CommunityDataset) -> TypedSpace:
 # predicate tables
 # ---------------------------------------------------------------------------
 
-_OPS = ("<=", ">=", "!=", "=", "<", ">")
+# longer symbols first, so that ``<=`` is not read as ``<``
+_OPS = (
+    ("<=", operator.le), (">=", operator.ge), ("!=", operator.ne),
+    ("=", operator.eq), ("<", operator.lt), (">", operator.gt),
+)
 
 
 def _coerce(value: str):
@@ -204,9 +184,9 @@ def _coerce(value: str):
 
 
 def _eval_atom(atom: str, columns, row) -> bool:
-    for op in _OPS:
-        if op in atom:
-            col, _, rhs = atom.partition(op)
+    for symbol, compare in _OPS:
+        if symbol in atom:
+            col, _, rhs = atom.partition(symbol)
             col, rhs = col.strip(), rhs.strip()
             if col not in columns:
                 raise DatasetError(f"predicate uses unknown column {col!r}")
@@ -214,17 +194,7 @@ def _eval_atom(atom: str, columns, row) -> bool:
             rv = _coerce(rhs)
             if isinstance(lhs, float) != isinstance(rv, float):
                 raise DatasetError(f"type mismatch comparing {col!r} with {rhs!r}")
-            if op == "=":
-                return lhs == rv
-            if op == "!=":
-                return lhs != rv
-            if op == "<":
-                return lhs < rv
-            if op == "<=":
-                return lhs <= rv
-            if op == ">":
-                return lhs > rv
-            return lhs >= rv
+            return compare(lhs, rv)
     raise DatasetError(f"no comparison operator in predicate atom {atom!r}")
 
 
@@ -308,28 +278,52 @@ def read_genealogy_csv(text: str) -> GenealogyDataset:
     return GenealogyDataset(tuple(edges))
 
 
+def _pair(pair) -> tuple:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise DatasetError(f"community dataset: relation pair {pair!r} is not a pair")
+    return tuple(pair)
+
+
 def read_community_json(text: str) -> CommunityDataset:
+    """JSON ``{"streets": [{"name", "residents"}], "relations": [{"name", "pairs"}]}``."""
     obj = json.loads(text)
-    streets = tuple((s["name"], tuple(s["residents"])) for s in obj.get("streets", []))
+    shape = {"what": "community dataset", "error": DatasetError}
+    streets = tuple(
+        (space._field(s, "name", str, **shape), tuple(space._names(s, "residents", **shape)))
+        for s in space._field(obj, "streets", list, [], **shape)
+    )
     relations = tuple(
-        (r["name"], tuple((a, b) for a, b in r.get("pairs", [])))
-        for r in obj.get("relations", [])
+        (space._field(r, "name", str, **shape),
+         tuple(map(_pair, space._field(r, "pairs", list, [], **shape))))
+        for r in space._field(obj, "relations", list, [], **shape)
     )
     return CommunityDataset(streets, relations)
 
 
 def read_table_dataset(csv_text: str, predicates_text: str) -> PredicateTableDataset:
+    """A CSV table with a header row, and a JSON list of predicates.
+
+    Each predicate is an object ``{"name", "expr", "implies"}``; ``implies``
+    is optional.
+    """
     reader = csv.reader(io.StringIO(csv_text))
     header = next(reader, None)
     if not header:
         raise DatasetError("table CSV needs a header row")
     rows = tuple(tuple(cell.strip() for cell in row) for row in reader if row)
-    preds = []
-    for entry in json.loads(predicates_text):
-        preds.append(
-            Predicate(entry["name"], entry["expr"], tuple(entry.get("implies", ())))
-        )
-    return PredicateTableDataset(tuple(h.strip() for h in header), rows, tuple(preds))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DatasetError(f"table row r{i + 1} has {len(row)} cells, not {len(header)}")
+    entries = json.loads(predicates_text)
+    if not isinstance(entries, list):
+        raise DatasetError(f"predicates: expected a list, got {type(entries).__name__}")
+    shape = {"what": "predicate", "error": DatasetError}
+    preds = tuple(
+        Predicate(space._field(e, "name", str, **shape), space._field(e, "expr", str, **shape),
+                  tuple(space._names(e, "implies", [], **shape)))
+        for e in entries
+    )
+    return PredicateTableDataset(tuple(h.strip() for h in header), rows, preds)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,24 @@ def _anchored_decomposition(space: TypedSpace, rt) -> CheckResult:
                    f"all {len(rt)} realized anchors x their families", bad)
 
 
+def _chain_witnesses(space: TypedSpace, rt, bad: list) -> list:
+    """The first five raw chain counterexamples, formatted for a result.
+
+    A raw one is a chain's level indexes followed by points and open masks,
+    two disjoint masks as a pair; the levels become the chain's text and
+    each mask its sorted ids. The rest are never formatted.
+    """
+    def shown(part):
+        if isinstance(part, tuple):
+            return tuple(map(shown, part))
+        return space.ids_of(part) if isinstance(part, int) else part
+
+    return [
+        (" ; ".join(lattice.format_term(rt.terms[i]) for i in levels), *map(shown, rest))
+        for levels, *rest in bad[:5]
+    ]
+
+
 def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
     """The chain theorems, decided in one pass per realized chain.
 
@@ -274,11 +292,7 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
     neighborhood-base, closure-core, base- and anchored-connectivity results.
     """
     chain_list = _chain_levels(rt)
-    terms, generators, points, ids = rt.terms, rt.generators, space.points, space.ids_of
-
-    def text(levels: tuple[int, ...]) -> str:
-        return " ; ".join(lattice.format_term(terms[i]) for i in levels)
-
+    generators, points = rt.generators, space.points
     bad_nbhd, bad_core, bad_base, bad_anchor = [], [], [], []
     for levels in chain_list:
         pool, base = chains_mod.realized_chain_pools(space, levels)
@@ -288,7 +302,7 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
                 bit = 1 << i
                 for u in pool:
                     if u & bit and not any((v & u) == v and (v & bit) for v in base):
-                        bad_nbhd.append((text(levels), x, ids(u)))
+                        bad_nbhd.append((levels, x, u))
         # every nonempty base family has a least member, its core
         for i, x in enumerate(points):
             core = -1
@@ -296,7 +310,7 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
                 if m >> i & 1:
                     core &= m
             if core != -1 and core not in base:
-                bad_core.append((text(levels), x))
+                bad_core.append((levels, x))
         # no first-level irreducible is split by two disjoint pool members
         disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
         if not disjoint:
@@ -308,19 +322,19 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
         for m in sorted(basis.irreducibles(space, row)):
             for u, v in disjoint:
                 if (m & ~(u | v)) == 0 and (m & u) and (m & v):
-                    w = (ids(u), ids(v))
-                    bad_anchor.append((text(levels), ids(m), w))
+                    bad_anchor.append((levels, m, (u, v)))
                     if m in base:
-                        bad_base.append((text(levels), ids(m), w))
+                        bad_base.append((levels, m, (u, v)))
                     break
     n = len(chain_list)
     return [
-        _result("neighborhood-base", f"{n} realized chains x {len(points)} points", bad_nbhd),
-        _result("closure-core", f"{n} realized chains x supported points", bad_core),
-        _result("base-connectivity",
-                f"{n} realized chains x first-level-irreducible base members", bad_base),
-        _result("anchored-connectivity", f"{n} realized chains x first-level irreducibles",
-                bad_anchor),
+        _result(name, f"{n} realized chains x {scope}", _chain_witnesses(space, rt, bad))
+        for name, scope, bad in (
+            ("neighborhood-base", f"{len(points)} points", bad_nbhd),
+            ("closure-core", "supported points", bad_core),
+            ("base-connectivity", "first-level-irreducible base members", bad_base),
+            ("anchored-connectivity", "first-level irreducibles", bad_anchor),
+        )
     ]
 
 
@@ -375,10 +389,10 @@ def check_space(space: TypedSpace) -> CheckReport:
     space is strictly typed, the realized chains are counted from the order
     rows first, and more than `MAX_CHAINS` of them raise `OracleSkip` before
     any pair loop runs. The chains are walked as ascending tuples of
-    realized-type indexes, and a chain's text is formatted only for a
-    counterexample. The chain theorems are decided in one pass per chain
-    over the int masks of its pool and base, read once each by
-    `chains.realized_chain_pools`.
+    realized-type indexes, and a chain's text is formatted only for the
+    first five counterexamples of a result, the ones it keeps. The chain
+    theorems are decided in one pass per chain over the int masks of its
+    pool and base, read once each by `chains.realized_chain_pools`.
     """
     report = space_mod.validate_type_mapping(space)
     strictness = space_mod.strictness(space)

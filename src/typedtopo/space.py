@@ -658,33 +658,32 @@ def space_to_json(space: TypedSpace) -> dict:
     }
 
 
-def _field(doc, key: str, kind: type, default=None):
-    """``doc[key]`` of an object in a space document, checked to be a ``kind``.
+def _field(doc, key: str, kind: type, default=None, what="space document",
+           error=SpaceValidationError):
+    """``doc[key]`` of an object in a JSON document, checked to be a ``kind``.
 
     A missing field takes ``default`` if there is one; otherwise, like a
-    value of another type, it raises `SpaceValidationError`.
+    value of another type, it raises ``error`` naming the field in ``what``.
+    The dataset readers of `ingest` share this check.
     """
     if not isinstance(doc, dict):
-        raise SpaceValidationError(f"space document: expected an object, got {type(doc).__name__}")
+        raise error(f"{what}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         if default is None:
-            raise SpaceValidationError(f"space document missing field {key!r}")
+            raise error(f"{what} missing field {key!r}")
         return default
     value = doc[key]
     if not isinstance(value, kind):
-        raise SpaceValidationError(
-            f"space document: field {key!r} is not a {kind.__name__}: {value!r}"
-        )
+        raise error(f"{what}: field {key!r} is not a {kind.__name__}: {value!r}")
     return value
 
 
-def _names(doc, key: str) -> list:
+def _names(doc, key: str, default=None, what="space document",
+           error=SpaceValidationError) -> list:
     """``doc[key]``, checked to be a list of point or generator names."""
-    names = _field(doc, key, list)
+    names = _field(doc, key, list, default, what, error)
     if not all(isinstance(name, str) for name in names):
-        raise SpaceValidationError(
-            f"space document: field {key!r} is not a list of names: {names!r}"
-        )
+        raise error(f"{what}: field {key!r} is not a list of names: {names!r}")
     return names
 
 

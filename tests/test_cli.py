@@ -3,6 +3,7 @@
 Exit codes, report shape, --stable, -o, and malformed space documents.
 """
 import argparse
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -28,6 +29,7 @@ STREET2X3 = str(FIXTURES / "street2x3.json")
 GENEALOGY5 = str(FIXTURES / "genealogy5.json")
 STREET5_DATA = str(FIXTURES / "datasets" / "street5.json")
 GENEALOGY5_DATA = str(FIXTURES / "datasets" / "genealogy5.csv")
+FEES_DATA = str(FIXTURES / "datasets" / "fees.csv")
 
 
 def _run(capsys, *argv):
@@ -197,6 +199,15 @@ def test_stats_csv(capsys):
     assert out.startswith("subject,value,z\n")
 
 
+def test_stats_csv_goes_to_the_output_file(capsys, tmp_path):
+    argv = ("stats", STREET5, "--kind", "sizes", "--p", "right", "--format", "csv")
+    target = tmp_path / "sizes.csv"
+    assert _run(capsys, *argv, "-o", str(target)) == (0, "", "")
+    _, direct, _ = _run(capsys, *argv)
+    assert direct.startswith("subject,value,z\n")
+    assert target.read_text() == direct
+
+
 def test_oracle(capsys, street5, c_right5):
     result = _result(capsys, "oracle", STREET5, "--check")
     assert result["ok"] is True
@@ -307,6 +318,158 @@ def test_connect_without_budget_applies_the_connectivity_default(capsys, tmp_pat
     code, out, err = _run(capsys, *argv, "--budget-points", "11")
     assert code == 0, err
     assert json.loads(out)["result"]["definitive"] is True
+
+
+# ---------------------------------------------------------------------------
+# each command accepts only the options its handler reads
+# ---------------------------------------------------------------------------
+
+# `run` reads these for every command
+READ_BY_RUN = {"command", "space", "stable", "output"}
+
+
+def options_read(source: str, handler: str) -> set[str]:
+    """The ``args.<dest>`` names that function ``handler`` of ``source`` reads.
+
+    A module-level function of ``source`` that it passes ``args`` to counts
+    as part of it, and so on down.
+    """
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    read, todo, seen = set(), [handler], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in functions.keys() - seen
+                and any(getattr(a, "id", None) == "args" for a in node.args)
+            ):
+                todo.append(node.func.id)
+    return read
+
+
+def test_the_option_reader_follows_helpers_given_args():
+    source = (
+        "def _budget(args):\n    return args.budget_points\n"
+        "def _other(x, args):\n    return x.ignored, args.other\n"
+        "def _cmd(args, sp):\n    return _budget(args), args.chain, _other(sp, None)\n"
+    )
+    assert options_read(source, "_cmd") == {"budget_points", "chain"}
+
+
+def accepted_options() -> dict[str, set[str]]:
+    """Command name -> the dests of the options its subparser accepts."""
+    (commands,) = [
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {a.dest for a in sub._actions if a.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_every_option_a_command_accepts_is_read():
+    accepted = accepted_options()
+    assert list(accepted) == list(cli._COMMANDS)
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    unread = {
+        name: sorted(accepted[name] - READ_BY_RUN - options_read(source, handler.__name__))
+        for name, (handler, *_) in cli._COMMANDS.items()
+    }
+    assert {name: dests for name, dests in unread.items() if dests} == {}
+    assert [n for n, dests in accepted.items() if "budget_points" in dests] == [
+        "connect", "oracle"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", STREET5, "--budget-points", "3"),
+    ("dense", STREET5, "--chain", C_RIGHT5, "--budget-points", "1"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        cli.run(list(argv))
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget-points" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# unreadable files and ill-shaped datasets fail through the contract
+# ---------------------------------------------------------------------------
+
+
+READ_FAILURES = {  # case -> (argv, a fragment of the message)
+    "space-missing": (("validate", "{missing}"), "No such file or directory"),
+    "space-not-json": (("validate", "{text}"), "not JSON: Expecting value"),
+    "space-not-utf8": (("dense", "{binary}", "--chain", "right"), "can't decode byte 0xff"),
+    "dataset-missing": (
+        ("build", "--kind", "genealogy", "--dataset", "{missing}"), "No such file or directory"
+    ),
+    "dataset-not-json": (
+        ("build", "--kind", "community", "--dataset", "{text}"), "not JSON: Expecting value"
+    ),
+    "predicates-missing": (
+        ("build", "--kind", "table", "--dataset", FEES_DATA, "--predicates", "{missing}"),
+        "No such file or directory",
+    ),
+    "predicates-not-json": (
+        ("build", "--kind", "table", "--dataset", FEES_DATA, "--predicates", "{text}"),
+        "not JSON: Expecting value",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_FAILURES))
+def test_an_unreadable_file_exits_2_with_one_line(capsys, tmp_path, case):
+    (tmp_path / "notes.txt").write_text("advisor,student\n")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "text": str(tmp_path / "notes.txt"),
+        "binary": str(tmp_path / "latin1.json"),
+    }
+    template, fragment = READ_FAILURES[case]
+    argv = [arg.format(**paths) for arg in template]
+    code, out, err = _run(capsys, *argv, "--stable")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tts {argv[0]}: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+SHAPE_FAILURES = {  # case -> (kind, dataset, predicates or None, message)
+    "street-without-name": (
+        "community", '{"streets": [{"residents": ["a"]}]}', None,
+        "community dataset missing field 'name'",
+    ),
+    "list-community": (
+        "community", "[1, 2]", None, "community dataset: expected an object, got list",
+    ),
+    "predicate-without-name": (
+        "table", "id,fee\n1,150\n", '[{"expr": "fee<200"}]', "predicate missing field 'name'",
+    ),
+    "short-row": (
+        "table", "id,fee\n1,150\n2\n", '[{"name": "cheap", "expr": "fee<200"}]',
+        "table row r2 has 1 cells, not 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_FAILURES))
+def test_an_ill_shaped_dataset_exits_2_naming_the_field(capsys, tmp_path, case):
+    kind, dataset, predicates, message = SHAPE_FAILURES[case]
+    argv = ["build", "--kind", kind, "--dataset", str(tmp_path / "data")]
+    (tmp_path / "data").write_text(dataset)
+    if predicates is not None:
+        (tmp_path / "predicates.json").write_text(predicates)
+        argv += ["--predicates", str(tmp_path / "predicates.json")]
+    assert _run(capsys, *argv, "--stable") == (2, "", f"tts build: {message}\n")
 
 
 # ---------------------------------------------------------------------------
