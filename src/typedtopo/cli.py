@@ -9,8 +9,9 @@ drops the timing block so identical inputs produce byte-identical output.
 reports where; ``stats --format csv`` writes its table to ``-o`` too. Every
 command comes from one table, `_COMMANDS`, and accepts only the options its
 handler reads: ``--budget-points`` belongs to ``connect`` and ``oracle``
-alone. The argument parser is built once per process and holds no space or
-query state; every `run` loads, validates and indexes its space anew.
+alone, and an option given on a path that ignores it is a usage error. The
+argument parser is built once per process and holds no space or query
+state; every `run` loads, validates and indexes its space anew.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error (an
 unreadable or non-JSON file included), 3 query error (unknown point,
@@ -139,6 +140,8 @@ def _table_csv(table: stats.ScoreTable) -> str:
 
 
 def _cmd_build(args, _):
+    if args.kind != "table" and (args.predicates or args.strictify):
+        raise PreconditionError("--predicates and --strictify apply only to --kind table")
     text = _read(args.dataset)
     if args.kind == "genealogy":
         built = ingest.build_genealogy(ingest.read_genealogy_csv(text))
@@ -223,6 +226,8 @@ def _cmd_dense(args, sp):
 def _cmd_connect(args, sp):
     ch = _chain_arg(args, sp)
     if args.set:
+        if args.x or args.y:
+            raise PreconditionError("--x and --y do not apply with --set")
         pts = _set_arg(args.set)
         ok, witness = connect.is_chain_connected(sp, pts, ch)
         return 0, sp, {
@@ -257,8 +262,12 @@ _SCORES = {"sizes": stats.family_size_scores, "activity": stats.point_activity_s
 
 def _cmd_stats(args, sp):
     if args.kind == "affinity":
+        if args.p:
+            raise PreconditionError("--p does not apply to --kind affinity")
         table = stats.pair_affinity_scores(sp, two_witness=args.two_witness)
     elif args.p:
+        if args.two_witness:
+            raise PreconditionError("--two-witness applies only to --kind affinity")
         table = _SCORES[args.kind](sp, args.p)
     else:
         raise PreconditionError(f"stats --kind {args.kind} needs --p")

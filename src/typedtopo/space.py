@@ -20,16 +20,18 @@ both work through that structure.
 * Validating: a family is a topology iff it holds the empty set, the whole
   set, every ``U_x`` and every ``O | U_x``; and any proper inclusion of
   opens is a chain of steps ``(U, U | U_x)``, so types rise along all
-  inclusions iff they rise along the steps. The step pass decides the
-  verdict. When it finds a failure or a tie, the exhaustive pair scans run
-  instead, and they alone write the failure lists and witnesses.
+  inclusions iff they rise along the steps. One walk over the steps tests
+  both, on a cube table that the realized types share. When it finds a
+  failure or a tie, the exhaustive pair scans run instead, and they alone
+  write the failure lists and witnesses.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -200,13 +202,13 @@ def _order_scan(space: TypedSpace) -> tuple[list[Failure], StrictnessReport]:
 
 
 def _minimal_neighborhoods(space: TypedSpace) -> Optional[frozenset]:
-    """The distinct ``U_x`` when the opens form a topology and all are typed.
+    """The distinct ``U_x`` when the opens could form a typed topology.
 
     A family holding the empty and the whole set is a topology iff it also
     holds every ``U_x`` and every ``O | U_x``: then each open is the union
     of the ``U_x`` inside it, every such union is reached one ``U_x`` at a
     time, and ``U_x & U_y`` is the union of the ``U_z`` inside it. ``None``
-    when any test fails, so that the exhaustive scans run.
+    when any test but the last fails, which `_steps_rise` makes.
     """
     opens, full = space.opens, space.full_mask
     if 0 not in opens or full not in opens or any(m not in space.sigma for m in opens):
@@ -217,32 +219,52 @@ def _minimal_neighborhoods(space: TypedSpace) -> Optional[frozenset]:
             if o >> i & 1:
                 least[i] &= o
     mins = frozenset(least)
-    if mins <= opens and all(o | u in opens for o in opens for u in mins):
-        return mins
-    return None
+    return mins if mins <= opens else None
 
 
-def _steps_rise(space: TypedSpace, mins: frozenset) -> bool:
+def _cube_rows(space: TypedSpace) -> tuple[dict, dict]:
+    """``(implied_by, types)``, the cube table of ``space``, built once on its index.
+
+    Bit ``i`` stands for the ``i``-th key of ``implied_by``, a distinct cube
+    of the nonempty opens' types (in an order nothing may read), whose row
+    holds the cubes implying it; ``types`` holds each nonempty open's cubes.
+    """
+    idx = space.index
+    if idx.cubes is None:
+        terms = {m: space.sigma[m] for m in space.opens if m}
+        bit = {c: 1 << i for i, c in enumerate(set().union(*(t.cubes for t in terms.values())))}
+        types = {m: sum(map(bit.__getitem__, t.cubes)) for m, t in terms.items()}  # an OR
+        idx.cubes = {d: _bits(bit, lambda c: not (d[0] & ~c[0] or d[1] & ~c[1] or d[2] & ~c[2]))
+                     for d in bit}, types
+    return idx.cubes
+
+
+def _steps_rise(space: TypedSpace) -> Optional[bool]:
     """True when ``sigma(U) < sigma(V)`` on every step ``V = U | U_x``, U nonempty.
 
-    One `lattice.leq` per distinct step pair; from the empty set a step
-    only has to rise weakly. Every proper inclusion of opens is a chain of
-    steps, so this decides monotonicity and strictness for all pairs.
+    ``None`` when the opens are no typed topology. On `_cube_rows`,
+    ``sigma(U) <= sigma(V)`` iff ``U``'s cubes lie in ``V``'s cover, the
+    cubes implying one of ``V``'s, and a tie is equal bitsets. A step out of
+    the empty set, whose type the table leaves out, need only rise weakly:
+    one `lattice.leq` per ``U_x``. Every proper inclusion of opens is a
+    chain of steps, so this decides monotonicity and strictness.
     """
+    mins = _minimal_neighborhoods(space)
+    if mins is None:
+        return None
     sig = space.sigma
-    for u in space.opens:
-        su = sig[u]
-        for v in {u | m for m in mins} - {u}:
-            if not lattice.leq(su, sig[v]) or (u and lattice.term_eq(su, sig[v])):
-                return False
-    return True
-
-
-def _order_pass(space: TypedSpace, mins: Optional[frozenset]):
-    """`_order_scan`'s answer, from the step pass when that finds nothing."""
-    if mins is not None and _steps_rise(space, mins):
-        return [], StrictnessReport(True)
-    return _order_scan(space)
+    implied_by, types = _cube_rows(space)
+    cover = {m: reduce(or_, map(implied_by.__getitem__, sig[m].cubes), 0) for m in types}
+    rises = all(lattice.leq(sig[0], sig[m]) for m in mins)
+    for u, own in types.items():
+        for m in mins:
+            v = u | m
+            if v == u:
+                continue
+            if v not in types:
+                return None
+            rises = rises and own != types[v] and not own & ~cover[v]
+    return rises
 
 
 def validate_type_mapping(space: TypedSpace) -> ValidationReport:
@@ -250,19 +272,16 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
 
     Conditions checked: Bottom exactly on the empty set, Top nowhere,
     monotone along inclusion, and topology closed under union/intersection.
-    The last two are decided through the least neighborhoods ``U_x``: the
-    structure by the tests of `_minimal_neighborhoods`, the order by one
-    `lattice.leq` per step pair ``(U, U | U_x)``. When either finds a fault
-    (or a tie, for the order), `_structure_failures` or `_order_scan` scans
-    every pair and writes the failure list. The bounds
-    ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and
-    ``sigma(U) v sigma(V) <= sigma(U | V)`` follow from the last two, so
-    they are not re-checked here; `oracle.check_space` replays them. When
-    every open has a type, the order pass also records the strictness
-    verdict in ``space.index.strict_report``.
+    The last two are decided in one walk over the steps ``(U, U | U_x)``
+    (`_steps_rise`); on a fault (or a tie, for the order) `_structure_failures`
+    or `_order_scan` scans every pair and writes the failure list. The bounds
+    ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and ``sigma(U) v sigma(V) <=
+    sigma(U | V)`` follow from the last two; `oracle.check_space` replays
+    them. When every open has a type, the order pass also records the
+    strictness verdict in ``space.index.strict_report``.
     """
-    mins = _minimal_neighborhoods(space)
-    failures = [] if mins is not None else _structure_failures(space)
+    rises = _steps_rise(space)
+    failures = [] if rises is not None else _structure_failures(space)
     if any(f.code == "type-missing" for f in failures):
         return ValidationReport(False, tuple(failures))
     sig = space.sigma
@@ -275,7 +294,8 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
                 "bottom-off-empty", "nonempty open typed BOT", (space.ids_of(m),)))
         if t.is_top:
             failures.append(Failure("top-forbidden", "open typed TOP", (space.ids_of(m),)))
-    monotone, space.index.strict_report = _order_pass(space, mins)
+    monotone, space.index.strict_report = (
+        ([], StrictnessReport(True)) if rises else _order_scan(space))
     failures += monotone
     return ValidationReport(not failures, tuple(failures))
 
@@ -287,7 +307,7 @@ def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
     failure or tie there, or opens that are not a typed topology, make
     `_order_scan` find the first witness among all nested pairs.
     """
-    return _order_pass(space, _minimal_neighborhoods(space))[1]
+    return StrictnessReport(True) if _steps_rise(space) else _order_scan(space)[1]
 
 
 class SpaceIndex:
@@ -295,21 +315,22 @@ class SpaceIndex:
 
     Every `TypedSpace` owns one as ``space.index``; a `dataclasses.replace`
     copy starts with a fresh one, and the index keeps no reference to its
-    space. Validation records the strictness verdict; it and the realized
-    types are read through `strictness` and `realized_types`. The realized
-    types read their order and visibility rows, int bitsets over the type
-    indexes, off a table of their cubes built once. Such a row is the key
-    of ``irreducibles``, where `basis.irreducibles` keeps the
-    join-irreducible members of the opens it selects, and of ``pools``,
-    where `chains` keeps the opens of each chain's pool row, from
-    `chains.TypeChain` terms or realized-type indexes alike. A chain's base
-    is that pool met with the ``irreducibles`` of its lower rows.
+    space. Validation records the strictness verdict and the cube table
+    (`_cube_rows`) it decides on; the realized types, built from that
+    table, read their order and visibility rows, int bitsets over the type
+    indexes, off it. Such a row is the key of ``irreducibles``, where
+    `basis.irreducibles` keeps the join-irreducible members of the opens it
+    selects, and of ``pools``, where `chains` keeps the opens of each
+    chain's pool row, from `chains.TypeChain` terms or realized-type
+    indexes alike. A chain's base is that pool met with the
+    ``irreducibles`` of its lower rows.
     """
 
-    __slots__ = ("strict_report", "realized", "irreducibles", "pools")
+    __slots__ = ("strict_report", "cubes", "realized", "irreducibles", "pools")
 
     def __init__(self):
         self.strict_report: Optional[StrictnessReport] = None
+        self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
         self.pools: dict = {}  # realized-type row -> frozenset of masks
@@ -490,37 +511,29 @@ def bit_indexes(row: int) -> list[int]:
     return out
 
 
-def _implied(rows, cube) -> int:
-    """The OR of the ``(d, row)`` rows whose cube ``d`` has masks inside ``cube``'s."""
-    u, p, n = cube
-    out = 0
-    for (du, dp, dn), row in rows:
-        if not (du & ~u or dp & ~p or dn & ~n):
-            out |= row
-    return out
-
-
-def _cube_table(ctx: Context, terms) -> tuple:
+def _cube_table(ctx: Context, terms, implied_by: dict) -> tuple:
     """``terms`` in `TypeTerm.sort_key` order, and the rows of their distinct cubes.
 
     Distinct cubes have distinct rendered keys, so ranking the cubes once by
     key and a term by its cubes' ranks gives that order. ``holders`` maps a
     cube to the terms holding it, ``reach`` to those holding a cube it
-    implies; ``generators`` ORs each term's cubes' generator bitsets.
+    implies, read off the rows of `_cube_rows` (``implied_by``, over the
+    same cubes); ``generators`` ORs each term's cubes' generator bitsets.
     """
     code = ctx._code
-    keyed = sorted((code.render(c), c) for c in {c for t in terms for c in t.cubes})
+    keyed = sorted((code.render(c), c) for c in implied_by)
     rank = {c: r for r, (_, c) in enumerate(keyed)}
     named = {c: _bits(code.gens, {n for kind, n in lits if kind == lattice.GEN}.__contains__)
              for (_, lits), c in keyed}
     terms = tuple(sorted(terms, key=lambda t: sorted(map(rank.__getitem__, t.cubes))))
-    holders = dict.fromkeys(rank, 0)
+    holders = dict.fromkeys(implied_by, 0)
     generators = [0] * len(terms)
     for j, t in enumerate(terms):
         for c in t.cubes:
             holders[c] |= 1 << j
             generators[j] |= named[c]
-    reach = {c: _implied(holders.items(), c) for c in rank}
+    reach = {c: reduce(or_, (held for d, held in holders.items() if implied_by[d] >> i & 1), 0)
+             for i, c in enumerate(implied_by)}
     return terms, holders, reach, tuple(generators)
 
 
@@ -530,12 +543,13 @@ class RealizedTypes:
 
     Sets of realized types are int bitsets, bit ``j`` for ``terms[j]``, and
     so are sets of generators, bit ``i`` for the ``i``-th by name. The order
-    rows are bitset algebra over the table of the terms' distinct cubes
-    (`_cube_table`), with no `lattice.leq`: a level is below ``terms[j]``
-    iff each of its cubes implies one of ``terms[j]``, so `above` ANDs its
-    cubes' ``reach`` rows, and `below` drops the ``holders`` of each table
-    cube implying none of the level's. Rows are memoized by the level term,
-    realized or not; `up` and `down` hold them by realized-type index.
+    rows are bitset algebra over the terms' distinct cubes (`_cube_table`,
+    which reads which cube implies which off the space's cube table), with
+    no `lattice.leq`: a level is below ``terms[j]`` iff each of its cubes
+    implies one of ``terms[j]``, so `above` ANDs its cubes' ``reach`` rows,
+    and `below` drops the ``holders`` of each table cube implying none of
+    the level's. Rows are memoized by the level term, realized or not; `up`
+    and `down` hold them by realized-type index.
     """
 
     ctx: Context
@@ -559,8 +573,10 @@ class RealizedTypes:
         row = self._above.get(level)
         if row is None:
             row = (1 << len(self.terms)) - 1
-            for c in self._cubes(level):
-                row &= self.reach[c] if c in self.reach else _implied(self.holders.items(), c)
+            for c in self._cubes(level):  # off the table, OR the holders of the cubes c implies
+                row &= self.reach[c] if c in self.reach else reduce(or_, (
+                    held for (u, p, n), held in self.holders.items()
+                    if not (u & ~c[0] or p & ~c[1] or n & ~c[2])), 0)
             self._above[level] = row
         return row
 
@@ -619,11 +635,11 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
     """The realized types of ``space``, built once and kept on ``space.index``."""
     idx = space.index
     if idx.realized is None:
+        implied_by, types = _cube_rows(space)
         buckets: dict[TypeTerm, list[int]] = {}
-        for m in space.opens:
-            if m:
-                buckets.setdefault(space.sigma[m], []).append(m)
-        table = _cube_table(space.ctx, buckets)  # terms, holders, reach, generators
+        for m in types:
+            buckets.setdefault(space.sigma[m], []).append(m)
+        table = _cube_table(space.ctx, buckets, implied_by)
         opens = tuple(tuple(sorted(buckets[t])) for t in table[0])
         idx.realized = RealizedTypes(space.ctx, *table, opens)
     return idx.realized

@@ -186,11 +186,15 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     Once strictness is decided, the query makes no `lattice.leq` call and
     computes no `TypeTerm.sort_key`: the realized types are sorted by their
     cubes' ranks, and the rows are bitset algebra over the table of their
-    distinct cubes, which the index builds once.
+    distinct cubes, which the index builds once. Their implication rows come
+    from the space's cube table, which deciding strictness built, so the
+    query builds no second one.
     """
     sp = dataclasses.replace(request.getfixturevalue(fixture))
     chain = parse_chain(text, sp.ctx)
     space.strictness(sp)
+    cubes = sp.index.cubes
+    assert cubes is not None
     calls = Counter()
 
     def counted(name, fn):
@@ -207,6 +211,7 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     chains.chain_base(sp, sp.points[0], chain)
     chains.chain_base(sp, sp.points[-1], chain)
     assert calls == {"table": 1}
+    assert sp.index.cubes is cubes
 
 
 def generator_neighborhoods(sp, x, gen) -> frozenset:

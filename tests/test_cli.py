@@ -400,6 +400,42 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --budget-points" in captured.err
 
 
+IGNORED_ON_PATH = {  # case -> (argv, message)
+    "build-genealogy-strictify": (
+        ("build", "--kind", "genealogy", "--dataset", GENEALOGY5_DATA, "--strictify"),
+        "--predicates and --strictify apply only to --kind table",
+    ),
+    "build-genealogy-predicates": (
+        ("build", "--kind", "genealogy", "--dataset", GENEALOGY5_DATA,
+         "--predicates", "nosuch.json"),
+        "--predicates and --strictify apply only to --kind table",
+    ),
+    "stats-sizes-two-witness": (
+        ("stats", STREET5, "--kind", "sizes", "--p", "right", "--two-witness"),
+        "--two-witness applies only to --kind affinity",
+    ),
+    "stats-affinity-p": (
+        ("stats", STREET5, "--kind", "affinity", "--p", "right"),
+        "--p does not apply to --kind affinity",
+    ),
+    "connect-set-x": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--x", "r1"),
+        "--x and --y do not apply with --set",
+    ),
+    "connect-set-y": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--y", "zz"),
+        "--x and --y do not apply with --set",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(IGNORED_ON_PATH))
+def test_an_option_its_path_ignores_is_a_usage_error(capsys, case):
+    """An option the handler reads on another path of the command exits 2."""
+    argv, message = IGNORED_ON_PATH[case]
+    assert _run(capsys, *argv, "--stable") == (2, "", f"tts {argv[0]}: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # unreadable files and ill-shaped datasets fail through the contract
 # ---------------------------------------------------------------------------

@@ -535,8 +535,10 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
     member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
     chains read by index. The bounds make 243 nested-pair `lattice.leq`
-    calls (validation makes 127) and no `lattice.meet` or `lattice.join`;
-    a meet and a join per open pair made 528 of each and 1,183 `leq` calls.
+    calls and no `lattice.meet` or `lattice.join`, and 47 more come from
+    elsewhere in the replay; a meet and a join per open pair made 528 of
+    each and 1,183 `leq` calls. Validation makes 5, one per step out of the
+    empty set, where it made 80, one per step pair, before the cube table.
     Building a `TypeChain` for each realized chain made 1,000 constructions,
     1,000 `chain_base_pool` and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
     `test_chains.test_check_space_scans_each_chain_pool_once`.
@@ -563,7 +565,7 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     assert calls["realized_chain_pools"] == 992
     assert calls["meet"] == 0
     assert calls["join"] == 0
-    assert calls["leq"] <= 370
+    assert calls["leq"] <= 295
 
 
 def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):

@@ -440,14 +440,79 @@ def _step_pairs(sp: TypedSpace) -> set:
     [("street5.json", 80, 211), ("genealogy5.json", 80, 211), ("street2x3.json", 192, 665)],
 )
 def test_load_and_verdict_order_each_step_pair_once(monkeypatch, name, steps, nested):
-    """Validation orders each step pair once, and that pass yields the verdict."""
+    """Validation orders each step pair once, and that pass yields the verdict.
+
+    Only the steps out of the empty set, one per least neighborhood ``U_x``,
+    call `lattice.leq`; the cube table decides the others. Before the table
+    every step pair made one call: 80, 80 and 192 on these fixtures.
+    """
     calls = []
     leq = lattice.leq
     monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
     sp = space.load_space(FIXTURES / name)
     assert space.strictness(sp).strict
-    assert len(calls) == len(_step_pairs(sp)) == steps
+    pairs = _step_pairs(sp)
+    assert len(pairs) == steps
+    assert len(calls) == len({v for u, v in pairs if u == 0}) == len(sp.points)
     assert sum(1 for u, v in itertools.permutations(sp.opens, 2) if (u & v) == u) == nested
+
+
+def test_building_a_street_orders_its_steps_on_the_cube_table(monkeypatch):
+    """A 7-point street build calls `lattice.leq` once per ``U_x``, 7 times.
+
+    Its 448 step pairs made 448 calls before the cube table decided them.
+    """
+    calls = []
+    leq = lattice.leq
+    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
+    data = ingest.CommunityDataset((("main", tuple(f"r{i}" for i in range(1, 8))),))
+    sp = ingest.build_community(data)
+    assert sp.index.strict_report == space.StrictnessReport(True)
+    assert len(_step_pairs(sp)) == 448
+    assert len(calls) == 7
+
+
+def _retyped_copies(rng, sp: TypedSpace) -> list:
+    """Five copies of ``sp``, each with one retyping the step pass must see.
+
+    A step pair tied, a nested pair's types swapped, an open typed Bottom,
+    one typed Top, and the empty set typed as an open.
+    """
+    sig, ctx = sp.sigma, sp.ctx
+    u, v = rng.choice(sorted(p for p in _step_pairs(sp) if p[0]))
+    a, b = rng.choice([(a, b) for a in sp.nonempty_opens() for b in sp.opens
+                       if a != b and a & b == a])
+    m = rng.choice(sp.nonempty_opens())
+    return [_with_sigma(sp, edit) for edit in (
+        {u: sig[v]}, {a: sig[b], b: sig[a]}, {m: ctx.bottom()}, {m: ctx.top()}, {0: sig[m]},
+    )]
+
+
+def test_table_step_pass_matches_the_order_scan(genealogy5, street5, street2x3):
+    """The cube-table step pass answers what `_order_scan` answers, fail or pass.
+
+    The slow side skips the step walk, so `_structure_failures` and
+    `_order_scan`, one `lattice.leq` per nested pair, write its report,
+    verdict and witness. Run on the fixtures, random spaces, and retyped
+    copies of both whose ties, swaps, Bottom and Top the table must see.
+    """
+    rng = random.Random(20)
+    spaces = [genealogy5, street5, street2x3]
+    while len(spaces) < 12:
+        sp = random_generated_space(rng, max_points=5)
+        if sp is not None and len(_step_pairs(sp)) > 1:
+            spaces.append(sp)
+    for sp in list(spaces):
+        spaces += _retyped_copies(rng, sp)
+    for sp in spaces:
+        fast, slow = dataclasses.replace(sp), dataclasses.replace(sp)
+        report, verdict = validate_type_mapping(fast), is_strictly_typed(fast)
+        with mock.patch.object(space, "_steps_rise", lambda _sp: None):
+            assert validate_type_mapping(slow) == report
+            assert is_strictly_typed(slow) == verdict == slow.index.strict_report
+        assert fast.index.strict_report == verdict
+        rises = not report.by_code("monotone") and verdict.strict
+        assert space._steps_rise(dataclasses.replace(sp)) is rises
 
 
 def test_building_a_street_meets_at_most_once_per_entry_and_generator(monkeypatch):
