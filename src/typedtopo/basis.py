@@ -7,14 +7,17 @@ it, which `oracle.check_space` replays as its anchored decomposition.
 
 Such a family is the opens of a realized-type bitset (`space.RealizedTypes`),
 and so is every pool the chain bases draw on. `irreducibles` is the one
-routine that decides irreducible members: it memoizes them per space by
-that int row, so the anchored families, the chain bases and the oracle
-share each decision. Only a chain's base reads it; the chain pools are
+routine that decides irreducible members, in one pass over the pool by
+size (`_irreducible_members`): it memoizes them per space by that int row,
+so the anchored families, the chain bases and the oracle share each
+decision. Only a chain's base reads it; the chain pools are
 memoized apart, by their own row, and decide nothing here.
 """
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from . import lattice, space as space_mod
@@ -45,27 +48,26 @@ def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> fro
     return _through(space, space_mod.realized_types(space).opens_in(row), at)
 
 
-def is_irreducible_in(pool, mask: int) -> bool:
-    """No two other pool members union to ``mask``.
+def _irreducible_members(pool) -> frozenset:
+    """The pool members that no two other pool members union to.
 
-    If two members union to ``mask``, so do all the members strictly inside
-    it, so ``mask`` is irreducible when their union falls short of it; only
-    otherwise does the pairwise search run. The pre-test is exact for
-    any pool and decides every irreducible member in O(k). On a
-    union-closed pool such as `opens_above`, a full union also means some
-    pair exists, and the search stops at the first one.
+    A member is tested against the smaller members alone, in one pass by
+    size. When those inside it fall short of covering it, no pair covers
+    it; that union decides every member of a union-closed pool such as
+    `opens_above`. Otherwise the pairs are searched, largest first.
     """
-    inside = [m for m in pool if m != mask and (m & mask) == m]
-    union = 0
-    for m in inside:
-        union |= m
-    if union != mask:
-        return True
-    return not any((w | v) == mask for w, v in itertools.combinations(inside, 2))
+    kept, smaller = [], []
+    for mask in sorted(pool, key=int.bit_count):
+        inside = [m for m in smaller if m & mask == m]
+        pairs = itertools.combinations(reversed(inside), 2)
+        if reduce(or_, inside, 0) != mask or not any((w | v) == mask for w, v in pairs):
+            kept.append(mask)
+        smaller.append(mask)
+    return frozenset(kept)
 
 
 def irreducibles(space: TypedSpace, types: int) -> frozenset:
-    """The members of the opens typed in ``types`` that `is_irreducible_in` keeps.
+    """`_irreducible_members` of the opens typed in ``types``.
 
     ``types`` is a realized-type bitset of ``space`` (`space.RealizedTypes`).
     The result is memoized on ``space.index.irreducibles``, keyed by that
@@ -74,8 +76,7 @@ def irreducibles(space: TypedSpace, types: int) -> frozenset:
     memo = space.index.irreducibles
     got = memo.get(types)
     if got is None:
-        pool = space_mod.realized_types(space).opens_in(types)
-        got = memo[types] = frozenset(m for m in pool if is_irreducible_in(pool, m))
+        got = memo[types] = _irreducible_members(space_mod.realized_types(space).opens_in(types))
     return got
 
 

@@ -230,43 +230,44 @@ def chain_cover(space: TypedSpace) -> ChainCover:
 
     Uses the split-node bipartite reduction: a maximum matching on strict
     order edges glues types into chains, and the chain count equals the
-    width of the realized order. Single-type chains are padded by repeating
-    the level, which the sandwich test treats as selecting exactly that type.
+    width of the realized order. Each type in turn searches depth first for
+    an augmenting path on an explicit stack of ``[type, successor tried]``
+    frames, trying next the lowest successor not yet seen, so no path is
+    too long for it. Single-type chains are padded by repeating the level,
+    which the sandwich test treats as selecting exactly that type.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
     n = len(rt)
-    rows = rt.up
-    succ_candidates = {i: space_mod.bit_indexes(rows[i] & ~(1 << i)) for i in range(n)}
-    match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-
-    def try_augment(i: int, seen: set) -> bool:
-        for j in succ_candidates[i]:
-            if j in seen:
+    succ = [row & ~(1 << i) for i, row in enumerate(rt.up)]
+    match_left, match_right = [-1] * n, [-1] * n
+    for root in range(n):
+        seen, stack = 0, [[root, -1]]
+        while stack:
+            frame = stack[-1]
+            avail = succ[frame[0]] & ~seen
+            if not avail:
+                stack.pop()
                 continue
-            seen.add(j)
-            if j not in match_right or try_augment(match_right[j], seen):
-                match_right[j] = i
-                match_left[i] = j
-                return True
-        return False
-
-    for i in range(n):
-        try_augment(i, set())
-
-    starts = [i for i in range(n) if i not in match_right]
-    chains = []
-    covered = 0
+            low = avail & -avail
+            seen |= low
+            frame[1] = j = low.bit_length() - 1
+            if match_right[j] >= 0:
+                stack.append([match_right[j], -1])
+                continue
+            for i, j in stack:
+                match_right[j], match_left[i] = i, j
+            break
+    chains, covered = [], 0
+    starts = [i for i in range(n) if match_right[i] < 0]
     for s in starts:
         seq = [s]
-        while seq[-1] in match_left:
+        while match_left[seq[-1]] >= 0:
             seq.append(match_left[seq[-1]])
         covered += len(seq)
-        levels = [rt.terms[i] for i in seq]
-        if len(levels) == 1:
-            levels = levels * 2
-        chains.append(TypeChain(tuple(levels)))
+        if len(seq) == 1:
+            seq *= 2
+        chains.append(TypeChain(tuple(rt.terms[i] for i in seq)))
     if covered != n:  # pragma: no cover - matching always yields a partition
         raise InvariantViolationError("chain partition missed some realized types")
     return ChainCover(tuple(chains), len(starts))

@@ -170,15 +170,15 @@ class CheckReport:
 def _chain_count(rt, budget: int) -> int:
     """The realized 2- and 3-level chains, counted from the order rows.
 
-    With ``A_j`` the realized types at or above ``j`` and ``B_j`` those at
-    or below it, there are ``sum |A_j|`` two-level chains and
-    ``sum |B_j| * |A_j|`` three-level ones, ``j`` being the middle level.
-    The rows are read by index from ``rt.up`` and ``rt.down``, and the count
-    stops once the total passes ``budget``.
+    With ``A_i`` the realized types at or above ``i``, there are ``|A_i|``
+    two-level chains starting at ``i`` and ``sum |A_j|`` over ``j`` in
+    ``A_i`` three-level ones. The rows are read by index from ``rt.up``
+    alone, and the count stops once the total passes ``budget``.
     """
+    sizes = [row.bit_count() for row in rt.up]
     total = 0
-    for above, below in zip(rt.up, rt.down):
-        total += above.bit_count() * (1 + below.bit_count())
+    for row, size in zip(rt.up, sizes):
+        total += size + sum(map(sizes.__getitem__, space_mod.bit_indexes(row)))
         if total > budget:
             break
     return total
@@ -373,8 +373,9 @@ def check_space(space: TypedSpace) -> CheckReport:
     The ten results, in order:
 
     * ``type-mapping``: validation's topology and type-mapping conditions,
-      and the meet and join bounds, which they imply, so validation leaves
-      them out and `_bounds` re-derives them;
+      read from the report it recorded on ``space.index`` if it ran, and the
+      meet and join bounds, which they imply, so validation leaves them out
+      and `_bounds` re-derives them;
     * ``strictly-typed``: proper inclusion strictly raises the type;
     * ``self-irreducible``: every open is irreducible at its own type;
     * ``anchored-decomposition``: every realized anchor's family is covered
@@ -394,7 +395,7 @@ def check_space(space: TypedSpace) -> CheckReport:
     theorems are decided in one pass per chain over the int masks of its
     pool and base, read once each by `chains.realized_chain_pools`.
     """
-    report = space_mod.validate_type_mapping(space)
+    report = space.index.report or space_mod.validate_type_mapping(space)
     strictness = space_mod.strictness(space)
     if report.ok and strictness.strict:
         rt = realized_types(space)

@@ -211,13 +211,15 @@ def _minimal_neighborhoods(space: TypedSpace) -> Optional[frozenset]:
     when any test but the last fails, which `_steps_rise` makes.
     """
     opens, full = space.opens, space.full_mask
-    if 0 not in opens or full not in opens or any(m not in space.sigma for m in opens):
+    if 0 not in opens or full not in opens or not opens <= space.sigma.keys():
         return None
     least = [full] * len(space.points)
     for o in opens:
-        for i in range(len(least)):
-            if o >> i & 1:
-                least[i] &= o
+        rest = o
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            least[i] &= o
+            rest &= rest - 1
     mins = frozenset(least)
     return mins if mins <= opens else None
 
@@ -226,16 +228,18 @@ def _cube_rows(space: TypedSpace) -> tuple[dict, dict]:
     """``(implied_by, types)``, the cube table of ``space``, built once on its index.
 
     Bit ``i`` stands for the ``i``-th key of ``implied_by``, a distinct cube
-    of the nonempty opens' types (in an order nothing may read), whose row
-    holds the cubes implying it; ``types`` holds each nonempty open's cubes.
+    of the nonempty opens' types in rendered key order (so terms sort by
+    `TypeTerm.sort_key` as by their bit indexes), whose row holds the cubes
+    implying it; ``types`` holds each nonempty open's cubes as one row.
     """
     idx = space.index
     if idx.cubes is None:
         terms = {m: space.sigma[m] for m in space.opens if m}
-        bit = {c: 1 << i for i, c in enumerate(set().union(*(t.cubes for t in terms.values())))}
+        cubes = sorted(set().union(*(t.cubes for t in terms.values())), key=space.ctx._code.render)
+        bit = {c: 1 << i for i, c in enumerate(cubes)}
         types = {m: sum(map(bit.__getitem__, t.cubes)) for m, t in terms.items()}  # an OR
-        idx.cubes = {d: _bits(bit, lambda c: not (d[0] & ~c[0] or d[1] & ~c[1] or d[2] & ~c[2]))
-                     for d in bit}, types
+        idx.cubes = {d: _bits(cubes, lambda c: not (d[0] & ~c[0] or d[1] & ~c[1] or d[2] & ~c[2]))
+                     for d in cubes}, types
     return idx.cubes
 
 
@@ -277,8 +281,8 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     or `_order_scan` scans every pair and writes the failure list. The bounds
     ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and ``sigma(U) v sigma(V) <=
     sigma(U | V)`` follow from the last two; `oracle.check_space` replays
-    them. When every open has a type, the order pass also records the
-    strictness verdict in ``space.index.strict_report``.
+    them. When every open has a type, the report is recorded in
+    ``space.index.report`` and the strictness verdict in ``strict_report``.
     """
     rises = _steps_rise(space)
     failures = [] if rises is not None else _structure_failures(space)
@@ -297,7 +301,8 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     monotone, space.index.strict_report = (
         ([], StrictnessReport(True)) if rises else _order_scan(space))
     failures += monotone
-    return ValidationReport(not failures, tuple(failures))
+    space.index.report = report = ValidationReport(not failures, tuple(failures))
+    return report
 
 
 def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
@@ -315,20 +320,20 @@ class SpaceIndex:
 
     Every `TypedSpace` owns one as ``space.index``; a `dataclasses.replace`
     copy starts with a fresh one, and the index keeps no reference to its
-    space. Validation records the strictness verdict and the cube table
-    (`_cube_rows`) it decides on; the realized types, built from that
-    table, read their order and visibility rows, int bitsets over the type
-    indexes, off it. Such a row is the key of ``irreducibles``, where
-    `basis.irreducibles` keeps the join-irreducible members of the opens it
-    selects, and of ``pools``, where `chains` keeps the opens of each
-    chain's pool row, from `chains.TypeChain` terms or realized-type
-    indexes alike. A chain's base is that pool met with the
-    ``irreducibles`` of its lower rows.
+    space. Validation records its report, the strictness verdict and the
+    cube table (`_cube_rows`, in cube key order) it decides on; the realized
+    types bucket the opens by its rows and read their order and visibility
+    rows, int bitsets over the type indexes, off it. Such a row keys the
+    join-irreducible members of the opens it selects in ``irreducibles``
+    (`basis.irreducibles`) and a chain's pool in ``pools`` (`chains`), from
+    `chains.TypeChain` terms or realized-type indexes alike. A chain's base
+    is that pool met with the ``irreducibles`` of its lower rows.
     """
 
-    __slots__ = ("strict_report", "cubes", "realized", "irreducibles", "pools")
+    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")
 
     def __init__(self):
+        self.report: Optional[ValidationReport] = None
         self.strict_report: Optional[StrictnessReport] = None
         self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
         self.realized: Optional[RealizedTypes] = None
@@ -511,45 +516,19 @@ def bit_indexes(row: int) -> list[int]:
     return out
 
 
-def _cube_table(ctx: Context, terms, implied_by: dict) -> tuple:
-    """``terms`` in `TypeTerm.sort_key` order, and the rows of their distinct cubes.
-
-    Distinct cubes have distinct rendered keys, so ranking the cubes once by
-    key and a term by its cubes' ranks gives that order. ``holders`` maps a
-    cube to the terms holding it, ``reach`` to those holding a cube it
-    implies, read off the rows of `_cube_rows` (``implied_by``, over the
-    same cubes); ``generators`` ORs each term's cubes' generator bitsets.
-    """
-    code = ctx._code
-    keyed = sorted((code.render(c), c) for c in implied_by)
-    rank = {c: r for r, (_, c) in enumerate(keyed)}
-    named = {c: _bits(code.gens, {n for kind, n in lits if kind == lattice.GEN}.__contains__)
-             for (_, lits), c in keyed}
-    terms = tuple(sorted(terms, key=lambda t: sorted(map(rank.__getitem__, t.cubes))))
-    holders = dict.fromkeys(implied_by, 0)
-    generators = [0] * len(terms)
-    for j, t in enumerate(terms):
-        for c in t.cubes:
-            holders[c] |= 1 << j
-            generators[j] |= named[c]
-    reach = {c: reduce(or_, (held for d, held in holders.items() if implied_by[d] >> i & 1), 0)
-             for i, c in enumerate(implied_by)}
-    return terms, holders, reach, tuple(generators)
-
-
 @dataclass(frozen=True, eq=False)
 class RealizedTypes:
     """The distinct types of nonempty opens, in `TypeTerm.sort_key` order.
 
     Sets of realized types are int bitsets, bit ``j`` for ``terms[j]``, and
     so are sets of generators, bit ``i`` for the ``i``-th by name. The order
-    rows are bitset algebra over the terms' distinct cubes (`_cube_table`,
-    which reads which cube implies which off the space's cube table), with
-    no `lattice.leq`: a level is below ``terms[j]`` iff each of its cubes
-    implies one of ``terms[j]``, so `above` ANDs its cubes' ``reach`` rows,
-    and `below` drops the ``holders`` of each table cube implying none of
-    the level's. Rows are memoized by the level term, realized or not; `up`
-    and `down` hold them by realized-type index.
+    rows are bitset algebra over the distinct cubes of the space's cube
+    table (`_cube_rows`), with no `lattice.leq`: a level is below
+    ``terms[j]`` iff each of its cubes implies one of ``terms[j]``, so
+    `above` ANDs its cubes' ``reach`` rows, and `below` drops the
+    ``holders`` of each table cube implying none of the level's. Rows are
+    memoized by the level term, realized or not; `up` and `down` hold them
+    by realized-type index.
     """
 
     ctx: Context
@@ -632,16 +611,34 @@ class RealizedTypes:
 
 
 def realized_types(space: TypedSpace) -> RealizedTypes:
-    """The realized types of ``space``, built once and kept on ``space.index``."""
+    """The realized types of ``space``, built once and kept on ``space.index``.
+
+    Built by bit index on the cube table (`_cube_rows`), hashing no term:
+    the opens, in ascending mask order, are bucketed by their cube rows,
+    and the buckets sorted by their rows' bit indexes, `TypeTerm.sort_key`
+    order. A cube's generators are the minimal ones of its up-set.
+    """
     idx = space.index
     if idx.realized is None:
         implied_by, types = _cube_rows(space)
-        buckets: dict[TypeTerm, list[int]] = {}
-        for m in types:
-            buckets.setdefault(space.sigma[m], []).append(m)
-        table = _cube_table(space.ctx, buckets, implied_by)
-        opens = tuple(tuple(sorted(buckets[t])) for t in table[0])
-        idx.realized = RealizedTypes(space.ctx, *table, opens)
+        buckets: dict[int, list[int]] = {}
+        for m in sorted(types):
+            buckets.setdefault(types[m], []).append(m)
+        keyed = sorted((bit_indexes(row), row) for row in buckets)
+        cubes, strict_down = tuple(implied_by), space.ctx._code.strict_down
+        named = [sum(1 << g for g in bit_indexes(u) if not strict_down[g] & u) for u, _, _ in cubes]
+        holders, reach = [0] * len(cubes), [0] * len(cubes)
+        for j, (own, _) in enumerate(keyed):
+            for i in own:
+                holders[i] |= 1 << j
+        for d, row in enumerate(implied_by.values()):
+            for i in bit_indexes(row):
+                reach[i] |= holders[d]
+        idx.realized = RealizedTypes(
+            space.ctx, tuple(space.sigma[buckets[row][0]] for _, row in keyed),
+            dict(zip(cubes, holders)), dict(zip(cubes, reach)),
+            tuple(reduce(or_, map(named.__getitem__, own), 0) for own, _ in keyed),
+            tuple(tuple(buckets[row]) for _, row in keyed))
     return idx.realized
 
 

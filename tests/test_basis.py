@@ -171,20 +171,49 @@ def _pools(draw):
 @given(_pools())
 @settings(max_examples=300, deadline=None)
 def test_property_irreducibility_matches_the_pairwise_search(drawn):
-    """Members and non-members alike; on a union-closed pool the union decides.
+    """The one pass by size keeps exactly the pairwise irreducible members.
 
-    A nonempty mask is reducible in a union-closed pool exactly when the
+    Each extra mask joins the pool once, to be decided as a member. A
+    nonempty mask is reducible in a union-closed pool exactly when the
     members strictly inside it cover it: adding them one at a time, the
     last partial union short of the mask and the next member are a pair.
     """
     pool, extra = drawn
-    union_closed = _union_closure(pool) == pool
-    for mask in sorted(pool) + extra:
-        got = basis.is_irreducible_in(pool, mask)
-        assert got == pairwise_irreducible(pool, mask)
-        if union_closed and mask:
+    for grown in [pool] + [pool | {mask} for mask in extra]:
+        got = basis._irreducible_members(grown)
+        assert got == {m for m in grown if pairwise_irreducible(grown, m)}
+        if _union_closure(grown) == grown:
+            for mask in grown - {0}:
+                union = 0
+                for m in grown:
+                    if m != mask and (m & mask) == m:
+                        union |= m
+                assert (mask in got) == (union != mask)
+
+
+def test_irreducible_members_off_union_closed_pools():
+    """Pools that are not union-closed, where the pair search decides.
+
+    Each pool also holds the pairwise unions of a few of its members, so
+    that members covered by the smaller ones come both with and without a
+    covering pair.
+    """
+    rng = random.Random(21)
+    searched = {True: 0, False: 0}  # covered members by their pairwise verdict
+    for _ in range(150):
+        top = (1 << rng.randint(4, 10)) - 1
+        pool = {rng.randint(1, top) for _ in range(rng.randint(2, 24))}
+        pool |= {a | b for a, b in itertools.combinations(sorted(pool)[:4], 2)}
+        pool = frozenset(pool)
+        if _union_closure(pool) == pool:
+            continue
+        got = basis._irreducible_members(pool)
+        assert got == {m for m in pool if pairwise_irreducible(pool, m)}
+        for mask in pool:
             union = 0
             for m in pool:
                 if m != mask and (m & mask) == m:
                     union |= m
-            assert got == (union != mask)
+            if union == mask:
+                searched[mask in got] += 1
+    assert searched[True] >= 10 and searched[False] >= 100

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import inspect
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import C_RIGHT5, C_RIGHT6, random_generated_space, random_realized_chain
 from test_basis import pairwise_irreducible
-from typedtopo import basis, chains, connect, lattice, oracle, space, stats
+from typedtopo import basis, chains, connect, ingest, lattice, oracle, space, stats
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
     InvariantViolationError,
@@ -141,9 +143,13 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
 
 
 def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
-    """Pools, neighborhoods and connectedness read the pool memo alone."""
+    """Pools, neighborhoods and connectedness read the pool memo alone.
+
+    A base read afterwards does decide, so the count reaches the routine.
+    """
     calls = []
-    monkeypatch.setattr(basis, "is_irreducible_in", lambda pool, m: calls.append(m))
+    decide = basis._irreducible_members
+    monkeypatch.setattr(basis, "_irreducible_members", lambda pool: calls.append(pool) or decide(pool))
     for sp, text in ((street5, C_RIGHT5), (street2x3, C_RIGHT6)):
         sp = dataclasses.replace(sp)
         chain = parse_chain(text, sp.ctx)
@@ -151,7 +157,8 @@ def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
         assert any(chains.chain_neighborhoods(sp, x, chain) for x in sp.points)
         assert connect.is_chain_connected(sp, sp.points[-1:], chain)[0]
         assert sp.index.pools and not sp.index.irreducibles
-    assert calls == []
+        assert calls == []
+    assert chains.chain_base_pool(sp, chain) and calls
 
 
 def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
@@ -184,11 +191,10 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     """One query reads its levels' rows off the cube table, built once.
 
     Once strictness is decided, the query makes no `lattice.leq` call and
-    computes no `TypeTerm.sort_key`: the realized types are sorted by their
-    cubes' ranks, and the rows are bitset algebra over the table of their
-    distinct cubes, which the index builds once. Their implication rows come
-    from the space's cube table, which deciding strictness built, so the
-    query builds no second one.
+    computes no `TypeTerm.sort_key`: the realized types are built once, on
+    the space's cube table, which deciding strictness built in key order,
+    so the query builds no second one. The realized-type build hashes no
+    term: it buckets the opens by their cube rows.
     """
     sp = dataclasses.replace(request.getfixturevalue(fixture))
     chain = parse_chain(text, sp.ctx)
@@ -207,10 +213,13 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     monkeypatch.setattr(
         lattice.TypeTerm, "sort_key", counted("sort_key", lattice.TypeTerm.sort_key)
     )
-    monkeypatch.setattr(space, "_cube_table", counted("table", space._cube_table))
+    monkeypatch.setattr(space, "RealizedTypes", counted("table", space.RealizedTypes))
+    monkeypatch.setattr(lattice.TypeTerm, "__hash__", counted("hash", lattice.TypeTerm.__hash__))
+    space.realized_types(sp)
+    assert calls == {"table": 1}
     chains.chain_base(sp, sp.points[0], chain)
     chains.chain_base(sp, sp.points[-1], chain)
-    assert calls == {"table": 1}
+    assert calls["table"] == 1 and not calls["leq"] and not calls["sort_key"]
     assert sp.index.cubes is cubes
 
 
@@ -348,6 +357,77 @@ def test_chain_cover_width_two_for_antichain():
     cov = chain_cover(sp)
     assert len(realized_types(sp)) == 3
     assert cov.width == 2
+
+
+def _recursive_cover(sp) -> list[tuple]:
+    """The levels of each chain of a minimum chain partition, by recursive matching.
+
+    The reference for `chain_cover`: augmenting paths by a recursive
+    depth-first search, left vertices and successors in ascending order.
+    """
+    rt = realized_types(sp)
+    n = len(rt)
+    succ = {i: [j for j in range(n) if j != i and rt.leq(i, j)] for i in range(n)}
+    match_right: dict = {}
+    match_left: dict = {}
+
+    def try_augment(i: int, seen: set) -> bool:
+        for j in succ[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if j not in match_right or try_augment(match_right[j], seen):
+                match_right[j] = i
+                match_left[i] = j
+                return True
+        return False
+
+    for i in range(n):
+        try_augment(i, set())
+    out = []
+    for s in (i for i in range(n) if i not in match_right):
+        seq = [s]
+        while seq[-1] in match_left:
+            seq.append(match_left[seq[-1]])
+        out.append(tuple(rt.terms[i] for i in seq) * (2 if len(seq) == 1 else 1))
+    return out
+
+
+def _street(n: int):
+    residents = tuple(f"r{i}" for i in range(1, n + 1))
+    return ingest.build_community(ingest.CommunityDataset((("main", residents),)))
+
+
+def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2x3):
+    """The same chains, in the same order, as the recursive search finds."""
+    tree9 = ingest.build_genealogy(
+        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
+    for sp in [genealogy5, street5, street2x3, tree9] + [_street(n) for n in range(6, 10)]:
+        sp = dataclasses.replace(sp)
+        cover = chain_cover(sp)
+        want = _recursive_cover(sp)
+        assert [ch.levels for ch in cover.chains] == want
+        assert cover.width == len(want)
+
+
+def test_chain_cover_needs_no_recursion_for_long_augmenting_paths():
+    """An 8-point street needs augmenting paths of 57 left vertices.
+
+    A recursive search would need a frame per vertex on the path, and a
+    12-point street overflowed the default recursion limit. Here the limit
+    leaves 40 frames above the test.
+    """
+    sp = _street(8)
+    want = _recursive_cover(sp)
+    sp = dataclasses.replace(sp)
+    space.strictness(sp)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        cover = chain_cover(sp)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [ch.levels for ch in cover.chains] == want
 
 
 def test_chain_cover_recovers_full_neighborhood_system(street5, genealogy5):
@@ -490,19 +570,20 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
 
 
 def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5):
-    """The union pre-test and one decision per member of each distinct row.
+    """One decision per member of each distinct row, one pass per row.
 
-    Measured on STREET5: 409 calls. Per-member and per-chain decisions
-    without the pre-test made 13,949, and one memo per anchored pool beside
-    per-call decisions for each anchor made 1,062.
+    Measured on STREET5: 409 members in 67 rows. Per-member and per-chain
+    decisions without the union pre-test made 13,949, and one memo per
+    anchored pool beside per-call decisions for each anchor made 1,062.
     """
-    calls = []
-    test = basis.is_irreducible_in
+    pools = []
+    decide = basis._irreducible_members
 
-    def counted(pool, mask):
-        calls.append(mask)
-        return test(pool, mask)
+    def counted(pool):
+        pools.append(pool)
+        return decide(pool)
 
-    monkeypatch.setattr(basis, "is_irreducible_in", counted)
+    monkeypatch.setattr(basis, "_irreducible_members", counted)
     assert oracle.check_space(dataclasses.replace(street5)).ok
-    assert 0 < len(calls) <= 409
+    assert 0 < len(pools) <= 67
+    assert sum(map(len, pools)) <= 409

@@ -581,3 +581,37 @@ def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):
     message = str(err.value)
     count = int(message.split()[2])
     assert count > oracle.MAX_CHAINS and f"budget of {oracle.MAX_CHAINS}" in message
+
+
+def test_the_over_budget_skip_reads_the_up_rows_alone(monkeypatch, street10):
+    """The skip builds no ``down`` row and reads ``up`` rows only until the budget.
+
+    Measured on the 10-point street (1,023 realized types): the count reads
+    176 rows, 6,876 bits in all. Counting from ``up`` and its transpose
+    ``down`` read all 1,023 rows to build ``down`` first.
+    """
+    sp = dataclasses.replace(street10)
+    rt = realized_types(sp)
+    assert len(rt.up) == 1023
+    rows = []
+    bit_indexes = space.bit_indexes
+    monkeypatch.setattr(space, "bit_indexes", lambda row: rows.append(row) or bit_indexes(row))
+    with pytest.raises(OracleSkip):
+        check_space(sp)
+    assert "down" not in vars(rt)
+    assert 0 < len(rows) <= 176 and sum(row.bit_count() for row in rows) <= 6876
+
+
+def test_check_space_reads_the_report_validation_recorded(monkeypatch, street5):
+    """A built or loaded space was validated once; the replay reads that report.
+
+    A copy starts with an empty index, so its replay validates it again.
+    """
+    calls = []
+    validate = space.validate_type_mapping
+    monkeypatch.setattr(space, "validate_type_mapping", lambda sp: calls.append(sp) or validate(sp))
+    assert street5.index.report == validate(dataclasses.replace(street5))
+    assert check_space(street5).ok and calls == []
+    copy = dataclasses.replace(street5)
+    assert check_space(copy).ok and calls == [copy]
+    assert copy.index.report.ok

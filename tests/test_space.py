@@ -425,14 +425,7 @@ def test_step_pass_matches_the_full_scans(seed):
 
 def _step_pairs(sp: TypedSpace) -> set:
     """The distinct ``(U, U | U_x)`` with ``U_x`` the least open around ``x``."""
-    least = []
-    for i in range(len(sp.points)):
-        u = sp.full_mask
-        for o in sp.opens:
-            if o >> i & 1:
-                u &= o
-        least.append(u)
-    return {(u, u | m) for u in sp.opens for m in least if u | m != u}
+    return {(u, u | m) for u in sp.opens for m in _least_by_scan(sp) if u | m != u}
 
 
 @pytest.mark.parametrize(
@@ -645,10 +638,75 @@ def test_order_rows_are_memoized_by_term_value(street5, c_right5):
 
 
 def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
-    """Sorting by cube ranks gives the order of `TypeTerm.sort_key`."""
-    for sp in _sample_spaces(5, (genealogy5, street5, street2x3)):
-        distinct = {sp.sigma[m] for m in sp.opens if m}
-        assert realized_types(sp).terms == tuple(sorted(distinct, key=lattice.TypeTerm.sort_key))
+    """Order, opens and rows of the realized types against a sort of their terms.
+
+    The reference sorts the distinct terms by `TypeTerm.sort_key` and
+    reads each row off the terms' cubes by name: ``holders`` by membership,
+    ``reach`` by the cube subset test, ``generators`` by the generator names.
+    The cube table itself is in rendered key order. The last space types
+    three opens alike that its set of masks holds out of ascending order.
+    """
+    pts = tuple(f"p{i}" for i in range(10))
+    ctx = Context(Poset({"g", "h"}), pts)
+    apart = generate_topology([
+        GeneratorSpec("a", frozenset({"p9"}), parse_type_expr("g", ctx)),
+        GeneratorSpec("b", frozenset({"p1"}), parse_type_expr("g", ctx)),
+        GeneratorSpec("c", frozenset(pts), parse_type_expr("g | h", ctx)),
+    ], ctx.poset, pts)
+    assert list(apart.opens) != sorted(apart.opens)
+    for sp in _sample_spaces(5, (genealogy5, street5, street2x3)) + [apart]:
+        sp = dataclasses.replace(sp)
+        rt = realized_types(sp)
+        terms = sorted({sp.sigma[m] for m in sp.opens if m}, key=lattice.TypeTerm.sort_key)
+        assert rt.terms == tuple(terms)
+        assert rt.opens_by_type == tuple(
+            tuple(sorted(m for m in sp.opens if m and sp.sigma[m] == t)) for t in terms)
+        cubes = list(sp.index.cubes[0])
+        render = sp.ctx._code.render
+        assert cubes == sorted(set().union(*(t.cubes for t in terms)), key=lambda c: render(c)[0])
+
+        def implies(c, d):
+            return all(x & y == y for x, y in zip(c, d))
+
+        assert rt.holders == {c: sum(1 << j for j, t in enumerate(terms) if c in t.cubes)
+                              for c in cubes}
+        assert rt.reach == {c: sum(1 << j for j, t in enumerate(terms)
+                                   if any(implies(c, d) for d in t.cubes)) for c in cubes}
+        assert rt.generators == tuple(rt.generator_bits(t.generators()) for t in terms)
+
+
+def _least_by_scan(sp: TypedSpace):
+    """`space._minimal_neighborhoods` by one test per (open, point) pair."""
+    opens, full = sp.opens, sp.full_mask
+    if 0 not in opens or full not in opens or any(m not in sp.sigma for m in opens):
+        return None
+    least = []
+    for i in range(len(sp.points)):
+        u = full
+        for o in opens:
+            if o >> i & 1:
+                u &= o
+        least.append(u)
+    return frozenset(least) if set(least) <= opens else None
+
+
+def test_least_neighborhoods_match_the_pair_scan(genealogy5, street5, street2x3):
+    """Topologies, and families missing an open, a type, or a least neighborhood."""
+    rng = random.Random(9)
+    found = Counter()
+    for sp in _sample_spaces(8, (genealogy5, street5, street2x3)):
+        probes = [sp] + [_perturbed(rng, sp) for _ in range(6)]
+        least = _least_by_scan(sp)
+        for u in sorted(least):  # a family without one U_x but with every other open
+            probes.append(TypedSpace(sp.ctx, sp.opens - {u}, sp.sigma, sp.generators))
+        extra = rng.randrange(1, sp.full_mask)  # an open that may break the intersections
+        probes.append(TypedSpace(sp.ctx, sp.opens | {extra}, {**sp.sigma, extra: sp.sigma[
+            sp.full_mask]}, sp.generators))
+        for probe in probes:
+            want = _least_by_scan(probe)
+            assert space._minimal_neighborhoods(probe) == want
+            found[want is None] += 1
+    assert found[True] >= 40 and found[False] >= 40
 
 
 def test_visible_rows_match_the_generator_sets(genealogy5, street5, street2x3):
