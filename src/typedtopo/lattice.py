@@ -246,19 +246,16 @@ def _mask(bits: dict, names, what: str) -> int:
     return mask
 
 
-def _cube_size(cube: tuple[int, int, int]) -> int:
-    return cube[0].bit_count() + cube[1].bit_count() + cube[2].bit_count()
-
-
 def _absorb(cubes: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Keep only cubes not implying another cube (the maximal antichain).
 
-    ``c`` implies a different ``d`` only when ``d``'s masks are a proper
-    subset of ``c``'s, so ``d`` has fewer bits: taken by size, a cube needs
-    comparing only against the cubes kept before it.
+    ``c`` implies a different ``d`` only when ``d``'s masks are subsets of
+    ``c``'s, one of them proper, so ``d`` is numerically no larger in any
+    component and smaller in one: ``d < c`` as tuples. Taken in tuple order,
+    a cube needs comparing only against the cubes kept before it.
     """
     kept: list[tuple[int, int, int]] = []
-    for cube in sorted(cubes, key=_cube_size):
+    for cube in sorted(cubes):
         u, p, n = cube
         for du, dp, dn in kept:
             if not (du & ~u or dp & ~p or dn & ~n):
@@ -692,7 +689,8 @@ def term_from_json(ctx: Context, obj) -> TypeTerm:
     """The canonical term of a `term_to_json` document, read into cubes directly.
 
     Documents may be hand-written, so the cubes are canonicalized. Clauses
-    that are not a list of lists, or a malformed literal anywhere, raise
+    that are not a list of lists, or a malformed literal anywhere (one that
+    is not an object with exactly one ``gen``, ``pos`` or ``neg`` key), raise
     `PreconditionError` before an unknown name, or a name that is not a
     string, raises `UnknownSymbolError`.
     """
@@ -709,7 +707,7 @@ def term_from_json(ctx: Context, obj) -> TypeTerm:
             raise PreconditionError(f"bad clause encoding: {lits!r}")
         gens, pos, neg = [], [], []
         for entry in lits:
-            if not isinstance(entry, dict):
+            if not isinstance(entry, dict) or len(entry) != 1:
                 raise PreconditionError(f"bad literal encoding: {entry!r}")
             if GEN in entry:
                 gens.append(entry[GEN])

@@ -48,9 +48,9 @@ from .lattice import Context, Poset, TypeTerm, clause_of
 # Every open is typed and validated, so the opens, not the points, bound a
 # build: n points may span up to 2^n opens (a discrete street), and one more
 # point doubles the work. On a 2-core Xeon VM, `ingest.build_community` takes
-# 0.24 s on a 12-point street (4,096 opens) and 0.6 s on a 13-point one
+# about 0.13 s on a 12-point street (4,096 opens) and 0.28 s on a 13-point one
 # (8,192), the largest that fits; a 16-point street (65,536 opens) fails in
-# 0.03 s, while its opens are enumerated and before any of them is typed.
+# 0.02 s, while its opens are enumerated and before any of them is typed.
 MAX_OPENS = 1 << 13
 
 
@@ -433,10 +433,12 @@ def generate_topology(
     past `MAX_OPENS` raises `PreconditionError` before any open is typed.
     An open's type is the join of the intersections' types inside it; opens
     are typed in increasing order, each from its own entry and the already
-    joined types of the maximal intersections strictly inside it. Validation
-    then runs through the least neighborhoods (`validate_type_mapping`), and
-    raises `SpaceValidationError` when the induced mapping breaks any
-    contract condition.
+    joined types of the maximal intersections strictly inside it: taken
+    largest first, one is maximal unless the row of those strictly inside
+    a kept one holds it. Validation then runs through the least
+    neighborhoods (`validate_type_mapping`), and raises
+    `SpaceValidationError` when the induced mapping breaks any contract
+    condition.
     """
     pts = tuple(points)
     ctx = Context(poset, pts)
@@ -455,13 +457,14 @@ def generate_topology(
             )
 
     largest_first = sorted(entries, key=int.bit_count, reverse=True)
+    strictly_in = [_bits(largest_first, lambda k: k != m and k & m == k) for m in largest_first]
     sigma: dict[int, TypeTerm] = {0: ctx.bottom()}
     for u in sorted(opens)[1:]:  # a proper subset is a smaller mask
-        inside: list[int] = []
-        for m in largest_first:
-            if m != u and m & u == m and not any(m & k == m for k in inside):
-                inside.append(m)
-        parts = [sigma[m] for m in inside]
+        parts, blocked = [], 0
+        for j, m in enumerate(largest_first):
+            if m != u and m & u == m and not blocked >> j & 1:
+                parts.append(sigma[m])
+                blocked |= strictly_in[j]
         if u in entries:
             parts.append(entries[u])
         sigma[u] = lattice.join_all(ctx, parts)
@@ -648,18 +651,31 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
 
 
 def space_to_json(space: TypedSpace) -> dict:
+    """The space document, opens sorted by their ids.
+
+    A nonempty open's clauses are the bits of its `_cube_rows` row, in
+    `TypeTerm.sort_key` order, each rendered once and shared between opens;
+    the empty open, Top and the generators go through `lattice.term_to_json`.
+    """
     poset_pairs = sorted((a, b) for a, b in space.poset.pairs if a != b)
-    opens = sorted((space.ids_of(m), m) for m in space.opens)  # ids differ per open
+    implied_by, types = _cube_rows(space)
+    clauses = [[{kind: name} for kind, name in space.ctx._code.render(c)[1]] for c in implied_by]
+    names = [(1 << i, space.points[i]) for i in space.ctx._code.by_name]
+    opens = sorted(([p for b, p in names if m & b], m) for m in space.opens)  # ids differ per open
+
+    def typed(m: int):
+        t = space.sigma[m]
+        if m not in types or t.is_top:
+            return lattice.term_to_json(t)
+        return {"clauses": [clauses[i] for i in bit_indexes(types[m])]}
+
     return {
         "points": list(space.points),
         "poset": {
             "elements": sorted(space.poset.elements),
             "leq": [list(p) for p in poset_pairs],
         },
-        "opens": [
-            {"set": list(ids), "type": lattice.term_to_json(space.sigma[m])}
-            for ids, m in opens
-        ],
+        "opens": [{"set": ids, "type": typed(m)} for ids, m in opens],
         "generators": [
             {
                 "name": g.name,

@@ -1,8 +1,10 @@
 """Golden ``--stable`` outputs: every command below prints the same bytes.
 
 ``golden_stable.json`` holds the stdout, stderr and exit code of each command
-on the shipped fixtures. The test replays them in process and compares byte
-for byte, so a refactor that changes any ``--stable`` output fails here. When
+on the shipped fixtures and datasets. The test replays them in process and
+compares byte for byte, so a refactor that changes any ``--stable`` output
+fails here; ``tts build`` of each shipped dataset must print the committed
+fixture, a golden written apart from the serializer it checks. When
 an output changes on purpose, regenerate the file from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,6 +54,15 @@ COMMANDS = [
     ["oracle", G5, "--check"],
     ["oracle", S5, "--check"],
     ["oracle", S23, "--check"],
+    ["build", "--kind", "table", "--dataset", "fixtures/datasets/fees.csv",
+     "--predicates", "fixtures/datasets/fees_predicates.json", "--strictify"],
+]
+
+# ``tts build`` of each shipped dataset prints its committed fixture
+BUILDS = [
+    ("community", "street5.json", S5),
+    ("community", "street2x3.json", S23),
+    ("genealogy", "genealogy5.csv", G5),
 ]
 
 
@@ -80,6 +91,13 @@ def test_golden_file_lists_every_command():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_stable_output_matches_golden(argv):
     assert replay(argv) == golden()[COMMANDS.index(argv)]
+
+
+@pytest.mark.parametrize("kind, dataset, fixture", BUILDS, ids=[d for _, d, _ in BUILDS])
+def test_build_prints_the_committed_fixture(kind, dataset, fixture):
+    argv = ["build", "--kind", kind, "--dataset", f"fixtures/datasets/{dataset}"]
+    expected = (ROOT / fixture).read_text(encoding="utf-8")
+    assert replay(argv) == {"argv": argv, "exit": 0, "stdout": expected, "stderr": ""}
 
 
 if __name__ == "__main__":

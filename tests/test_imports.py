@@ -2,7 +2,8 @@
 
 ``__init__.py`` imports names to re-export them, and ``from __future__``
 imports switch on compiler features, so neither counts. The same parse
-gates the callers of public functions and the length of the oracle's.
+gates the callers of public functions, the package readers of private ones
+and the length of the oracle's functions.
 """
 from __future__ import annotations
 
@@ -136,14 +137,53 @@ def test_references_resolve_each_name_to_its_module():
     assert "closure.f" not in references(source, "closure")
 
 
+def module_functions(source: str, home: str) -> set[str]:
+    """``home.name`` of every module-level function of ``source``."""
+    return {
+        f"{home}.{node.name}" for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _is_private(function: str) -> bool:
+    return function.split(".", 1)[1].startswith("_")
+
+
 def public_functions() -> set[str]:
     """``module.name`` of every public module-level function in the package."""
     out = set()
     for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.add(f"{path.stem}.{node.name}")
-    return out
+        out |= module_functions(path.read_text(encoding="utf-8"), path.stem)
+    return {f for f in out if not _is_private(f)}
+
+
+def unread_private(modules: dict[str, str]) -> list[str]:
+    """The private module-level functions of ``modules`` (name -> source) none of them reads."""
+    private, read = set(), set()
+    for home, source in modules.items():
+        private |= {f for f in module_functions(source, home) if _is_private(f)}
+        read |= references(source, home)
+    return sorted(private - read)
+
+
+def test_an_orphaned_private_helper_is_unread():
+    lattice_source = (
+        "def _cube_size(c):\n    return sum(c)\n"
+        "def _absorb(cubes):\n    return sorted(cubes)\n"
+        "def _spin(n):\n    return _spin(n - 1)\n"
+    )
+    space_source = "from .lattice import _absorb\ndef build(c):\n    return _absorb(c)\n"
+    modules = {"lattice": lattice_source, "space": space_source}
+    assert unread_private(modules) == ["lattice._cube_size", "lattice._spin"]
+
+
+def test_every_private_function_has_a_reader_in_the_package():
+    """A helper that a rewrite orphaned fails here; tests and the benchmark do not count."""
+    modules = {
+        p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
+    }
+    assert "lattice._absorb" in set().union(*(module_functions(s, m) for m, s in modules.items()))
+    assert unread_private(modules) == []
 
 
 def test_every_public_function_has_a_caller():

@@ -492,6 +492,11 @@ def test_term_from_json_errors(gctx):
         ({"clauses": [[{"gen": "zz"}], anc + [{}]]}, PreconditionError, "bad literal encoding: {}"),
         ({"clauses": [[{"pos": "zz"}, {"nope": 1}]]}, PreconditionError,
          "bad literal encoding: {'nope': 1}"),
+        # a literal object holds exactly one literal; none is dropped silently
+        ({"clauses": [[{"gen": "anc", "pos": "B"}]]}, PreconditionError,
+         "bad literal encoding: {'gen': 'anc', 'pos': 'B'}"),
+        ({"clauses": [[{"neg": "B", "note": 1}]]}, PreconditionError,
+         "bad literal encoding: {'neg': 'B', 'note': 1}"),
     ]
     for doc, kind, message in cases:
         with pytest.raises(TypedTopoError) as raised:

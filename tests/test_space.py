@@ -343,6 +343,12 @@ def _bundle_dfs_entries(ctx, specs, masks) -> dict:
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_induced_entries_match_the_bundle_search(rng):
+    """The entries match the bundle search, and the build matches the definition.
+
+    The definition types each union of entries as the join of every entry
+    inside it, with no maximal-entry selection. The family builds exactly
+    that space when it is valid, and fails validation when it is not.
+    """
     pts = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
     gnames = ["g", "h"]
     poset = Poset(gnames, [("g", "h")] if rng.random() < 0.5 else [])
@@ -365,6 +371,16 @@ def test_induced_entries_match_the_bundle_search(rng):
     masks = [sum(bit[p] for p in s.members) for s in specs]
     got = space._induced_type_entries(ctx, specs, masks)
     assert got == _bundle_dfs_entries(ctx, specs, masks)
+    opens = {0, (1 << len(pts)) - 1}
+    for e in got:
+        opens |= {o | e for o in opens}
+    sigma = {u: lattice.join_all(ctx, [t for m, t in got.items() if m & u == m]) for u in opens}
+    if not validate_type_mapping(TypedSpace(ctx, frozenset(opens), sigma, tuple(specs))).ok:
+        with pytest.raises(SpaceValidationError):
+            generate_topology(specs, poset, pts)
+        return
+    built = generate_topology(specs, poset, pts)
+    assert (built.opens, dict(built.sigma)) == (opens, sigma)
 
 
 def test_induced_entries_whole_set_and_bottom_bundles():
@@ -530,6 +546,28 @@ def test_building_a_street_meets_at_most_once_per_entry_and_generator(monkeypatc
     assert (len(entries) + 1) * len(sp.generators) == 435
     assert meets <= 435
     assert normalizes <= 500
+
+
+def test_space_to_json_renders_only_generator_types_through_term_to_json(monkeypatch):
+    """The nonempty opens' types are written off the cube table.
+
+    Only the generator types and the empty open's Bottom reach
+    `lattice.term_to_json`; the document equals the one rendered term by
+    term, and a Top type is still written as ``{"top": true}``.
+    """
+    data = ingest.CommunityDataset((("main", tuple(f"r{i}" for i in range(1, 8))),))
+    sp = ingest.build_community(data)
+    rendered, to_json = [], lattice.term_to_json
+    monkeypatch.setattr(lattice, "term_to_json", lambda t: rendered.append(t) or to_json(t))
+    doc = space_to_json(sp)
+    assert rendered == [sp.sigma[0], *(g.type_term for g in sp.generators)]
+    assert doc["opens"] == [
+        {"set": list(ids), "type": to_json(sp.sigma[m])}
+        for ids, m in sorted((sp.ids_of(m), m) for m in sp.opens)
+    ]
+    ctx = Context(Poset({"g"}), ("x", "y"))
+    topped = TypedSpace(ctx, frozenset({0, 1, 3}), {0: ctx.bottom(), 1: ctx.top(), 3: ctx.top()}, ())
+    assert [o["type"] for o in space_to_json(topped)["opens"]] == [{"clauses": []}, *[{"top": True}] * 2]
 
 
 def test_built_loaded_and_repaired_spaces_carry_the_verdict(street5):
