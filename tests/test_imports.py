@@ -3,11 +3,13 @@
 ``__init__.py`` imports names to re-export them, and ``from __future__``
 imports switch on compiler features, so neither counts. The same parse
 gates the callers of public functions, the package readers of private ones
-and the length of the oracle's functions.
+and the length of the oracle's functions, and a parse at the grammar of the
+``requires-python`` floor keeps newer syntax out of the package.
 """
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -199,6 +201,42 @@ def test_every_public_function_has_a_caller():
         called |= references(path.read_text(encoding="utf-8"), path.stem)
     assert REFERENCE_ONLY.keys() <= public_functions()
     assert sorted(public_functions() - called - REFERENCE_ONLY.keys()) == []
+
+
+def python_floor() -> tuple[int, int]:
+    """``(major, minor)`` of the ``requires-python`` line of ``pyproject.toml``.
+
+    Read with a regex: `tomllib` is newer than the floor it would read.
+    """
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+def too_new(sources: dict[str, str], floor: tuple[int, int]) -> list[str]:
+    """``name:line: message`` for each source that the ``floor`` grammar rejects."""
+    out = []
+    for name, source in sources.items():
+        try:
+            ast.parse(source, feature_version=floor)
+        except SyntaxError as err:
+            out.append(f"{name}:{err.lineno}: {err.msg}")
+    return out
+
+
+def test_the_floor_gate_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert too_new({"groups.py": source}, (3, 11)) == []
+    assert too_new({"groups.py": source}, (3, 10)) == [
+        "groups.py:4: Exception groups are only supported in Python 3.11 and greater"
+    ]
+
+
+def test_package_modules_parse_at_the_python_floor():
+    assert python_floor() == (3, 10)
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert "lattice.py" in sources
+    assert too_new(sources, python_floor()) == []
 
 
 def test_oracle_functions_stay_short():

@@ -78,6 +78,82 @@ def test_parse_unknown_identifiers(gctx):
         parse_type_expr("@Q", gctx)
 
 
+PARSE_ERRORS = {  # text -> (class, message, position or None)
+    "anc & ~W": (ExprSyntaxError, "expected '@' after '~'", 6),
+    "anc & ~@": (ExprSyntaxError, "missing point id after '~@'", 6),
+    "@ | anc": (ExprSyntaxError, "missing point id after '@'", 0),
+    "anc # W": (ExprSyntaxError, "unexpected character '#'", 4),
+    "3anc": (ExprSyntaxError, "unexpected character '3'", 0),
+    "anc & ½": (ExprSyntaxError, "unexpected character '½'", 6),
+    "anc desc": (ExprSyntaxError, "trailing input after expression", 4),
+    "(anc | desc": (ExprSyntaxError, "expected ')'", 11),
+    ")": (ExprSyntaxError, "expected a literal", 0),
+    # the whole text is tokenized first: a later syntax error wins over an unknown name
+    "@Q & ~x": (ExprSyntaxError, "expected '@' after '~'", 5),
+    "anc & ~@Q": (UnknownSymbolError, "unknown point 'Q'", None),
+    "anc | uncle": (UnknownSymbolError, "unknown generator 'uncle'", None),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
+def test_parse_error_paths(text):
+    ctx = Context(Poset({"anc", "desc"}, [("anc", "desc")]), ("W", "B", "C"))
+    kind, message, position = PARSE_ERRORS[text]
+    with pytest.raises(TypedTopoError) as raised:
+        parse_type_expr(text, ctx)
+    assert type(raised.value) is kind
+    if position is None:
+        assert str(raised.value) == message
+    else:
+        assert str(raised.value) == f"{message} (at position {position})"
+        assert raised.value.position == position
+
+
+def test_parse_matches_the_name_level_fold():
+    """Random expression trees parse to the fold of `meet` and `join` over `normalize` literals.
+
+    The trees mix generators, ``@x``, ``~@x``, ``BOT`` and ``TOP``; each is
+    rendered with the parentheses its precedence needs, some more, and
+    random whitespace between tokens.
+    """
+    ctx = Context(Poset({"anc", "desc", "kin"}, [("anc", "desc")]), ("W", "B", "C"))
+    literals = {
+        **{g: clause_of(gens=[g]) for g in sorted(ctx.poset.elements)},
+        **{f"@{x}": clause_of(pos=[x]) for x in ctx.points},
+        **{f"~@{x}": clause_of(neg=[x]) for x in ctx.points},
+        "TOP": clause_of(),
+    }
+    spaces = ("", "", " ", "  ", "\t", "\n", "\xa0")
+    rng = random.Random(24)
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([*literals, "BOT"])
+        return (rng.choice("&|"), tree(depth - 1), tree(depth - 1))
+
+    def value(node):
+        if isinstance(node, str):
+            return normalize(ctx, [literals[node]] if node in literals else [])
+        op, left, right = node
+        return (meet if op == "&" else join)(value(left), value(right))
+
+    def render(node, parent=None):
+        if isinstance(node, str):
+            text = node
+        else:
+            op, left, right = node
+            text = f"{render(left, op)}{rng.choice(spaces)}{op}{rng.choice(spaces)}"
+            text += render(right, op)
+            if (op, parent) == ("|", "&") or rng.random() < 0.3:
+                return f"({rng.choice(spaces)}{text}{rng.choice(spaces)})"
+        return f"({text})" if rng.random() < 0.1 else text
+
+    for _ in range(400):
+        node = tree(4)
+        text = rng.choice(spaces) + render(node) + rng.choice(spaces)
+        assert parse_type_expr(text, ctx) == value(node), text
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

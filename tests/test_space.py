@@ -675,6 +675,14 @@ def test_order_rows_are_memoized_by_term_value(street5, c_right5):
         assert rt.below(again) is rt.below(level)
 
 
+@pytest.mark.parametrize("name", ["genealogy5", "street5", "street2x3"])
+def test_every_open_type_of_a_fixture_parses_back_from_its_text(name):
+    sp = space.load_space(FIXTURES / f"{name}.json")
+    assert len(sp.sigma) == len(sp.opens) > 1
+    for t in sp.sigma.values():
+        assert parse_type_expr(format_term(t), sp.ctx) == t
+
+
 def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
     """Order, opens and rows of the realized types against a sort of their terms.
 
