@@ -9,9 +9,12 @@ drops the timing block so identical inputs produce byte-identical output.
 reports where; ``stats --format csv`` writes its table to ``-o`` too. Every
 command comes from one table, `_COMMANDS`, and accepts only the options its
 handler reads: ``--budget-points`` belongs to ``connect`` and ``oracle``
-alone, and an option given on a path that ignores it is a usage error. The
-argument parser is built once per process and holds no space or query
-state; every `run` loads, validates and indexes its space anew.
+alone, and an option given on a path that ignores it is a usage error:
+``--budget-points`` with ``connect --set``, any other oracle option with
+``oracle --check``, and ``--x``, ``--y`` or ``--connected`` with ``oracle
+--dense``, among others. The argument parser is built once per process and
+holds no space or query state; every `run` loads, validates and indexes its
+space anew.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error (an
 unreadable or non-JSON file included), 3 query error (unknown point,
@@ -228,6 +231,8 @@ def _cmd_connect(args, sp):
     if args.set:
         if args.x or args.y:
             raise PreconditionError("--x and --y do not apply with --set")
+        if args.budget_points is not None:
+            raise PreconditionError("--budget-points does not apply with --set")
         pts = _set_arg(args.set)
         ok, witness = connect.is_chain_connected(sp, pts, ch)
         return 0, sp, {
@@ -279,6 +284,11 @@ def _cmd_stats(args, sp):
 
 def _cmd_oracle(args, sp):
     if args.check:
+        if args.dense or args.connected or any(
+            v is not None for v in (args.chain, args.x, args.y, args.budget_points)
+        ):
+            raise PreconditionError("--chain, --x, --y, --budget-points, --dense and "
+                                    "--connected do not apply with --check")
         rep = oracle.check_space(sp)
         lines = [
             {
@@ -293,6 +303,8 @@ def _cmd_oracle(args, sp):
         return code, sp, {"ok": rep.ok, "checks": lines}
     ch = _chain_arg(args, sp)
     if args.dense:
+        if args.connected or args.x is not None or args.y is not None:
+            raise PreconditionError("--x, --y and --connected do not apply with --dense")
         size, witnesses = oracle.exhaustive_min_dense(sp, ch, _budget(args))
         return 0, sp, {
             "chain": ch.text(),

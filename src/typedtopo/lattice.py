@@ -25,6 +25,12 @@ equality over all admissible valuations (monotone on the generator poset,
 complement-consistent on points), equality and hashing of terms run over
 the ints, and the clause-witnessing order test below is exact.
 
+`parse_type_expr` reads the expression grammar (``&`` binds tighter than
+``|``, both fold left, ``BOT`` and ``TOP`` are reserved) off one regex
+tokenizer that runs over the whole text first, so a syntax error anywhere
+wins over an unknown name. Each literal is encoded straight into its single
+cube, already canonical, and the folds are `meet` and `join`.
+
 The name-level `Clause` is the input of `normalize` and the decoded view
 ``TypeTerm.clauses``, whose generator antichain is the set of minimal
 elements of ``up``; `term_from_json` encodes names straight into cubes.
@@ -38,6 +44,7 @@ decision procedure used to cross-check the encoded one in the test suite.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -75,14 +82,8 @@ class Poset:
             if a not in elems or b not in elems:
                 raise UnknownSymbolError(f"order pair ({a!r}, {b!r}) uses undeclared generator")
             rel.add((a, b))
-        # transitive closure (tiny posets; cubic is fine)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(rel), tuple(rel)):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+        for k in sorted(elems):  # Warshall's transitive closure, one pass per element
+            rel |= {(a, d) for a, b in rel if b == k for c, d in rel if c == k}
         for a, b in sorted(rel):
             if a != b and (b, a) in rel:
                 raise PreconditionError(f"order is not antisymmetric: {a!r} <= {b!r} <= {a!r}")
@@ -554,115 +555,71 @@ def is_join_irreducible(t: TypeTerm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str):
+_TOKEN = re.compile(r"\s*((~@|@|~)(\w*)|\w+|[&|()]|\S)")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, name, position)`` per token, then ``("end", "", len(text))``.
+
+    A literal's kind is `GEN`, `POS` or `NEG`; an operator or a parenthesis
+    is its own kind.
+    """
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "&|()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "~":
-            if text[i : i + 2] != "~@":
-                raise ExprSyntaxError("expected '@' after '~'", i)
-            j = i + 2
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 2:
-                raise ExprSyntaxError("missing point id after '~@'", i)
-            tokens.append(("neg", text[i + 2 : j], i))
-            i = j
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ExprSyntaxError("missing point id after '@'", i)
-            tokens.append(("pos", text[i + 1 : j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        tok, sign, name = m.groups()
+        at = m.start(1)
+        if sign == "~":
+            raise ExprSyntaxError("expected '@' after '~'", at)
+        if sign and not name:
+            raise ExprSyntaxError(f"missing point id after {sign!r}", at)
+        if sign:
+            tokens.append((POS if sign == "@" else NEG, name, at))
+        elif tok in "&|()":
+            tokens.append((tok, tok, at))
+        elif tok[0].isalpha() or tok[0] == "_":
+            tokens.append((GEN, tok, at))
+        else:
+            raise ExprSyntaxError(f"unexpected character {tok[0]!r}", at)
+    tokens.append(("end", "", len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ctx: Context):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ctx = ctx
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> TypeTerm:
-        t = self.term()
-        kind, _, at = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError("trailing input after expression", at)
-        return t
-
-    def term(self) -> TypeTerm:
-        t = self.clause()
-        while self.peek()[0] == "|":
-            self.advance()
-            t = join(t, self.clause())
-        return t
-
-    def clause(self) -> TypeTerm:
-        t = self.literal()
-        while self.peek()[0] == "&":
-            self.advance()
-            t = meet(t, self.literal())
-        return t
-
-    def literal(self) -> TypeTerm:
-        kind, value, at = self.advance()
-        if kind == "(":
-            t = self.term()
-            k2, _, at2 = self.advance()
-            if k2 != ")":
-                raise ExprSyntaxError("expected ')'", at2)
-            return t
-        if kind == "pos":
-            if value not in self.ctx.point_set:
-                raise UnknownSymbolError(f"unknown point {value!r}")
-            return normalize(self.ctx, [clause_of(pos=[value])])
-        if kind == "neg":
-            if value not in self.ctx.point_set:
-                raise UnknownSymbolError(f"unknown point {value!r}")
-            return normalize(self.ctx, [clause_of(neg=[value])])
-        if kind == "name":
-            if value == "BOT":
-                return self.ctx.bottom()
-            if value == "TOP":
-                return self.ctx.top()
-            if value not in self.ctx.poset.elements:
-                raise UnknownSymbolError(f"unknown generator {value!r}")
-            return normalize(self.ctx, [clause_of(gens=[value])])
-        raise ExprSyntaxError("expected a literal", at)
 
 
 def parse_type_expr(text: str, ctx: Context) -> TypeTerm:
     """Parse ``gen & @x | ~@y``-style expressions into a canonical term."""
-    return _Parser(text, ctx).parse()
+    tokens = _tokenize(text)[::-1]  # the next token is the last
+    take = tokens.pop
+    encode = ctx._code.encode
+
+    def fold(op, sep: str, operand) -> TypeTerm:
+        t = operand()
+        while tokens[-1][0] == sep:
+            take()
+            t = op(t, operand())
+        return t
+
+    def term() -> TypeTerm:
+        return fold(join, "|", lambda: fold(meet, "&", literal))
+
+    def literal() -> TypeTerm:
+        kind, name, at = take()
+        if kind == "(":
+            t = term()
+            kind, _, at = take()
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", at)
+            return t
+        if kind == GEN and name in ("BOT", "TOP"):
+            return ctx.bottom() if name == "BOT" else ctx.top()
+        if kind in (GEN, POS, NEG):  # one literal cube is never contradictory
+            cube = encode(*([name] if k == kind else () for k in (GEN, POS, NEG)))
+            return TypeTerm(ctx, frozenset({cube}))
+        raise ExprSyntaxError("expected a literal", at)
+
+    t = term()
+    kind, _, at = tokens[-1]
+    if kind != "end":
+        raise ExprSyntaxError("trailing input after expression", at)
+    return t
 
 
 _PREFIX = {GEN: "", POS: "@", NEG: "~@"}

@@ -35,7 +35,7 @@ from typing import Optional
 from . import basis, chains as chains_mod, connect as connect_mod, lattice
 from . import space as space_mod
 from .chains import TypeChain
-from .errors import OracleSkip
+from .errors import OracleSkip, PreconditionError
 from .space import TypedSpace, realized_types
 
 DEFAULT_DENSE_POINTS = 12
@@ -113,8 +113,11 @@ def exhaustive_connected(
     The search ranges over subsets of the union of the chain's open pool:
     points outside it lie in no pool member, so a set containing one is
     never covered by two pool opens and the separation test degenerates;
-    restricting to supported subsets keeps the notion meaningful.
+    restricting to supported subsets keeps the notion meaningful. Like
+    `connect.find_connection`, it needs two distinct points.
     """
+    if x == y:
+        raise PreconditionError("a connection needs two distinct points")
     budget = budget or SearchBudget(max_points=DEFAULT_CONNECT_POINTS)
     n = len(space.points)
     if n > budget.max_points:

@@ -426,6 +426,27 @@ IGNORED_ON_PATH = {  # case -> (argv, message)
         ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--y", "zz"),
         "--x and --y do not apply with --set",
     ),
+    "connect-set-budget-points": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--budget-points", "5"),
+        "--budget-points does not apply with --set",
+    ),
+    **{
+        f"oracle-check-{extra[0].lstrip('-')}": (
+            ("oracle", STREET5, "--check", *extra),
+            "--chain, --x, --y, --budget-points, --dense and --connected do not apply with --check",
+        )
+        for extra in (
+            ("--chain", C_RIGHT5), ("--x", "r2"), ("--y", "r4"), ("--budget-points", "5"),
+            ("--dense",), ("--connected",),
+        )
+    },
+    **{
+        f"oracle-dense-{extra[0].lstrip('-')}": (
+            ("oracle", STREET5, "--dense", "--chain", C_RIGHT5, *extra),
+            "--x, --y and --connected do not apply with --dense",
+        )
+        for extra in (("--x", "r2"), ("--y", "r4"), ("--connected",))
+    },
 }
 
 
@@ -434,6 +455,15 @@ def test_an_option_its_path_ignores_is_a_usage_error(capsys, case):
     """An option the handler reads on another path of the command exits 2."""
     argv, message = IGNORED_ON_PATH[case]
     assert _run(capsys, *argv, "--stable") == (2, "", f"tts {argv[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("connect", STREET5, "--chain", C_RIGHT5, "--x", "r3", "--y", "r3"),
+    ("oracle", STREET5, "--connected", "--chain", C_RIGHT5, "--x", "r3", "--y", "r3"),
+])
+def test_both_connection_routes_refuse_one_point_twice(capsys, argv):
+    message = f"tts {argv[0]}: a connection needs two distinct points\n"
+    assert _run(capsys, *argv, "--stable") == (2, "", message)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_generated_space
 from typedtopo import basis, chains, closure, connect, lattice, oracle, space
 from typedtopo.chains import TypeChain
-from typedtopo.errors import OracleSkip
+from typedtopo.errors import OracleSkip, PreconditionError
 from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace, realized_types
 
@@ -45,6 +45,12 @@ def test_exhaustive_connected_examples(street5, c_right5, street2x3, c_right6):
 
 def test_exhaustive_connected_unsupported_point_is_disconnected(street5, c_right5):
     assert not exhaustive_connected(street5, c_right5, "r1", "r2")
+
+
+def test_exhaustive_connected_refuses_one_point_twice(street5, c_right5):
+    """The domain of `connect.find_connection`: a supported point is no connection to itself."""
+    with pytest.raises(PreconditionError, match="a connection needs two distinct points"):
+        exhaustive_connected(street5, c_right5, "r3", "r3")
 
 
 def test_budget_skips(street5, c_right5):
