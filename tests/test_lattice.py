@@ -65,19 +65,6 @@ def test_parse_reserved_words_and_parens(gctx):
     assert term_eq(t, parse_type_expr("anc & @W | desc & @W", gctx))
 
 
-def test_parse_error_carries_position(gctx):
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_type_expr("anc & & @W", gctx)
-    assert err.value.position == 6
-
-
-def test_parse_unknown_identifiers(gctx):
-    with pytest.raises(UnknownSymbolError):
-        parse_type_expr("uncle", gctx)
-    with pytest.raises(UnknownSymbolError):
-        parse_type_expr("@Q", gctx)
-
-
 PARSE_ERRORS = {  # text -> (class, message, position or None)
     "anc & ~W": (ExprSyntaxError, "expected '@' after '~'", 6),
     "anc & ~@": (ExprSyntaxError, "missing point id after '~@'", 6),
@@ -88,10 +75,12 @@ PARSE_ERRORS = {  # text -> (class, message, position or None)
     "anc desc": (ExprSyntaxError, "trailing input after expression", 4),
     "(anc | desc": (ExprSyntaxError, "expected ')'", 11),
     ")": (ExprSyntaxError, "expected a literal", 0),
+    "anc & & @W": (ExprSyntaxError, "expected a literal", 6),
     # the whole text is tokenized first: a later syntax error wins over an unknown name
     "@Q & ~x": (ExprSyntaxError, "expected '@' after '~'", 5),
     "anc & ~@Q": (UnknownSymbolError, "unknown point 'Q'", None),
-    "anc | uncle": (UnknownSymbolError, "unknown generator 'uncle'", None),
+    "@Q": (UnknownSymbolError, "unknown point 'Q'", None),
+    "uncle": (UnknownSymbolError, "unknown generator 'uncle'", None),
 }
 
 
@@ -180,6 +169,32 @@ def test_normalize_rejects_unknown_names(gctx):
         normalize(gctx, [clause_of(gens=["anc"]), clause_of(gens=["uncle"])])
     with pytest.raises(UnknownSymbolError, match="unknown point 'Q'"):
         normalize(gctx, [clause_of(pos=["W"], neg=["Q"])])
+
+
+def test_poset_closes_random_relations_by_reachability():
+    """The closed order against a depth-first search from each element, cycles included."""
+    rng = random.Random(7)
+    for _ in range(300):
+        names = [f"g{i}" for i in range(rng.randint(1, 6))]
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 8))]
+        reach = {}
+        for a in names:
+            seen, todo = {a}, [a]
+            while todo:
+                b = todo.pop()
+                for c, d in pairs:
+                    if c == b and d not in seen:
+                        seen.add(d)
+                        todo.append(d)
+            reach[a] = seen
+        cycle = sorted((a, b) for a in names for b in reach[a] if a != b and a in reach[b])
+        if cycle:
+            a, b = cycle[0]
+            with pytest.raises(PreconditionError, match=f"^order is not antisymmetric: "
+                               f"'{a}' <= '{b}' <= '{a}'$"):
+                Poset(names, pairs)
+        else:
+            assert Poset(names, pairs).pairs == {(a, b) for a in names for b in reach[a]}
 
 
 def test_normalize_poset_meet_absorption():
