@@ -22,11 +22,13 @@ OR(above(lo) & below(hi))`` over the consecutive level pairs, ``support``
 the bitset of the chain's generators. The irreducible members above a lower
 level are those of the row ``visible(support) & above(level)``, read from
 `basis.irreducibles`, whose memo on ``space.index`` is keyed by that row.
-The pools have a memo of their own there, keyed by the pool row alone, and
-a base is the memoized pool met with the memoized irreducibles of its lower
-rows, so a query that reads only the pool decides no irreducibility. A
-`TypeChain` reaches them through its levels' rows (`chain_pool`,
-`chain_base_pool`); a chain of realized types by their indexes
+One routine, `_pools_and_bases`, reads every pool and base, from a key
+``(pool row, lower rows)`` per chain. The pools have a memo of their own on
+``space.index``, keyed by the pool row alone, and a base is the memoized
+pool met with the memoized irreducibles of its lower rows, so a query that
+reads only the pool decides no irreducibility. A `TypeChain` is one key,
+read off its levels' rows (`chain_pool`, `chain_base_pool`); a list of
+chains of realized types is one walk over keys read by index
 (`realized_chain_pools`), which builds no chain and hashes no term. A
 single generator's family (`generator_family`) is one scan of the opens,
 checked against the union of its chains' pools read from the same rows.
@@ -86,66 +88,71 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _pool(space: TypedSpace, visible: int, pairs) -> frozenset:
-    """The visible opens in some sandwich ``above(lo) & below(hi)``.
+def _pool(space: TypedSpace, row: int) -> frozenset:
+    """The opens of the pool row ``row``, read on a `_pools_and_bases` miss."""
+    return realized_types(space).opens_in(row)
 
-    ``visible`` is the row of the chain's support, and ``pairs`` holds the
-    rows ``(above(lo), below(hi))`` of each consecutive level pair. The
-    pool is memoized on ``space.index.pools``, keyed by its own row, so
-    chains that select the same types share one entry.
+
+def _pools_and_bases(space: TypedSpace, keys):
+    """Yield the pool and base of each key ``(pool row, lower rows)``.
+
+    Every chain pool and base is read here: the pool from its memo on
+    ``space.index.pools``, keyed by its row, and the base as the pool met
+    with the memoized irreducibles of the lower rows ``visible &
+    above(lo)``, since `basis.irreducibles` of such a row holds only opens
+    typed above its level. `_pool` and `irreducibles` run only on a miss.
+    A key with no lower rows reads its pool alone, deciding nothing.
     """
-    row = 0
-    for lo, hi in pairs:
-        row |= lo & hi
-    row &= visible
-    memo = space.index.pools
-    got = memo.get(row)
-    if got is None:
-        got = memo[row] = realized_types(space).opens_in(row)
-    return got
+    pools, memo = space.index.pools, space.index.irreducibles
+    for row, lows in keys:
+        pool = pools.get(row)
+        if pool is None:
+            pool = pools[row] = _pool(space, row)
+        base = None
+        for low in lows:
+            irr = memo.get(low)
+            if irr is None:
+                irr = irreducibles(space, low)
+            base = pool & irr if base is None else base | (pool & irr)
+        yield pool, base
 
 
-def _pool_and_base(space: TypedSpace, visible: int, pairs) -> tuple[frozenset, frozenset]:
-    """The pool of a chain from its rows (`_pool`), and its base.
-
-    The base keeps the pool members irreducible in some lower level's row
-    ``visible & above(lo)``; since `basis.irreducibles` of such a row holds
-    only opens typed above its level, that is the memoized pool met with
-    the memoized irreducibles of those rows. Only the base decides
-    irreducibility, so a caller that reads the pool alone calls `_pool`.
-    """
-    pool = _pool(space, visible, pairs)
-    lows = {visible & lo for lo, _ in pairs}
-    return pool, pool & frozenset().union(*(irreducibles(space, row) for row in lows))
-
-
-def _chain_rows(space: TypedSpace, chain: TypeChain) -> tuple[int, list]:
-    """The visible row of ``chain``'s support and the rows of its level pairs."""
+def _chain_key(space: TypedSpace, chain: TypeChain) -> tuple[int, set]:
+    """The `_pools_and_bases` key of ``chain``, read off its levels' rows."""
     space_mod.require_strict(space)
     rt = realized_types(space)
     visible = rt.visible(rt.generator_bits(chain.support))
-    return visible, [(rt.above(lo), rt.below(hi)) for lo, hi in chain.pairs()]
+    row = 0
+    for lo, hi in chain.pairs():
+        row |= rt.above(lo) & rt.below(hi)
+    return row & visible, {visible & rt.above(lo) for lo in chain.levels[:-1]}
 
 
-def realized_chain_pools(
-    space: TypedSpace, levels: tuple[int, ...]
-) -> tuple[frozenset, frozenset]:
-    """`chain_pool` and `chain_base_pool` of the chain of realized types ``levels``.
+def realized_chain_pools(space: TypedSpace, chain_list):
+    """The ``(pool, base)`` of each chain in ``chain_list``, iterated in order.
 
-    ``levels`` are ascending indexes into ``realized_types(space).terms``;
-    the caller vouches for their order, which is not checked again. Their
-    rows are read by index (`RealizedTypes.up` and ``down``), and their
-    generator bitsets ORed, so no `TypeChain` is built and no term hashed.
+    A chain is a tuple of ascending indexes into
+    ``realized_types(space).terms``, whose order the caller vouches for.
+    Strictness is checked and the realized types read at the call. Each
+    chain's key is read off the rows by index (`RealizedTypes.up` and
+    ``down``) and its generator bitsets ORed, so no `TypeChain` is built
+    and no term hashed.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
-    up, down, generators = rt.up, rt.down, rt.generators
-    support = 0
-    for i in levels:
-        support |= generators[i]
-    return _pool_and_base(
-        space, rt.visible(support), [(up[lo], down[hi]) for lo, hi in zip(levels, levels[1:])]
-    )
+    up, down, generators, visible = rt.up, rt.down, rt.generators, rt.visible
+
+    def key(levels):
+        support = row = 0
+        lo = levels[0]
+        for hi in levels:  # the first step's sandwich, lo <= lo, adds only lo itself
+            support |= generators[hi]
+            row |= up[lo] & down[hi]
+            lo = hi
+        vis = visible(support)
+        return row & vis, {vis & up[lo] for lo in levels[:-1]}
+
+    return _pools_and_bases(space, map(key, chain_list))
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -160,7 +167,9 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     Computed once per pool row and space, and memoized on ``space.index``;
     no irreducibility is decided.
     """
-    return _pool(space, *_chain_rows(space, chain))
+    row, _ = _chain_key(space, chain)
+    (pool, _), = _pools_and_bases(space, [(row, ())])
+    return pool
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
@@ -170,7 +179,8 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    return _pool_and_base(space, *_chain_rows(space, chain))[1]
+    (_, base), = _pools_and_bases(space, [_chain_key(space, chain)])
+    return base
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:

@@ -9,12 +9,13 @@ drops the timing block so identical inputs produce byte-identical output.
 reports where; ``stats --format csv`` writes its table to ``-o`` too. Every
 command comes from one table, `_COMMANDS`, and accepts only the options its
 handler reads: ``--budget-points`` belongs to ``connect`` and ``oracle``
-alone, and an option given on a path that ignores it is a usage error:
-``--budget-points`` with ``connect --set``, any other oracle option with
-``oracle --check``, and ``--x``, ``--y`` or ``--connected`` with ``oracle
---dense``, among others. The argument parser is built once per process and
-holds no space or query state; every `run` loads, validates and indexes its
-space anew.
+alone, and an option given on a path that ignores it, even with an empty
+value, is a usage error: ``--budget-points`` with ``connect --set``, any
+other oracle option with ``oracle --check``, and ``--x``, ``--y`` or
+``--connected`` with ``oracle --dense``, among others. An empty ``-o``
+names a file as any other value does. The argument parser is built once
+per process and holds no space or query state; every `run` loads,
+validates and indexes its space anew.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error (an
 unreadable or non-JSON file included), 3 query error (unknown point,
@@ -107,7 +108,7 @@ def _budget(args) -> Optional[oracle.SearchBudget]:
 
 
 def _write(text: str, path: Optional[str]) -> None:
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -143,20 +144,20 @@ def _table_csv(table: stats.ScoreTable) -> str:
 
 
 def _cmd_build(args, _):
-    if args.kind != "table" and (args.predicates or args.strictify):
+    if args.kind != "table" and (args.predicates is not None or args.strictify):
         raise PreconditionError("--predicates and --strictify apply only to --kind table")
     text = _read(args.dataset)
     if args.kind == "genealogy":
         built = ingest.build_genealogy(ingest.read_genealogy_csv(text))
     elif args.kind == "community":
         built = ingest.build_community(ingest.read_community_json(text))
-    elif args.predicates:
+    elif not args.predicates:
+        raise PreconditionError("--kind table needs --predicates")
+    else:
         data = ingest.read_table_dataset(text, _read(args.predicates))
         built = ingest.build_table(data, apply_strictify=args.strictify)
-    else:
-        raise PreconditionError("--kind table needs --predicates")
     _write(_json_text(space.space_to_json(built)), args.output)
-    return 0, built, {"written": args.output} if args.output else None
+    return 0, built, None if args.output is None else {"written": args.output}
 
 
 def _cmd_validate(args, sp):
@@ -228,8 +229,8 @@ def _cmd_dense(args, sp):
 
 def _cmd_connect(args, sp):
     ch = _chain_arg(args, sp)
-    if args.set:
-        if args.x or args.y:
+    if args.set is not None:
+        if args.x is not None or args.y is not None:
             raise PreconditionError("--x and --y do not apply with --set")
         if args.budget_points is not None:
             raise PreconditionError("--budget-points does not apply with --set")
@@ -267,15 +268,15 @@ _SCORES = {"sizes": stats.family_size_scores, "activity": stats.point_activity_s
 
 def _cmd_stats(args, sp):
     if args.kind == "affinity":
-        if args.p:
+        if args.p is not None:
             raise PreconditionError("--p does not apply to --kind affinity")
         table = stats.pair_affinity_scores(sp, two_witness=args.two_witness)
-    elif args.p:
-        if args.two_witness:
-            raise PreconditionError("--two-witness applies only to --kind affinity")
-        table = _SCORES[args.kind](sp, args.p)
-    else:
+    elif not args.p:
         raise PreconditionError(f"stats --kind {args.kind} needs --p")
+    elif args.two_witness:
+        raise PreconditionError("--two-witness applies only to --kind affinity")
+    else:
+        table = _SCORES[args.kind](sp, args.p)
     if args.format == "csv":
         _write(_table_csv(table), args.output)
         return 0, sp, None

@@ -15,12 +15,13 @@ logic of the operations they judge:
   the type mapping with its meet and join bounds, strictness,
   self-irreducibility, the anchored decomposition, and the base, closure
   core and connectivity theorems of the realized chains and the pure
-  families. Each is a small function, and every one can fail. Its chain
-  theorems are decided in one pass per realized chain over the int mask
-  rows of the chain's pool and base. It walks the chains as tuples of
-  realized-type indexes read off the order rows, and reads each one's pool
-  and base from `chains` by those indexes, so it judges them, but decides
-  every theorem by its own mask algebra.
+  families. Each is a small function, and every one can fail. It lists
+  the realized chains as tuples of realized-type indexes read off the
+  order rows, reads all their pools and bases from `chains` in one call
+  over that list, and decides the chain theorems in one pass over what
+  the call yields, by the int masks of each chain's pool and base. So it
+  judges the pools and bases, but decides every theorem by its own mask
+  algebra.
 
 Budgets make the exponential cost explicit: exceeding one raises
 `OracleSkip`, never a silent pass. The theorem replay counts its chains
@@ -287,35 +288,42 @@ def _chain_witnesses(space: TypedSpace, rt, bad: list) -> list:
 
 
 def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
-    """The chain theorems, decided in one pass per realized chain.
+    """The chain theorems, in one pass over one `chains.realized_chain_pools` call.
 
-    A pool member has a base member inside it at each of its points iff the
-    base members inside it cover it; only a chain where one does not is
-    walked point by point for the counterexamples. Returns the
-    neighborhood-base, closure-core, base- and anchored-connectivity results.
+    A pool member outside the base has a base member inside it at each of
+    its points iff those inside it cover it; only a chain where one does
+    not is walked point by point. Returns the neighborhood-base,
+    closure-core, base- and anchored-connectivity results.
     """
     chain_list = _chain_levels(rt)
-    generators, points = rt.generators, space.points
+    generators, bits = rt.generators, [(1 << i, x) for i, x in enumerate(space.points)]
     bad_nbhd, bad_core, bad_base, bad_anchor = [], [], [], []
-    for levels in chain_list:
-        pool, base = chains_mod.realized_chain_pools(space, levels)
+    disjoint_pairs: dict = {}  # pool -> its disjoint member pairs, ascending
+    fetched = chains_mod.realized_chain_pools(space, chain_list)
+    for levels, (pool, base) in zip(chain_list, fetched):
         # every sandwiched neighborhood contains a base member at each point
-        if any(_covered(base, u) != u for u in pool):
-            for i, x in enumerate(points):
-                bit = 1 << i
-                for u in pool:
-                    if u & bit and not any((v & u) == v and (v & bit) for v in base):
-                        bad_nbhd.append((levels, x, u))
+        for u in pool - base:
+            covered = 0
+            for v in base:
+                if (v & u) == v:
+                    covered |= v
+            if covered != u:
+                bad_nbhd += [(levels, x, w) for bit, x in bits for w in pool if w & bit
+                             and not any((v & w) == v and v & bit for v in base)]
+                break
         # every nonempty base family has a least member, its core
-        for i, x in enumerate(points):
+        for bit, x in bits:
             core = -1
             for m in base:
-                if m >> i & 1:
+                if m & bit:
                     core &= m
             if core != -1 and core not in base:
                 bad_core.append((levels, x))
         # no first-level irreducible is split by two disjoint pool members
-        disjoint = [(u, v) for u, v in itertools.combinations(sorted(pool), 2) if not u & v]
+        if pool not in disjoint_pairs:
+            pairs = itertools.combinations(sorted(pool), 2)
+            disjoint_pairs[pool] = [(u, v) for u, v in pairs if not u & v]
+        disjoint = disjoint_pairs[pool]
         if not disjoint:
             continue
         support = 0
@@ -333,7 +341,7 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
     return [
         _result(name, f"{n} realized chains x {scope}", _chain_witnesses(space, rt, bad))
         for name, scope, bad in (
-            ("neighborhood-base", f"{len(points)} points", bad_nbhd),
+            ("neighborhood-base", f"{len(bits)} points", bad_nbhd),
             ("closure-core", "supported points", bad_core),
             ("base-connectivity", "first-level-irreducible base members", bad_base),
             ("anchored-connectivity", "first-level irreducibles", bad_anchor),
@@ -395,8 +403,9 @@ def check_space(space: TypedSpace) -> CheckReport:
     any pair loop runs. The chains are walked as ascending tuples of
     realized-type indexes, and a chain's text is formatted only for the
     first five counterexamples of a result, the ones it keeps. The chain
-    theorems are decided in one pass per chain over the int masks of its
-    pool and base, read once each by `chains.realized_chain_pools`.
+    theorems are decided in one pass over the chains, by the int masks of
+    their pools and bases, which one `chains.realized_chain_pools` call over
+    the chain list yields in chain order.
     """
     report = space.index.report or space_mod.validate_type_mapping(space)
     strictness = space_mod.strictness(space)

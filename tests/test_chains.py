@@ -92,15 +92,27 @@ def test_base_property_on_fixture_chains(street5, c_right5, genealogy5, c_anc5):
                 assert any((v & u) == v and (v & bit) for v in base)
 
 
-def test_requires_strict_space():
-    poset = Poset({"g"})
-    pts = ("x", "y")
-    ctx = Context(poset, pts)
+def _tied_space() -> TypedSpace:
+    """Two nested opens of one type: valid, but not strictly typed."""
+    ctx = Context(Poset({"g"}), ("x", "y"))
     g = parse_type_expr("g", ctx)
     sigma = {0: ctx.bottom(), 1: g, 3: g}
-    sp = TypedSpace(ctx, frozenset(sigma), sigma, ())
+    return TypedSpace(ctx, frozenset(sigma), sigma, ())
+
+
+def test_requires_strict_space():
+    sp = _tied_space()
+    g = sp.sigma[1]
     with pytest.raises(NotStrictlyTypedError):
         chains.chain_neighborhoods(sp, "x", TypeChain((g, g)))
+
+
+def test_realized_chain_pools_refuses_a_non_strict_space_at_the_call():
+    """The refusal comes when it is called, before any chain is read."""
+    read = []
+    with pytest.raises(NotStrictlyTypedError):
+        chains.realized_chain_pools(_tied_space(), map(read.append, [(0, 0)]))
+    assert read == []
 
 
 def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
@@ -129,10 +141,8 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
 
     realized_chain_pools = chains.realized_chain_pools
 
-    def recorded(*args):
-        got = realized_chain_pools(*args)
-        returned.add(got)
-        return got
+    def recorded(sp, chain_list):
+        return map(lambda got: returned.add(got) or got, realized_chain_pools(sp, chain_list))
 
     monkeypatch.setattr(chains, "realized_chain_pools", recorded)
     sp = dataclasses.replace(street5)
@@ -140,6 +150,40 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
     assert oracle.check_space(sp).ok
     assert 0 < len(stored) == len(set(stored)) <= 593
     assert len(returned) == 692
+
+
+def test_both_chain_routes_read_one_routine(monkeypatch, street5):
+    """A change to `_pools_and_bases` or to `_pool` reaches both routes.
+
+    The `TypeChain` route and the walk over realized-type indexes read
+    every base through `_pools_and_bases`, and every pool it computes
+    through `_pool`, whose result the pool memo keeps.
+    """
+    rt = realized_types(street5)
+    clean = dataclasses.replace(street5)
+    i, j, chain = next(
+        (i, j, chain)
+        for i in range(len(rt)) for j in range(len(rt)) if i != j and rt.leq(i, j)
+        for chain in [TypeChain((rt.terms[i], rt.terms[j]))]
+        if len(chains.chain_base_pool(clean, chain)) > 1
+    )
+    pool, base = chains.chain_pool(clean, chain), chains.chain_base_pool(clean, chain)
+
+    def drop(members):
+        return frozenset(sorted(members)[1:])
+
+    with monkeypatch.context() as patch:
+        pools_and_bases = chains._pools_and_bases
+        patch.setattr(chains, "_pools_and_bases", lambda sp, keys: (
+            (p, b if b is None else drop(b)) for p, b in pools_and_bases(sp, keys)))
+        sp = dataclasses.replace(street5)
+        assert chains.chain_base_pool(sp, chain) == drop(base)
+        assert list(chains.realized_chain_pools(sp, [(i, j)])) == [(pool, drop(base))]
+    compute = chains._pool
+    monkeypatch.setattr(chains, "_pool", lambda sp, row: drop(compute(sp, row)))
+    sp = dataclasses.replace(street5)
+    assert chains.chain_pool(sp, chain) == drop(pool)
+    assert [p for p, _ in chains.realized_chain_pools(sp, [(i, j)])] == [drop(pool)]
 
 
 def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
@@ -181,8 +225,7 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
     short, padded = TypeChain((t, u)), TypeChain((t, t, u))
     got = (chains.chain_pool(sp, short), chains.chain_base_pool(sp, short))
     assert (chains.chain_pool(sp, padded), chains.chain_base_pool(sp, padded)) == got
-    assert chains.realized_chain_pools(sp, (i, i, j)) == got
-    assert chains.realized_chain_pools(sp, (i, j)) == got
+    assert list(chains.realized_chain_pools(sp, [(i, i, j), (i, j)])) == [got, got]
     assert len(sp.index.pools) == 1
 
 
@@ -547,11 +590,10 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
         sp = dataclasses.replace(sp)
         rt = realized_types(sp)
         realized = [random_realized_chain(rng, sp) for _ in range(4)]
-        for chain in filter(None, realized):
-            levels = tuple(rt.terms.index(t) for t in chain.levels)
-            assert chains.realized_chain_pools(sp, levels) == (
-                _reference_pool(sp, chain), _reference_base(sp, chain)
-            )
+        chain_list = [tuple(map(rt.terms.index, c.levels)) for c in filter(None, realized)]
+        assert list(chains.realized_chain_pools(sp, chain_list)) == [
+            (_reference_pool(sp, c), _reference_base(sp, c)) for c in filter(None, realized)
+        ]
         drawn = realized + [_random_chain(rng, sp) for _ in range(6)]
         drawn += [_parsed_chain(rng, sp) for _ in range(3)]
         for chain in filter(None, drawn):
@@ -569,12 +611,15 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
     assert checked >= 100 and unrealized >= 40
 
 
-def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5):
+def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5, genealogy5):
     """One decision per member of each distinct row, one pass per row.
 
-    Measured on STREET5: 409 members in 67 rows. Per-member and per-chain
-    decisions without the union pre-test made 13,949, and one memo per
-    anchored pool beside per-call decisions for each anchor made 1,062.
+    Measured on STREET5: 409 members in 67 rows, and on GENEALOGY5 231 in
+    39. Per-member and per-chain decisions without the union pre-test made
+    13,949 on STREET5, and one memo per anchored pool beside per-call
+    decisions for each anchor made 1,062. The chain walk reads the memo
+    inline and decides a row only on a miss, so a fresh replay still
+    decides each row once.
     """
     pools = []
     decide = basis._irreducible_members
@@ -584,6 +629,8 @@ def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, stree
         return decide(pool)
 
     monkeypatch.setattr(basis, "_irreducible_members", counted)
-    assert oracle.check_space(dataclasses.replace(street5)).ok
-    assert 0 < len(pools) <= 67
-    assert sum(map(len, pools)) <= 409
+    for sp, rows, members in ((street5, 67, 409), (genealogy5, 39, 231)):
+        pools.clear()
+        assert oracle.check_space(dataclasses.replace(sp)).ok
+        assert 0 < len(pools) <= rows
+        assert sum(map(len, pools)) <= members

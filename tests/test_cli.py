@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,8 +329,8 @@ def test_connect_without_budget_applies_the_connectivity_default(capsys, tmp_pat
 READ_BY_RUN = {"command", "space", "stable", "output"}
 
 
-def options_read(source: str, handler: str) -> set[str]:
-    """The ``args.<dest>`` names that function ``handler`` of ``source`` reads.
+def handler_functions(source: str, handler: str) -> list:
+    """The AST of function ``handler`` of ``source``, and of its helpers.
 
     A module-level function of ``source`` that it passes ``args`` to counts
     as part of it, and so on down.
@@ -337,20 +338,66 @@ def options_read(source: str, handler: str) -> set[str]:
     functions = {
         node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
     }
-    read, todo, seen = set(), [handler], set()
+    found, todo = {}, [handler]
     while todo:
         name = todo.pop()
-        seen.add(name)
+        found[name] = functions[name]
         for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
-                read.add(node.attr)
-            elif (
+            if (
                 isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) in functions.keys() - seen
+                and getattr(node.func, "id", None) in functions.keys() - found.keys()
                 and any(getattr(a, "id", None) == "args" for a in node.args)
             ):
                 todo.append(node.func.id)
-    return read
+    return list(found.values())
+
+
+def _args_option(node) -> Optional[str]:
+    """The dest of ``node`` if it is ``args.<dest>``."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+        return node.attr
+    return None
+
+
+def options_read(source: str, handler: str) -> set[str]:
+    """The ``args.<dest>`` names that function ``handler`` of ``source`` reads."""
+    return {
+        dest for func in handler_functions(source, handler) for node in ast.walk(func)
+        if (dest := _args_option(node))
+    }
+
+
+def truthiness_tests(source: str, handler: str, valued: set[str]) -> list[tuple[str, str]]:
+    """``(function, dest)`` for each bare truthiness test of a ``valued`` option.
+
+    Such a test is ``args.<dest>`` itself as the test of an ``if``, a
+    conditional expression or a ``while``, as an ``and`` or ``or`` operand,
+    or as a ``not`` operand, in ``handler`` or a helper it passes ``args``
+    to. One place is allowed: under a ``not`` in the test of an ``if`` whose
+    body only raises, which refuses an empty value as a missing one.
+    """
+    found = []
+    for func in handler_functions(source, handler):
+        allowed = {
+            id(inner)
+            for node in ast.walk(func)
+            if isinstance(node, ast.If) and all(isinstance(s, ast.Raise) for s in node.body)
+            for neg in ast.walk(node.test)
+            if isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.Not)
+            for inner in ast.walk(neg.operand)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                tested = [node.test]
+            elif isinstance(node, ast.BoolOp):
+                tested = node.values
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                tested = [node.operand]
+            else:
+                continue
+            found += [(func.name, _args_option(t)) for t in tested
+                      if _args_option(t) in valued and id(t) not in allowed]
+    return found
 
 
 def test_the_option_reader_follows_helpers_given_args():
@@ -371,6 +418,56 @@ def accepted_options() -> dict[str, set[str]]:
         name: {a.dest for a in sub._actions if a.dest != "help"}
         for name, sub in commands.choices.items()
     }
+
+
+def valued_options() -> dict[str, set[str]]:
+    """Command name -> the dests of its options that take a value and default to None."""
+    (commands,) = [
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {a.dest for a in sub._actions
+               if isinstance(a, argparse._StoreAction) and a.default is None}
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_the_presence_gate_flags_bare_truthiness():
+    source = (
+        "def _chain(args):\n    if not args.chain:\n        raise E\n"
+        "def _cmd(args, sp):\n"
+        "    _chain(args)\n"
+        "    if args.set:\n        pass\n"
+        "    ok = args.x or args.y\n"
+        "    flag = not args.p\n"
+        "    out = 1 if args.output else 0\n"
+        "    if not (args.x and args.y):\n        raise E\n"
+        "    if not args.chain:\n        out = 2\n"
+        "    if args.set is not None and args.strict:\n        pass\n"
+        "    return ok, flag, out\n"
+    )
+    valued = {"chain", "set", "x", "y", "p", "output"}
+    assert sorted(truthiness_tests(source, "_cmd", valued)) == [
+        ("_cmd", "chain"), ("_cmd", "output"), ("_cmd", "p"), ("_cmd", "set"),
+        ("_cmd", "x"), ("_cmd", "y"),
+    ]
+
+
+def test_no_handler_tests_a_valued_option_by_truthiness():
+    """A handler tests whether a valued option was given with ``is None``.
+
+    An empty value is false, so a bare truthiness test takes ``--x ""`` for
+    an absent option, and the value slips past the refusal of a path that
+    ignores it. Only ``if not args.X: raise`` stays, which refuses an empty
+    value as a missing one.
+    """
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    valued = valued_options()
+    found = {
+        name: truthiness_tests(source, handler.__name__, valued[name])
+        for name, (handler, *_) in cli._COMMANDS.items()
+    }
+    assert {name: tests for name, tests in found.items() if tests} == {}
 
 
 def test_every_option_a_command_accepts_is_read():
@@ -414,8 +511,16 @@ IGNORED_ON_PATH = {  # case -> (argv, message)
         ("stats", STREET5, "--kind", "sizes", "--p", "right", "--two-witness"),
         "--two-witness applies only to --kind affinity",
     ),
+    "build-genealogy-empty-predicates": (
+        ("build", "--kind", "genealogy", "--dataset", GENEALOGY5_DATA, "--predicates", ""),
+        "--predicates and --strictify apply only to --kind table",
+    ),
     "stats-affinity-p": (
         ("stats", STREET5, "--kind", "affinity", "--p", "right"),
+        "--p does not apply to --kind affinity",
+    ),
+    "stats-affinity-empty-p": (
+        ("stats", STREET5, "--kind", "affinity", "--p", ""),
         "--p does not apply to --kind affinity",
     ),
     "connect-set-x": (
@@ -424,6 +529,18 @@ IGNORED_ON_PATH = {  # case -> (argv, message)
     ),
     "connect-set-y": (
         ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--y", "zz"),
+        "--x and --y do not apply with --set",
+    ),
+    "connect-set-empty-x": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--x", ""),
+        "--x and --y do not apply with --set",
+    ),
+    "connect-set-empty-y": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--y", ""),
+        "--x and --y do not apply with --set",
+    ),
+    "connect-empty-set-x-y": (
+        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "", "--x", "r1", "--y", "r5"),
         "--x and --y do not apply with --set",
     ),
     "connect-set-budget-points": (
@@ -488,6 +605,12 @@ READ_FAILURES = {  # case -> (argv, a fragment of the message)
     "predicates-not-json": (
         ("build", "--kind", "table", "--dataset", FEES_DATA, "--predicates", "{text}"),
         "not JSON: Expecting value",
+    ),
+    # an empty -o names a file too, not stdout
+    "report-output-empty": (("validate", STREET5, "-o", ""), "No such file or directory"),
+    "space-output-empty": (
+        ("build", "--kind", "genealogy", "--dataset", GENEALOGY5_DATA, "-o", ""),
+        "No such file or directory",
     ),
 }
 

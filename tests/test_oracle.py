@@ -237,34 +237,42 @@ def _tie_c_to_cw(g: TypedSpace, monkeypatch) -> TypedSpace:
 
 
 def _drop_an_irreducible(g: TypedSpace, monkeypatch) -> TypedSpace:
-    """Each row's smallest irreducible member dropped, for `basis` and `chains`."""
-    irreducibles = basis.irreducibles
+    """Each row's smallest irreducible member dropped where it is decided.
 
-    def dropped(sp, types):
-        return frozenset(sorted(irreducibles(sp, types))[1:])
-
-    monkeypatch.setattr(basis, "irreducibles", dropped)
-    monkeypatch.setattr(chains, "irreducibles", dropped)
+    `basis.irreducibles` memoizes the decision, so `basis`, `chains` and
+    the oracle all read the dropped row.
+    """
+    decide = basis._irreducible_members
+    monkeypatch.setattr(basis, "_irreducible_members", lambda pool: _drop_smallest(g, decide(pool)))
     return g
+
+
+def _corrupt_bases(monkeypatch, corrupt) -> None:
+    """Every chain base passed through ``corrupt`` where all of them are read."""
+    pools_and_bases = chains._pools_and_bases
+
+    def corrupted(sp, keys):
+        for pool, base in pools_and_bases(sp, keys):
+            yield pool, base if base is None else corrupt(sp, base)
+
+    monkeypatch.setattr(chains, "_pools_and_bases", corrupted)
 
 
 def _drop_a_base_member(g: TypedSpace, monkeypatch) -> TypedSpace:
     """Each chain base's smallest member dropped."""
-    pool_and_base = chains._pool_and_base
-
-    def dropped(sp, *rows):
-        pool, base = pool_and_base(sp, *rows)
-        return pool, _drop_smallest(sp, base)
-
-    monkeypatch.setattr(chains, "_pool_and_base", dropped)
+    _corrupt_bases(monkeypatch, _drop_smallest)
     return g
 
 
 def _pool_every_open(g: TypedSpace, monkeypatch) -> TypedSpace:
-    """Every nonempty open added to each chain pool."""
+    """Every nonempty open added to each chain pool where it is computed.
+
+    The pool memo keeps what `chains._pool` returns, so every pool and base
+    read sees the change.
+    """
     pool = chains._pool
     monkeypatch.setattr(
-        chains, "_pool", lambda sp, *rows: pool(sp, *rows) | frozenset(sp.nonempty_opens())
+        chains, "_pool", lambda sp, row: pool(sp, row) | frozenset(sp.nonempty_opens())
     )
     return g
 
@@ -499,18 +507,12 @@ def test_one_pass_chain_checks_match_the_per_check_loops(
     A corrupted chain base (its smallest member dropped, or the whole point
     set added) makes the twins report failing counterexamples, not only
     passing verdicts; dropping a member fails the pure-family base check.
-    The corruption is made in the one routine that computes every pool and
+    The corruption is made in the one routine that reads every pool and
     base, so the index walk and the `TypeChain` route both see it.
     """
     sp = request.getfixturevalue(fixture)
     if corrupt is not None:
-        pool_and_base = chains._pool_and_base
-
-        def corrupted(s, *rows):
-            pool, base = pool_and_base(s, *rows)
-            return pool, corrupt(s, base)
-
-        monkeypatch.setattr(chains, "_pool_and_base", corrupted)
+        _corrupt_bases(monkeypatch, corrupt)
     got = {r.name: r for r in check_space(dataclasses.replace(sp)).results}
     want = _reference_results(dataclasses.replace(sp))
     assert [got[r.name] for r in want] == want
@@ -540,7 +542,8 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
 
     Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
     member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
-    chains read by index. The bounds make 243 nested-pair `lattice.leq`
+    chains read by index, in one `realized_chain_pools` call that yields a
+    pool and base for each, where one call per chain made 992. The bounds make 243 nested-pair `lattice.leq`
     calls and no `lattice.meet` or `lattice.join`, and 47 more come from
     elsewhere in the replay; a meet and a join per open pair made 528 of
     each and 1,183 `leq` calls. Validation makes 5, one per step out of the
@@ -551,14 +554,21 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     """
     calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0,
              "meet": 0, "join": 0, "leq": 0}
-    for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"),
-                      (chains, "realized_chain_pools"), (lattice, "meet"),
+    for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"), (lattice, "meet"),
                       (lattice, "join"), (lattice, "leq")):
         def counted(*args, _f=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(mod, name, counted)
+    fetched = []
+    fetch = chains.realized_chain_pools
+
+    def fetch_counted(sp, chain_list):
+        calls["realized_chain_pools"] += 1
+        return map(lambda got: fetched.append(got) or got, fetch(sp, chain_list))
+
+    monkeypatch.setattr(chains, "realized_chain_pools", fetch_counted)
     built = []
     post_init = TypeChain.__post_init__
     monkeypatch.setattr(
@@ -568,7 +578,7 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     assert 0 < len(built) <= 8
     assert 0 < calls["chain_base_pool"] <= 8
     assert 0 < calls["chain_pool"] <= 8
-    assert calls["realized_chain_pools"] == 992
+    assert calls["realized_chain_pools"] == 1 and len(fetched) == 992
     assert calls["meet"] == 0
     assert calls["join"] == 0
     assert calls["leq"] <= 295
