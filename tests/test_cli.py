@@ -409,25 +409,13 @@ def test_the_option_reader_follows_helpers_given_args():
     assert options_read(source, "_cmd") == {"budget_points", "chain"}
 
 
-def accepted_options() -> dict[str, set[str]]:
-    """Command name -> the dests of the options its subparser accepts."""
+def accepted_options(keep=lambda action: True) -> dict[str, set[str]]:
+    """Command name -> the dests of the options its subparser accepts and ``keep`` keeps."""
     (commands,) = [
         a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return {
-        name: {a.dest for a in sub._actions if a.dest != "help"}
-        for name, sub in commands.choices.items()
-    }
-
-
-def valued_options() -> dict[str, set[str]]:
-    """Command name -> the dests of its options that take a value and default to None."""
-    (commands,) = [
-        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    return {
-        name: {a.dest for a in sub._actions
-               if isinstance(a, argparse._StoreAction) and a.default is None}
+        name: {a.dest for a in sub._actions if a.dest != "help" and keep(a)}
         for name, sub in commands.choices.items()
     }
 
@@ -462,7 +450,10 @@ def test_no_handler_tests_a_valued_option_by_truthiness():
     value as a missing one.
     """
     source = Path(cli.__file__).read_text(encoding="utf-8")
-    valued = valued_options()
+    # a valued option stores its value and defaults to None
+    valued = accepted_options(
+        lambda action: isinstance(action, argparse._StoreAction) and action.default is None
+    )
     found = {
         name: truthiness_tests(source, handler.__name__, valued[name])
         for name, (handler, *_) in cli._COMMANDS.items()
