@@ -168,8 +168,7 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     no irreducibility is decided.
     """
     row, _ = _chain_key(space, chain)
-    (pool, _), = _pools_and_bases(space, [(row, ())])
-    return pool
+    return next(_pools_and_bases(space, [(row, ())]))[0]
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
@@ -179,8 +178,7 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    (_, base), = _pools_and_bases(space, [_chain_key(space, chain)])
-    return base
+    return next(_pools_and_bases(space, [_chain_key(space, chain)]))[1]
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
