@@ -5,13 +5,15 @@ canonical base: the members that cannot be written as a union of two other
 family members. Every family member is the union of the base members inside
 it, which `oracle.check_space` replays as its anchored decomposition.
 
-Such a family is the opens of a realized-type bitset (`space.RealizedTypes`),
-and so is every pool the chain bases draw on. `irreducibles` is the one
-routine that decides irreducible members, in one pass over the pool by
-size (`_irreducible_members`): it memoizes them per space by that int row,
-so the anchored families, the chain bases and the oracle share each
-decision. Only a chain's base reads it; the chain pools are
-memoized apart, by their own row, and decide nothing here.
+Such a family is the opens of a realized-type bitset, the ``above`` row
+that `space.RealizedTypes.rows` scans for ``p``, and so is every pool the
+chain bases draw on, keyed by the realized types' ``up`` rows or by the
+rows of their own levels. `irreducibles` is the one routine that decides
+irreducible members, in one pass over the pool by size
+(`_irreducible_members`): it memoizes them per space by that int row, so
+the anchored families, the chain bases and the oracle share each decision.
+Only a chain's base reads it; the chain pools are memoized apart, by their
+own row, and decide nothing here.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ def _above_row(space: TypedSpace, p: TypeTerm) -> int:
     if p.is_bottom:
         raise PreconditionError("anchor BOT would select every open vacuously")
     space_mod.require_strict(space)
-    return space_mod.realized_types(space).above(p)
+    return space_mod.realized_types(space).rows(p)[0]
 
 
 def _through(space: TypedSpace, members: frozenset, at: Optional[str]) -> frozenset:

@@ -18,25 +18,26 @@ system of every point.
 The pools are mask algebra over the realized types' int bitset rows
 (`space.RealizedTypes`, read off a table of their cubes with no
 `lattice.leq`): a chain pool is the opens of ``visible(support) &
-OR(above(lo) & below(hi))`` over the consecutive level pairs, ``support``
-the bitset of the chain's generators. The irreducible members above a lower
-level are those of the row ``visible(support) & above(level)``, read from
+OR(up[lo] & down[hi])`` over the consecutive levels, ``support`` the OR of
+the levels' generator bitsets. The irreducible members above a lower level
+are those of the row ``visible(support) & up[level]``, read from
 `basis.irreducibles`, whose memo on ``space.index`` is keyed by that row.
-One routine, `_pools_and_bases`, reads every pool and base, from a key
-``(pool row, lower rows)`` per chain. The pools have a memo of their own on
+One routine, `_key`, reads a chain's key ``(pool row, lower rows)`` from
+its levels' rows and generator bitsets: a `TypeChain` passes those of its
+level terms (`RealizedTypes.rows`; `chain_pool`, `chain_base_pool`), and
+a list of chains of realized types passes ``up``, ``down`` and
+``generators`` themselves, read by index (`realized_chain_pools`), which
+builds no chain and hashes no term. One routine, `_pools_and_bases`, reads
+every pool and base from such keys. The pools have a memo of their own on
 ``space.index``, keyed by the pool row alone, and a base is the memoized
 pool met with the memoized irreducibles of its lower rows, so a query that
-reads only the pool decides no irreducibility. A `TypeChain` is one key,
-read off its levels' rows (`chain_pool`, `chain_base_pool`); a list of
-chains of realized types is one walk over keys read by index
-(`realized_chain_pools`), which builds no chain and hashes no term. A
-single generator's family (`generator_family`) is one scan of the opens,
-checked against the union of its chains' pools read from the same rows.
+reads only the pool decides no irreducibility. A single generator's family
+(`generator_family`) is one scan of the opens, checked against the union
+of its chains' pools read from the same rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import lattice, space as space_mod
 from .errors import InvariantViolationError, PreconditionError
@@ -68,14 +69,6 @@ class TypeChain:
     def k(self) -> int:
         return len(self.levels)
 
-    def pairs(self) -> tuple[tuple[TypeTerm, TypeTerm], ...]:
-        return tuple(zip(self.levels, self.levels[1:]))
-
-    @cached_property
-    def support(self) -> frozenset:
-        """Generators the chain may talk about."""
-        return frozenset().union(*(t.generators() for t in self.levels))
-
     def text(self) -> str:
         return " ; ".join(lattice.format_term(t) for t in self.levels)
 
@@ -99,7 +92,7 @@ def _pools_and_bases(space: TypedSpace, keys):
     Every chain pool and base is read here: the pool from its memo on
     ``space.index.pools``, keyed by its row, and the base as the pool met
     with the memoized irreducibles of the lower rows ``visible &
-    above(lo)``, since `basis.irreducibles` of such a row holds only opens
+    up[lo]``, since `basis.irreducibles` of such a row holds only opens
     typed above its level. `_pool` and `irreducibles` run only on a miss.
     A key with no lower rows reads its pool alone, deciding nothing.
     """
@@ -117,15 +110,29 @@ def _pools_and_bases(space: TypedSpace, keys):
         yield pool, base
 
 
-def _chain_key(space: TypedSpace, chain: TypeChain) -> tuple[int, set]:
-    """The `_pools_and_bases` key of ``chain``, read off its levels' rows."""
+def _key(rt, levels, up, down, generators) -> tuple[int, set]:
+    """The `_pools_and_bases` key ``(pool row, lower rows)`` of a chain.
+
+    ``levels`` index ``up``, ``down`` and ``generators``: the order rows
+    and the generator bitset of each level. The support ORs the levels'
+    generators, and the pool row the sandwiches of the consecutive levels.
+    """
+    support = row = 0
+    lo = levels[0]
+    for hi in levels:  # the first step's sandwich, lo <= lo, adds only lo itself
+        support |= generators[hi]
+        row |= up[lo] & down[hi]
+        lo = hi
+    vis = rt.visible(support)
+    return row & vis, {vis & up[lo] for lo in levels[:-1]}
+
+
+def _level_rows(space: TypedSpace, chain: TypeChain) -> tuple:
+    """The `_key` arguments of ``chain``: its levels' `RealizedTypes.rows` and generators."""
     space_mod.require_strict(space)
     rt = realized_types(space)
-    visible = rt.visible(rt.generator_bits(chain.support))
-    row = 0
-    for lo, hi in chain.pairs():
-        row |= rt.above(lo) & rt.below(hi)
-    return row & visible, {visible & rt.above(lo) for lo in chain.levels[:-1]}
+    up, down = zip(*map(rt.rows, chain.levels))
+    return rt, range(chain.k), up, down, [rt.generator_bits(t.generators()) for t in chain.levels]
 
 
 def realized_chain_pools(space: TypedSpace, chain_list):
@@ -134,25 +141,14 @@ def realized_chain_pools(space: TypedSpace, chain_list):
     A chain is a tuple of ascending indexes into
     ``realized_types(space).terms``, whose order the caller vouches for.
     Strictness is checked and the realized types read at the call. Each
-    chain's key is read off the rows by index (`RealizedTypes.up` and
-    ``down``) and its generator bitsets ORed, so no `TypeChain` is built
-    and no term hashed.
+    chain's key is read by index off `RealizedTypes.up`, ``down`` and
+    ``generators``, so no `TypeChain` is built and no term hashed.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
-    up, down, generators, visible = rt.up, rt.down, rt.generators, rt.visible
-
-    def key(levels):
-        support = row = 0
-        lo = levels[0]
-        for hi in levels:  # the first step's sandwich, lo <= lo, adds only lo itself
-            support |= generators[hi]
-            row |= up[lo] & down[hi]
-            lo = hi
-        vis = visible(support)
-        return row & vis, {vis & up[lo] for lo in levels[:-1]}
-
-    return _pools_and_bases(space, map(key, chain_list))
+    up, down, generators = rt.up, rt.down, rt.generators
+    keys = (_key(rt, levels, up, down, generators) for levels in chain_list)
+    return _pools_and_bases(space, keys)
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -167,7 +163,7 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     Computed once per pool row and space, and memoized on ``space.index``;
     no irreducibility is decided.
     """
-    row, _ = _chain_key(space, chain)
+    row, _ = _key(*_level_rows(space, chain))
     return next(_pools_and_bases(space, [(row, ())]))[0]
 
 
@@ -178,7 +174,7 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    return next(_pools_and_bases(space, [_chain_key(space, chain)]))[1]
+    return next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))[1]
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -196,8 +192,8 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
     topping out at the generator. Each call re-derives that union from the
     realized-type rows and raises if the two disagree: a sandwich under a
     level ``hi <= gen`` lies inside the one under ``gen``, so the union is
-    the opens of ``visible({gen}) & below(gen) & OR(above(t))`` over the
-    family's own types ``t``.
+    the opens of ``visible({gen})``, the types below ``gen`` and those
+    above one of the family's own types ``t``, all read by `RealizedTypes.rows`.
     """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
@@ -210,8 +206,8 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
     rt = realized_types(space)
     above = 0
     for t in {sig[m] for m in family}:
-        above |= rt.above(t)
-    union = rt.opens_in(rt.visible(rt.generator_bits({gen})) & rt.below(top) & above)
+        above |= rt.rows(t)[0]
+    union = rt.opens_in(rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1] & above)
     if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",

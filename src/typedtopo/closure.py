@@ -111,18 +111,15 @@ def is_chain_dense(space: TypedSpace, dense, region, chain: TypeChain) -> bool:
     if not dense_set <= region_set:
         raise PreconditionError("the dense candidate must sit inside the region")
     space.mask_of(region_set)  # raises on the first unknown region point, sorted
-    fams = _point_families(space, chain)
+    return _dense(space, _point_families(space, chain), dense_set, region_set)
+
+
+def _dense(space: TypedSpace, fams: dict, dense_set: frozenset, region_set: frozenset) -> bool:
+    """`is_chain_dense` on the point families ``fams`` its caller read once."""
     dense_mask = space.mask_of(dense_set)
-    verdict = True
-    for p in region_set:
-        fam = fams[p]
-        if not fam:
-            if p not in dense_set:
-                verdict = False
-                break
-        elif not all(m & dense_mask for m in fam):
-            verdict = False
-            break
+    verdict = all(
+        all(m & dense_mask for m in fams[p]) if fams[p] else p in dense_set for p in region_set
+    )
     dominated = all(
         (p in dense_set)
         if not fams[p]
@@ -155,7 +152,7 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     maximal_classes = _sorted_classes(groups[f] for f in maximal)
     density = len(unsupported) + len(maximal)
     witness = frozenset(unsupported | {cls[0] for cls in maximal_classes})
-    if not is_chain_dense(space, witness, space.points, chain):
+    if not _dense(space, fams, witness, frozenset(space.points)):
         raise InvariantViolationError(
             "constructed witness is not dense", witness=sorted(witness)
         )

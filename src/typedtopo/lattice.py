@@ -645,18 +645,19 @@ def term_to_json(t: TypeTerm):
 def term_from_json(ctx: Context, obj) -> TypeTerm:
     """The canonical term of a `term_to_json` document, read into cubes directly.
 
-    Documents may be hand-written, so the cubes are canonicalized. Clauses
-    that are not a list of lists, or a malformed literal anywhere (one that
-    is not an object with exactly one ``gen``, ``pos`` or ``neg`` key), raise
-    `PreconditionError` before an unknown name, or a name that is not a
-    string, raises `UnknownSymbolError`.
+    Documents may be hand-written, so the cubes are canonicalized. A
+    document other than ``{"top": true}`` or ``{"clauses": [...]}``,
+    clauses that are not a list of lists, or a malformed literal anywhere
+    (one that is not an object with exactly one ``gen``, ``pos`` or ``neg``
+    key) raise `PreconditionError` before an unknown name, or a name that
+    is not a string, raises `UnknownSymbolError`.
     """
-    if not isinstance(obj, dict):
+    if not isinstance(obj, dict) or len(obj) != 1:
         raise PreconditionError(f"bad term encoding: {obj!r}")
-    if obj.get("top"):
+    if obj.get("top") is True:
         return ctx.top()
     clauses = []
-    listed = obj.get("clauses", [])
+    listed = obj.get("clauses")
     if not isinstance(listed, list):
         raise PreconditionError(f"bad term encoding: {obj!r}")
     for lits in listed:

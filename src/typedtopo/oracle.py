@@ -43,7 +43,7 @@ DEFAULT_DENSE_POINTS = 12
 DEFAULT_CONNECT_POINTS = 10
 MAX_SUBSETS = 1 << 20
 # realized chains one theorem replay may walk: an 8-point street has 65,280,
-# replayed in 3.4 s on a 2-core VM, and a 9-point street 261,632
+# replayed in 1.3-2.0 s on a 2-core Xeon VM, and a 9-point street 261,632
 MAX_CHAINS = 100_000
 
 

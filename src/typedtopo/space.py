@@ -31,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -140,9 +140,6 @@ class Failure:
 class ValidationReport:
     ok: bool
     failures: tuple[Failure, ...]
-
-    def by_code(self, code: str) -> tuple[Failure, ...]:
-        return tuple(f for f in self.failures if f.code == code)
 
 
 @dataclass(frozen=True)
@@ -322,12 +319,14 @@ class SpaceIndex:
     copy starts with a fresh one, and the index keeps no reference to its
     space. Validation records its report, the strictness verdict and the
     cube table (`_cube_rows`, in cube key order) it decides on; the realized
-    types bucket the opens by its rows and read their order and visibility
-    rows, int bitsets over the type indexes, off it. Such a row keys the
-    join-irreducible members of the opens it selects in ``irreducibles``
-    (`basis.irreducibles`) and a chain's pool in ``pools`` (`chains`), from
-    `chains.TypeChain` terms or realized-type indexes alike. A chain's base
-    is that pool met with the ``irreducibles`` of its lower rows.
+    types bucket the opens by its rows and read their order rows, int
+    bitsets over the type indexes, off it: ``up`` by table bit, and the rows
+    of any other level by one scan of the table (`RealizedTypes.rows`).
+    Such a row keys the join-irreducible members of the opens it selects in
+    ``irreducibles`` (`basis.irreducibles`) and a chain's pool in ``pools``
+    (`chains`), from `chains.TypeChain` terms or realized-type indexes
+    alike. A chain's base is that pool met with the ``irreducibles`` of its
+    lower rows.
     """
 
     __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")
@@ -525,54 +524,49 @@ class RealizedTypes:
 
     Sets of realized types are int bitsets, bit ``j`` for ``terms[j]``, and
     so are sets of generators, bit ``i`` for the ``i``-th by name. The order
-    rows are bitset algebra over the distinct cubes of the space's cube
-    table (`_cube_rows`), with no `lattice.leq`: a level is below
-    ``terms[j]`` iff each of its cubes implies one of ``terms[j]``, so
-    `above` ANDs its cubes' ``reach`` rows, and `below` drops the
-    ``holders`` of each table cube implying none of the level's. Rows are
-    memoized by the level term, realized or not; `up` and `down` hold them
-    by realized-type index.
+    is bitset algebra over the space's cube table (`_cube_rows`), with no
+    `lattice.leq`: ``s <= t`` iff each cube of ``s`` implies a cube of
+    ``t``. ``cubes`` and ``holders`` are indexed by table bit, ``up`` by
+    realized type, read off the table when the types are built, and `down`
+    is its transpose. A level given as a term reaches its rows through
+    `rows` alone, memoized by the term's value.
     """
 
     ctx: Context
     terms: tuple[TypeTerm, ...]
-    holders: dict  # cube -> bitset of the terms holding it
-    reach: dict  # cube -> bitset of the terms holding a cube it implies
+    cubes: tuple  # table bit -> its cube
+    holders: tuple[int, ...]  # table bit -> bitset of the terms holding that cube
+    up: tuple[int, ...]  # index -> bitset of the terms at or above it
     generators: tuple[int, ...]  # index -> bitset of the generators the type mentions
     opens_by_type: tuple[tuple[int, ...], ...]  # index -> its opens' masks, ascending
-    _above: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
-    _below: dict = field(default_factory=dict, init=False, repr=False)  # level -> row
+    _rows: dict = field(default_factory=dict, init=False, repr=False)  # level -> rows
     _visible: dict = field(default_factory=dict, init=False, repr=False)  # support -> row
 
-    def _cubes(self, level: TypeTerm) -> frozenset:
-        """The cubes of ``level``, which must come from an equal context."""
-        if level.ctx is not self.ctx and level.ctx != self.ctx:
-            raise ContextMismatchError("level and realized types come from different contexts")
-        return level.cubes
+    def rows(self, level: TypeTerm) -> tuple[int, int]:
+        """``(above, below)``, bit ``j`` set iff ``level <= terms[j]``, resp. ``terms[j] <= level``.
 
-    def above(self, level: TypeTerm) -> int:
-        """Bit ``j`` set iff ``level <= terms[j]``."""
-        row = self._above.get(level)
-        if row is None:
-            row = (1 << len(self.terms)) - 1
-            for c in self._cubes(level):  # off the table, OR the holders of the cubes c implies
-                row &= self.reach[c] if c in self.reach else reduce(or_, (
-                    held for (u, p, n), held in self.holders.items()
-                    if not (u & ~c[0] or p & ~c[1] or n & ~c[2])), 0)
-            self._above[level] = row
-        return row
-
-    def below(self, level: TypeTerm) -> int:
-        """Bit ``j`` set iff ``terms[j] <= level``."""
-        row = self._below.get(level)
-        if row is None:
-            cubes = self._cubes(level)
-            row = (1 << len(self.terms)) - 1
-            for (u, p, n), held in self.holders.items():
-                if all(cu & ~u or cp & ~p or cn & ~n for cu, cp, cn in cubes):
-                    row &= ~held
-            self._below[level] = row
-        return row
+        One scan of the table cubes tests both implication directions
+        against each cube of ``level``, which must come from an equal
+        context: ``terms[j]`` lies above iff each level cube implies one
+        of its cubes, and below unless it holds a cube that implies no
+        level cube.
+        """
+        got = self._rows.get(level)
+        if got is None:
+            if level.ctx is not self.ctx and level.ctx != self.ctx:
+                raise ContextMismatchError("level and realized types come from different contexts")
+            hits = dict.fromkeys(level.cubes, 0)  # level cube -> the terms holding one it implies
+            below = (1 << len(self.terms)) - 1
+            for (u, p, n), held in zip(self.cubes, self.holders):
+                covered = False
+                for c in hits:
+                    if not (u & ~c[0] or p & ~c[1] or n & ~c[2]):
+                        hits[c] |= held
+                    covered = covered or not (c[0] & ~u or c[1] & ~p or c[2] & ~n)
+                if not covered:
+                    below &= ~held
+            got = self._rows[level] = reduce(and_, hits.values(), (1 << len(self.terms)) - 1), below
+        return got
 
     def generator_bits(self, names) -> int:
         """The generator bitset of ``names``."""
@@ -586,13 +580,8 @@ class RealizedTypes:
         return row
 
     @cached_property
-    def up(self) -> tuple[int, ...]:
-        """`above` of each realized type, by index."""
-        return tuple(map(self.above, self.terms))
-
-    @cached_property
     def down(self) -> tuple[int, ...]:
-        """`below` of each realized type, by index: the transpose of `up`."""
+        """Bit ``i`` of ``down[j]`` set iff ``terms[i] <= terms[j]``: the transpose of `up`."""
         down = [0] * len(self.terms)
         for i, row in enumerate(self.up):
             for j in bit_indexes(row):
@@ -606,9 +595,6 @@ class RealizedTypes:
             out += self.opens_by_type[j]
         return frozenset(out)
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
-
     def __len__(self):
         return len(self.terms)
 
@@ -619,7 +605,9 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
     Built by bit index on the cube table (`_cube_rows`), hashing no term:
     the opens, in ascending mask order, are bucketed by their cube rows,
     and the buckets sorted by their rows' bit indexes, `TypeTerm.sort_key`
-    order. A cube's generators are the minimal ones of its up-set.
+    order. A table cube reaches the terms holding a cube it implies, and
+    ``up`` of a type ANDs what its own cubes reach. A cube's generators are
+    the minimal ones of its up-set.
     """
     idx = space.index
     if idx.realized is None:
@@ -637,9 +625,11 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
         for d, row in enumerate(implied_by.values()):
             for i in bit_indexes(row):
                 reach[i] |= holders[d]
+        every = (1 << len(keyed)) - 1
         idx.realized = RealizedTypes(
             space.ctx, tuple(space.sigma[buckets[row][0]] for _, row in keyed),
-            dict(zip(cubes, holders)), dict(zip(cubes, reach)),
+            cubes, tuple(holders),
+            tuple(reduce(and_, map(reach.__getitem__, own), every) for own, _ in keyed),
             tuple(reduce(or_, map(named.__getitem__, own), 0) for own, _ in keyed),
             tuple(tuple(buckets[row]) for _, row in keyed))
     return idx.realized

@@ -26,12 +26,6 @@ class ScoreTable:
     sample_std: float
     z: dict
 
-    def ranked(self) -> tuple:
-        """Subjects from highest z to lowest, ties by subject key."""
-        return tuple(
-            s for s, _ in sorted(self.population, key=lambda kv: (-self.z[kv[0]], str(kv[0])))
-        )
-
 
 def score_table(population: Sequence[tuple[object, float]]) -> ScoreTable:
     if len(population) < 2:

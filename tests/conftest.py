@@ -83,6 +83,11 @@ def random_generated_space(rng: random.Random, max_points: int = 8):
     return built
 
 
+def chain_support(chain) -> frozenset:
+    """The generators the levels of ``chain`` mention."""
+    return frozenset().union(*(t.generators() for t in chain.levels))
+
+
 def random_realized_chain(rng: random.Random, sp):
     """A 2- or 3-level chain over the realized types, or None."""
     rt = space_mod.realized_types(sp)
@@ -90,13 +95,13 @@ def random_realized_chain(rng: random.Random, sp):
     order = list(range(n))
     rng.shuffle(order)
     for i in order:
-        lows = [j for j in range(n) if rt.leq(j, i)]
+        lows = [j for j in range(n) if rt.up[j] >> i & 1]
         if not lows:
             continue
         j = rng.choice(lows)
         levels = [rt.terms[j], rt.terms[i]]
         if rng.random() < 0.4:
-            mids = [k for k in range(n) if rt.leq(j, k) and rt.leq(k, i)]
+            mids = [k for k in range(n) if rt.up[j] >> k & 1 and rt.up[k] >> i & 1]
             if mids:
                 levels = [rt.terms[j], rt.terms[rng.choice(mids)], rt.terms[i]]
         try:

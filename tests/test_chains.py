@@ -8,7 +8,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import C_RIGHT5, C_RIGHT6, random_generated_space, random_realized_chain
+from conftest import (
+    C_RIGHT5, C_RIGHT6, chain_support, random_generated_space, random_realized_chain,
+)
 from test_basis import pairwise_irreducible
 from typedtopo import basis, chains, connect, ingest, lattice, oracle, space, stats
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
@@ -40,7 +42,7 @@ def test_chain_validation():
 def test_parse_chain(street5):
     ch = parse_chain("right & @r3 ; right", street5.ctx)
     assert ch.k == 2
-    assert ch.support == frozenset({"right"})
+    assert chain_support(ch) == frozenset({"right"})
     with pytest.raises(PreconditionError):
         parse_chain("right ;; right", street5.ctx)
 
@@ -163,7 +165,7 @@ def test_both_chain_routes_read_one_routine(monkeypatch, street5):
     clean = dataclasses.replace(street5)
     i, j, chain = next(
         (i, j, chain)
-        for i in range(len(rt)) for j in range(len(rt)) if i != j and rt.leq(i, j)
+        for i in range(len(rt)) for j in range(len(rt)) if i != j and rt.up[i] >> j & 1
         for chain in [TypeChain((rt.terms[i], rt.terms[j]))]
         if len(chains.chain_base_pool(clean, chain)) > 1
     )
@@ -220,7 +222,7 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
     """A padded chain, and the same realized chain by indexes, read one entry."""
     sp = dataclasses.replace(street5)
     rt = realized_types(sp)
-    i, j = next((i, j) for i in range(len(rt)) for j in range(len(rt)) if i != j and rt.leq(i, j))
+    i, j = next((i, j) for i in range(len(rt)) for j in space.bit_indexes(rt.up[i]) if i != j)
     t, u = rt.terms[i], rt.terms[j]
     short, padded = TypeChain((t, u)), TypeChain((t, t, u))
     got = (chains.chain_pool(sp, short), chains.chain_base_pool(sp, short))
@@ -410,7 +412,7 @@ def _recursive_cover(sp) -> list[tuple]:
     """
     rt = realized_types(sp)
     n = len(rt)
-    succ = {i: [j for j in range(n) if j != i and rt.leq(i, j)] for i in range(n)}
+    succ = {i: [j for j in range(n) if j != i and rt.up[i] >> j & 1] for i in range(n)}
     match_right: dict = {}
     match_left: dict = {}
 
@@ -514,8 +516,8 @@ def test_refining_a_chain_never_drops_members(street5):
 
 def _visible(sp, chain):
     """The nonempty opens whose type mentions only the chain's generators."""
-    support = chain.support
-    return [m for m in sp.nonempty_opens() if sp.sigma[m].generators() <= support]
+    gens = chain_support(chain)
+    return [m for m in sp.nonempty_opens() if sp.sigma[m].generators() <= gens]
 
 
 def _reference_pool(sp, chain):
@@ -523,7 +525,7 @@ def _reference_pool(sp, chain):
         m
         for m in _visible(sp, chain)
         if any(lattice.leq(lo, sp.sigma[m]) and lattice.leq(sp.sigma[m], hi)
-               for lo, hi in chain.pairs())
+               for lo, hi in zip(chain.levels, chain.levels[1:]))
     )
 
 
@@ -600,7 +602,7 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
             unrealized += any(t not in rt.terms for t in chain.levels)
             assert chains.chain_pool(sp, chain) == _reference_pool(sp, chain)
             for level in chain.levels:
-                row = rt.visible(rt.generator_bits(chain.support)) & rt.above(level)
+                row = rt.visible(rt.generator_bits(chain_support(chain))) & rt.rows(level)[0]
                 anchored = _reference_anchored(sp, chain, level)
                 assert rt.opens_in(row) == anchored
                 assert basis.irreducibles(sp, row) == {

@@ -652,6 +652,17 @@ def test_an_ill_shaped_dataset_exits_2_naming_the_field(capsys, tmp_path, case):
     assert _run(capsys, *argv, "--stable") == (2, "", f"tts build: {message}\n")
 
 
+@pytest.mark.parametrize("key", ["cluases", "cubes"])
+def test_a_misspelt_type_key_exits_2(capsys, tmp_path, key):
+    """A type whose key is not ``clauses`` is a bad encoding, not Bottom."""
+    doc = json.loads(Path(STREET5).read_text())
+    doc["opens"][-1]["type"] = {key: doc["opens"][-1]["type"]["clauses"]}
+    (tmp_path / "space.json").write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(tmp_path / "space.json"), "--stable")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tts validate: bad term encoding: {{'{key}': ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # one parser per process: reuse must carry nothing from one run to the next
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_irreducibles_above_connected_across_realized_chains(street2x3):
         (i, j)
         for i in range(len(rt))
         for j in range(len(rt))
-        if rt.leq(i, j)
+        if rt.up[i] >> j & 1
         and not (rt.terms[i].is_bottom or rt.terms[i].is_top)
         and not (rt.terms[j].is_bottom or rt.terms[j].is_top)
     ]

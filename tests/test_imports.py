@@ -2,14 +2,16 @@
 
 ``__init__.py`` imports names to re-export them, and ``from __future__``
 imports switch on compiler features, so neither counts. The same parse
-gates the callers of public functions, the package readers of private ones
-and the length of the oracle's functions, and a parse at the grammar of the
-``requires-python`` floor keeps newer syntax out of the package.
+gates the callers of public functions, methods and properties, the package
+readers of private functions and the length of the oracle's functions, and
+a parse at the grammar of the ``requires-python`` floor keeps newer syntax
+out of the package.
 """
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -63,12 +65,16 @@ def test_test_modules_use_every_import():
     assert unused_by_module(modules) == {}
 
 
-# Public functions that nothing in the package or the benchmark calls, kept
-# because tests compare the fast route against them.
+# Public functions, methods and properties that nothing in the package or the
+# benchmark reads, kept because tests compare the fast route against them.
 REFERENCE_ONLY = {
     "lattice.is_join_irreducible": (
         "the valuation reading of join-irreducibility; the lattice tests check "
         "the structural fast path and the irreducible-term laws against it"
+    ),
+    "closure.is_chain_dense": (
+        "the density test of any candidate in any region; the closure and oracle "
+        "tests check examples and the exhaustive search's witnesses against it"
     ),
 }
 
@@ -199,8 +205,74 @@ def test_every_public_function_has_a_caller():
     called = set()
     for path in callers:
         called |= references(path.read_text(encoding="utf-8"), path.stem)
-    assert REFERENCE_ONLY.keys() <= public_functions()
+    assert {name for name in REFERENCE_ONLY if name.count(".") == 1} <= public_functions()
     assert sorted(public_functions() - called - REFERENCE_ONLY.keys()) == []
+
+
+def public_methods(source: str, home: str) -> dict[str, ast.FunctionDef]:
+    """``home.Class.name`` -> node of each public method or property of a public class."""
+    return {
+        f"{home}.{cls.name}.{item.name}": item
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is read under ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unread_methods(sources: dict[str, str], homes: set[str]) -> list[str]:
+    """The public methods and properties of the ``homes`` modules that no source reads.
+
+    ``sources`` maps a module name to its source. A read is any attribute of
+    the method's name, outside its own body: the receiver's class is not
+    resolved, so a read of an equally named attribute of another class
+    counts too.
+    """
+    reads = sum((attribute_reads(ast.parse(s)) for s in sources.values()), Counter())
+    out = []
+    for home in sorted(homes):
+        for name, node in public_methods(sources[home], home).items():
+            if reads[node.name] - attribute_reads(node)[node.name] <= 0:
+                out.append(name)
+    return sorted(out)
+
+
+def test_an_unread_method_is_found():
+    stats_source = (
+        "class Table:\n"
+        "    def ranked(self):\n        return self.ranked()\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def _own(self):\n        return self.size\n"
+        "class _Hidden:\n    def spare(self):\n        return 0\n"
+    )
+    cli_source = "def show(t):\n    return t.z.keys()\n"
+    sources = {"stats": stats_source, "cli": cli_source}
+    assert unread_methods(sources, {"stats"}) == ["stats.Table.ranked"]
+    sources["cli"] = "def show(t):\n    return t.ranked\n"
+    assert unread_methods(sources, {"stats"}) == []
+
+
+def test_every_public_method_has_a_reader():
+    """A package module or a benchmark script reads each public method or property.
+
+    Tests do not count as readers.
+    """
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    del sources["__init__"]
+    homes = set(sources)
+    sources.update({
+        f"bench/{p.name}": p.read_text(encoding="utf-8")
+        for p in (PACKAGE.parent.parent / "bench").glob("*.py")
+    })
+    methods = set().union(*(public_methods(sources[home], home) for home in homes))
+    assert "space.TypedSpace.ids_of" in methods
+    assert {name for name in REFERENCE_ONLY if name.count(".") == 2} <= methods
+    assert sorted(set(unread_methods(sources, homes)) - REFERENCE_ONLY.keys()) == []
 
 
 def python_floor() -> tuple[int, int]:

@@ -566,8 +566,11 @@ def test_property_term_from_json_matches_normalize(drawn, seed):
     doc = {"clauses": [_clause_json(c, rng) for c in clauses]}
     assert term_from_json(ctx, doc) == reference
     assert term_from_json(ctx, term_to_json(reference)) == reference
-    assert term_from_json(ctx, {"top": True, **doc}) == ctx.top() == normalize(ctx, [clause_of()])
-    assert term_from_json(ctx, {}) == ctx.bottom()
+    assert term_from_json(ctx, {"top": True}) == ctx.top() == normalize(ctx, [clause_of()])
+    assert term_from_json(ctx, {"clauses": []}) == ctx.bottom()
+    for bad in ({"top": True, **doc}, {}, {"cubes": doc["clauses"]}):
+        with pytest.raises(PreconditionError, match="bad term encoding"):
+            term_from_json(ctx, bad)
 
 
 def test_term_from_json_errors(gctx):
@@ -588,6 +591,18 @@ def test_term_from_json_errors(gctx):
          "bad literal encoding: {'gen': 'anc', 'pos': 'B'}"),
         ({"clauses": [[{"neg": "B", "note": 1}]]}, PreconditionError,
          "bad literal encoding: {'neg': 'B', 'note': 1}"),
+        # a term is exactly {"top": true} or {"clauses": [...]}; no key is misread
+        ({}, PreconditionError, "bad term encoding: {}"),
+        ({"top": False}, PreconditionError, "bad term encoding: {'top': False}"),
+        ({"top": 1}, PreconditionError, "bad term encoding: {'top': 1}"),
+        ({"cluases": [anc]}, PreconditionError,
+         "bad term encoding: {'cluases': [[{'gen': 'anc'}]]}"),
+        ({"cubes": [anc]}, PreconditionError, "bad term encoding: {'cubes': [[{'gen': 'anc'}]]}"),
+        ({"top": 1, "clauses": [anc]}, PreconditionError,
+         "bad term encoding: {'top': 1, 'clauses': [[{'gen': 'anc'}]]}"),
+        ({"top": True, "clauses": []}, PreconditionError,
+         "bad term encoding: {'top': True, 'clauses': []}"),
+        ({"clauses": anc[0]}, PreconditionError, "bad term encoding: {'clauses': {'gen': 'anc'}}"),
     ]
     for doc, kind, message in cases:
         with pytest.raises(TypedTopoError) as raised:

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import random_generated_space
+from conftest import chain_support, random_generated_space
 from typedtopo import basis, chains, closure, connect, lattice, oracle, space
 from typedtopo.chains import TypeChain
 from typedtopo.errors import OracleSkip, PreconditionError
@@ -317,23 +317,27 @@ def _realized_levels(rt) -> list:
     ]
 
 
-def test_realized_chains_read_one_order_row_per_usable_level(monkeypatch, street5):
-    """Chains come in the order of the per-pair `leq` scan, one row read per level.
+def test_realized_chains_read_no_level_term(monkeypatch, street5):
+    """Chains come in the order of the per-pair `leq` scan, read by index alone.
 
-    Measured on STREET2X3: the per-pair scan made 49,833 row lookups, one
-    row read per level makes 63. Counting the chains from the rows and
-    walking them read the same rows.
+    Building the realized types with their ``up`` rows, then counting and
+    listing the chains, reads no order row through `RealizedTypes.rows`
+    and hashes no term.
     """
-    rt = space.realized_types(dataclasses.replace(street5))
-    reference = _realized_levels(rt)
-    reads = []
-    above = space.RealizedTypes.above
+    sp = dataclasses.replace(street5)
+    reference = _realized_levels(realized_types(dataclasses.replace(street5)))
+    calls = []
+    rows = space.RealizedTypes.rows
     monkeypatch.setattr(
-        space.RealizedTypes, "above", lambda self, level: reads.append(level) or above(self, level)
-    )
+        space.RealizedTypes, "rows", lambda self, level: calls.append("rows") or rows(self, level))
+    term_hash = lattice.TypeTerm.__hash__
+    monkeypatch.setattr(
+        lattice.TypeTerm, "__hash__", lambda t: calls.append("hash") or term_hash(t))
+    rt = realized_types(sp)
+    assert len(rt.up) == len(rt) == 31
     assert oracle._chain_count(rt, oracle.MAX_CHAINS) == len(reference) == 992
     assert oracle._chain_levels(rt) == reference
-    assert len(reads) == len(rt) == 31
+    assert calls == []
 
 
 @pytest.mark.parametrize("fixture", ["genealogy5", "street5", "street2x3"])
@@ -415,8 +419,8 @@ def _reference_chain_results(space: TypedSpace) -> list:
                     return (ids(u), ids(v))
             return None
 
-        visible = rt.visible(rt.generator_bits(chain.support))
-        irr0 = sorted(basis.irreducibles(space, visible & rt.above(chain.levels[0])))
+        visible = rt.visible(rt.generator_bits(chain_support(chain)))
+        irr0 = sorted(basis.irreducibles(space, visible & rt.rows(chain.levels[0])[0]))
         base = chains.chain_base_pool(space, chain)
         for m in irr0:
             w = separated(m)

@@ -98,6 +98,11 @@ def test_validation_passes_on_fixtures(genealogy5, street5, street2x3):
         assert validate_type_mapping(sp).ok
 
 
+def by_code(report, code: str) -> tuple:
+    """The failures of ``report`` with the code ``code``, in report order."""
+    return tuple(f for f in report.failures if f.code == code)
+
+
 def _with_sigma(sp: TypedSpace, replacements: dict) -> TypedSpace:
     sigma = dict(sp.sigma)
     sigma.update(replacements)
@@ -109,7 +114,7 @@ def test_validation_flags_top_type(genealogy5):
     broken = _with_sigma(genealogy5, {m: genealogy5.ctx.top()})
     report = validate_type_mapping(broken)
     assert not report.ok
-    assert report.by_code("top-forbidden")
+    assert by_code(report, "top-forbidden")
 
 
 def test_validation_flags_typed_empty_set(genealogy5):
@@ -118,7 +123,7 @@ def test_validation_flags_typed_empty_set(genealogy5):
     )
     report = validate_type_mapping(broken)
     assert not report.ok
-    assert report.by_code("bottom-on-empty")
+    assert by_code(report, "bottom-on-empty")
 
 
 def test_validation_flags_monotonicity(genealogy5):
@@ -126,7 +131,7 @@ def test_validation_flags_monotonicity(genealogy5):
     broken = _with_sigma(g, {g.mask_of(["C"]): g.sigma[g.mask_of(["C", "W"])]})
     report = validate_type_mapping(broken)
     assert not report.ok
-    assert report.by_code("monotone")
+    assert by_code(report, "monotone")
 
 
 def _without(sp: TypedSpace, drop=(), untyped=()) -> TypedSpace:
@@ -138,14 +143,14 @@ def _without(sp: TypedSpace, drop=(), untyped=()) -> TypedSpace:
 
 def test_validation_flags_missing_empty_and_whole_set(street5):
     report = validate_type_mapping(_without(street5, drop=(0, street5.full_mask)))
-    assert report.by_code("empty-open-missing")
-    assert report.by_code("whole-set-missing")
+    assert by_code(report, "empty-open-missing")
+    assert by_code(report, "whole-set-missing")
 
 
 def test_validation_flags_untyped_open(street5):
     m = street5.mask_of(["r2", "r3"])
     report = validate_type_mapping(_without(street5, untyped=(m,)))
-    assert [f.witness for f in report.by_code("type-missing")] == [(("r2", "r3"),)]
+    assert [f.witness for f in by_code(report, "type-missing")] == [(("r2", "r3"),)]
 
 
 def test_closure_failures_name_each_bad_pair_once(street5):
@@ -158,8 +163,8 @@ def test_closure_failures_name_each_bad_pair_once(street5):
         if (u & v) not in broken.opens:
             expected.append(("intersection-closure", pair))
     report = validate_type_mapping(broken)
-    assert len(report.by_code("union-closure")) == 6
-    assert len(report.by_code("intersection-closure")) == 1
+    assert len(by_code(report, "union-closure")) == 6
+    assert len(by_code(report, "intersection-closure")) == 1
     got = [(f.code, frozenset(f.witness)) for f in report.failures]
     assert Counter(got) == Counter(expected)
 
@@ -311,7 +316,7 @@ def test_one_order_scan_matches_the_two_scan_reference(seed):
     monotone, verdict = _two_scan_reference(probe)
     assert is_strictly_typed(probe) == verdict
     report = validate_type_mapping(probe)
-    assert [f.witness for f in report.by_code("monotone")] == monotone
+    assert [f.witness for f in by_code(report, "monotone")] == monotone
     assert probe.index.strict_report == verdict
 
 
@@ -520,7 +525,7 @@ def test_table_step_pass_matches_the_order_scan(genealogy5, street5, street2x3):
             assert validate_type_mapping(slow) == report
             assert is_strictly_typed(slow) == verdict == slow.index.strict_report
         assert fast.index.strict_report == verdict
-        rises = not report.by_code("monotone") and verdict.strict
+        rises = not by_code(report, "monotone") and verdict.strict
         assert space._steps_rise(dataclasses.replace(sp)) is rises
 
 
@@ -642,13 +647,14 @@ def _sample_spaces(seed: int, fixtures) -> list:
 
 
 def test_order_rows_of_realized_levels_match_leq(genealogy5, street5, street2x3):
+    """``up``, `down` and `RealizedTypes.rows` of each realized type against `lattice.leq`."""
     for sp in _sample_spaces(4, (genealogy5, street5, street2x3)):
         rt = realized_types(sp)
         for i, a in enumerate(rt.terms):
-            for j, b in enumerate(rt.terms):
-                assert rt.leq(i, j) == lattice.leq(a, b)
+            above = [lattice.leq(a, b) for b in rt.terms]
             below = [lattice.leq(b, a) for b in rt.terms]
-            assert _row_bits(rt.below(a), len(rt)) == _row_bits(rt.down[i], len(rt)) == below
+            assert _row_bits(rt.up[i], len(rt)) == _row_bits(rt.rows(a)[0], len(rt)) == above
+            assert _row_bits(rt.down[i], len(rt)) == _row_bits(rt.rows(a)[1], len(rt)) == below
 
 
 def test_order_rows_of_chain_levels_match_leq(
@@ -658,12 +664,44 @@ def test_order_rows_of_chain_levels_match_leq(
     for sp, chain in ((street5, c_right5), (genealogy5, c_anc5), (street2x3, c_right6)):
         rt = realized_types(sp)
         for level in chain.levels:
-            assert _row_bits(rt.above(level), len(rt)) == [
-                lattice.leq(level, t) for t in rt.terms
-            ]
-            assert _row_bits(rt.below(level), len(rt)) == [
-                lattice.leq(t, level) for t in rt.terms
-            ]
+            above, below = rt.rows(level)
+            assert _row_bits(above, len(rt)) == [lattice.leq(level, t) for t in rt.terms]
+            assert _row_bits(below, len(rt)) == [lattice.leq(t, level) for t in rt.terms]
+
+
+def _random_level(rng: random.Random, sp: TypedSpace, ctx: Context) -> lattice.TypeTerm:
+    """A meet or join of up to three atoms parsed in ``ctx``: realized types,
+    generators and point literals of ``sp``, BOT and TOP."""
+    atoms = [format_term(t) for t in realized_types(sp).terms] + sorted(sp.poset.elements)
+    atoms += [f"{sign}@{x}" for x in sp.points for sign in ("", "~")] + ["BOT", "TOP"]
+    level = parse_type_expr(rng.choice(atoms), ctx)
+    for _ in range(rng.randrange(3)):
+        step = lattice.meet if rng.random() < 0.5 else lattice.join
+        level = step(level, parse_type_expr(rng.choice(atoms), ctx))
+    return level
+
+
+def test_rows_of_random_levels_match_leq(genealogy5, street5, street2x3):
+    """The one scan of `RealizedTypes.rows` against `lattice.leq`, both directions.
+
+    Levels are BOT, TOP and random meets and joins, many with cubes off
+    the space's cube table, half of them parsed in an equal but distinct
+    context.
+    """
+    rng = random.Random(12)
+    off_table = 0
+    for sp in _sample_spaces(12, (genealogy5, street5, street2x3)):
+        sp = dataclasses.replace(sp)
+        rt = realized_types(sp)
+        twin = Context(sp.poset, sp.points)
+        levels = [sp.ctx.bottom(), sp.ctx.top(), twin.bottom(), twin.top()]
+        levels += [_random_level(rng, sp, rng.choice((sp.ctx, twin))) for _ in range(16)]
+        for level in levels:
+            off_table += not level.cubes <= set(rt.cubes)
+            above, below = rt.rows(level)
+            assert _row_bits(above, len(rt)) == [lattice.leq(level, t) for t in rt.terms]
+            assert _row_bits(below, len(rt)) == [lattice.leq(t, level) for t in rt.terms]
+    assert off_table >= 60
 
 
 def test_order_rows_are_memoized_by_term_value(street5, c_right5):
@@ -671,8 +709,7 @@ def test_order_rows_are_memoized_by_term_value(street5, c_right5):
     for level in c_right5.levels + rt.terms[:3]:
         again = parse_type_expr(format_term(level), street5.ctx)
         assert again is not level
-        assert rt.above(again) is rt.above(level)
-        assert rt.below(again) is rt.below(level)
+        assert rt.rows(again) is rt.rows(level)
 
 
 @pytest.mark.parametrize("name", ["genealogy5", "street5", "street2x3"])
@@ -688,7 +725,7 @@ def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
 
     The reference sorts the distinct terms by `TypeTerm.sort_key` and
     reads each row off the terms' cubes by name: ``holders`` by membership,
-    ``reach`` by the cube subset test, ``generators`` by the generator names.
+    ``up`` by the cube subset test, ``generators`` by the generator names.
     The cube table itself is in rendered key order. The last space types
     three opens alike that its set of masks holds out of ascending order.
     """
@@ -714,10 +751,12 @@ def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
         def implies(c, d):
             return all(x & y == y for x, y in zip(c, d))
 
-        assert rt.holders == {c: sum(1 << j for j, t in enumerate(terms) if c in t.cubes)
-                              for c in cubes}
-        assert rt.reach == {c: sum(1 << j for j, t in enumerate(terms)
-                                   if any(implies(c, d) for d in t.cubes)) for c in cubes}
+        assert rt.cubes == tuple(cubes)
+        assert rt.holders == tuple(sum(1 << j for j, t in enumerate(terms) if c in t.cubes)
+                                   for c in cubes)
+        assert rt.up == tuple(sum(1 << j for j, t in enumerate(terms)
+                                  if all(any(implies(c, d) for d in t.cubes) for c in s.cubes))
+                              for s in terms)
         assert rt.generators == tuple(rt.generator_bits(t.generators()) for t in terms)
 
 
@@ -773,14 +812,12 @@ def test_order_rows_of_a_foreign_level_fail_loudly(street5, c_right5):
     foreign = Context(street5.poset, street5.points + ("r6",))
     for text in (format_term(rt.terms[0]), "right"):
         with pytest.raises(ContextMismatchError):
-            rt.above(parse_type_expr(text, foreign))
-        with pytest.raises(ContextMismatchError):
-            rt.below(parse_type_expr(text, foreign))
+            rt.rows(parse_type_expr(text, foreign))
     twin = Context(street5.poset, street5.points)
     assert twin is not street5.ctx
     for level in c_right5.levels + rt.terms[:3]:
         again = parse_type_expr(format_term(level), twin)
-        assert (rt.above(again), rt.below(again)) == (rt.above(level), rt.below(level))
+        assert rt.rows(again) == rt.rows(level)
 
 
 def test_incompatible_types_never_share_a_point(genealogy5):
