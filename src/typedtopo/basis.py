@@ -5,15 +5,16 @@ canonical base: the members that cannot be written as a union of two other
 family members. Every family member is the union of the base members inside
 it, which `oracle.check_space` replays as its anchored decomposition.
 
-Such a family is the opens of a realized-type bitset, the ``above`` row
-that `space.RealizedTypes.rows` scans for ``p``, and so is every pool the
-chain bases draw on, keyed by the realized types' ``up`` rows or by the
-rows of their own levels. `irreducibles` is the one routine that decides
-irreducible members, in one pass over the pool by size
-(`_irreducible_members`): it memoizes them per space by that int row, so
-the anchored families, the chain bases and the oracle share each decision.
-Only a chain's base reads it; the chain pools are memoized apart, by their
-own row, and decide nothing here.
+Such a family is the opens of a realized-type bitset, the ``above`` row of
+``p``, and so is every pool the chain bases draw on. A caller that holds a
+realized type's index reads that row by position, ``RealizedTypes.up``;
+an anchor given as a term, such as a parsed ``tts basis --p``, reaches it
+through `space.RealizedTypes.rows` (`opens_above`, `irreducibles_above`).
+`irreducibles` is the one routine that decides irreducible members, in one
+pass over the pool by size (`_irreducible_members`): it memoizes them per
+space by that int row, so the anchored families, the chain bases and the
+oracle share each decision. Only a chain's base reads it; the chain pools
+are memoized apart, by their own row, and decide nothing here.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import reduce
 from operator import or_
 from typing import Optional
 
-from . import lattice, space as space_mod
+from . import space as space_mod
 from .errors import PreconditionError
 from .lattice import TypeTerm
 from .space import TypedSpace
@@ -80,19 +81,6 @@ def irreducibles(space: TypedSpace, types: int) -> frozenset:
     if got is None:
         got = memo[types] = _irreducible_members(space_mod.realized_types(space).opens_in(types))
     return got
-
-
-def is_join_irreducible(space: TypedSpace, open_mask: int, p: TypeTerm) -> bool:
-    """No two anchored opens other than the set itself union to it."""
-    _check_anchored(space, open_mask, p)
-    return open_mask in irreducibles(space, _above_row(space, p))
-
-
-def _check_anchored(space: TypedSpace, open_mask: int, p: TypeTerm) -> None:
-    if open_mask == 0 or open_mask not in space.opens:
-        raise PreconditionError("irreducibility is defined for nonempty opens only")
-    if not lattice.leq(p, space.sigma[open_mask]):
-        raise PreconditionError("the open's type does not dominate the anchor")
 
 
 def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> frozenset:

@@ -192,8 +192,9 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
     topping out at the generator. Each call re-derives that union from the
     realized-type rows and raises if the two disagree: a sandwich under a
     level ``hi <= gen`` lies inside the one under ``gen``, so the union is
-    the opens of ``visible({gen})``, the types below ``gen`` and those
-    above one of the family's own types ``t``, all read by `RealizedTypes.rows`.
+    the opens of ``visible({gen})``, the types below ``gen``, read by term
+    through `RealizedTypes.rows`, and those above one of the family's own
+    types, the OR of ``up[j]`` over each type ``j`` whose opens meet it.
     """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
@@ -204,10 +205,11 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
         m for m in space.opens if m and sig[m].uses_only({gen}) and lattice.leq(sig[m], top)
     )
     rt = realized_types(space)
-    above = 0
-    for t in {sig[m] for m in family}:
-        above |= rt.rows(t)[0]
-    union = rt.opens_in(rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1] & above)
+    row, above = rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1], 0
+    for j in space_mod.bit_indexes(row):
+        if not family.isdisjoint(rt.opens_by_type[j]):
+            above |= rt.up[j]
+    union = rt.opens_in(row & above)
     if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",

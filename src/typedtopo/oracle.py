@@ -15,13 +15,16 @@ logic of the operations they judge:
   the type mapping with its meet and join bounds, strictness,
   self-irreducibility, the anchored decomposition, and the base, closure
   core and connectivity theorems of the realized chains and the pure
-  families. Each is a small function, and every one can fail. It lists
-  the realized chains as tuples of realized-type indexes read off the
-  order rows, reads all their pools and bases from `chains` in one call
-  over that list, and decides the chain theorems in one pass over what
-  the call yields, by the int masks of each chain's pool and base. So it
-  judges the pools and bases, but decides every theorem by its own mask
-  algebra.
+  families. Each is a small function, and every one can fail. It reads
+  each realized type's order row by index off `RealizedTypes.up`, never
+  the cube table: the anchor checks test each type's opens and family
+  against `basis.irreducibles` of that row. It lists the realized chains
+  as tuples of those indexes, reads all their pools and bases from
+  `chains` in one call over that list, and decides the chain theorems in
+  one pass over what the call yields, by the int masks of each chain's
+  pool and base; only the pure families' `TypeChain` levels are read by
+  term, in `chains`. So it judges the pools and bases, but decides every
+  theorem by its own mask algebra.
 
 Budgets make the exponential cost explicit: exceeding one raises
 `OracleSkip`, never a silent pass. The theorem replay counts its chains
@@ -167,9 +170,6 @@ class CheckReport:
     def ok(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def failed(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
-
 
 def _chain_count(rt, budget: int) -> int:
     """The realized 2- and 3-level chains, counted from the order rows.
@@ -250,21 +250,21 @@ def _type_mapping(space: TypedSpace, report: space_mod.ValidationReport) -> Chec
     return _result("type-mapping", f"{n * (n + 1) // 2} open pairs U <= V", bad)
 
 
-def _self_irreducible(space: TypedSpace) -> CheckResult:
-    """Every nonempty open is join-irreducible at its own type."""
-    nonempty = space.nonempty_opens()
-    bad = [(space.ids_of(m),) for m in nonempty
-           if not basis.is_join_irreducible(space, m, space.sigma[m])]
-    return _result("self-irreducible", f"all {len(nonempty)} nonempty opens", bad)
+def _self_irreducible(space: TypedSpace, rt) -> CheckResult:
+    """Every nonempty open of type ``j`` is join-irreducible in the row ``rt.up[j]``."""
+    bad = sorted(m for opens, row in zip(rt.opens_by_type, rt.up)
+                 for m in set(opens) - basis.irreducibles(space, row))
+    n = sum(map(len, rt.opens_by_type))
+    return _result("self-irreducible", f"all {n} nonempty opens", [(space.ids_of(m),) for m in bad])
 
 
 def _anchored_decomposition(space: TypedSpace, rt) -> CheckResult:
-    """The irreducible members inside any anchored open cover it."""
+    """The irreducible members inside any anchored open cover it, by anchor row."""
     bad = []
-    for p in rt.terms:
-        base = basis.irreducibles_above(space, p)
+    for p, row in zip(rt.terms, rt.up):
+        base = basis.irreducibles(space, row)
         bad += [(lattice.format_term(p), space.ids_of(u))
-                for u in sorted(basis.opens_above(space, p)) if _covered(base, u) != u]
+                for u in sorted(rt.opens_in(row)) if _covered(base, u) != u]
     return _result("anchored-decomposition",
                    f"all {len(rt)} realized anchors x their families", bad)
 
@@ -423,7 +423,7 @@ def check_space(space: TypedSpace) -> CheckReport:
                     (strictness.witness,) if strictness.witness else ()),
     ]
     if results[0].passed and strictness.strict:
-        results += [_self_irreducible(space), _anchored_decomposition(space, rt)]
+        results += [_self_irreducible(space, rt), _anchored_decomposition(space, rt)]
         nbhd, *chain_rest = _chain_results(space, rt)
         pure_base, pure_conn = _pure_family_results(space)
         results += [nbhd, pure_base, *chain_rest, pure_conn]

@@ -322,11 +322,12 @@ class SpaceIndex:
     types bucket the opens by its rows and read their order rows, int
     bitsets over the type indexes, off it: ``up`` by table bit, and the rows
     of any other level by one scan of the table (`RealizedTypes.rows`).
-    Such a row keys the join-irreducible members of the opens it selects in
-    ``irreducibles`` (`basis.irreducibles`) and a chain's pool in ``pools``
-    (`chains`), from `chains.TypeChain` terms or realized-type indexes
-    alike. A chain's base is that pool met with the ``irreducibles`` of its
-    lower rows.
+    Such a row, read by index for a realized type (the realized chains, the
+    oracle's anchor checks, `chains.generator_family`) or through `rows` for
+    a `chains.TypeChain` level or a parsed anchor, keys the join-irreducible
+    members of the opens it selects in ``irreducibles`` (`basis.irreducibles`)
+    and a chain's pool in ``pools`` (`chains`). A chain's base is that pool
+    met with the ``irreducibles`` of its lower rows.
     """
 
     __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")

@@ -57,14 +57,14 @@ def _example_anchors(g):
 
 def test_join_irreducible_at_own_type(genealogy5):
     ray, p_own, _ = _example_anchors(genealogy5)
-    assert basis.is_join_irreducible(genealogy5, ray, p_own)
+    assert ray in basis.irreducibles_above(genealogy5, p_own)
 
 
 def test_join_irreducible_fails_with_weaker_anchor(genealogy5):
     g = genealogy5
     ray, _, p_mixed = _example_anchors(g)
-    assert not basis.is_join_irreducible(g, ray, p_mixed)
     fam = basis.opens_above(g, p_mixed)
+    assert ray in fam and ray not in basis.irreducibles_above(g, p_mixed)
     assert g.mask_of(["B", "S", "H"]) in fam and g.mask_of(["C"]) in fam
 
 
@@ -72,16 +72,7 @@ def test_singletons_always_join_irreducible(genealogy5):
     g = genealogy5
     for pt in g.points:
         m = g.mask_of([pt])
-        assert basis.is_join_irreducible(g, m, g.sigma[m])
-
-
-def test_join_irreducible_precondition(genealogy5):
-    g = genealogy5
-    ray = g.mask_of(["B", "S", "H", "C"])
-    with pytest.raises(PreconditionError):
-        basis.is_join_irreducible(g, 0, g.sigma[ray])
-    with pytest.raises(PreconditionError):
-        basis.is_join_irreducible(g, ray, g.sigma[g.mask_of(["W"])])
+        assert m in basis.irreducibles_above(g, g.sigma[m])
 
 
 def test_irreducibles_above_contains_every_own_typed_open(genealogy5):
@@ -134,9 +125,8 @@ def test_monotone_anchor_transfer(street5):
         if not rt.up[i] >> j & 1:
             continue
         p, q = rt.terms[i], rt.terms[j]
-        for u in basis.opens_above(sp, q):
-            if basis.is_join_irreducible(sp, u, p):
-                assert basis.is_join_irreducible(sp, u, q)
+        assert basis.irreducibles_above(sp, p) & basis.opens_above(sp, q) <= (
+            basis.irreducibles_above(sp, q))
         checked += 1
 
 

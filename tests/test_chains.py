@@ -297,7 +297,7 @@ def test_generator_neighborhood_members_reappear_in_some_base(genealogy5):
         for m in fam:
             t = g.sigma[m]
             ch = TypeChain((t, t)) if lattice.term_eq(t, anc) else TypeChain((t, anc))
-            assert basis.is_join_irreducible(g, m, t)
+            assert m in basis.irreducibles_above(g, t)
             assert m in chains.chain_base(g, x, ch)
 
 
@@ -341,18 +341,23 @@ def test_generator_family_is_checked_against_the_realized_chain_union(monkeypatc
     """One scan of the opens, and one check of it against the rows' union.
 
     Measured on STREET5, once the strictness check has run:
-    `stats.family_size_scores` makes 159 `lattice.leq` calls, 4 for the scan
-    and 155 for the rows. The union of two-level chain pools over every
-    comparable pair of levels made 360. A realized-type index that loses or
-    gains a family member makes every call raise.
+    `stats.family_size_scores` makes 4 `lattice.leq` calls, all in the scan,
+    and 1 `RealizedTypes.rows` call, for the generator's own term. The
+    union's lower side ORs the ``up`` rows of the types whose bucket meets
+    the family; reading each family type's row through `rows` made 5 calls,
+    and the union of two-level chain pools over every comparable pair of
+    levels made 360 `leq` calls. A realized-type index that loses or gains
+    a family member makes every call raise.
     """
     copy = dataclasses.replace(street5)
     space.strictness(copy)
     calls = []
-    leq = lattice.leq
-    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
+    leq, rows = lattice.leq, space.RealizedTypes.rows
+    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append("leq") or leq(a, b))
+    monkeypatch.setattr(
+        space.RealizedTypes, "rows", lambda self, level: calls.append("rows") or rows(self, level))
     table = stats.family_size_scores(copy, "right")
-    assert 0 < len(calls) <= 159
+    assert 0 < calls.count("leq") <= 4 and calls.count("rows") <= 1
     monkeypatch.undo()
     assert table.population == stats.family_size_scores(street5, "right").population
     assert chains.generator_family(copy, "right") == {

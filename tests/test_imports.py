@@ -325,3 +325,21 @@ def test_oracle_functions_stay_short():
     }
     assert "check_space" in lengths
     assert {name: n for name, n in lengths.items() if n > 60} == {}
+
+
+# What reaches the cube table behind the realized types: `space._cube_rows`
+# builds it, ``RealizedTypes.cubes`` and ``holders`` are its columns, and
+# `RealizedTypes.rows` scans it for a level given as a term.
+CUBE_TABLE = {"rows", "cubes", "holders", "_cube_rows"}
+
+
+def test_the_oracle_reads_no_cube_table():
+    """`oracle.py` reads realized types by index, never the cube table.
+
+    An attribute read or an imported name counts, whatever its receiver.
+    """
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    names = set(attribute_reads(ast.parse(source)))
+    names |= {target.rsplit(".", 1)[-1] for target in references(source, "oracle")}
+    assert {"up", "opens_by_type", "irreducibles"} <= names
+    assert sorted(names & CUBE_TABLE) == []

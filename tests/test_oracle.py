@@ -185,7 +185,7 @@ def test_check_space_names_the_meet_bound_of_an_unnested_pair(genealogy5, monkey
 def test_check_space_green_on_fixtures(genealogy5, street5):
     for sp in (genealogy5, street5):
         rep = check_space(sp)
-        assert rep.ok, rep.failed()
+        assert rep.ok, [r for r in rep.results if not r.passed]
 
 
 def test_check_space_pinpoints_corruption(genealogy5):
@@ -196,7 +196,7 @@ def test_check_space_pinpoints_corruption(genealogy5):
     broken = TypedSpace(g.ctx, g.opens, sigma, g.generators)
     rep = check_space(broken)
     assert not rep.ok
-    failed = rep.failed()
+    failed = [r for r in rep.results if not r.passed]
     assert failed
     witnesses = [w for r in failed for w in r.counterexamples]
     assert any(("C",) in w for w in witnesses)
@@ -337,6 +337,26 @@ def test_realized_chains_read_no_level_term(monkeypatch, street5):
     assert len(rt.up) == len(rt) == 31
     assert oracle._chain_count(rt, oracle.MAX_CHAINS) == len(reference) == 992
     assert oracle._chain_levels(rt) == reference
+    assert calls == []
+
+
+def test_anchor_checks_read_realized_rows_by_index(monkeypatch, street5):
+    """The self-irreducible and anchored-decomposition checks read ``rt.up``.
+
+    Once the realized types are built, neither reaches an order row through
+    `RealizedTypes.rows` nor decides a `lattice.leq`. Measured on STREET5:
+    reaching each row through its type made 93 `rows` and 31 `leq` calls.
+    """
+    sp = dataclasses.replace(street5)
+    space.strictness(sp)
+    rt = realized_types(sp)
+    calls = []
+    rows, leq = space.RealizedTypes.rows, lattice.leq
+    monkeypatch.setattr(
+        space.RealizedTypes, "rows", lambda self, level: calls.append("rows") or rows(self, level))
+    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append("leq") or leq(a, b))
+    results = [oracle._self_irreducible(sp, rt), oracle._anchored_decomposition(sp, rt)]
+    assert all(r.passed for r in results)
     assert calls == []
 
 
@@ -547,19 +567,27 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     Measured on STREET5: 8 `TypeChain` constructions, one per pure-family
     member, with 8 `chain_base_pool` and 8 `chain_pool` calls; 992 realized
     chains read by index, in one `realized_chain_pools` call that yields a
-    pool and base for each, where one call per chain made 992. The bounds make 243 nested-pair `lattice.leq`
-    calls and no `lattice.meet` or `lattice.join`, and 47 more come from
-    elsewhere in the replay; a meet and a join per open pair made 528 of
-    each and 1,183 `leq` calls. Validation makes 5, one per step out of the
-    empty set, where it made 80, one per step pair, before the cube table.
-    Building a `TypeChain` for each realized chain made 1,000 constructions,
-    1,000 `chain_base_pool` and 2,000 `chain_pool` calls. The (pool, base) computations are gated in
+    pool and base for each, where one call per chain made 992. Building a
+    `TypeChain` for each realized chain made 1,000 constructions, 1,000
+    `chain_base_pool` and 2,000 `chain_pool` calls.
+
+    Of the 264 `lattice.leq` calls, the bounds make 243 on nested pairs, with
+    no `lattice.meet` or `lattice.join`; a meet and a join per open pair made
+    528 of each and 1,183 `leq` calls. Validation makes 5, one per step out
+    of the empty set, where it made 80, one per step pair, before the cube
+    table. The pure families make 16, one per family scan test and one per
+    chain built. Reaching each anchor's row through its type added 31.
+
+    The 32 `RealizedTypes.rows` calls read the two levels of each
+    pure-family chain, once for its base and once for its pool; reaching
+    each anchor's row through its type added 93. The (pool, base)
+    computations are gated in
     `test_chains.test_check_space_scans_each_chain_pool_once`.
     """
     calls = {"chain_base_pool": 0, "chain_pool": 0, "realized_chain_pools": 0,
-             "meet": 0, "join": 0, "leq": 0}
+             "meet": 0, "join": 0, "leq": 0, "rows": 0}
     for mod, name in ((chains, "chain_base_pool"), (chains, "chain_pool"), (lattice, "meet"),
-                      (lattice, "join"), (lattice, "leq")):
+                      (lattice, "join"), (lattice, "leq"), (space.RealizedTypes, "rows")):
         def counted(*args, _f=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _f(*args)
@@ -585,7 +613,8 @@ def test_check_space_fetches_each_chain_pool_and_base_once(monkeypatch, street5)
     assert calls["realized_chain_pools"] == 1 and len(fetched) == 992
     assert calls["meet"] == 0
     assert calls["join"] == 0
-    assert calls["leq"] <= 295
+    assert calls["leq"] <= 264
+    assert calls["rows"] <= 32
 
 
 def test_check_space_declares_its_chain_count_before_the_pair_loop(street10):
