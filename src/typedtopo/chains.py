@@ -15,23 +15,20 @@ confined universe. Covering the realized types with few chains (a minimum
 chain partition via bipartite matching) recovers the full neighborhood
 system of every point.
 
-The pools are mask algebra over the realized types' int bitset rows
-(`space.RealizedTypes`, read off a table of their cubes with no
-`lattice.leq`): a chain pool is the opens of ``visible(support) &
-OR(up[lo] & down[hi])`` over the consecutive levels, ``support`` the OR of
-the levels' generator bitsets. The irreducible members above a lower level
-are those of the row ``visible(support) & up[level]``, read from
-`basis.irreducibles`, whose memo on ``space.index`` is keyed by that row.
-One routine, `_key`, reads a chain's key ``(pool row, lower rows)`` from
-its levels' rows and generator bitsets: a `TypeChain` passes those of its
-level terms (`RealizedTypes.rows`; `chain_pool`, `chain_base_pool`), and
-a list of chains of realized types passes ``up``, ``down`` and
-``generators`` themselves, read by index (`realized_chain_pools`), which
-builds no chain and hashes no term. One routine, `_pools_and_bases`, reads
-every pool and base from such keys. The pools have a memo of their own on
-``space.index``, keyed by the pool row alone, and a base is the memoized
-pool met with the memoized irreducibles of its lower rows, so a query that
-reads only the pool decides no irreducibility. A single generator's family
+The pools are mask algebra over int bitset rows. A chain's key is
+``(pool row, lower rows)`` over the realized types (`space.RealizedTypes`,
+read off a table of their cubes with no `lattice.leq`): the pool row is
+``visible(support) & OR(up[lo] & down[hi])`` over the consecutive levels,
+``support`` the OR of their generator bitsets, and a lower row
+``visible(support) & up[lo]``, whose members irreducible in it
+(`basis.irreducibles`) may join the base. `_key` reads it for a
+`TypeChain` (`chain_pool`, `chain_base_pool`) and for a tuple of
+realized-type indexes (`realized_chain_pools`, which builds no chain and
+hashes no term). One routine, `_pools_and_bases`, reads every pool and
+base, as open rows over `RealizedTypes.open_masks`: on a space with one
+open per type a pool row is its type row. The pools are memoized by row
+on ``space.index``, apart from the irreducibles, so a query that reads
+only the pool decides no irreducibility. A single generator's family
 (`generator_family`) is one scan of the opens, checked against the union
 of its chains' pools read from the same rows.
 """
@@ -81,33 +78,44 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _pool(space: TypedSpace, row: int) -> frozenset:
-    """The opens of the pool row ``row``, read on a `_pools_and_bases` miss."""
-    return realized_types(space).opens_in(row)
+def _pool(rt, types: int) -> int:
+    """The open row of the opens typed in ``types``: ``types`` itself with one open per type."""
+    if len(rt.open_masks) == len(rt.terms):
+        return types
+    return sum(map(rt.open_bits.get, rt.opens_in(types)))
+
+
+def _members(space: TypedSpace, row: int) -> frozenset:
+    """The masks of the open row ``row``, memoized on ``space.index.members``."""
+    got = space.index.members.get(row)
+    if got is None:
+        masks = realized_types(space).open_masks
+        got = space.index.members[row] = frozenset(masks[k] for k in space_mod.bit_indexes(row))
+    return got
 
 
 def _pools_and_bases(space: TypedSpace, keys):
-    """Yield the pool and base of each key ``(pool row, lower rows)``.
+    """Yield the pool and base open rows of each key ``(pool row, lower rows)``.
 
     Every chain pool and base is read here: the pool from its memo on
-    ``space.index.pools``, keyed by its row, and the base as the pool met
-    with the memoized irreducibles of the lower rows ``visible &
-    up[lo]``, since `basis.irreducibles` of such a row holds only opens
-    typed above its level. `_pool` and `irreducibles` run only on a miss.
-    A key with no lower rows reads its pool alone, deciding nothing.
+    ``space.index.pools``, keyed by its type row, and the base as the pool
+    met with the irreducibles of the lower rows, memoized as open rows on
+    ``base_rows``. `_pool` and `irreducibles` run only on a miss; a key with
+    no lower rows reads its pool alone, deciding nothing.
     """
-    pools, memo = space.index.pools, space.index.irreducibles
+    pools, base_rows = space.index.pools, space.index.base_rows
+    rt = realized_types(space)
     for row, lows in keys:
         pool = pools.get(row)
         if pool is None:
-            pool = pools[row] = _pool(space, row)
-        base = None
+            pool = pools[row] = _pool(rt, row)
+        base = 0
         for low in lows:
-            irr = memo.get(low)
-            if irr is None:
-                irr = irreducibles(space, low)
-            base = pool & irr if base is None else base | (pool & irr)
-        yield pool, base
+            got = base_rows.get(low)
+            if got is None:
+                got = base_rows[low] = sum(map(rt.open_bits.get, irreducibles(space, low)))
+            base |= got
+        yield pool, pool & base if lows else None
 
 
 def _key(rt, levels, up, down, generators) -> tuple[int, set]:
@@ -136,12 +144,11 @@ def _level_rows(space: TypedSpace, chain: TypeChain) -> tuple:
 
 
 def realized_chain_pools(space: TypedSpace, chain_list):
-    """The ``(pool, base)`` of each chain in ``chain_list``, iterated in order.
+    """The ``(pool, base)`` open rows of each chain in ``chain_list``, in order.
 
-    A chain is a tuple of ascending indexes into
-    ``realized_types(space).terms``, whose order the caller vouches for.
-    Strictness is checked and the realized types read at the call. Each
-    chain's key is read by index off `RealizedTypes.up`, ``down`` and
+    A chain is a tuple of ascending indexes into ``realized_types(space).terms``,
+    whose order the caller vouches for; strictness is checked at the call.
+    Each key is read by index off `RealizedTypes.up`, ``down`` and
     ``generators``, so no `TypeChain` is built and no term hashed.
     """
     space_mod.require_strict(space)
@@ -160,11 +167,10 @@ def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozense
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """All sandwiched visible opens: the union of every point's neighborhoods.
 
-    Computed once per pool row and space, and memoized on ``space.index``;
-    no irreducibility is decided.
+    Memoized on ``space.index``, as a row and as masks; no irreducibility is decided.
     """
     row, _ = _key(*_level_rows(space, chain))
-    return next(_pools_and_bases(space, [(row, ())]))[0]
+    return _members(space, next(_pools_and_bases(space, [(row, ())]))[0])
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
@@ -174,7 +180,7 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    return next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))[1]
+    return _members(space, next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))[1])
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -239,16 +245,19 @@ def chain_cover(space: TypedSpace) -> ChainCover:
     width of the realized order. Each type in turn searches depth first for
     an augmenting path on an explicit stack of ``[type, successor tried]``
     frames, trying next the lowest successor not yet seen, so no path is
-    too long for it. Single-type chains are padded by repeating the level,
-    which the sandwich test treats as selecting exactly that type.
+    too long for it. ``seen`` is cleared only once a path is found: a
+    failed search leaves the matching as it was, so the types it exhausted
+    stay dead. Single-type chains are padded by repeating the level, which
+    the sandwich test treats as selecting exactly that type.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
     n = len(rt)
     succ = [row & ~(1 << i) for i, row in enumerate(rt.up)]
     match_left, match_right = [-1] * n, [-1] * n
+    seen = 0
     for root in range(n):
-        seen, stack = 0, [[root, -1]]
+        stack = [[root, -1]]
         while stack:
             frame = stack[-1]
             avail = succ[frame[0]] & ~seen
@@ -263,6 +272,7 @@ def chain_cover(space: TypedSpace) -> ChainCover:
                 continue
             for i, j in stack:
                 match_right[j], match_left[i] = i, j
+            seen = 0
             break
     chains, covered = [], 0
     starts = [i for i in range(n) if match_right[i] < 0]

@@ -16,15 +16,11 @@ logic of the operations they judge:
   self-irreducibility, the anchored decomposition, and the base, closure
   core and connectivity theorems of the realized chains and the pure
   families. Each is a small function, and every one can fail. It reads
-  each realized type's order row by index off `RealizedTypes.up`, never
-  the cube table: the anchor checks test each type's opens and family
-  against `basis.irreducibles` of that row. It lists the realized chains
-  as tuples of those indexes, reads all their pools and bases from
-  `chains` in one call over that list, and decides the chain theorems in
-  one pass over what the call yields, by the int masks of each chain's
-  pool and base; only the pure families' `TypeChain` levels are read by
-  term, in `chains`. So it judges the pools and bases, but decides every
-  theorem by its own mask algebra.
+  realized types by index (`RealizedTypes.up`, ``open_masks``), never the
+  cube table, and the realized chains' pools and bases as int rows over
+  the opens from one `chains` call. It decides each chain theorem on those
+  rows by tables read off the open masks alone, and expands a row into
+  masks only for a counterexample or a pool with disjoint members.
 
 Budgets make the exponential cost explicit: exceeding one raises
 `OracleSkip`, never a silent pass. The theorem replay counts its chains
@@ -32,7 +28,9 @@ before it walks them, against `MAX_CHAINS`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,9 +43,10 @@ from .space import TypedSpace, realized_types
 DEFAULT_DENSE_POINTS = 12
 DEFAULT_CONNECT_POINTS = 10
 MAX_SUBSETS = 1 << 20
-# realized chains one theorem replay may walk: an 8-point street has 65,280,
-# replayed in 1.3-2.0 s on a 2-core Xeon VM, and a 9-point street 261,632
-MAX_CHAINS = 100_000
+# realized chains one theorem replay may walk: on a 2-core VM an 8-person lineage's 65,280
+# take 0.83 s and a 9-person lineage's 261,632 3.6 s (1.5 and 7.3 s before open rows),
+# so 180,000 take about the 2.4 s that 100,000 took before
+MAX_CHAINS = 180_000
 
 
 @dataclass(frozen=True)
@@ -201,15 +200,6 @@ def _chain_levels(rt) -> list[tuple[int, ...]]:
     ]
 
 
-def _covered(members, u: int) -> int:
-    """The union of the ``members`` that lie inside ``u``."""
-    covered = 0
-    for m in members:
-        if (m & u) == m:
-            covered |= m
-    return covered
-
-
 def _bounds(space: TypedSpace) -> list:
     """The meet- and join-bound failures of the typed open pairs, in pair order.
 
@@ -264,7 +254,8 @@ def _anchored_decomposition(space: TypedSpace, rt) -> CheckResult:
     for p, row in zip(rt.terms, rt.up):
         base = basis.irreducibles(space, row)
         bad += [(lattice.format_term(p), space.ids_of(u))
-                for u in sorted(rt.opens_in(row)) if _covered(base, u) != u]
+                for u in sorted(rt.opens_in(row))
+                if functools.reduce(operator.or_, (m for m in base if m & u == m), 0) != u]
     return _result("anchored-decomposition",
                    f"all {len(rt)} realized anchors x their families", bad)
 
@@ -287,61 +278,92 @@ def _chain_witnesses(space: TypedSpace, rt, bad: list) -> list:
     ]
 
 
-def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
-    """The chain theorems, in one pass over one `chains.realized_chain_pools` call.
+def _row_tables(masks, n: int) -> tuple[list, list, list]:
+    """The open rows through each of ``n`` points, not containing each open, disjoint from it."""
+    through = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for i in range(n)]
+    every = (1 << len(masks)) - 1
+    hits = [[through[i] for i in space_mod.bit_indexes(m)] for m in masks]  # through its points
+    return (through, [every & ~functools.reduce(operator.and_, h, every) for h in hits],
+            [every & ~functools.reduce(operator.or_, h, 0) for h in hits])
 
-    A pool member outside the base has a base member inside it at each of
-    its points iff those inside it cover it; only a chain where one does
-    not is walked point by point. Returns the neighborhood-base,
-    closure-core, base- and anchored-connectivity results.
+
+def _expand(masks, row: int) -> frozenset:
+    """The masks of the open row ``row``, in the order `chains` reads them."""
+    return frozenset(masks[k] for k in space_mod.bit_indexes(row))
+
+
+def _least(masks, bits: dict, at: int) -> int:
+    """The index of the least member of the open row ``at``, the AND of its masks, or -1."""
+    core, rest = -1, at
+    while rest:
+        low = rest & -rest
+        core &= masks[low.bit_length() - 1]
+        rest ^= low
+    k = bits.get(core, 0).bit_length() - 1
+    return k if k >= 0 and at >> k & 1 else -1
+
+
+def _disjoint_pairs(masks, through: list, disjoint: list, pool: int) -> list:
+    """The disjoint member pairs of a pool row, ascending, once a `disjoint` row shows one."""
+    for row in through:
+        if pool & row == pool:  # a point in every member
+            return []
+    if not any(pool & disjoint[k] for k in space_mod.bit_indexes(pool)):
+        return []
+    return [(u, v) for u, v in itertools.combinations(sorted(_expand(masks, pool)), 2) if not u & v]
+
+
+def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
+    """The neighborhood-base, closure-core, base- and anchored-connectivity results.
+
+    One pass over the open rows of one `chains.realized_chain_pools` call:
+    the base members through a point have a least member iff the AND ``c``
+    of their masks is one, and then an open holds one iff it contains
+    ``c``. Only a chain that fails at a point is walked member by member.
     """
-    chain_list = _chain_levels(rt)
-    generators, bits = rt.generators, [(1 << i, x) for i, x in enumerate(space.points)]
+    chain_list, masks, bits = _chain_levels(rt), rt.open_masks, rt.open_bits
+    through, outside, disjoint = _row_tables(masks, len(space.points))
+    points = list(zip(through, space.points))
     bad_nbhd, bad_core, bad_base, bad_anchor = [], [], [], []
-    disjoint_pairs: dict = {}  # pool -> its disjoint member pairs, ascending
+    disjoint_pairs, least = {}, {}  # pool row -> `_disjoint_pairs`, base row at a point -> `_least`
     fetched = chains_mod.realized_chain_pools(space, chain_list)
     for levels, (pool, base) in zip(chain_list, fetched):
+        walk = False
+        for row, x in points:
+            at = base & row
+            if at:
+                k = least.get(at)
+                if k is None:
+                    k = least[at] = _least(masks, bits, at)
+                if k < 0:  # every nonempty base family has a least member
+                    bad_core.append((levels, x))
+                walk = walk or k < 0 or pool & row & outside[k]
+            elif pool & row:
+                walk = True
         # every sandwiched neighborhood contains a base member at each point
-        for u in pool - base:
-            covered = 0
-            for v in base:
-                if (v & u) == v:
-                    covered |= v
-            if covered != u:
-                bad_nbhd += [(levels, x, w) for bit, x in bits for w in pool if w & bit
-                             and not any((v & w) == v and v & bit for v in base)]
-                break
-        # every nonempty base family has a least member, its core
-        for bit, x in bits:
-            core = -1
-            for m in base:
-                if m & bit:
-                    core &= m
-            if core != -1 and core not in base:
-                bad_core.append((levels, x))
+        if walk:
+            pool_set, base_set = _expand(masks, pool), _expand(masks, base)
+            bad_nbhd += [(levels, x, w) for i, x in enumerate(space.points) for w in pool_set
+                         if w >> i & 1 and not any(v & w == v and v >> i & 1 for v in base_set)]
         # no first-level irreducible is split by two disjoint pool members
-        if pool not in disjoint_pairs:
-            pairs = itertools.combinations(sorted(pool), 2)
-            disjoint_pairs[pool] = [(u, v) for u, v in pairs if not u & v]
-        disjoint = disjoint_pairs[pool]
-        if not disjoint:
+        pairs = disjoint_pairs.get(pool)
+        if pairs is None:
+            pairs = disjoint_pairs[pool] = _disjoint_pairs(masks, through, disjoint, pool)
+        if not pairs:
             continue
-        support = 0
-        for i in levels:
-            support |= generators[i]
-        row = rt.visible(support) & rt.up[levels[0]]
-        for m in sorted(basis.irreducibles(space, row)):
-            for u, v in disjoint:
+        support = functools.reduce(operator.or_, map(rt.generators.__getitem__, levels))
+        for m in sorted(basis.irreducibles(space, rt.visible(support) & rt.up[levels[0]])):
+            for u, v in pairs:
                 if (m & ~(u | v)) == 0 and (m & u) and (m & v):
                     bad_anchor.append((levels, m, (u, v)))
-                    if m in base:
+                    if base & bits[m]:
                         bad_base.append((levels, m, (u, v)))
                     break
     n = len(chain_list)
     return [
         _result(name, f"{n} realized chains x {scope}", _chain_witnesses(space, rt, bad))
         for name, scope, bad in (
-            ("neighborhood-base", f"{len(bits)} points", bad_nbhd),
+            ("neighborhood-base", f"{len(points)} points", bad_nbhd),
             ("closure-core", "supported points", bad_core),
             ("base-connectivity", "first-level-irreducible base members", bad_base),
             ("anchored-connectivity", "first-level irreducibles", bad_anchor),
@@ -401,11 +423,9 @@ def check_space(space: TypedSpace) -> CheckReport:
     space is strictly typed, the realized chains are counted from the order
     rows first, and more than `MAX_CHAINS` of them raise `OracleSkip` before
     any pair loop runs. The chains are walked as ascending tuples of
-    realized-type indexes, and a chain's text is formatted only for the
-    first five counterexamples of a result, the ones it keeps. The chain
-    theorems are decided in one pass over the chains, by the int masks of
-    their pools and bases, which one `chains.realized_chain_pools` call over
-    the chain list yields in chain order.
+    realized-type indexes, their pools and bases read as open rows from one
+    `chains.realized_chain_pools` call, and a chain's text is formatted only
+    for the first five counterexamples of a result, the ones it keeps.
     """
     report = space.index.report or space_mod.validate_type_mapping(space)
     strictness = space_mod.strictness(space)

@@ -319,18 +319,15 @@ class SpaceIndex:
     copy starts with a fresh one, and the index keeps no reference to its
     space. Validation records its report, the strictness verdict and the
     cube table (`_cube_rows`, in cube key order) it decides on; the realized
-    types bucket the opens by its rows and read their order rows, int
-    bitsets over the type indexes, off it: ``up`` by table bit, and the rows
-    of any other level by one scan of the table (`RealizedTypes.rows`).
-    Such a row, read by index for a realized type (the realized chains, the
-    oracle's anchor checks, `chains.generator_family`) or through `rows` for
-    a `chains.TypeChain` level or a parsed anchor, keys the join-irreducible
-    members of the opens it selects in ``irreducibles`` (`basis.irreducibles`)
-    and a chain's pool in ``pools`` (`chains`). A chain's base is that pool
-    met with the ``irreducibles`` of its lower rows.
+    types read their order rows, int bitsets over the type indexes, off it
+    (`RealizedTypes.up` by index, `RealizedTypes.rows` for any level). Such
+    a row keys the join-irreducible members of the opens it selects in
+    ``irreducibles`` (`basis.irreducibles`), and in `chains` a chain's pool
+    and those members as open rows over `RealizedTypes.open_masks`.
     """
 
-    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")
+    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools",
+                 "base_rows", "members")
 
     def __init__(self):
         self.report: Optional[ValidationReport] = None
@@ -338,7 +335,9 @@ class SpaceIndex:
         self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
-        self.pools: dict = {}  # realized-type row -> frozenset of masks
+        self.pools: dict = {}  # realized-type row -> open row of the chain pool
+        self.base_rows: dict = {}  # realized-type row -> open row of its irreducibles
+        self.members: dict = {}  # open row -> frozenset of masks
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:
@@ -588,6 +587,16 @@ class RealizedTypes:
             for j in bit_indexes(row):
                 down[j] |= 1 << i
         return tuple(down)
+
+    @cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        """The nonempty opens in type order: bit ``k`` of an open row is ``open_masks[k]``."""
+        return tuple(itertools.chain.from_iterable(self.opens_by_type))
+
+    @cached_property
+    def open_bits(self) -> dict:
+        """Each nonempty open's mask -> its bit in an open row."""
+        return {m: 1 << k for k, m in enumerate(self.open_masks)}
 
     def opens_in(self, types: int) -> frozenset:
         """The opens whose type index is a bit of ``types``."""

@@ -131,7 +131,7 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
 
     Measured on STREET5: 593 pool rows for 992 realized chains and 8
     pure-family chains, and the realized chains return 692 distinct
-    (pool, base) pairs. Keying the memo by the pool row and the distinct
+    (pool, base) pairs of open rows. Keying the memo by the pool row and the distinct
     lower rows made 781 computations, and keying it by `TypeChain` 1,000.
     """
     stored, returned = [], set()
@@ -170,22 +170,27 @@ def test_both_chain_routes_read_one_routine(monkeypatch, street5):
         if len(chains.chain_base_pool(clean, chain)) > 1
     )
     pool, base = chains.chain_pool(clean, chain), chains.chain_base_pool(clean, chain)
+    bits = rt.open_bits
 
-    def drop(members):
-        return frozenset(sorted(members)[1:])
+    def row(members):
+        return sum(map(bits.__getitem__, members))
+
+    def drop(r):
+        """The open row ``r`` without the bit of its smallest mask."""
+        return r & ~bits[min(m for m in bits if r & bits[m])]
 
     with monkeypatch.context() as patch:
         pools_and_bases = chains._pools_and_bases
         patch.setattr(chains, "_pools_and_bases", lambda sp, keys: (
             (p, b if b is None else drop(b)) for p, b in pools_and_bases(sp, keys)))
         sp = dataclasses.replace(street5)
-        assert chains.chain_base_pool(sp, chain) == drop(base)
-        assert list(chains.realized_chain_pools(sp, [(i, j)])) == [(pool, drop(base))]
+        assert chains.chain_base_pool(sp, chain) == frozenset(sorted(base)[1:])
+        assert list(chains.realized_chain_pools(sp, [(i, j)])) == [(row(pool), drop(row(base)))]
     compute = chains._pool
-    monkeypatch.setattr(chains, "_pool", lambda sp, row: drop(compute(sp, row)))
+    monkeypatch.setattr(chains, "_pool", lambda rt, r: drop(compute(rt, r)))
     sp = dataclasses.replace(street5)
-    assert chains.chain_pool(sp, chain) == drop(pool)
-    assert [p for p, _ in chains.realized_chain_pools(sp, [(i, j)])] == [drop(pool)]
+    assert chains.chain_pool(sp, chain) == frozenset(sorted(pool)[1:])
+    assert [p for p, _ in chains.realized_chain_pools(sp, [(i, j)])] == [drop(row(pool))]
 
 
 def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
@@ -227,8 +232,28 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
     short, padded = TypeChain((t, u)), TypeChain((t, t, u))
     got = (chains.chain_pool(sp, short), chains.chain_base_pool(sp, short))
     assert (chains.chain_pool(sp, padded), chains.chain_base_pool(sp, padded)) == got
-    assert list(chains.realized_chain_pools(sp, [(i, i, j), (i, j)])) == [got, got]
+    fetched = chains.realized_chain_pools(sp, [(i, i, j), (i, j)])
+    assert [(chains._members(sp, p), chains._members(sp, b)) for p, b in fetched] == [got, got]
     assert len(sp.index.pools) == 1
+
+
+def test_two_opens_of_one_type_take_two_bits_of_an_open_row():
+    """An open row numbers the opens, not their types, when two share a type.
+
+    Built spaces have one open per type, where a pool row is its type row;
+    here ``{x}`` and ``{y}`` are both typed ``g``, and the replay meets
+    their disjoint pair.
+    """
+    ctx = Context(Poset({"g", "h"}), ("x", "y"))
+    g = parse_type_expr("g", ctx)
+    sigma = {0: ctx.bottom(), 1: g, 2: g, 3: parse_type_expr("g | h", ctx)}
+    sp = TypedSpace(ctx, frozenset(sigma), sigma, ())
+    rt = realized_types(sp)
+    assert len(rt) == 2 and rt.open_masks == (1, 2, 3)
+    rows = [(0b011, 0b011), (0b111, 0b011)]
+    assert list(chains.realized_chain_pools(sp, [(0, 0), (0, 1)])) == rows
+    assert chains.chain_pool(sp, TypeChain((g, g))) == {1, 2}
+    assert oracle.check_space(dataclasses.replace(sp)).ok
 
 
 @pytest.mark.parametrize("fixture, text", [("street5", C_RIGHT5), ("street2x3", C_RIGHT6)])
@@ -409,11 +434,13 @@ def test_chain_cover_width_two_for_antichain():
     assert cov.width == 2
 
 
-def _recursive_cover(sp) -> list[tuple]:
+def _recursive_cover(sp, keep_seen: bool = False) -> list[tuple]:
     """The levels of each chain of a minimum chain partition, by recursive matching.
 
     The reference for `chain_cover`: augmenting paths by a recursive
-    depth-first search, left vertices and successors in ascending order.
+    depth-first search, left vertices and successors in ascending order,
+    each search with a fresh ``seen``, or with ``keep_seen`` the one a
+    failed search left.
     """
     rt = realized_types(sp)
     n = len(rt)
@@ -432,8 +459,10 @@ def _recursive_cover(sp) -> list[tuple]:
                 return True
         return False
 
+    seen: set = set()
     for i in range(n):
-        try_augment(i, set())
+        if try_augment(i, seen) or not keep_seen:
+            seen = set()
     out = []
     for s in (i for i in range(n) if i not in match_right):
         seq = [s]
@@ -448,16 +477,34 @@ def _street(n: int):
     return ingest.build_community(ingest.CommunityDataset((("main", residents),)))
 
 
+def _tree9():
+    return ingest.build_genealogy(
+        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
+
+
 def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2x3):
     """The same chains, in the same order, as the recursive search finds."""
-    tree9 = ingest.build_genealogy(
-        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
-    for sp in [genealogy5, street5, street2x3, tree9] + [_street(n) for n in range(6, 10)]:
+    for sp in [genealogy5, street5, street2x3, _tree9()] + [_street(n) for n in range(6, 10)]:
         sp = dataclasses.replace(sp)
         cover = chain_cover(sp)
         want = _recursive_cover(sp)
         assert [ch.levels for ch in cover.chains] == want
         assert cover.width == len(want)
+
+
+def test_chain_cover_keeps_seen_across_failed_searches():
+    """Keeping ``seen`` after a failed search changes no chain.
+
+    A failed search leaves the matching as it was, so every type it
+    exhausted stays dead for the next search. On streets of 6 to 9 points
+    and on TREE9 the chains equal those of the reference that starts each
+    search afresh, and so do the reference's own when it keeps ``seen``.
+    """
+    for sp in [_street(n) for n in range(6, 10)] + [_tree9()]:
+        sp = dataclasses.replace(sp)
+        want = _recursive_cover(sp)
+        assert _recursive_cover(sp, keep_seen=True) == want
+        assert [ch.levels for ch in chain_cover(sp).chains] == want
 
 
 def test_chain_cover_needs_no_recursion_for_long_augmenting_paths():
@@ -598,7 +645,8 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
         rt = realized_types(sp)
         realized = [random_realized_chain(rng, sp) for _ in range(4)]
         chain_list = [tuple(map(rt.terms.index, c.levels)) for c in filter(None, realized)]
-        assert list(chains.realized_chain_pools(sp, chain_list)) == [
+        fetched = chains.realized_chain_pools(sp, chain_list)
+        assert [(chains._members(sp, p), chains._members(sp, b)) for p, b in fetched] == [
             (_reference_pool(sp, c), _reference_base(sp, c)) for c in filter(None, realized)
         ]
         drawn = realized + [_random_chain(rng, sp) for _ in range(6)]
