@@ -5,16 +5,17 @@ canonical base: the members that cannot be written as a union of two other
 family members. Every family member is the union of the base members inside
 it, which `oracle.check_space` replays as its anchored decomposition.
 
-Such a family is the opens of a realized-type bitset, the ``above`` row of
-``p``, and so is every pool the chain bases draw on. A caller that holds a
-realized type's index reads that row by position, ``RealizedTypes.up``;
-an anchor given as a term, such as a parsed ``tts basis --p``, reaches it
-through `space.RealizedTypes.rows` (`opens_above`, `irreducibles_above`).
+Such a family is the open row of a realized-type bitset, the ``above``
+row of ``p`` (`space.RealizedTypes.opens_row`), and so is every pool the
+chain bases draw on. A caller that holds a realized type's index reads that
+row by position, ``RealizedTypes.up``; an anchor given as a term, such as a
+parsed ``tts basis --p``, reaches it through `space.RealizedTypes.rows`
+(`opens_above`, `irreducibles_above`, which expand rows by `members`).
 `irreducibles` is the one routine that decides irreducible members, in one
-pass over the pool by size (`_irreducible_members`): it memoizes them per
-space by that int row, so the anchored families, the chain bases and the
-oracle share each decision. Only a chain's base reads it; the chain pools
-are memoized apart, by their own row, and decide nothing here.
+pass over the row's opens (`_irreducible_members`): it memoizes their open
+row per space by the type row, so the anchored families, the chain bases
+and the oracle share each decision. Only a chain's base reads it; the chain
+pools are memoized apart and decide nothing here.
 """
 from __future__ import annotations
 
@@ -37,8 +38,9 @@ def _above_row(space: TypedSpace, p: TypeTerm) -> int:
     return space_mod.realized_types(space).rows(p)[0]
 
 
-def _through(space: TypedSpace, members: frozenset, at: Optional[str]) -> frozenset:
-    """The ``members`` that contain the point ``at``, or all of them without one."""
+def _through(space: TypedSpace, row: int, at: Optional[str]) -> frozenset:
+    """The masks of the open row ``row`` that contain the point ``at``, or all of them."""
+    members = space_mod.realized_types(space).members(row)
     if at is None:
         return members
     bit = space.point_bit(at)
@@ -48,29 +50,30 @@ def _through(space: TypedSpace, members: frozenset, at: Optional[str]) -> frozen
 def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> frozenset:
     """The masks of all opens whose type dominates ``p`` (optionally through a point)."""
     row = _above_row(space, p)
-    return _through(space, space_mod.realized_types(space).opens_in(row), at)
+    return _through(space, space_mod.realized_types(space).opens_row(row), at)
 
 
-def _irreducible_members(pool) -> frozenset:
-    """The pool members that no two other pool members union to.
+def _irreducible_members(masks, row: int) -> int:
+    """The bits of the open row ``row`` whose mask no two other members union to.
 
-    A member is tested against the smaller members alone, in one pass by
-    size. When those inside it fall short of covering it, no pair covers
-    it; that union decides every member of a union-closed pool such as
-    `opens_above`. Otherwise the pairs are searched, largest first.
+    Bit ``k`` stands for ``masks[k]``. A member is tested against the
+    smaller masks alone, in one pass in mask order, which puts the subsets
+    of a member first. When those inside it fall short of covering it, no
+    pair covers it; that union decides every member of a union-closed pool
+    such as `opens_above`. Otherwise the pairs are searched, largest first.
     """
-    kept, smaller = [], []
-    for mask in sorted(pool, key=int.bit_count):
+    kept, smaller = 0, []
+    for mask, k in sorted((masks[k], k) for k in space_mod.bit_indexes(row)):
         inside = [m for m in smaller if m & mask == m]
         pairs = itertools.combinations(reversed(inside), 2)
         if reduce(or_, inside, 0) != mask or not any((w | v) == mask for w, v in pairs):
-            kept.append(mask)
+            kept |= 1 << k
         smaller.append(mask)
-    return frozenset(kept)
+    return kept
 
 
-def irreducibles(space: TypedSpace, types: int) -> frozenset:
-    """`_irreducible_members` of the opens typed in ``types``.
+def irreducibles(space: TypedSpace, types: int) -> int:
+    """The open row of `_irreducible_members` of the opens typed in ``types``.
 
     ``types`` is a realized-type bitset of ``space`` (`space.RealizedTypes`).
     The result is memoized on ``space.index.irreducibles``, keyed by that
@@ -79,7 +82,8 @@ def irreducibles(space: TypedSpace, types: int) -> frozenset:
     memo = space.index.irreducibles
     got = memo.get(types)
     if got is None:
-        got = memo[types] = _irreducible_members(space_mod.realized_types(space).opens_in(types))
+        rt = space_mod.realized_types(space)
+        got = memo[types] = _irreducible_members(rt.open_masks, rt.opens_row(types))
     return got
 
 

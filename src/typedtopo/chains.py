@@ -25,10 +25,11 @@ read off a table of their cubes with no `lattice.leq`): the pool row is
 `TypeChain` (`chain_pool`, `chain_base_pool`) and for a tuple of
 realized-type indexes (`realized_chain_pools`, which builds no chain and
 hashes no term). One routine, `_pools_and_bases`, reads every pool and
-base, as open rows over `RealizedTypes.open_masks`: on a space with one
-open per type a pool row is its type row. The pools are memoized by row
-on ``space.index``, apart from the irreducibles, so a query that reads
-only the pool decides no irreducibility. A single generator's family
+base in the one form a family of opens takes below the public API, an
+open row (`RealizedTypes.opens_row`). The pools are memoized by row on
+``space.index``, apart from the irreducibles, so a query that reads only
+the pool decides no irreducibility; a query that returns masks expands
+its row through `RealizedTypes.members`. A single generator's family
 (`generator_family`) is one scan of the opens, checked against the union
 of its chains' pools read from the same rows.
 """
@@ -78,43 +79,25 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
     return TypeChain(tuple(lattice.parse_type_expr(p, ctx) for p in parts))
 
 
-def _pool(rt, types: int) -> int:
-    """The open row of the opens typed in ``types``: ``types`` itself with one open per type."""
-    if len(rt.open_masks) == len(rt.terms):
-        return types
-    return sum(map(rt.open_bits.get, rt.opens_in(types)))
-
-
-def _members(space: TypedSpace, row: int) -> frozenset:
-    """The masks of the open row ``row``, memoized on ``space.index.members``."""
-    got = space.index.members.get(row)
-    if got is None:
-        masks = realized_types(space).open_masks
-        got = space.index.members[row] = frozenset(masks[k] for k in space_mod.bit_indexes(row))
-    return got
-
-
 def _pools_and_bases(space: TypedSpace, keys):
     """Yield the pool and base open rows of each key ``(pool row, lower rows)``.
 
     Every chain pool and base is read here: the pool from its memo on
-    ``space.index.pools``, keyed by its type row, and the base as the pool
-    met with the irreducibles of the lower rows, memoized as open rows on
-    ``base_rows``. `_pool` and `irreducibles` run only on a miss; a key with
-    no lower rows reads its pool alone, deciding nothing.
+    ``space.index.pools``, keyed by its type row and filled by
+    `RealizedTypes.opens_row` on a miss, and the base as the pool met with
+    the memoized irreducible rows of the lower rows (`irreducibles`). A key
+    with no lower rows reads its pool alone, deciding nothing.
     """
-    pools, base_rows = space.index.pools, space.index.base_rows
+    pools, decided = space.index.pools, space.index.irreducibles
     rt = realized_types(space)
     for row, lows in keys:
         pool = pools.get(row)
         if pool is None:
-            pool = pools[row] = _pool(rt, row)
+            pool = pools[row] = rt.opens_row(row)
         base = 0
         for low in lows:
-            got = base_rows.get(low)
-            if got is None:
-                got = base_rows[low] = sum(map(rt.open_bits.get, irreducibles(space, low)))
-            base |= got
+            got = decided.get(low)
+            base |= irreducibles(space, low) if got is None else got
         yield pool, pool & base if lows else None
 
 
@@ -167,10 +150,11 @@ def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozense
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """All sandwiched visible opens: the union of every point's neighborhoods.
 
-    Memoized on ``space.index``, as a row and as masks; no irreducibility is decided.
+    Memoized on ``space.index`` as a row, expanded by `RealizedTypes.members`;
+    no irreducibility is decided.
     """
     row, _ = _key(*_level_rows(space, chain))
-    return _members(space, next(_pools_and_bases(space, [(row, ())]))[0])
+    return realized_types(space).members(next(_pools_and_bases(space, [(row, ())]))[0])
 
 
 def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
@@ -180,7 +164,8 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the memoized pool and the memoized irreducibles of the lower rows.
     """
-    return _members(space, next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))[1])
+    _, base = next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))
+    return realized_types(space).members(base)
 
 
 def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
@@ -215,7 +200,7 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
     for j in space_mod.bit_indexes(row):
         if not family.isdisjoint(rt.opens_by_type[j]):
             above |= rt.up[j]
-    union = rt.opens_in(row & above)
+    union = rt.members(rt.opens_row(row & above))
     if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",

@@ -96,17 +96,6 @@ def _set_arg(raw: Optional[str]) -> frozenset:
     return frozenset(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _budget(args) -> Optional[oracle.SearchBudget]:
-    """The ``--budget-points`` override, or ``None``.
-
-    With ``None`` each exhaustive search applies its own default budget:
-    the dense search and the connectivity search have different ones.
-    """
-    if args.budget_points is None:
-        return None
-    return oracle.SearchBudget(max_points=args.budget_points)
-
-
 def _write(text: str, path: Optional[str]) -> None:
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -244,7 +233,8 @@ def _cmd_connect(args, sp):
         }
     if not (args.x and args.y):
         raise PreconditionError("connect needs --set or both --x and --y")
-    budget = _budget(args)  # outside the try: a bad budget is an error, not a skip
+    # outside the try: a bad budget is an error, not a skip
+    budget = oracle.point_budget(args.budget_points, oracle.DEFAULT_CONNECT_POINTS)
     cert = connect.find_connection(sp, args.x, args.y, ch)
     try:
         confirmed = oracle.exhaustive_connected(sp, ch, args.x, args.y, budget)
@@ -306,7 +296,7 @@ def _cmd_oracle(args, sp):
     if args.dense:
         if args.connected or args.x is not None or args.y is not None:
             raise PreconditionError("--x, --y and --connected do not apply with --dense")
-        size, witnesses = oracle.exhaustive_min_dense(sp, ch, _budget(args))
+        size, witnesses = oracle.exhaustive_min_dense(sp, ch, args.budget_points)
         return 0, sp, {
             "chain": ch.text(),
             "density": size,
@@ -315,7 +305,7 @@ def _cmd_oracle(args, sp):
     if args.connected:
         if not (args.x and args.y):
             raise PreconditionError("oracle --connected needs --x and --y")
-        verdict = oracle.exhaustive_connected(sp, ch, args.x, args.y, _budget(args))
+        verdict = oracle.exhaustive_connected(sp, ch, args.x, args.y, args.budget_points)
         return 0, sp, {"chain": ch.text(), "x": args.x, "y": args.y, "connected": verdict}
     raise PreconditionError("oracle needs one of --check, --dense, --connected")
 

@@ -49,29 +49,27 @@ MAX_SUBSETS = 1 << 20
 MAX_CHAINS = 180_000
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Hard limits for the exhaustive searches."""
-
-    max_points: int = DEFAULT_DENSE_POINTS
-
-    def __post_init__(self):
-        if self.max_points <= 0:
-            raise OracleSkip("budgets must be positive")
+def point_budget(max_points: Optional[int], default: int) -> int:
+    """``max_points``, or ``default`` without one; a non-positive budget raises `OracleSkip`."""
+    if max_points is None:
+        return default
+    if max_points <= 0:
+        raise OracleSkip("budgets must be positive")
+    return max_points
 
 
 def exhaustive_min_dense(
-    space: TypedSpace, chain: TypeChain, budget: Optional[SearchBudget] = None
+    space: TypedSpace, chain: TypeChain, max_points: Optional[int] = None
 ) -> tuple[int, tuple[tuple[str, ...], ...]]:
     """Minimum dense size by subset enumeration, with every optimal witness.
 
     Density is decided directly from the base families: unsupported points
     must be in the candidate, supported points need each family member hit.
     """
-    budget = budget or SearchBudget()
+    budget = point_budget(max_points, DEFAULT_DENSE_POINTS)
     n = len(space.points)
-    if n > budget.max_points:
-        raise OracleSkip(f"{n} points exceed the dense-search budget of {budget.max_points}")
+    if n > budget:
+        raise OracleSkip(f"{n} points exceed the dense-search budget of {budget}")
     pool = chains_mod.chain_base_pool(space, chain)
     fams = []
     forced = 0
@@ -109,7 +107,7 @@ def exhaustive_connected(
     chain: TypeChain,
     x: str,
     y: str,
-    budget: Optional[SearchBudget] = None,
+    max_points: Optional[int] = None,
 ) -> bool:
     """Whether any supported subset through both points is chain-connected.
 
@@ -121,12 +119,10 @@ def exhaustive_connected(
     """
     if x == y:
         raise PreconditionError("a connection needs two distinct points")
-    budget = budget or SearchBudget(max_points=DEFAULT_CONNECT_POINTS)
+    budget = point_budget(max_points, DEFAULT_CONNECT_POINTS)
     n = len(space.points)
-    if n > budget.max_points:
-        raise OracleSkip(
-            f"{n} points exceed the connectivity budget of {budget.max_points}"
-        )
+    if n > budget:
+        raise OracleSkip(f"{n} points exceed the connectivity budget of {budget}")
     xbit, ybit = space.point_bit(x), space.point_bit(y)
     supported = 0
     for m in chains_mod.chain_pool(space, chain):
@@ -242,9 +238,10 @@ def _type_mapping(space: TypedSpace, report: space_mod.ValidationReport) -> Chec
 
 def _self_irreducible(space: TypedSpace, rt) -> CheckResult:
     """Every nonempty open of type ``j`` is join-irreducible in the row ``rt.up[j]``."""
-    bad = sorted(m for opens, row in zip(rt.opens_by_type, rt.up)
-                 for m in set(opens) - basis.irreducibles(space, row))
-    n = sum(map(len, rt.opens_by_type))
+    starts = itertools.accumulate(map(len, rt.opens_by_type), initial=0)  # each type's first bit
+    bad = sorted(m for opens, row, k in zip(rt.opens_by_type, rt.up, starts)
+                 for i, m in enumerate(opens) if not basis.irreducibles(space, row) >> k + i & 1)
+    n = len(rt.open_masks)
     return _result("self-irreducible", f"all {n} nonempty opens", [(space.ids_of(m),) for m in bad])
 
 
@@ -252,9 +249,9 @@ def _anchored_decomposition(space: TypedSpace, rt) -> CheckResult:
     """The irreducible members inside any anchored open cover it, by anchor row."""
     bad = []
     for p, row in zip(rt.terms, rt.up):
-        base = basis.irreducibles(space, row)
+        base = [rt.open_masks[k] for k in space_mod.bit_indexes(basis.irreducibles(space, row))]
         bad += [(lattice.format_term(p), space.ids_of(u))
-                for u in sorted(rt.opens_in(row))
+                for u in sorted(m for j in space_mod.bit_indexes(row) for m in rt.opens_by_type[j])
                 if functools.reduce(operator.or_, (m for m in base if m & u == m), 0) != u]
     return _result("anchored-decomposition",
                    f"all {len(rt)} realized anchors x their families", bad)
@@ -292,14 +289,14 @@ def _expand(masks, row: int) -> frozenset:
     return frozenset(masks[k] for k in space_mod.bit_indexes(row))
 
 
-def _least(masks, bits: dict, at: int) -> int:
+def _least(masks, index: dict, at: int) -> int:
     """The index of the least member of the open row ``at``, the AND of its masks, or -1."""
     core, rest = -1, at
     while rest:
         low = rest & -rest
         core &= masks[low.bit_length() - 1]
         rest ^= low
-    k = bits.get(core, 0).bit_length() - 1
+    k = index.get(core, -1)
     return k if k >= 0 and at >> k & 1 else -1
 
 
@@ -321,7 +318,8 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
     of their masks is one, and then an open holds one iff it contains
     ``c``. Only a chain that fails at a point is walked member by member.
     """
-    chain_list, masks, bits = _chain_levels(rt), rt.open_masks, rt.open_bits
+    chain_list, masks = _chain_levels(rt), rt.open_masks
+    index = {m: k for k, m in enumerate(masks)}  # mask -> its bit, for `_least`
     through, outside, disjoint = _row_tables(masks, len(space.points))
     points = list(zip(through, space.points))
     bad_nbhd, bad_core, bad_base, bad_anchor = [], [], [], []
@@ -334,7 +332,7 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
             if at:
                 k = least.get(at)
                 if k is None:
-                    k = least[at] = _least(masks, bits, at)
+                    k = least[at] = _least(masks, index, at)
                 if k < 0:  # every nonempty base family has a least member
                     bad_core.append((levels, x))
                 walk = walk or k < 0 or pool & row & outside[k]
@@ -352,11 +350,12 @@ def _chain_results(space: TypedSpace, rt) -> list[CheckResult]:
         if not pairs:
             continue
         support = functools.reduce(operator.or_, map(rt.generators.__getitem__, levels))
-        for m in sorted(basis.irreducibles(space, rt.visible(support) & rt.up[levels[0]])):
+        irreducible = basis.irreducibles(space, rt.visible(support) & rt.up[levels[0]])
+        for m, k in sorted((masks[k], k) for k in space_mod.bit_indexes(irreducible)):
             for u, v in pairs:
                 if (m & ~(u | v)) == 0 and (m & u) and (m & v):
                     bad_anchor.append((levels, m, (u, v)))
-                    if base & bits[m]:
+                    if base >> k & 1:
                         bad_base.append((levels, m, (u, v)))
                     break
     n = len(chain_list)

@@ -321,23 +321,20 @@ class SpaceIndex:
     cube table (`_cube_rows`, in cube key order) it decides on; the realized
     types read their order rows, int bitsets over the type indexes, off it
     (`RealizedTypes.up` by index, `RealizedTypes.rows` for any level). Such
-    a row keys the join-irreducible members of the opens it selects in
-    ``irreducibles`` (`basis.irreducibles`), and in `chains` a chain's pool
-    and those members as open rows over `RealizedTypes.open_masks`.
+    a row keys the two families of opens kept here, both as open rows over
+    `RealizedTypes.open_masks`: the join-irreducible members of the opens it
+    selects (`basis.irreducibles`), and a chain's pool (`chains`).
     """
 
-    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools",
-                 "base_rows", "members")
+    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")
 
     def __init__(self):
         self.report: Optional[ValidationReport] = None
         self.strict_report: Optional[StrictnessReport] = None
         self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
         self.realized: Optional[RealizedTypes] = None
-        self.irreducibles: dict = {}  # realized-type row -> frozenset of masks
+        self.irreducibles: dict = {}  # realized-type row -> open row of its irreducibles
         self.pools: dict = {}  # realized-type row -> open row of the chain pool
-        self.base_rows: dict = {}  # realized-type row -> open row of its irreducibles
-        self.members: dict = {}  # open row -> frozenset of masks
 
 
 def strictness(space: TypedSpace) -> StrictnessReport:
@@ -529,7 +526,8 @@ class RealizedTypes:
     ``t``. ``cubes`` and ``holders`` are indexed by table bit, ``up`` by
     realized type, read off the table when the types are built, and `down`
     is its transpose. A level given as a term reaches its rows through
-    `rows` alone, memoized by the term's value.
+    `rows` alone, memoized by the term's value. A family of opens is an open
+    row, bit ``k`` for ``open_masks[k]``, read off a type row by `opens_row`.
     """
 
     ctx: Context
@@ -541,6 +539,7 @@ class RealizedTypes:
     opens_by_type: tuple[tuple[int, ...], ...]  # index -> its opens' masks, ascending
     _rows: dict = field(default_factory=dict, init=False, repr=False)  # level -> rows
     _visible: dict = field(default_factory=dict, init=False, repr=False)  # support -> row
+    _members: dict = field(default_factory=dict, init=False, repr=False)  # open row -> masks
 
     def rows(self, level: TypeTerm) -> tuple[int, int]:
         """``(above, below)``, bit ``j`` set iff ``level <= terms[j]``, resp. ``terms[j] <= level``.
@@ -593,17 +592,21 @@ class RealizedTypes:
         """The nonempty opens in type order: bit ``k`` of an open row is ``open_masks[k]``."""
         return tuple(itertools.chain.from_iterable(self.opens_by_type))
 
-    @cached_property
-    def open_bits(self) -> dict:
-        """Each nonempty open's mask -> its bit in an open row."""
-        return {m: 1 << k for k, m in enumerate(self.open_masks)}
+    def opens_row(self, types: int) -> int:
+        """The open row of the opens typed in ``types``: ``types`` itself with one open per type.
 
-    def opens_in(self, types: int) -> frozenset:
-        """The opens whose type index is a bit of ``types``."""
-        out: list[int] = []
-        for j in bit_indexes(types):
-            out += self.opens_by_type[j]
-        return frozenset(out)
+        Otherwise the opens of type ``j`` take the bits ``starts[j]`` to ``starts[j + 1] - 1``.
+        """
+        if len(self.open_masks) == len(self.terms):
+            return types
+        starts = list(itertools.accumulate(map(len, self.opens_by_type), initial=0))
+        return sum((1 << starts[j + 1]) - (1 << starts[j]) for j in bit_indexes(types))
+
+    def members(self, row: int) -> frozenset:
+        """The masks of the open row ``row``, memoized: the one way from a row to masks."""
+        if row not in self._members:
+            self._members[row] = frozenset(map(self.open_masks.__getitem__, bit_indexes(row)))
+        return self._members[row]
 
     def __len__(self):
         return len(self.terms)

@@ -155,11 +155,10 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
 
 
 def test_both_chain_routes_read_one_routine(monkeypatch, street5):
-    """A change to `_pools_and_bases` or to `_pool` reaches both routes.
+    """A change to what `_pools_and_bases` yields reaches both routes.
 
     The `TypeChain` route and the walk over realized-type indexes read
-    every base through `_pools_and_bases`, and every pool it computes
-    through `_pool`, whose result the pool memo keeps.
+    every pool and base through `_pools_and_bases`.
     """
     rt = realized_types(street5)
     clean = dataclasses.replace(street5)
@@ -170,24 +169,24 @@ def test_both_chain_routes_read_one_routine(monkeypatch, street5):
         if len(chains.chain_base_pool(clean, chain)) > 1
     )
     pool, base = chains.chain_pool(clean, chain), chains.chain_base_pool(clean, chain)
-    bits = rt.open_bits
+    masks = rt.open_masks
 
     def row(members):
-        return sum(map(bits.__getitem__, members))
+        return sum(1 << masks.index(m) for m in members)
 
     def drop(r):
         """The open row ``r`` without the bit of its smallest mask."""
-        return r & ~bits[min(m for m in bits if r & bits[m])]
+        return r & ~(1 << min(space.bit_indexes(r), key=masks.__getitem__))
 
+    pools_and_bases = chains._pools_and_bases
     with monkeypatch.context() as patch:
-        pools_and_bases = chains._pools_and_bases
         patch.setattr(chains, "_pools_and_bases", lambda sp, keys: (
             (p, b if b is None else drop(b)) for p, b in pools_and_bases(sp, keys)))
         sp = dataclasses.replace(street5)
         assert chains.chain_base_pool(sp, chain) == frozenset(sorted(base)[1:])
         assert list(chains.realized_chain_pools(sp, [(i, j)])) == [(row(pool), drop(row(base)))]
-    compute = chains._pool
-    monkeypatch.setattr(chains, "_pool", lambda rt, r: drop(compute(rt, r)))
+    monkeypatch.setattr(chains, "_pools_and_bases", lambda sp, keys: (
+        (drop(p), b) for p, b in pools_and_bases(sp, keys)))
     sp = dataclasses.replace(street5)
     assert chains.chain_pool(sp, chain) == frozenset(sorted(pool)[1:])
     assert [p for p, _ in chains.realized_chain_pools(sp, [(i, j)])] == [drop(row(pool))]
@@ -200,7 +199,8 @@ def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
     """
     calls = []
     decide = basis._irreducible_members
-    monkeypatch.setattr(basis, "_irreducible_members", lambda pool: calls.append(pool) or decide(pool))
+    monkeypatch.setattr(basis, "_irreducible_members",
+                        lambda masks, row: calls.append(row) or decide(masks, row))
     for sp, text in ((street5, C_RIGHT5), (street2x3, C_RIGHT6)):
         sp = dataclasses.replace(sp)
         chain = parse_chain(text, sp.ctx)
@@ -233,7 +233,7 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
     got = (chains.chain_pool(sp, short), chains.chain_base_pool(sp, short))
     assert (chains.chain_pool(sp, padded), chains.chain_base_pool(sp, padded)) == got
     fetched = chains.realized_chain_pools(sp, [(i, i, j), (i, j)])
-    assert [(chains._members(sp, p), chains._members(sp, b)) for p, b in fetched] == [got, got]
+    assert [(rt.members(p), rt.members(b)) for p, b in fetched] == [got, got]
     assert len(sp.index.pools) == 1
 
 
@@ -242,7 +242,9 @@ def test_two_opens_of_one_type_take_two_bits_of_an_open_row():
 
     Built spaces have one open per type, where a pool row is its type row;
     here ``{x}`` and ``{y}`` are both typed ``g``, and the replay meets
-    their disjoint pair.
+    their disjoint pair. The anchored families and their irreducibles read
+    the same open rows: ``{x, y}`` is the union of the two at ``g``, and
+    irreducible alone at ``g | h``.
     """
     ctx = Context(Poset({"g", "h"}), ("x", "y"))
     g = parse_type_expr("g", ctx)
@@ -253,6 +255,12 @@ def test_two_opens_of_one_type_take_two_bits_of_an_open_row():
     rows = [(0b011, 0b011), (0b111, 0b011)]
     assert list(chains.realized_chain_pools(sp, [(0, 0), (0, 1)])) == rows
     assert chains.chain_pool(sp, TypeChain((g, g))) == {1, 2}
+    gh = rt.terms[1]
+    assert [rt.opens_row(types) for types in (0b01, 0b10, 0b11)] == [0b011, 0b100, 0b111]
+    assert [basis.irreducibles(sp, types) for types in (0b01, 0b10, 0b11)] == [0b011, 0b100, 0b011]
+    assert (basis.opens_above(sp, g), basis.opens_above(sp, g, at="x")) == ({1, 2, 3}, {1, 3})
+    assert basis.irreducibles_above(sp, g) == {1, 2} and basis.opens_above(sp, gh) == {3}
+    assert basis.irreducibles_above(sp, gh) == {3} and basis.irreducibles_above(sp, g, "y") == {2}
     assert oracle.check_space(dataclasses.replace(sp)).ok
 
 
@@ -646,7 +654,7 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
         realized = [random_realized_chain(rng, sp) for _ in range(4)]
         chain_list = [tuple(map(rt.terms.index, c.levels)) for c in filter(None, realized)]
         fetched = chains.realized_chain_pools(sp, chain_list)
-        assert [(chains._members(sp, p), chains._members(sp, b)) for p, b in fetched] == [
+        assert [(rt.members(p), rt.members(b)) for p, b in fetched] == [
             (_reference_pool(sp, c), _reference_base(sp, c)) for c in filter(None, realized)
         ]
         drawn = realized + [_random_chain(rng, sp) for _ in range(6)]
@@ -657,8 +665,8 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
             for level in chain.levels:
                 row = rt.visible(rt.generator_bits(chain_support(chain))) & rt.rows(level)[0]
                 anchored = _reference_anchored(sp, chain, level)
-                assert rt.opens_in(row) == anchored
-                assert basis.irreducibles(sp, row) == {
+                assert rt.members(rt.opens_row(row)) == anchored
+                assert rt.members(basis.irreducibles(sp, row)) == {
                     m for m in anchored if pairwise_irreducible(anchored, m)
                 }
             assert chains.chain_base_pool(sp, chain) == _reference_base(sp, chain)
@@ -679,13 +687,13 @@ def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, stree
     pools = []
     decide = basis._irreducible_members
 
-    def counted(pool):
-        pools.append(pool)
-        return decide(pool)
+    def counted(masks, row):
+        pools.append(row)
+        return decide(masks, row)
 
     monkeypatch.setattr(basis, "_irreducible_members", counted)
     for sp, rows, members in ((street5, 67, 409), (genealogy5, 39, 231)):
         pools.clear()
         assert oracle.check_space(dataclasses.replace(sp)).ok
         assert 0 < len(pools) <= rows
-        assert sum(map(len, pools)) <= members
+        assert sum(row.bit_count() for row in pools) <= members

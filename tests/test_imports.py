@@ -343,3 +343,31 @@ def test_the_oracle_reads_no_cube_table():
     names |= {target.rsplit(".", 1)[-1] for target in references(source, "oracle")}
     assert {"up", "opens_by_type", "irreducibles"} <= names
     assert sorted(names & CUBE_TABLE) == []
+
+
+# The modules that read `RealizedTypes.open_masks`, the masks behind an open
+# row's bits: `space.py` owns the row-to-mask mapping (`RealizedTypes.opens_row`
+# and `members`, the one expansion), the oracle keeps its own to stay
+# independent, and `basis.irreducibles` hands the masks to the one routine
+# that decides irreducibility over a row's bit positions, which returns a row.
+OPEN_MASK_READERS = {"space.py", "oracle.py", "basis.py"}
+
+
+def open_mask_readers(sources: dict[str, str]) -> set[str]:
+    """The names of the ``sources`` (name -> source) that read an attribute ``open_masks``."""
+    return {name for name, source in sources.items()
+            if attribute_reads(ast.parse(source))["open_masks"]}
+
+
+def test_open_rows_become_masks_in_the_realized_types_and_the_oracle_alone():
+    """Below the public API a family of opens is an open row, expanded in one place.
+
+    `chains` and the query modules read families as rows and call
+    `RealizedTypes.members` for masks; a module that indexes the masks
+    itself, as `chains` did with its own row expansion, fails here.
+    """
+    chains_before = "def _members(rt, row):\n    return [rt.open_masks[k] for k in range(row)]\n"
+    assert open_mask_readers({"chains.py": chains_before, "cli.py": "x = rt.members(0)\n"}) == {
+        "chains.py"}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert open_mask_readers(sources) == OPEN_MASK_READERS

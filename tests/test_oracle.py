@@ -10,7 +10,7 @@ from conftest import chain_support, random_generated_space
 from typedtopo import basis, chains, closure, connect, lattice, oracle, space
 from typedtopo.chains import TypeChain
 from typedtopo.errors import OracleSkip, PreconditionError
-from typedtopo.oracle import SearchBudget, check_space, exhaustive_connected, exhaustive_min_dense
+from typedtopo.oracle import check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace, realized_types
 
 
@@ -55,11 +55,13 @@ def test_exhaustive_connected_refuses_one_point_twice(street5, c_right5):
 
 def test_budget_skips(street5, c_right5):
     with pytest.raises(OracleSkip):
-        exhaustive_min_dense(street5, c_right5, SearchBudget(max_points=3))
+        exhaustive_min_dense(street5, c_right5, max_points=3)
     with pytest.raises(OracleSkip):
-        exhaustive_connected(street5, c_right5, "r2", "r4", SearchBudget(max_points=3))
-    with pytest.raises(OracleSkip):
-        SearchBudget(max_points=0)
+        exhaustive_connected(street5, c_right5, "r2", "r4", max_points=3)
+    with pytest.raises(OracleSkip, match="budgets must be positive"):
+        exhaustive_min_dense(street5, c_right5, max_points=0)
+    with pytest.raises(OracleSkip, match="budgets must be positive"):
+        exhaustive_connected(street5, c_right5, "r2", "r4", max_points=-1)
 
 
 def test_check_space_replays_meet_and_join_bounds(genealogy5, monkeypatch):
@@ -243,8 +245,8 @@ def _drop_an_irreducible(g: TypedSpace, monkeypatch) -> TypedSpace:
     the oracle all read the dropped row.
     """
     decide = basis._irreducible_members
-    monkeypatch.setattr(
-        basis, "_irreducible_members", lambda pool: frozenset(sorted(decide(pool))[1:]))
+    monkeypatch.setattr(basis, "_irreducible_members",
+                        lambda masks, row: _drop_smallest_bit(masks, decide(masks, row)))
     return g
 
 
@@ -266,14 +268,14 @@ def _drop_a_base_member(g: TypedSpace, monkeypatch) -> TypedSpace:
 
 
 def _pool_every_open(g: TypedSpace, monkeypatch) -> TypedSpace:
-    """Every nonempty open's bit added to each chain pool row where it is computed.
+    """Every nonempty open's bit added to each chain pool row where all of them are read."""
+    pools_and_bases = chains._pools_and_bases
 
-    The pool memo keeps what `chains._pool` returns, so every pool and base
-    read sees the change.
-    """
-    pool = chains._pool
-    monkeypatch.setattr(
-        chains, "_pool", lambda rt, row: pool(rt, row) | (1 << len(rt.open_masks)) - 1)
+    def corrupted(sp, keys):
+        every = (1 << len(realized_types(sp).open_masks)) - 1
+        return ((every, base) for _, base in pools_and_bases(sp, keys))
+
+    monkeypatch.setattr(chains, "_pools_and_bases", corrupted)
     return g
 
 
@@ -440,7 +442,7 @@ def _reference_chain_results(space: TypedSpace) -> list:
             return None
 
         visible = rt.visible(rt.generator_bits(chain_support(chain)))
-        irr0 = sorted(basis.irreducibles(space, visible & rt.rows(chain.levels[0])[0]))
+        irr0 = sorted(rt.members(basis.irreducibles(space, visible & rt.rows(chain.levels[0])[0])))
         base = chains.chain_base_pool(space, chain)
         for m in irr0:
             w = separated(m)
@@ -513,15 +515,19 @@ def _reference_results(space: TypedSpace) -> list:
     return _reference_chain_results(space) + _reference_pure_family_results(space)
 
 
+def _drop_smallest_bit(masks, row):
+    """The row ``row`` without the bit of its smallest mask, bit ``k`` standing for ``masks[k]``."""
+    return row & ~(1 << min(space.bit_indexes(row), key=masks.__getitem__)) if row else row
+
+
 def _drop_smallest(sp, row):
     """The open row ``row`` without the bit of its smallest mask."""
-    bits = realized_types(sp).open_bits
-    return row & ~sum(bits[m] for m in sorted(m for m in bits if row & bits[m])[:1])
+    return _drop_smallest_bit(realized_types(sp).open_masks, row)
 
 
 def _add_whole_set(sp, row):
     """The open row ``row`` with the whole point set's bit."""
-    return row | realized_types(sp).open_bits[sp.full_mask]
+    return row | 1 << realized_types(sp).open_masks.index(sp.full_mask)
 
 
 @pytest.mark.parametrize("corrupt", [None, _drop_smallest, _add_whole_set])
@@ -550,7 +556,8 @@ def test_one_pass_chain_checks_match_the_per_check_loops(
 def _paired_chains(sp) -> tuple[int, int]:
     """How many realized chains have a pool with two disjoint members, of how many."""
     chain_list = oracle._chain_levels(realized_types(sp))
-    return sum(any(not u & v for u, v in itertools.combinations(chains._members(sp, pool), 2))
+    members = realized_types(sp).members
+    return sum(any(not u & v for u, v in itertools.combinations(members(pool), 2))
                for pool, _ in chains.realized_chain_pools(sp, chain_list)), len(chain_list)
 
 
