@@ -15,7 +15,7 @@ parsed ``tts basis --p``, reaches it through `space.RealizedTypes.rows`
 pass over the row's opens (`_irreducible_members`): it memoizes their open
 row per space by the type row, so the anchored families, the chain bases
 and the oracle share each decision. Only a chain's base reads it; the chain
-pools are memoized apart and decide nothing here.
+pools are read off `space.RealizedTypes.opens_row` and decide nothing here.
 """
 from __future__ import annotations
 

@@ -26,10 +26,11 @@ read off a table of their cubes with no `lattice.leq`): the pool row is
 realized-type indexes (`realized_chain_pools`, which builds no chain and
 hashes no term). One routine, `_pools_and_bases`, reads every pool and
 base in the one form a family of opens takes below the public API, an
-open row (`RealizedTypes.opens_row`). The pools are memoized by row on
-``space.index``, apart from the irreducibles, so a query that reads only
-the pool decides no irreducibility; a query that returns masks expands
-its row through `RealizedTypes.members`. A single generator's family
+open row (`RealizedTypes.opens_row`, on a space with one open per type
+the type row itself). Only a base asks `basis.irreducibles`, which
+memoizes its rows, so a query that reads only the pool decides no
+irreducibility; a query that returns masks expands its row through
+`RealizedTypes.members`. A single generator's family
 (`generator_family`) is one scan of the opens, checked against the union
 of its chains' pools read from the same rows.
 """
@@ -82,22 +83,18 @@ def parse_chain(text: str, ctx: Context) -> TypeChain:
 def _pools_and_bases(space: TypedSpace, keys):
     """Yield the pool and base open rows of each key ``(pool row, lower rows)``.
 
-    Every chain pool and base is read here: the pool from its memo on
-    ``space.index.pools``, keyed by its type row and filled by
-    `RealizedTypes.opens_row` on a miss, and the base as the pool met with
-    the memoized irreducible rows of the lower rows (`irreducibles`). A key
-    with no lower rows reads its pool alone, deciding nothing.
+    Every chain pool and base is read here: the pool as the open row of
+    its type row (`RealizedTypes.opens_row`), and the base as the pool met
+    with the irreducible rows of the lower rows, which `irreducibles`
+    memoizes. A key with no lower rows reads its pool alone, deciding
+    nothing.
     """
-    pools, decided = space.index.pools, space.index.irreducibles
     rt = realized_types(space)
     for row, lows in keys:
-        pool = pools.get(row)
-        if pool is None:
-            pool = pools[row] = rt.opens_row(row)
+        pool = rt.opens_row(row)
         base = 0
         for low in lows:
-            got = decided.get(low)
-            base |= irreducibles(space, low) if got is None else got
+            base |= irreducibles(space, low)
         yield pool, pool & base if lows else None
 
 
@@ -150,8 +147,8 @@ def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozense
 def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     """All sandwiched visible opens: the union of every point's neighborhoods.
 
-    Memoized on ``space.index`` as a row, expanded by `RealizedTypes.members`;
-    no irreducibility is decided.
+    Read as an open row and expanded by `RealizedTypes.members`; no
+    irreducibility is decided.
     """
     row, _ = _key(*_level_rows(space, chain))
     return realized_types(space).members(next(_pools_and_bases(space, [(row, ())]))[0])
@@ -162,7 +159,7 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
 
     The irreducibility level ranges over every lower level whose value lies
     below the member's type; it is not tied to the sandwiching index. Read
-    from the memoized pool and the memoized irreducibles of the lower rows.
+    from the pool and the memoized irreducibles of the lower rows.
     """
     _, base = next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))
     return realized_types(space).members(base)

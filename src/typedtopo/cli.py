@@ -76,7 +76,7 @@ def _space_digest(sp: space.TypedSpace) -> dict:
     return {
         "points": len(sp.points),
         "opens": len(sp.opens),
-        "strict": space.strictness(sp).strict,
+        "strict": space.is_strictly_typed(sp).strict,
     }
 
 
@@ -151,7 +151,7 @@ def _cmd_build(args, _):
 
 def _cmd_validate(args, sp):
     # load_space validated the document: one that fails raises before this
-    strictness = space.strictness(sp)
+    strictness = space.is_strictly_typed(sp)
     result = {
         "valid": True,
         "failures": [],

@@ -107,8 +107,7 @@ def build_genealogy(data: GenealogyDataset) -> TypedSpace:
     for p in people:
         if p in desc[p]:
             raise DatasetError(f"advisor cycle through {p!r}")
-    poset = Poset({"anc", "desc"})
-    ctx = Context(poset, people)
+    ctx = Context(Poset({"anc", "desc"}), people)
     specs: list[GeneratorSpec] = []
     for x in people:
         if anc[x]:
@@ -119,7 +118,7 @@ def build_genealogy(data: GenealogyDataset) -> TypedSpace:
         if desc[x]:
             term = lattice.normalize(ctx, [clause_of(gens=["desc"], pos={x} | anc[x])])
             specs.append(GeneratorSpec(f"desc_{x}", frozenset(desc[x]), term))
-    return space.generate_topology(specs, poset, people)
+    return space.generate_topology(ctx, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,7 @@ def build_community(data: CommunityDataset) -> TypedSpace:
     residents = data.residents()
     gens = {name for name, _ in data.streets} | {"left", "right"}
     gens |= {name for name, _ in data.relations}
-    poset = Poset(gens)
-    ctx = Context(poset, residents)
+    ctx = Context(Poset(gens), residents)
     specs: list[GeneratorSpec] = []
 
     def spec(name, members, gen, *at):
@@ -162,7 +160,7 @@ def build_community(data: CommunityDataset) -> TypedSpace:
             partners.setdefault(b, set()).add(a)
         for x, ps in sorted(partners.items()):
             spec(f"{rname}_{x}", ps | {x}, rname, x)
-    return space.generate_topology(specs, poset, residents)
+    return space.generate_topology(ctx, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +244,13 @@ def build_table(data: PredicateTableDataset, apply_strictify: bool = False) -> T
                 f"strictness repair needs every row to match a predicate; "
                 f"rows matching none: {unmatched}"
             )
-    poset = Poset(names, pairs)
-    ctx = Context(poset, ids)
+    ctx = Context(Poset(names, pairs), ids)
     specs = [
         GeneratorSpec(p.name, sat[p.name], lattice.normalize(ctx, [clause_of(gens=[p.name])]))
         for p in data.predicates
         if sat[p.name]
     ]
-    built = space.generate_topology(specs, poset, ids)
+    built = space.generate_topology(ctx, specs)
     return space.strictify(built) if apply_strictify else built
 
 

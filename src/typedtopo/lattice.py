@@ -186,7 +186,7 @@ def _literals_key(literals) -> tuple:
 class _Code:
     """The cube encoding of one context: literal bits, and the way back to names."""
 
-    __slots__ = ("gens", "up", "strict_down", "points", "point_bit", "by_name", "rendered")
+    __slots__ = ("gens", "up", "strict_down", "point_bit", "by_name", "rendered")
 
     def __init__(self, poset: Poset, points: tuple[str, ...]):
         gens = tuple(sorted(poset.elements))
@@ -197,9 +197,8 @@ class _Code:
         self.strict_down = tuple(
             sum(1 << j for j, h in enumerate(gens) if h != g and poset.leq(h, g)) for g in gens
         )
-        self.points = points
         self.point_bit = {p: 1 << i for i, p in enumerate(points)}
-        self.by_name = tuple(sorted(range(len(points)), key=points.__getitem__))
+        self.by_name = tuple(sorted(self.point_bit.items()))  # (point, bit) in name order
         self.rendered: dict = {}  # cube -> (sort key, literals)
 
     def encode(self, gens, pos, neg) -> tuple[int, int, int]:
@@ -224,11 +223,11 @@ class _Code:
                 (GEN, g) for i, g in enumerate(self.gens)
                 if up >> i & 1 and not self.strict_down[i] & up
             ]
-            for i in self.by_name:
-                if pos >> i & 1:
-                    lits.append((POS, self.points[i]))
-                elif neg >> i & 1:
-                    lits.append((NEG, self.points[i]))
+            for p, b in self.by_name:
+                if pos & b:
+                    lits.append((POS, p))
+                elif neg & b:
+                    lits.append((NEG, p))
             got = self.rendered[cube] = (_literals_key(lits), tuple(lits))
         return got
 

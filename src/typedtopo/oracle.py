@@ -405,7 +405,7 @@ def check_space(space: TypedSpace) -> CheckReport:
     The ten results, in order:
 
     * ``type-mapping``: validation's topology and type-mapping conditions,
-      read from the report it recorded on ``space.index`` if it ran, and the
+      the report `space.validate_type_mapping` recorded if it ran, and the
       meet and join bounds, which they imply, so validation leaves them out
       and `_bounds` re-derives them;
     * ``strictly-typed``: proper inclusion strictly raises the type;
@@ -426,8 +426,8 @@ def check_space(space: TypedSpace) -> CheckReport:
     `chains.realized_chain_pools` call, and a chain's text is formatted only
     for the first five counterexamples of a result, the ones it keeps.
     """
-    report = space.index.report or space_mod.validate_type_mapping(space)
-    strictness = space_mod.strictness(space)
+    report = space_mod.validate_type_mapping(space)
+    strictness = space_mod.is_strictly_typed(space)
     if report.ok and strictness.strict:
         rt = realized_types(space)
         count = _chain_count(rt, MAX_CHAINS)

@@ -74,10 +74,11 @@ class TypedSpace:
     """Immutable (context, opens, type mapping, generators) bundle.
 
     The space owns the `Context` its types live in: ``points`` and ``poset``
-    are read from ``ctx``, and the types of ``sigma`` (and, for a loaded
-    space, of the generators) are terms of that very object, so the lattice
+    are read from ``ctx``, and the types of ``sigma`` and of the generators
+    of a built or loaded space are terms of that very object, so the lattice
     operations between them and terms parsed against ``space.ctx`` settle
-    on identity. A `dataclasses.replace` copy shares the context.
+    on identity. A `dataclasses.replace` copy shares the context, and its
+    point map: `point_bit` and `ids_of` read the context's encoding.
     ``sigma`` is stored as a read-only copy of the mapping it is given, so
     nothing can change a type behind the verdicts cached in ``index``.
     """
@@ -106,14 +107,11 @@ class TypedSpace:
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
-    def point_index(self, point: str) -> int:
-        try:
-            return self.points.index(point)
-        except ValueError:
-            raise UnknownPointError(f"unknown point {point!r}") from None
-
     def point_bit(self, point: str) -> int:
-        return 1 << self.point_index(point)
+        try:
+            return self.ctx._code.point_bit[point]
+        except (KeyError, TypeError):  # TypeError: a point of an unhashable type
+            raise UnknownPointError(f"unknown point {point!r}") from None
 
     def mask_of(self, ids: Iterable[str]) -> int:
         """The bits of ``ids``; of several unknown ids, the first sorted one raises."""
@@ -123,7 +121,8 @@ class TypedSpace:
         return m
 
     def ids_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(p for i, p in enumerate(self.points) if mask >> i & 1))
+        """The point names of ``mask``, sorted (a list comprehension outruns a generator)."""
+        return tuple([p for p, b in self.ctx._code.by_name if mask & b])
 
     def nonempty_opens(self) -> tuple[int, ...]:
         return tuple(sorted(m for m in self.opens if m))
@@ -278,13 +277,18 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
     or `_order_scan` scans every pair and writes the failure list. The bounds
     ``sigma(U & V) <= sigma(U) ^ sigma(V)`` and ``sigma(U) v sigma(V) <=
     sigma(U | V)`` follow from the last two; `oracle.check_space` replays
-    them. When every open has a type, the report is recorded in
-    ``space.index.report`` and the strictness verdict in ``strict_report``.
+    them. The report is recorded on ``space.index``, and a later call
+    returns it; when every open has a type, the walk also records the
+    strictness verdict that `is_strictly_typed` returns.
     """
+    idx = space.index
+    if idx.report is not None:
+        return idx.report
     rises = _steps_rise(space)
     failures = [] if rises is not None else _structure_failures(space)
     if any(f.code == "type-missing" for f in failures):
-        return ValidationReport(False, tuple(failures))
+        idx.report = ValidationReport(False, tuple(failures))
+        return idx.report
     sig = space.sigma
     if 0 in sig and not sig[0].is_bottom:
         failures.append(Failure("bottom-on-empty", "empty set must have type BOT", ((),)))
@@ -295,11 +299,10 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
                 "bottom-off-empty", "nonempty open typed BOT", (space.ids_of(m),)))
         if t.is_top:
             failures.append(Failure("top-forbidden", "open typed TOP", (space.ids_of(m),)))
-    monotone, space.index.strict_report = (
-        ([], StrictnessReport(True)) if rises else _order_scan(space))
+    monotone, idx.strict_report = ([], StrictnessReport(True)) if rises else _order_scan(space)
     failures += monotone
-    space.index.report = report = ValidationReport(not failures, tuple(failures))
-    return report
+    idx.report = ValidationReport(not failures, tuple(failures))
+    return idx.report
 
 
 def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
@@ -307,9 +310,15 @@ def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
 
     Decided on the step pairs ``(U, U | U_x)`` of a typed topology; any
     failure or tie there, or opens that are not a typed topology, make
-    `_order_scan` find the first witness among all nested pairs.
+    `_order_scan` find the first witness among all nested pairs. The
+    verdict is computed once per space: validation records it, so a built
+    or loaded space walks no step pair here.
     """
-    return StrictnessReport(True) if _steps_rise(space) else _order_scan(space)[1]
+    idx = space.index
+    if idx.strict_report is None:
+        idx.strict_report = (
+            StrictnessReport(True) if _steps_rise(space) else _order_scan(space)[1])
+    return idx.strict_report
 
 
 class SpaceIndex:
@@ -317,16 +326,20 @@ class SpaceIndex:
 
     Every `TypedSpace` owns one as ``space.index``; a `dataclasses.replace`
     copy starts with a fresh one, and the index keeps no reference to its
-    space. Validation records its report, the strictness verdict and the
-    cube table (`_cube_rows`, in cube key order) it decides on; the realized
-    types read their order rows, int bitsets over the type indexes, off it
-    (`RealizedTypes.up` by index, `RealizedTypes.rows` for any level). Such
-    a row keys the two families of opens kept here, both as open rows over
-    `RealizedTypes.open_masks`: the join-irreducible members of the opens it
-    selects (`basis.irreducibles`), and a chain's pool (`chains`).
+    space. Each slot has one owner, the one function that fills and reads
+    it; every other module asks that function:
+
+    * ``report``: `validate_type_mapping`;
+    * ``strict_report``: `is_strictly_typed` (validation fills it);
+    * ``cubes``: `_cube_rows`, the cube table, in cube key order, that
+      validation decides on and the realized types read their order rows
+      off (`RealizedTypes.up` by index, `RealizedTypes.rows` for any level);
+    * ``realized``: `realized_types`;
+    * ``irreducibles``: `basis.irreducibles`, the open row of the
+      join-irreducible members of the opens a realized-type row selects.
     """
 
-    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles", "pools")
+    __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles")
 
     def __init__(self):
         self.report: Optional[ValidationReport] = None
@@ -334,19 +347,10 @@ class SpaceIndex:
         self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> open row of its irreducibles
-        self.pools: dict = {}  # realized-type row -> open row of the chain pool
-
-
-def strictness(space: TypedSpace) -> StrictnessReport:
-    """`is_strictly_typed`, computed once per space (validation records it)."""
-    idx = space.index
-    if idx.strict_report is None:
-        idx.strict_report = is_strictly_typed(space)
-    return idx.strict_report
 
 
 def require_strict(space: TypedSpace) -> None:
-    if not strictness(space).strict:
+    if not is_strictly_typed(space).strict:
         raise NotStrictlyTypedError("operation requires a strictly typed space")
 
 
@@ -415,13 +419,10 @@ def _check_generators(ctx: Context, specs: Sequence[GeneratorSpec]) -> None:
             raise PreconditionError(f"generator {s.name!r} has an empty member set")
 
 
-def generate_topology(
-    specs: Sequence[GeneratorSpec],
-    poset: Poset,
-    points: Sequence[str],
-) -> TypedSpace:
-    """Generate the typed topology spanned by the given generator families.
+def generate_topology(ctx: Context, specs: Sequence[GeneratorSpec]) -> TypedSpace:
+    """Generate the typed topology on ``ctx`` spanned by the given generator families.
 
+    The space owns ``ctx``, the context the generators are typed in.
     Opens are the unions of nonempty generator intersections (plus the empty
     set and, when not already covered, the whole point set, which then takes
     the join of all generator types). The opens come from adding one
@@ -436,19 +437,17 @@ def generate_topology(
     `SpaceValidationError` when the induced mapping breaks any contract
     condition.
     """
-    pts = tuple(points)
-    ctx = Context(poset, pts)
     _check_generators(ctx, specs)
-    bit = {p: 1 << i for i, p in enumerate(pts)}
+    bit = ctx._code.point_bit
     masks = [sum(bit[p] for p in s.members) for s in specs]
     entries = _induced_type_entries(ctx, specs, masks)
 
-    opens = {0, (1 << len(pts)) - 1}
+    opens = {0, (1 << len(ctx.points)) - 1}
     for e in entries:
         opens |= {o | e for o in opens}
         if len(opens) > MAX_OPENS:
             raise PreconditionError(
-                f"the generated topology on {len(pts)} points has more than "
+                f"the generated topology on {len(ctx.points)} points has more than "
                 f"{MAX_OPENS} opens"
             )
 
@@ -495,7 +494,7 @@ def strictify(space: TypedSpace) -> TypedSpace:
         TypedSpace(ctx, space.opens, sigma, space.generators),
         "strictness repair broke the type mapping",
     )
-    verdict = strictness(out)
+    verdict = is_strictly_typed(out)
     if not verdict.strict:
         raise SpaceValidationError(f"strictness repair failed on pair {verdict.witness}", verdict)
     return out
@@ -663,8 +662,8 @@ def space_to_json(space: TypedSpace) -> dict:
     poset_pairs = sorted((a, b) for a, b in space.poset.pairs if a != b)
     implied_by, types = _cube_rows(space)
     clauses = [[{kind: name} for kind, name in space.ctx._code.render(c)[1]] for c in implied_by]
-    names = [(1 << i, space.points[i]) for i in space.ctx._code.by_name]
-    opens = sorted(([p for b, p in names if m & b], m) for m in space.opens)  # ids differ per open
+    by_name = space.ctx._code.by_name  # `TypedSpace.ids_of` inlined: up to 2^n opens
+    opens = sorted(([p for p, b in by_name if m & b], m) for m in space.opens)  # ids differ
 
     def typed(m: int):
         t = space.sigma[m]
@@ -728,7 +727,7 @@ def space_from_json(obj: dict) -> TypedSpace:
         if not named or len(pair) != 2:
             raise SpaceValidationError(f"space document: poset order entry {pair!r} is not a pair")
     ctx = Context(Poset(elements, [tuple(p) for p in pairs]), points)
-    bit = {p: 1 << i for i, p in enumerate(points)}
+    bit = ctx._code.point_bit
     sigma: dict[int, TypeTerm] = {}
     opens = set()
     for entry in _field(obj, "opens", list, []):

@@ -72,7 +72,7 @@ def random_generated_space(rng: random.Random, max_points: int = 8):
         term = normalize(ctx, [clause_of(gens=[rng.choice(gnames)], pos=extra)])
         specs.append(GeneratorSpec(f"s{k}", members, term))
     try:
-        built = generate_topology(specs, poset, pts)
+        built = generate_topology(ctx, specs)
     except SpaceValidationError:
         return None
     if not space_mod.is_strictly_typed(built).strict:

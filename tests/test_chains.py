@@ -127,31 +127,40 @@ def test_dropped_space_is_freed_after_chain_query(street5, c_right5):
 
 
 def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
-    """One theorem replay computes each distinct pool row's opens once.
+    """One theorem replay expands no pool and decides each lower row once.
 
-    Measured on STREET5: 593 pool rows for 992 realized chains and 8
-    pure-family chains, and the realized chains return 692 distinct
-    (pool, base) pairs of open rows. Keying the memo by the pool row and the distinct
-    lower rows made 781 computations, and keying it by `TypeChain` 1,000.
+    Measured on STREET5: the 992 realized chains, and the 8 pure-family
+    chains read once for their base and once for their connectivity, make
+    1,008 pool reads of 593 distinct pool rows, and the realized chains
+    return 692 distinct (pool, base) pairs of open rows. With one open per
+    type, `RealizedTypes.opens_row` hands each type row back as its open
+    row, so no read expands one; `basis.irreducibles` decides each of the
+    67 distinct lower rows once. A pool memo keyed by the pool row and the
+    distinct lower rows made 781 computations, and keyed by `TypeChain`
+    1,000.
     """
-    stored, returned = [], set()
-
-    class Recorded(dict):
-        def __setitem__(self, key, value):
-            stored.append(key)
-            super().__setitem__(key, value)
-
-    realized_chain_pools = chains.realized_chain_pools
+    pools, returned, decided = [], set(), []
+    pools_and_bases, realized_chain_pools = chains._pools_and_bases, chains.realized_chain_pools
+    opens_row, decide = space.RealizedTypes.opens_row, basis._irreducible_members
 
     def recorded(sp, chain_list):
         return map(lambda got: returned.add(got) or got, realized_chain_pools(sp, chain_list))
 
+    def read(rt, types):
+        got = opens_row(rt, types)
+        assert got == types
+        return got
+
     monkeypatch.setattr(chains, "realized_chain_pools", recorded)
+    monkeypatch.setattr(chains, "_pools_and_bases", lambda sp, keys: pools_and_bases(
+        sp, (pools.append(key[0]) or key for key in keys)))
+    monkeypatch.setattr(space.RealizedTypes, "opens_row", read)
+    monkeypatch.setattr(basis, "_irreducible_members",
+                        lambda masks, row: decided.append(row) or decide(masks, row))
     sp = dataclasses.replace(street5)
-    sp.index.pools = Recorded()
     assert oracle.check_space(sp).ok
-    assert 0 < len(stored) == len(set(stored)) <= 593
-    assert len(returned) == 692
+    assert (len(pools), len(set(pools)), len(returned)) == (1008, 593, 692)
+    assert len(decided) == len(set(decided)) == len(sp.index.irreducibles) == 67
 
 
 def test_both_chain_routes_read_one_routine(monkeypatch, street5):
@@ -193,38 +202,49 @@ def test_both_chain_routes_read_one_routine(monkeypatch, street5):
 
 
 def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
-    """Pools, neighborhoods and connectedness read the pool memo alone.
+    """Pools, neighborhoods and connectedness read pool rows alone.
 
     A base read afterwards does decide, so the count reaches the routine.
     """
-    calls = []
-    decide = basis._irreducible_members
+    calls, reads = [], []
+    decide, opens_row = basis._irreducible_members, space.RealizedTypes.opens_row
     monkeypatch.setattr(basis, "_irreducible_members",
                         lambda masks, row: calls.append(row) or decide(masks, row))
+    monkeypatch.setattr(space.RealizedTypes, "opens_row",
+                        lambda rt, types: reads.append(types) or opens_row(rt, types))
     for sp, text in ((street5, C_RIGHT5), (street2x3, C_RIGHT6)):
         sp = dataclasses.replace(sp)
         chain = parse_chain(text, sp.ctx)
         assert chains.chain_pool(sp, chain)
         assert any(chains.chain_neighborhoods(sp, x, chain) for x in sp.points)
         assert connect.is_chain_connected(sp, sp.points[-1:], chain)[0]
-        assert sp.index.pools and not sp.index.irreducibles
+        assert reads and not sp.index.irreducibles
         assert calls == []
+        reads.clear()
     assert chains.chain_base_pool(sp, chain) and calls
 
 
 def test_replaced_copy_starts_with_empty_chain_memos(street5, c_right5):
     base = chains.chain_base_pool(street5, c_right5)
-    assert street5.index.pools
+    assert street5.index.irreducibles
     copy = dataclasses.replace(street5)
     idx = copy.index
-    assert not (idx.pools or idx.irreducibles)
+    assert idx.realized is None and not idx.irreducibles
     assert chains.chain_base_pool(copy, c_right5) == base
     assert chains.chain_pool(copy, c_right5) == chains.chain_pool(street5, c_right5)
-    assert len(idx.pools) == 1
+    assert len(idx.irreducibles) == 1
+    assert idx.realized is not street5.index.realized
 
 
-def test_chains_with_equal_rows_share_one_memo_entry(street5):
-    """A padded chain, and the same realized chain by indexes, read one entry."""
+def test_chains_with_equal_rows_share_one_memo_entry(monkeypatch, street5):
+    """A padded chain, and the same realized chain by indexes, key one pool row.
+
+    Their one lower row takes one entry of the irreducibles memo.
+    """
+    keys = []
+    pools_and_bases = chains._pools_and_bases
+    monkeypatch.setattr(chains, "_pools_and_bases", lambda sp, got: pools_and_bases(
+        sp, (keys.append(key) or key for key in got)))
     sp = dataclasses.replace(street5)
     rt = realized_types(sp)
     i, j = next((i, j) for i in range(len(rt)) for j in space.bit_indexes(rt.up[i]) if i != j)
@@ -234,7 +254,8 @@ def test_chains_with_equal_rows_share_one_memo_entry(street5):
     assert (chains.chain_pool(sp, padded), chains.chain_base_pool(sp, padded)) == got
     fetched = chains.realized_chain_pools(sp, [(i, i, j), (i, j)])
     assert [(rt.members(p), rt.members(b)) for p, b in fetched] == [got, got]
-    assert len(sp.index.pools) == 1
+    assert len(keys) == 6 and len({row for row, _ in keys}) == 1
+    assert len({frozenset(lows) for _, lows in keys if lows}) == len(sp.index.irreducibles) == 1
 
 
 def test_two_opens_of_one_type_take_two_bits_of_an_open_row():
@@ -276,7 +297,7 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     """
     sp = dataclasses.replace(request.getfixturevalue(fixture))
     chain = parse_chain(text, sp.ctx)
-    space.strictness(sp)
+    space.is_strictly_typed(sp)
     cubes = sp.index.cubes
     assert cubes is not None
     calls = Counter()
@@ -383,7 +404,7 @@ def test_generator_family_is_checked_against_the_realized_chain_union(monkeypatc
     a family member makes every call raise.
     """
     copy = dataclasses.replace(street5)
-    space.strictness(copy)
+    space.is_strictly_typed(copy)
     calls = []
     leq, rows = lattice.leq, space.RealizedTypes.rows
     monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append("leq") or leq(a, b))
@@ -422,7 +443,7 @@ def test_chain_cover_width_one_for_nested_types():
         GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
         GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
     ]
-    sp = generate_topology(specs, poset, pts)
+    sp = generate_topology(ctx, specs)
     cov = chain_cover(sp)
     assert cov.width == 1
     assert len(cov.chains) == 1
@@ -436,7 +457,7 @@ def test_chain_cover_width_two_for_antichain():
         GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
         GeneratorSpec("b", frozenset({"y"}), parse_type_expr("h & @y", ctx)),
     ]
-    sp = generate_topology(specs, poset, pts)
+    sp = generate_topology(ctx, specs)
     cov = chain_cover(sp)
     assert len(realized_types(sp)) == 3
     assert cov.width == 2
@@ -525,7 +546,7 @@ def test_chain_cover_needs_no_recursion_for_long_augmenting_paths():
     sp = _street(8)
     want = _recursive_cover(sp)
     sp = dataclasses.replace(sp)
-    space.strictness(sp)
+    space.is_strictly_typed(sp)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:

@@ -847,7 +847,7 @@ def test_loading_checks_generators_as_building_does(capsys, street5, tmp_path, f
         members = frozenset() if fault == "empty" else first.members | {"zz"}
         gens[0] = dataclasses.replace(first, members=members)
     with pytest.raises(TypedTopoError) as built:
-        space_mod.generate_topology(gens, street5.poset, street5.points)
+        space_mod.generate_topology(street5.ctx, gens)
     doc = space_mod.space_to_json(dataclasses.replace(street5, generators=tuple(gens)))
     path = tmp_path / "generators.json"
     path.write_text(json.dumps(doc))

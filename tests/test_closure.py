@@ -38,14 +38,10 @@ def test_chain_admitting_every_open_supports_every_point():
     poset = Poset({"g"})
     pts = ("x", "y")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
-            GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
+        GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
+    ])
     ch = parse_chain("g & @x ; g", sp.ctx)
     assert chains.chain_pool(sp, ch) == frozenset(m for m in sp.opens if m)
     assert closure.min_chain_dense(sp, ch).unsupported == frozenset()
@@ -78,14 +74,10 @@ def test_neighborhood_classes_merge_twins():
     poset = Poset({"g"})
     pts = ("x", "y", "z")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec("a", frozenset({"x", "y"}), parse_type_expr("g & @x & @y", ctx)),
-            GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec("a", frozenset({"x", "y"}), parse_type_expr("g & @x & @y", ctx)),
+        GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
+    ])
     ch = parse_chain("g & @x & @y ; g", sp.ctx)
     assert ("x", "y") in closure.min_chain_dense(sp, ch).classes
 

@@ -87,18 +87,14 @@ def test_certificate_chained_union_is_connected():
     poset = Poset({"classmate"})
     pts = ("x", "y", "z")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec(
-                "ball_x", frozenset({"x", "y"}), parse_type_expr("classmate & @x", ctx)
-            ),
-            GeneratorSpec(
-                "ball_z", frozenset({"y", "z"}), parse_type_expr("classmate & @z", ctx)
-            ),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec(
+            "ball_x", frozenset({"x", "y"}), parse_type_expr("classmate & @x", ctx)
+        ),
+        GeneratorSpec(
+            "ball_z", frozenset({"y", "z"}), parse_type_expr("classmate & @z", ctx)
+        ),
+    ])
     ch = parse_chain("classmate & @x & @y & @z ; classmate", sp.ctx)
     cert = connect.find_connection(sp, "x", "z", ch)
     assert cert is not None
@@ -115,16 +111,12 @@ def test_relation_ball_connects_classmates_directly():
     poset = Poset({"classmate", "d"})
     pts = ("x", "y", "z")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec(
-                "ball_x", frozenset({"x", "y"}), parse_type_expr("classmate & @x", ctx)
-            ),
-            GeneratorSpec("other", frozenset({"z"}), parse_type_expr("d & @z", ctx)),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec(
+            "ball_x", frozenset({"x", "y"}), parse_type_expr("classmate & @x", ctx)
+        ),
+        GeneratorSpec("other", frozenset({"z"}), parse_type_expr("d & @z", ctx)),
+    ])
     ch = parse_chain("classmate & @x ; classmate", sp.ctx)
     cert = connect.find_connection(sp, "x", "y", ch)
     assert cert is not None
@@ -154,14 +146,10 @@ def test_single_open_pool_gives_one_component():
     poset = Poset({"g"})
     pts = ("x", "y")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
-            GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec("a", frozenset({"x"}), parse_type_expr("g & @x", ctx)),
+        GeneratorSpec("b", frozenset(pts), parse_type_expr("g", ctx)),
+    ])
     g = parse_type_expr("g", sp.ctx)
     ch = TypeChain((g, g))
     assert chains.chain_pool(sp, ch) == frozenset({sp.full_mask})

@@ -371,3 +371,45 @@ def test_open_rows_become_masks_in_the_realized_types_and_the_oracle_alone():
         "chains.py"}
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert open_mask_readers(sources) == OPEN_MASK_READERS
+
+
+def index_reads(source: str) -> set[str]:
+    """The slots of ``x.index`` that ``source`` reads, ``"*"`` for ``x.index`` read whole.
+
+    A call ``x.index(...)``, such as `list.index`, is a method and does not
+    count; any other bare read, such as ``idx = space.index``, does.
+    """
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "index":
+            parent = parents[node]
+            if isinstance(parent, ast.Attribute):
+                out.add(parent.attr)
+            elif not (isinstance(parent, ast.Call) and parent.func is node):
+                out.add("*")
+    return out
+
+
+def test_the_index_gate_sees_slots_and_whole_reads():
+    source = (
+        "def f(space, cols):\n"
+        "    idx = space.index\n"
+        "    return space.index.report, cols.index('a'), idx\n"
+    )
+    assert index_reads(source) == {"*", "report"}
+
+
+# The slots of `space.SpaceIndex` that a package module other than `space.py`,
+# which owns the index, may read: `basis.irreducibles` owns its memo. Every
+# other module asks the owner of a slot, as `validate_type_mapping`,
+# `is_strictly_typed` or `realized_types`.
+INDEX_READS = {"basis.py": {"irreducibles"}}
+
+
+def test_each_index_slot_is_read_by_its_owner_alone():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    del sources["space.py"]
+    assert {name: reads for name, source in sources.items()
+            if (reads := index_reads(source))} == INDEX_READS

@@ -131,7 +131,7 @@ def test_bounds_match_the_meet_and_join_per_pair_reference(
     monkeypatch.setattr(
         space, "validate_type_mapping", lambda sp: space.ValidationReport(True, ())
     )
-    monkeypatch.setattr(space, "strictness", lambda sp: space.StrictnessReport(False))
+    monkeypatch.setattr(space, "is_strictly_typed", lambda sp: space.StrictnessReport(False))
     copies = [b for sp in spaces if sp is not street2x3 for b in _retyped(sp, rng)]
     passed = [compare(b) for b in copies]
     assert len(copies) > 100 and passed.count(False) > len(copies) // 2
@@ -350,7 +350,7 @@ def test_anchor_checks_read_realized_rows_by_index(monkeypatch, street5):
     reaching each row through its type made 93 `rows` and 31 `leq` calls.
     """
     sp = dataclasses.replace(street5)
-    space.strictness(sp)
+    space.is_strictly_typed(sp)
     rt = realized_types(sp)
     calls = []
     rows, leq = space.RealizedTypes.rows, lattice.leq
@@ -725,15 +725,18 @@ def test_the_over_budget_skip_reads_the_up_rows_alone(monkeypatch, street10):
 
 
 def test_check_space_reads_the_report_validation_recorded(monkeypatch, street5):
-    """A built or loaded space was validated once; the replay reads that report.
+    """A load validates once; the replay reads the report and verdict it recorded.
 
-    A copy starts with an empty index, so its replay validates it again.
+    Loading a space and replaying its theorems walk the step pairs once, in
+    the load. A copy starts with an empty index, so its replay validates it
+    again, in one more walk, and records that report.
     """
-    calls = []
-    validate = space.validate_type_mapping
-    monkeypatch.setattr(space, "validate_type_mapping", lambda sp: calls.append(sp) or validate(sp))
-    assert street5.index.report == validate(dataclasses.replace(street5))
-    assert check_space(street5).ok and calls == []
-    copy = dataclasses.replace(street5)
-    assert check_space(copy).ok and calls == [copy]
-    assert copy.index.report.ok
+    walks = []
+    steps_rise = space._steps_rise
+    monkeypatch.setattr(space, "_steps_rise", lambda sp: walks.append(sp) or steps_rise(sp))
+    sp = space.space_from_json(space.space_to_json(street5))
+    assert check_space(sp).ok and walks == [sp]
+    copy = dataclasses.replace(sp)
+    assert check_space(copy).ok and walks == [sp, copy]
+    assert space.validate_type_mapping(copy) is copy.index.report
+    assert copy.index.report == sp.index.report and copy.index.report.ok

@@ -17,6 +17,7 @@ from typedtopo.errors import (
     NotStrictlyTypedError,
     PreconditionError,
     SpaceValidationError,
+    UnknownPointError,
 )
 from typedtopo.lattice import Context, Poset, clause_of, format_term, normalize, parse_type_expr
 from typedtopo.space import (
@@ -46,7 +47,7 @@ def test_genealogy_topology_values(genealogy5):
 def test_generate_topology_rejects_empty_spec_list():
     poset = Poset({"g"})
     with pytest.raises(SpaceValidationError):
-        generate_topology([], poset, ("x", "y"))
+        generate_topology(Context(poset, ("x", "y")), [])
 
 
 def test_generate_topology_single_full_generator():
@@ -54,7 +55,7 @@ def test_generate_topology_single_full_generator():
     pts = ("x", "y")
     ctx = Context(poset, pts)
     t = parse_type_expr("anc", ctx)
-    sp = generate_topology([GeneratorSpec("g", frozenset(pts), t)], poset, pts)
+    sp = generate_topology(ctx, [GeneratorSpec("g", frozenset(pts), t)])
     assert sp.opens == frozenset({0, sp.full_mask})
     assert lattice.term_eq(sp.sigma[sp.full_mask], t)
 
@@ -70,7 +71,7 @@ def test_generate_topology_opens_budget(monkeypatch):
     pts = tuple(f"x{i}" for i in range(70))
     ctx = Context(poset, pts)
     spec = GeneratorSpec("g0", frozenset(pts), parse_type_expr("g", ctx))
-    assert len(generate_topology([spec], poset, pts).opens) == 2
+    assert len(generate_topology(ctx, [spec]).opens) == 2
 
     entries, typed = [], []
     induced_type_entries, join_all = space._induced_type_entries, lattice.join_all
@@ -224,27 +225,58 @@ def test_replace_gives_a_cold_index(street5):
     copy = dataclasses.replace(street5)
     assert copy.index is not street5.index
     assert copy.index.strict_report is None
-    assert space.strictness(copy) == space.strictness(street5)
+    assert space.is_strictly_typed(copy) == space.is_strictly_typed(street5)
 
 
-def test_a_space_owns_the_context_of_its_types(street2x3):
-    """Built, loaded, strictified and replaced spaces type every open in ``sp.ctx``."""
+def test_a_space_owns_the_context_of_its_types(genealogy5, street2x3):
+    """Built, loaded, strictified and replaced spaces type opens and generators in ``sp.ctx``.
+
+    Each builder hands `generate_topology` the context it typed its
+    generators in.
+    """
     assert [f.name for f in dataclasses.fields(TypedSpace)] == [
         "ctx", "opens", "sigma", "generators",
     ]
     loaded = [space.load_space(FIXTURES / f"{name}.json")
               for name in ("genealogy5", "street5", "street2x3")]
-    for sp in loaded:
-        assert all(g.type_term.ctx is sp.ctx for g in sp.generators)
     table = ingest.build_table(ingest.read_table_dataset(
         (FIXTURES / "datasets" / "fees.csv").read_text(),
         (FIXTURES / "datasets" / "fees_predicates.json").read_text(),
     ), apply_strictify=True)
     copy = dataclasses.replace(loaded[2])
     assert copy.ctx is loaded[2].ctx
-    for sp in (*loaded, street2x3, table, copy):
+    for sp in (*loaded, genealogy5, street2x3, table, copy):
         assert (sp.points, sp.poset) == (sp.ctx.points, sp.ctx.poset)
         assert all(t.ctx is sp.ctx for t in sp.sigma.values())
+        assert sp.generators and all(g.type_term.ctx is sp.ctx for g in sp.generators)
+
+
+def test_point_bit_refuses_unknown_and_unhashable_points(street5):
+    assert [street5.point_bit(p) for p in street5.points] == [1 << i for i in range(5)]
+    for bad in ("zz", ["r1"]):
+        with pytest.raises(UnknownPointError, match="unknown point"):
+            street5.point_bit(bad)
+
+
+def test_ids_of_sorts_names_whatever_the_point_order():
+    ctx = Context(Poset({"g"}), ("b", "c", "a"))
+    sp = TypedSpace(ctx, frozenset({0, 7}), {0: ctx.bottom(), 7: parse_type_expr("g", ctx)}, ())
+    assert sp.ids_of(0b101) == ("a", "b") and sp.ids_of(7) == ("a", "b", "c")
+    for m in range(8):
+        assert sp.ids_of(m) == tuple(sorted(p for i, p in enumerate(ctx.points) if m >> i & 1))
+        assert sp.mask_of(sp.ids_of(m)) == m
+
+
+@pytest.mark.parametrize("name", ["genealogy5.json", "street5.json"])
+def test_a_loaded_space_reads_the_verdict_validation_recorded(monkeypatch, name):
+    """`is_strictly_typed` walks no step pair and orders no pair on a loaded space."""
+    sp = space.load_space(FIXTURES / name)
+    calls = []
+    monkeypatch.setattr(space, "_steps_rise", lambda _sp: calls.append("walk"))
+    monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append("leq"))
+    verdict = is_strictly_typed(sp)
+    assert verdict is is_strictly_typed(sp) is sp.index.strict_report
+    assert verdict == space.StrictnessReport(True) and calls == []
 
 
 def test_strictness_on_fixtures(genealogy5, street5):
@@ -382,9 +414,9 @@ def test_induced_entries_match_the_bundle_search(rng):
     sigma = {u: lattice.join_all(ctx, [t for m, t in got.items() if m & u == m]) for u in opens}
     if not validate_type_mapping(TypedSpace(ctx, frozenset(opens), sigma, tuple(specs))).ok:
         with pytest.raises(SpaceValidationError):
-            generate_topology(specs, poset, pts)
+            generate_topology(ctx, specs)
         return
-    built = generate_topology(specs, poset, pts)
+    built = generate_topology(ctx, specs)
     assert (built.opens, dict(built.sigma)) == (opens, sigma)
 
 
@@ -464,7 +496,7 @@ def test_load_and_verdict_order_each_step_pair_once(monkeypatch, name, steps, ne
     leq = lattice.leq
     monkeypatch.setattr(lattice, "leq", lambda a, b: calls.append(1) or leq(a, b))
     sp = space.load_space(FIXTURES / name)
-    assert space.strictness(sp).strict
+    assert space.is_strictly_typed(sp).strict
     pairs = _step_pairs(sp)
     assert len(pairs) == steps
     assert len(calls) == len({v for u, v in pairs if u == 0}) == len(sp.points)
@@ -578,7 +610,7 @@ def test_space_to_json_renders_only_generator_types_through_term_to_json(monkeyp
 def test_built_loaded_and_repaired_spaces_carry_the_verdict(street5):
     tied = space_from_json(space_to_json(_degenerate_space()))
     spaces = [
-        generate_topology(street5.generators, street5.poset, street5.points),
+        generate_topology(street5.ctx, street5.generators),
         space_from_json(space_to_json(street5)),
         strictify(_degenerate_space()),
         tied,
@@ -610,9 +642,7 @@ def test_realized_types_singleton_space():
     poset = Poset({"anc"})
     pts = ("x",)
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [GeneratorSpec("g", frozenset(pts), parse_type_expr("anc", ctx))], poset, pts
-    )
+    sp = generate_topology(ctx, [GeneratorSpec("g", frozenset(pts), parse_type_expr("anc", ctx))])
     assert len(realized_types(sp)) == 1
 
 
@@ -731,11 +761,11 @@ def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
     """
     pts = tuple(f"p{i}" for i in range(10))
     ctx = Context(Poset({"g", "h"}), pts)
-    apart = generate_topology([
+    apart = generate_topology(ctx, [
         GeneratorSpec("a", frozenset({"p9"}), parse_type_expr("g", ctx)),
         GeneratorSpec("b", frozenset({"p1"}), parse_type_expr("g", ctx)),
         GeneratorSpec("c", frozenset(pts), parse_type_expr("g | h", ctx)),
-    ], ctx.poset, pts)
+    ])
     assert list(apart.opens) != sorted(apart.opens)
     for sp in _sample_spaces(5, (genealogy5, street5, street2x3)) + [apart]:
         sp = dataclasses.replace(sp)
@@ -863,7 +893,7 @@ def test_induced_types_are_minimal_extension():
             )
             specs.append(GeneratorSpec(f"s{k}", members, term))
         try:
-            sp = generate_topology(specs, poset, pts)
+            sp = generate_topology(ctx, specs)
         except SpaceValidationError:
             continue
         opens = [m for m in sorted(sp.opens) if m]

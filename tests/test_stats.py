@@ -42,15 +42,11 @@ def test_family_sizes_zero_spread_raises():
     poset = Poset({"cm", "d"})
     pts = ("x", "y", "z", "w")
     ctx = Context(poset, pts)
-    sp = generate_topology(
-        [
-            GeneratorSpec("bx", frozenset({"x", "y"}), parse_type_expr("cm & @x", ctx)),
-            GeneratorSpec("bz", frozenset({"z", "w"}), parse_type_expr("cm & @z", ctx)),
-            GeneratorSpec("mid", frozenset({"y", "z"}), parse_type_expr("d & @y", ctx)),
-        ],
-        poset,
-        pts,
-    )
+    sp = generate_topology(ctx, [
+        GeneratorSpec("bx", frozenset({"x", "y"}), parse_type_expr("cm & @x", ctx)),
+        GeneratorSpec("bz", frozenset({"z", "w"}), parse_type_expr("cm & @z", ctx)),
+        GeneratorSpec("mid", frozenset({"y", "z"}), parse_type_expr("d & @y", ctx)),
+    ])
     assert is_strictly_typed(sp).strict
     with pytest.raises(NoVarianceError):
         stats.family_size_scores(sp, "cm")
