@@ -308,16 +308,16 @@ def validate_type_mapping(space: TypedSpace) -> ValidationReport:
 def is_strictly_typed(space: TypedSpace) -> StrictnessReport:
     """Proper inclusion of nonempty opens must strictly increase the type.
 
-    Decided on the step pairs ``(U, U | U_x)`` of a typed topology; any
-    failure or tie there, or opens that are not a typed topology, make
-    `_order_scan` find the first witness among all nested pairs. The
-    verdict is computed once per space: validation records it, so a built
-    or loaded space walks no step pair here.
+    The verdict is the one `validate_type_mapping` records, so a built or
+    loaded space walks no step pair here; a cold space is validated first.
+    Only when validation stops at an open without a type does `_order_scan`
+    decide it here, over the typed opens.
     """
     idx = space.index
     if idx.strict_report is None:
-        idx.strict_report = (
-            StrictnessReport(True) if _steps_rise(space) else _order_scan(space)[1])
+        validate_type_mapping(space)
+        if idx.strict_report is None:  # stopped at type-missing
+            idx.strict_report = _order_scan(space)[1]
     return idx.strict_report
 
 
@@ -410,8 +410,8 @@ def _check_generators(ctx: Context, specs: Sequence[GeneratorSpec]) -> None:
         if s.name in seen:
             raise PreconditionError(f"duplicate generator name {s.name!r}")
         seen.add(s.name)
-        if s.type_term.ctx is not ctx and s.type_term.ctx != ctx:
-            raise PreconditionError(f"generator {s.name!r} typed in a foreign context")
+        if s.type_term.ctx is not ctx:
+            raise PreconditionError(f"generator {s.name!r} not typed in the space's context")
         for p in sorted(s.members):
             if p not in ctx.point_set:
                 raise UnknownPointError(f"generator {s.name!r} uses unknown point {p!r}")
@@ -422,7 +422,8 @@ def _check_generators(ctx: Context, specs: Sequence[GeneratorSpec]) -> None:
 def generate_topology(ctx: Context, specs: Sequence[GeneratorSpec]) -> TypedSpace:
     """Generate the typed topology on ``ctx`` spanned by the given generator families.
 
-    The space owns ``ctx``, the context the generators are typed in.
+    The space owns ``ctx``, which must be the very object the generators
+    are typed in: one typed in an equal copy raises `PreconditionError`.
     Opens are the unions of nonempty generator intersections (plus the empty
     set and, when not already covered, the whole point set, which then takes
     the join of all generator types). The opens come from adding one
@@ -662,8 +663,7 @@ def space_to_json(space: TypedSpace) -> dict:
     poset_pairs = sorted((a, b) for a, b in space.poset.pairs if a != b)
     implied_by, types = _cube_rows(space)
     clauses = [[{kind: name} for kind, name in space.ctx._code.render(c)[1]] for c in implied_by]
-    by_name = space.ctx._code.by_name  # `TypedSpace.ids_of` inlined: up to 2^n opens
-    opens = sorted(([p for p, b in by_name if m & b], m) for m in space.opens)  # ids differ
+    opens = sorted((space.ids_of(m), m) for m in space.opens)  # ids differ
 
     def typed(m: int):
         t = space.sigma[m]
@@ -677,7 +677,7 @@ def space_to_json(space: TypedSpace) -> dict:
             "elements": sorted(space.poset.elements),
             "leq": [list(p) for p in poset_pairs],
         },
-        "opens": [{"set": ids, "type": typed(m)} for ids, m in opens],
+        "opens": [{"set": list(ids), "type": typed(m)} for ids, m in opens],
         "generators": [
             {
                 "name": g.name,

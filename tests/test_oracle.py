@@ -729,7 +729,8 @@ def test_check_space_reads_the_report_validation_recorded(monkeypatch, street5):
 
     Loading a space and replaying its theorems walk the step pairs once, in
     the load. A copy starts with an empty index, so its replay validates it
-    again, in one more walk, and records that report.
+    again, in one more walk, and records that report. A copy asked for its
+    verdict before it is validated walks once too: the verdict is validation's.
     """
     walks = []
     steps_rise = space._steps_rise
@@ -740,3 +741,6 @@ def test_check_space_reads_the_report_validation_recorded(monkeypatch, street5):
     assert check_space(copy).ok and walks == [sp, copy]
     assert space.validate_type_mapping(copy) is copy.index.report
     assert copy.index.report == sp.index.report and copy.index.report.ok
+    asked = dataclasses.replace(sp)
+    space.require_strict(asked)
+    assert check_space(asked).ok and walks == [sp, copy, asked]

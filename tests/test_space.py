@@ -251,6 +251,15 @@ def test_a_space_owns_the_context_of_its_types(genealogy5, street2x3):
         assert sp.generators and all(g.type_term.ctx is sp.ctx for g in sp.generators)
 
 
+def test_generate_topology_refuses_generators_of_an_equal_context(street5):
+    """Generators typed in an equal copy of the context would leave ``sp.ctx``."""
+    twin = Context(street5.poset, street5.points)
+    assert twin == street5.ctx and twin is not street5.ctx
+    with pytest.raises(PreconditionError, match="not typed in the space's context"):
+        generate_topology(twin, street5.generators)
+    assert generate_topology(street5.ctx, street5.generators).ctx is street5.ctx
+
+
 def test_point_bit_refuses_unknown_and_unhashable_points(street5):
     assert [street5.point_bit(p) for p in street5.points] == [1 << i for i in range(5)]
     for bad in ("zz", ["r1"]):
@@ -471,9 +480,8 @@ def test_step_pass_matches_the_full_scans(seed):
     with mock.patch.object(space, "_minimal_neighborhoods", lambda _sp: None):
         assert validate_type_mapping(slow) == report
         assert is_strictly_typed(slow) == verdict
-    assert fast.index.strict_report == slow.index.strict_report
-    if fast.index.strict_report is not None:
-        assert fast.index.strict_report == verdict
+    assert is_strictly_typed(dataclasses.replace(probe)) == verdict  # asked before validation
+    assert space._order_scan(probe)[1] == verdict  # the exhaustive scan, no memo
 
 
 def _step_pairs(sp: TypedSpace) -> set:
@@ -555,8 +563,8 @@ def test_table_step_pass_matches_the_order_scan(genealogy5, street5, street2x3):
         report, verdict = validate_type_mapping(fast), is_strictly_typed(fast)
         with mock.patch.object(space, "_steps_rise", lambda _sp: None):
             assert validate_type_mapping(slow) == report
-            assert is_strictly_typed(slow) == verdict == slow.index.strict_report
-        assert fast.index.strict_report == verdict
+            assert is_strictly_typed(slow) == verdict
+        assert space._order_scan(sp)[1] == verdict  # the exhaustive scan, no memo
         rises = not by_code(report, "monotone") and verdict.strict
         assert space._steps_rise(dataclasses.replace(sp)) is rises
 
@@ -617,7 +625,7 @@ def test_built_loaded_and_repaired_spaces_carry_the_verdict(street5):
     ]
     for sp in spaces:
         assert sp.index.strict_report is not None
-        assert sp.index.strict_report == is_strictly_typed(sp)
+        assert sp.index.strict_report == space._order_scan(sp)[1]  # the exhaustive scan
     assert tied.index.strict_report.witness == (("x",), ("x", "y"))
 
 
