@@ -21,9 +21,12 @@ both work through that structure.
   set, every ``U_x`` and every ``O | U_x``; and any proper inclusion of
   opens is a chain of steps ``(U, U | U_x)``, so types rise along all
   inclusions iff they rise along the steps. One walk over the steps tests
-  both, on a cube table that the realized types share. When it finds a
-  failure or a tie, the exhaustive pair scans run instead, and they alone
-  write the failure lists and witnesses.
+  both, on a cube table that holds each open's type row and cover row.
+  When it finds a failure or a tie, the exhaustive pair scans run instead,
+  and they alone write the failure lists and witnesses.
+* Indexing: the realized types share that cube table and keep rows per
+  table cube. Their order rows per type are folded from those only when
+  something reads them, which no single chain query does.
 """
 from __future__ import annotations
 
@@ -209,33 +212,40 @@ def _minimal_neighborhoods(space: TypedSpace) -> Optional[frozenset]:
     opens, full = space.opens, space.full_mask
     if 0 not in opens or full not in opens or not opens <= space.sigma.keys():
         return None
-    least = [full] * len(space.points)
-    for o in opens:
-        rest = o
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            least[i] &= o
-            rest &= rest - 1
-    mins = frozenset(least)
+    bits = space.ctx._code.point_bit.values()
+    mins = frozenset(reduce(and_, [o for o in opens if o & b]) for b in bits)  # one AND per point
     return mins if mins <= opens else None
 
 
-def _cube_rows(space: TypedSpace) -> tuple[dict, dict]:
-    """``(implied_by, types)``, the cube table of ``space``, built once on its index.
+def _cube_rows(space: TypedSpace) -> tuple[dict, dict, dict]:
+    """``(implied_by, types, covers)``, the cube table of ``space``, built once on its index.
 
     Bit ``i`` stands for the ``i``-th key of ``implied_by``, a distinct cube
     of the nonempty opens' types in rendered key order (so terms sort by
     `TypeTerm.sort_key` as by their bit indexes), whose row holds the cubes
-    implying it; ``types`` holds each nonempty open's cubes as one row.
+    implying it. One walk over each nonempty open's cubes writes its two
+    rows: ``types`` its cubes, and ``covers`` the cubes implying one of them.
     """
     idx = space.index
     if idx.cubes is None:
         terms = {m: space.sigma[m] for m in space.opens if m}
         cubes = sorted(set().union(*(t.cubes for t in terms.values())), key=space.ctx._code.render)
-        bit = {c: 1 << i for i, c in enumerate(cubes)}
-        types = {m: sum(map(bit.__getitem__, t.cubes)) for m, t in terms.items()}  # an OR
-        idx.cubes = {d: _bits(cubes, lambda c: not (d[0] & ~c[0] or d[1] & ~c[1] or d[2] & ~c[2]))
-                     for d in cubes}, types
+        table = {}  # cube -> (its bit, the row of the cubes implying it)
+        for j, d in enumerate(cubes):
+            u, p, n = d
+            row = 0
+            for i, (cu, cp, cn) in enumerate(cubes):
+                if not (u & ~cu or p & ~cp or n & ~cn):  # cube i implies d
+                    row |= 1 << i
+            table[d] = 1 << j, row
+        types, covers = {}, {}
+        for m, t in terms.items():
+            own = cover = 0
+            for b, row in map(table.__getitem__, t.cubes):
+                own |= b
+                cover |= row
+            types[m], covers[m] = own, cover
+        idx.cubes = {d: row for d, (_, row) in table.items()}, types, covers
     return idx.cubes
 
 
@@ -243,18 +253,17 @@ def _steps_rise(space: TypedSpace) -> Optional[bool]:
     """True when ``sigma(U) < sigma(V)`` on every step ``V = U | U_x``, U nonempty.
 
     ``None`` when the opens are no typed topology. On `_cube_rows`,
-    ``sigma(U) <= sigma(V)`` iff ``U``'s cubes lie in ``V``'s cover, the
-    cubes implying one of ``V``'s, and a tie is equal bitsets. A step out of
-    the empty set, whose type the table leaves out, need only rise weakly:
-    one `lattice.leq` per ``U_x``. Every proper inclusion of opens is a
-    chain of steps, so this decides monotonicity and strictness.
+    ``sigma(U) <= sigma(V)`` iff ``U``'s type row lies in ``V``'s cover
+    row, the cubes implying one of ``V``'s, and a tie is equal type rows.
+    A step out of the empty set, whose type the table leaves out, need only
+    rise weakly: one `lattice.leq` per ``U_x``. Every proper inclusion of
+    opens is a chain of steps, so this decides monotonicity and strictness.
     """
     mins = _minimal_neighborhoods(space)
     if mins is None:
         return None
     sig = space.sigma
-    implied_by, types = _cube_rows(space)
-    cover = {m: reduce(or_, map(implied_by.__getitem__, sig[m].cubes), 0) for m in types}
+    _, types, covers = _cube_rows(space)
     rises = all(lattice.leq(sig[0], sig[m]) for m in mins)
     for u, own in types.items():
         for m in mins:
@@ -263,7 +272,7 @@ def _steps_rise(space: TypedSpace) -> Optional[bool]:
                 continue
             if v not in types:
                 return None
-            rises = rises and own != types[v] and not own & ~cover[v]
+            rises = rises and own != types[v] and not own & ~covers[v]
     return rises
 
 
@@ -331,9 +340,9 @@ class SpaceIndex:
 
     * ``report``: `validate_type_mapping`;
     * ``strict_report``: `is_strictly_typed` (validation fills it);
-    * ``cubes``: `_cube_rows`, the cube table, in cube key order, that
-      validation decides on and the realized types read their order rows
-      off (`RealizedTypes.up` by index, `RealizedTypes.rows` for any level);
+    * ``cubes``: `_cube_rows`, the cube table, in cube key order, with each
+      nonempty open's type row and cover row: validation decides on the
+      rows, and the realized types read their per-cube rows off the table;
     * ``realized``: `realized_types`;
     * ``irreducibles``: `basis.irreducibles`, the open row of the
       join-irreducible members of the opens a realized-type row selects.
@@ -344,7 +353,7 @@ class SpaceIndex:
     def __init__(self):
         self.report: Optional[ValidationReport] = None
         self.strict_report: Optional[StrictnessReport] = None
-        self.cubes: Optional[tuple[dict, dict]] = None  # `_cube_rows`: (implied_by, types)
+        self.cubes: Optional[tuple[dict, dict, dict]] = None  # (implied_by, types, covers)
         self.realized: Optional[RealizedTypes] = None
         self.irreducibles: dict = {}  # realized-type row -> open row of its irreducibles
 
@@ -523,19 +532,20 @@ class RealizedTypes:
     so are sets of generators, bit ``i`` for the ``i``-th by name. The order
     is bitset algebra over the space's cube table (`_cube_rows`), with no
     `lattice.leq`: ``s <= t`` iff each cube of ``s`` implies a cube of
-    ``t``. ``cubes`` and ``holders`` are indexed by table bit, ``up`` by
-    realized type, read off the table when the types are built, and `down`
-    is its transpose. A level given as a term reaches its rows through
-    `rows` alone, memoized by the term's value. A family of opens is an open
-    row, bit ``k`` for ``open_masks[k]``, read off a type row by `opens_row`.
+    ``t``. The stored rows are indexed by table bit; the rows by realized
+    type, `up`, `generators` and `down`, are folded from them on first
+    read, and a single chain query reads none of them. A level given as a
+    term reaches its rows through `rows` alone, memoized by the term's
+    value. A family of opens is an open row, bit ``k`` for
+    ``open_masks[k]``, read off a type row by `opens_row`.
     """
 
     ctx: Context
     terms: tuple[TypeTerm, ...]
     cubes: tuple  # table bit -> its cube
     holders: tuple[int, ...]  # table bit -> bitset of the terms holding that cube
-    up: tuple[int, ...]  # index -> bitset of the terms at or above it
-    generators: tuple[int, ...]  # index -> bitset of the generators the type mentions
+    reach: tuple[int, ...]  # table bit -> bitset of the terms holding a cube it implies
+    cube_generators: tuple[int, ...]  # table bit -> bitset of the cube's generators
     opens_by_type: tuple[tuple[int, ...], ...]  # index -> its opens' masks, ascending
     _rows: dict = field(default_factory=dict, init=False, repr=False)  # level -> rows
     _visible: dict = field(default_factory=dict, init=False, repr=False)  # support -> row
@@ -572,11 +582,37 @@ class RealizedTypes:
         return _bits(self.ctx._code.gens, names.__contains__)
 
     def visible(self, support: int) -> int:
-        """Bit ``j`` set iff every generator ``terms[j]`` mentions is in ``support``."""
+        """Bit ``j`` set iff every generator ``terms[j]`` mentions is in ``support``.
+
+        Every type starts visible; a table cube with a generator outside
+        ``support`` takes its holders out.
+        """
         row = self._visible.get(support)
         if row is None:
-            row = self._visible[support] = _bits(self.generators, lambda g: not g & ~support)
+            row = (1 << len(self.terms)) - 1
+            for held, gens in zip(self.holders, self.cube_generators):
+                if gens & ~support:
+                    row &= ~held
+            self._visible[support] = row
         return row
+
+    def _by_type(self, cube_rows, fold, start: int) -> tuple[int, ...]:
+        """Each type's ``fold`` of the ``cube_rows`` of the table cubes it holds."""
+        out = [start] * len(self.terms)
+        for held, row in zip(self.holders, cube_rows):
+            for j in bit_indexes(held):
+                out[j] = fold(out[j], row)
+        return tuple(out)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Bit ``i`` of ``up[j]`` set iff ``terms[j] <= terms[i]``: what all its cubes reach."""
+        return self._by_type(self.reach, and_, (1 << len(self.terms)) - 1)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generator bitset of each type, the OR of its cubes' generators."""
+        return self._by_type(self.cube_generators, or_, 0)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -616,21 +652,22 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
     """The realized types of ``space``, built once and kept on ``space.index``.
 
     Built by bit index on the cube table (`_cube_rows`), hashing no term:
-    the opens, in ascending mask order, are bucketed by their cube rows,
+    the opens, in ascending mask order, are bucketed by their type rows,
     and the buckets sorted by their rows' bit indexes, `TypeTerm.sort_key`
-    order. A table cube reaches the terms holding a cube it implies, and
-    ``up`` of a type ANDs what its own cubes reach. A cube's generators are
-    the minimal ones of its up-set.
+    order. Only the per-cube rows are built here: a table cube's holders,
+    its reach (the terms holding a cube it implies) and its generators, the
+    minimal ones of its up-set.
     """
     idx = space.index
     if idx.realized is None:
-        implied_by, types = _cube_rows(space)
+        implied_by, types, _ = _cube_rows(space)
         buckets: dict[int, list[int]] = {}
         for m in sorted(types):
             buckets.setdefault(types[m], []).append(m)
         keyed = sorted((bit_indexes(row), row) for row in buckets)
         cubes, strict_down = tuple(implied_by), space.ctx._code.strict_down
-        named = [sum(1 << g for g in bit_indexes(u) if not strict_down[g] & u) for u, _, _ in cubes]
+        gens = tuple(sum(1 << g for g in bit_indexes(u) if not strict_down[g] & u)
+                     for u, _, _ in cubes)
         holders, reach = [0] * len(cubes), [0] * len(cubes)
         for j, (own, _) in enumerate(keyed):
             for i in own:
@@ -638,12 +675,9 @@ def realized_types(space: TypedSpace) -> RealizedTypes:
         for d, row in enumerate(implied_by.values()):
             for i in bit_indexes(row):
                 reach[i] |= holders[d]
-        every = (1 << len(keyed)) - 1
         idx.realized = RealizedTypes(
             space.ctx, tuple(space.sigma[buckets[row][0]] for _, row in keyed),
-            cubes, tuple(holders),
-            tuple(reduce(and_, map(reach.__getitem__, own), every) for own, _ in keyed),
-            tuple(reduce(or_, map(named.__getitem__, own), 0) for own, _ in keyed),
+            cubes, tuple(holders), tuple(reach), gens,
             tuple(tuple(buckets[row]) for _, row in keyed))
     return idx.realized
 
@@ -661,7 +695,7 @@ def space_to_json(space: TypedSpace) -> dict:
     the empty open, Top and the generators go through `lattice.term_to_json`.
     """
     poset_pairs = sorted((a, b) for a, b in space.poset.pairs if a != b)
-    implied_by, types = _cube_rows(space)
+    implied_by, types, _ = _cube_rows(space)
     clauses = [[{kind: name} for kind, name in space.ctx._code.render(c)[1]] for c in implied_by]
     opens = sorted((space.ids_of(m), m) for m in space.opens)  # ids differ
 

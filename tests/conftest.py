@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from typedtopo.errors import SpaceValidationError
 from typedtopo.lattice import Context, Poset, clause_of, normalize
 from typedtopo.space import GeneratorSpec, generate_topology
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 C_RIGHT5 = "right & @r1 & @r2 & @r3 & @r4 & @r5 ; right"
 C_ANC5 = "anc & @B & @S & @H & @C & @W ; anc"
 C_RIGHT6 = "right & @a1 & @a2 & @a3 & @b1 & @b2 & @b3 ; right"
@@ -26,6 +28,12 @@ def street5():
 @pytest.fixture(scope="session")
 def street2x3():
     return ingest.build_community(ingest.STREET2X3)
+
+
+@pytest.fixture(scope="session")
+def no_least_base3():
+    """A valid strict 3-point space whose base families need not have a least member."""
+    return space_mod.load_space(FIXTURES / "no_least_base3.json")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from conftest import (
     C_RIGHT5, C_RIGHT6, chain_support, random_generated_space, random_realized_chain,
 )
 from test_basis import pairwise_irreducible
-from typedtopo import basis, chains, connect, ingest, lattice, oracle, space, stats
+from typedtopo import basis, chains, closure, connect, ingest, lattice, oracle, space, stats
 from typedtopo.chains import TypeChain, chain_cover, parse_chain
 from typedtopo.errors import (
     InvariantViolationError,
@@ -320,6 +320,42 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     chains.chain_base(sp, sp.points[-1], chain)
     assert calls["table"] == 1 and not calls["leq"] and not calls["sort_key"]
     assert sp.index.cubes is cubes
+
+
+def _tree9():
+    """The heap-shaped 9-person advisor tree: t1 advises t2 and t3, t2 advises t4 and t5, ..."""
+    return ingest.build_genealogy(
+        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
+
+
+def test_a_cold_chain_query_builds_no_order_row_by_type(monkeypatch, street5):
+    """A cold `min_chain_dense` or `chain_closure` reads per-cube rows alone.
+
+    Each query on a fresh copy builds the cube table once, validation and
+    the realized types sharing it, and leaves the rows by realized type
+    (`RealizedTypes.up`, ``generators`` and ``down``) unbuilt.
+    """
+    built = []
+    cube_rows = space._cube_rows
+
+    def counted(sp):
+        if sp.index.cubes is None:
+            built.append(sp)
+        return cube_rows(sp)
+
+    monkeypatch.setattr(space, "_cube_rows", counted)
+    queries = (closure.min_chain_dense, lambda sp, ch: closure.chain_closure(sp, sp.points[:1], ch))
+    held = [street5, _tree9()]
+    runs = 0
+    for sp, ch in [(sp, ch) for sp in held for ch in chain_cover(sp).chains]:
+        for query in queries:
+            cold = dataclasses.replace(sp)
+            built.clear()
+            query(cold, ch)
+            assert len(built) == 1 and built[0] is cold
+            assert {"up", "generators", "down"}.isdisjoint(vars(realized_types(cold)))
+            runs += 1
+    assert runs > 40
 
 
 def generator_neighborhoods(sp, x, gen) -> frozenset:

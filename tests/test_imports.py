@@ -328,9 +328,10 @@ def test_oracle_functions_stay_short():
 
 
 # What reaches the cube table behind the realized types: `space._cube_rows`
-# builds it, ``RealizedTypes.cubes`` and ``holders`` are its columns, and
-# `RealizedTypes.rows` scans it for a level given as a term.
-CUBE_TABLE = {"rows", "cubes", "holders", "_cube_rows"}
+# builds it, ``RealizedTypes.cubes``, ``holders``, ``reach`` and
+# ``cube_generators`` are its columns, and `RealizedTypes.rows` scans it for a
+# level given as a term.
+CUBE_TABLE = {"rows", "cubes", "holders", "reach", "cube_generators", "_cube_rows"}
 
 
 def test_the_oracle_reads_no_cube_table():

@@ -758,14 +758,16 @@ def test_every_open_type_of_a_fixture_parses_back_from_its_text(name):
         assert parse_type_expr(format_term(t), sp.ctx) == t
 
 
-def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
+def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3, no_least_base3):
     """Order, opens and rows of the realized types against a sort of their terms.
 
     The reference sorts the distinct terms by `TypeTerm.sort_key` and
     reads each row off the terms' cubes by name: ``holders`` by membership,
-    ``up`` by the cube subset test, ``generators`` by the generator names.
-    The cube table itself is in rendered key order. The last space types
-    three opens alike that its set of masks holds out of ascending order.
+    ``up``, ``reach`` and each open's cover row by the cube implication
+    test, ``generators`` and ``cube_generators`` by the generator names.
+    The cube table itself is in rendered key order. The last spaces are the
+    fixture without least base members, and one that types three opens
+    alike that its set of masks holds out of ascending order.
     """
     pts = tuple(f"p{i}" for i in range(10))
     ctx = Context(Poset({"g", "h"}), pts)
@@ -775,7 +777,7 @@ def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
         GeneratorSpec("c", frozenset(pts), parse_type_expr("g | h", ctx)),
     ])
     assert list(apart.opens) != sorted(apart.opens)
-    for sp in _sample_spaces(5, (genealogy5, street5, street2x3)) + [apart]:
+    for sp in _sample_spaces(5, (genealogy5, street5, street2x3)) + [no_least_base3, apart]:
         sp = dataclasses.replace(sp)
         rt = realized_types(sp)
         terms = sorted({sp.sigma[m] for m in sp.opens if m}, key=lattice.TypeTerm.sort_key)
@@ -796,6 +798,17 @@ def test_realized_types_sort_by_term_sort_key(genealogy5, street5, street2x3):
                                   if all(any(implies(c, d) for d in t.cubes) for c in s.cubes))
                               for s in terms)
         assert rt.generators == tuple(rt.generator_bits(t.generators()) for t in terms)
+        assert rt.reach == tuple(sum(1 << j for j, t in enumerate(terms)
+                                     if any(implies(c, d) for d in t.cubes)) for c in cubes)
+        decode = sp.ctx._code.decode
+        assert rt.cube_generators == tuple(rt.generator_bits(decode(c).gens) for c in cubes)
+        _, types, covers = sp.index.cubes
+        assert types.keys() == covers.keys() == {m for m in sp.opens if m}
+        for m, row in covers.items():
+            own = sp.sigma[m].cubes
+            assert types[m] == sum(1 << i for i, c in enumerate(cubes) if c in own)
+            assert row == sum(1 << i for i, c in enumerate(cubes)
+                              if any(implies(c, d) for d in own))
 
 
 def _least_by_scan(sp: TypedSpace):
@@ -832,10 +845,10 @@ def test_least_neighborhoods_match_the_pair_scan(genealogy5, street5, street2x3)
     assert found[True] >= 40 and found[False] >= 40
 
 
-def test_visible_rows_match_the_generator_sets(genealogy5, street5, street2x3):
+def test_visible_rows_match_the_generator_sets(genealogy5, street5, street2x3, no_least_base3):
     """The generator-bitset row against the named test, for every support."""
-    for sp in _sample_spaces(6, (genealogy5, street5, street2x3)):
-        rt = realized_types(sp)
+    for sp in _sample_spaces(6, (genealogy5, street5, street2x3)) + [no_least_base3]:
+        rt = realized_types(dataclasses.replace(sp))
         gens = sorted(sp.poset.elements)
         for k in range(len(gens) + 1):
             for support in map(frozenset, itertools.combinations(gens, k)):
