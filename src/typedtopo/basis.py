@@ -11,15 +11,19 @@ chain bases draw on. A caller that holds a realized type's index reads that
 row by position, ``RealizedTypes.up``; an anchor given as a term, such as a
 parsed ``tts basis --p``, reaches it through `space.RealizedTypes.rows`
 (`opens_above`, `irreducibles_above`, which expand rows by `members`).
-`irreducibles` is the one routine that decides irreducible members, in one
-pass over the row's opens (`_irreducible_members`): it memoizes their open
-row per space by the type row, so the anchored families, the chain bases
-and the oracle share each decision. Only a chain's base reads it; the chain
+`irreducibles` is the one routine that decides irreducible members, one
+member at a time against the smaller members of its row (`_irreducible`).
+It decides only the members a caller asks about, a whole row or the part
+of it inside an open row ``among``, and memoizes per space, by the type
+row, which members are decided and which are kept, so the anchored
+families, the chain bases and the oracle share each decision. Only a
+chain's base reads it, asking about its pool's members alone; the chain
 pools are read off `space.RealizedTypes.opens_row` and decide nothing here.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import reduce
 from operator import or_
 from typing import Optional
@@ -53,38 +57,47 @@ def opens_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> fro
     return _through(space, space_mod.realized_types(space).opens_row(row), at)
 
 
-def _irreducible_members(masks, row: int) -> int:
-    """The bits of the open row ``row`` whose mask no two other members union to.
+def _irreducible(order: list, mask: int) -> bool:
+    """Whether no two other members of a row, ``order`` its masks ascending, union to ``mask``.
 
-    Bit ``k`` stands for ``masks[k]``. A member is tested against the
-    smaller masks alone, in one pass in mask order, which puts the subsets
-    of a member first. When those inside it fall short of covering it, no
-    pair covers it; that union decides every member of a union-closed pool
-    such as `opens_above`. Otherwise the pairs are searched, largest first.
+    Only the members before ``mask`` in ``order`` can lie inside it, so one
+    bisection bounds the scan. When those inside it fall short of covering
+    it, no pair covers it; that union decides every member of a
+    union-closed pool such as `opens_above`. Otherwise the pairs are
+    searched, largest first.
     """
-    kept, smaller = 0, []
-    for mask, k in sorted((masks[k], k) for k in space_mod.bit_indexes(row)):
-        inside = [m for m in smaller if m & mask == m]
-        pairs = itertools.combinations(reversed(inside), 2)
-        if reduce(or_, inside, 0) != mask or not any((w | v) == mask for w, v in pairs):
-            kept |= 1 << k
-        smaller.append(mask)
-    return kept
+    inside = [m for m in order[:bisect_left(order, mask)] if m & mask == m]
+    pairs = itertools.combinations(reversed(inside), 2)
+    return reduce(or_, inside, 0) != mask or not any((w | v) == mask for w, v in pairs)
 
 
-def irreducibles(space: TypedSpace, types: int) -> int:
-    """The open row of `_irreducible_members` of the opens typed in ``types``.
+def irreducibles(space: TypedSpace, types: int, among: Optional[int] = None) -> int:
+    """The open row of the `_irreducible` members of the opens typed in ``types``.
 
     ``types`` is a realized-type bitset of ``space`` (`space.RealizedTypes`).
-    The result is memoized on ``space.index.irreducibles``, keyed by that
-    int, so equal rows share one decision per member.
+    Given an open row ``among``, only its members are decided and the
+    result is met with it. The memo on ``space.index.irreducibles``, keyed
+    by ``types``, holds ``[undecided, kept, order]``: the members not yet
+    decided, the members kept so far and the row's masks, sorted once, so
+    each member of a row is decided at most once, and a call that asks
+    about decided members alone reads the memo.
     """
     memo = space.index.irreducibles
-    got = memo.get(types)
-    if got is None:
+    entry = memo.get(types)
+    if entry is None:
         rt = space_mod.realized_types(space)
-        got = memo[types] = _irreducible_members(rt.open_masks, rt.opens_row(types))
-    return got
+        row = rt.opens_row(types)
+        order = sorted(map(rt.open_masks.__getitem__, space_mod.bit_indexes(row)))
+        entry = memo[types] = [row, 0, order]
+    undecided, kept, order = entry
+    todo = undecided if among is None else undecided & among
+    if todo:
+        masks = space_mod.realized_types(space).open_masks
+        for k in space_mod.bit_indexes(todo):
+            if _irreducible(order, masks[k]):
+                kept |= 1 << k
+        entry[0], entry[1] = undecided ^ todo, kept
+    return kept if among is None else kept & among
 
 
 def irreducibles_above(space: TypedSpace, p: TypeTerm, at: Optional[str] = None) -> frozenset:

@@ -22,13 +22,14 @@ read off a table of their cubes with no `lattice.leq`): the pool row is
 ``support`` the OR of their generator bitsets, and a lower row
 ``visible(support) & up[lo]``, whose members irreducible in it
 (`basis.irreducibles`) may join the base. `_key` reads it for a
-`TypeChain` (`chain_pool`, `chain_base_pool`) and for a tuple of
-realized-type indexes (`realized_chain_pools`, which builds no chain and
-hashes no term). One routine, `_pools_and_bases`, reads every pool and
+`TypeChain` (`chain_pool`, `chain_base_pool`); `realized_chain_pools`
+reads it for a tuple of realized-type indexes, building no chain and
+hashing no term, and extends a 2-level chain's key to the 3-level chains
+it prefixes. One routine, `_pools_and_bases`, reads every pool and
 base in the one form a family of opens takes below the public API, an
 open row (`RealizedTypes.opens_row`, on a space with one open per type
-the type row itself). Only a base asks `basis.irreducibles`, which
-memoizes its rows, so a query that reads only the pool decides no
+the type row itself). Only a base asks `basis.irreducibles`, about its
+pool's members alone, so a query that reads only the pool decides no
 irreducibility; a query that returns masks expands its row through
 `RealizedTypes.members`. A single generator's family
 (`generator_family`) is one scan of the opens, checked against the union
@@ -84,18 +85,18 @@ def _pools_and_bases(space: TypedSpace, keys):
     """Yield the pool and base open rows of each key ``(pool row, lower rows)``.
 
     Every chain pool and base is read here: the pool as the open row of
-    its type row (`RealizedTypes.opens_row`), and the base as the pool met
-    with the irreducible rows of the lower rows, which `irreducibles`
-    memoizes. A key with no lower rows reads its pool alone, deciding
-    nothing.
+    its type row (`RealizedTypes.opens_row`), and the base as the members
+    of the pool that `irreducibles` keeps in some lower row, asked about
+    the pool's members alone. A key with no lower rows reads its pool
+    alone, deciding nothing.
     """
     rt = realized_types(space)
     for row, lows in keys:
         pool = rt.opens_row(row)
         base = 0
         for low in lows:
-            base |= irreducibles(space, low)
-        yield pool, pool & base if lows else None
+            base |= irreducibles(space, low, pool)
+        yield pool, base if lows else None
 
 
 def _key(rt, levels, up, down, generators) -> tuple[int, set]:
@@ -126,16 +127,36 @@ def _level_rows(space: TypedSpace, chain: TypeChain) -> tuple:
 def realized_chain_pools(space: TypedSpace, chain_list):
     """The ``(pool, base)`` open rows of each chain in ``chain_list``, in order.
 
-    A chain is a tuple of ascending indexes into ``realized_types(space).terms``,
-    whose order the caller vouches for; strictness is checked at the call.
-    Each key is read by index off `RealizedTypes.up`, ``down`` and
-    ``generators``, so no `TypeChain` is built and no term hashed.
+    A chain is a tuple of two or three ascending indexes into
+    ``realized_types(space).terms``, whose order the caller vouches for;
+    strictness is checked at the call. Each key is read by index off
+    `RealizedTypes.up`, ``down`` and ``generators``, so no `TypeChain` is
+    built and no term hashed. The key of ``(i, j, k)``, the one `_key`
+    reads, extends that of its prefix ``(i, j)``, folded once on first use
+    in whatever order the chains come: ``up[j] & down[k]`` joins the row
+    and ``generators[k]`` the support.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
-    up, down, generators = rt.up, rt.down, rt.generators
-    keys = (_key(rt, levels, up, down, generators) for levels in chain_list)
-    return _pools_and_bases(space, keys)
+    up, down, generators, visible = rt.up, rt.down, rt.generators, rt.visible
+    prefixes = {}  # (i, j) -> the row and support of the chain (i, j)
+
+    def keys():
+        for levels in chain_list:
+            i, j = levels[0], levels[1]
+            got = prefixes.get((i, j))
+            if got is None:
+                got = prefixes[i, j] = up[i] & down[j], generators[i] | generators[j]
+            row, support = got
+            if len(levels) == 2:
+                vis = visible(support)
+                yield row & vis, {vis & up[i]}
+            else:
+                _, _, k = levels
+                vis = visible(support | generators[k])
+                yield (row | up[j] & down[k]) & vis, {vis & up[i], vis & up[j]}
+
+    return _pools_and_bases(space, keys())
 
 
 def chain_neighborhoods(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:

@@ -8,6 +8,15 @@ of inclusion-maximal distinct base families, and a witness picks one
 representative per maximal family. The formula is re-checked against the
 exhaustive oracle on small spaces and a disagreement raises instead of
 passing quietly.
+
+Both formulas rest on one hypothesis: every supported point's base family
+has a least member, the intersection of its members. The closure then
+reads one core per point, and points with equal families are
+interchangeable witnesses. A valid strictly typed space need not satisfy
+it: `fixtures/no_least_base3.json` (3 points, 8 opens) breaks it on some
+of its realized chains, where the cross-checks of `chain_closure` (for
+some start sets) and `min_chain_dense` raise `InvariantViolationError`
+instead of answering, so `tts closure` and `tts dense` exit 1.
 """
 from __future__ import annotations
 

@@ -6,8 +6,11 @@ definitions and deliberately share none of the counting or graph-search
 logic of the operations they judge:
 
 * `exhaustive_min_dense` enumerates candidate subsets by increasing size
-  with a self-contained density predicate (independent of the maximal-class
-  formula in `closure.min_chain_dense`);
+  with a self-contained density predicate, the definition and not the
+  maximal-class formula in `closure.min_chain_dense`: a dense set holds
+  every unsupported point, so only supersets of those forced points are
+  tried, one per combination of the free points, and a candidate is dense
+  iff it meets every base member;
 * `exhaustive_connected` enumerates all supported subsets through two
   points (independent of the overlap-graph search in `connect`);
 * `check_space` replays the structural theorems of the domain over a whole
@@ -44,8 +47,7 @@ DEFAULT_DENSE_POINTS = 12
 DEFAULT_CONNECT_POINTS = 10
 MAX_SUBSETS = 1 << 20
 # realized chains one theorem replay may walk: on a 2-core VM an 8-person lineage's 65,280
-# take 0.83 s and a 9-person lineage's 261,632 3.6 s (1.5 and 7.3 s before open rows),
-# so 180,000 take about the 2.4 s that 100,000 took before
+# take 0.46 s and a 9-person lineage's 261,632 2.5 s, so 180,000 take about 1.7 s
 MAX_CHAINS = 180_000
 
 
@@ -63,42 +65,31 @@ def exhaustive_min_dense(
 ) -> tuple[int, tuple[tuple[str, ...], ...]]:
     """Minimum dense size by subset enumeration, with every optimal witness.
 
-    Density is decided directly from the base families: unsupported points
-    must be in the candidate, supported points need each family member hit.
+    Density is decided directly from the base family: a point in no base
+    member is forced into every dense set, and a supported point needs each
+    member through it hit, which for all of them at once says that the
+    candidate meets every member, each a nonempty open. So only the forced
+    points joined with each combination of the free (supported) points are
+    tried, by increasing size.
     """
     budget = point_budget(max_points, DEFAULT_DENSE_POINTS)
     n = len(space.points)
     if n > budget:
         raise OracleSkip(f"{n} points exceed the dense-search budget of {budget}")
-    pool = chains_mod.chain_base_pool(space, chain)
-    fams = []
-    forced = 0
-    for i in range(n):
-        fam = [m for m in pool if m >> i & 1]
-        fams.append(fam)
-        if not fam:
-            forced |= 1 << i
+    members = chains_mod.chain_base_pool(space, chain)
+    supported = functools.reduce(operator.or_, members, 0)
+    forced = space.full_mask & ~supported
     if (1 << n) > MAX_SUBSETS:
         raise OracleSkip("subset budget exceeded")
-
-    def dense(mask: int) -> bool:
-        if (forced & ~mask) != 0:
-            return False
-        for i in range(n):
-            if fams[i] and any(not (m & mask) for m in fams[i]):
-                return False
-        return True
-
-    for size in range(n + 1):
+    free = [1 << i for i in range(n) if supported >> i & 1]
+    for size in range(len(free) + 1):
         witnesses = []
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if dense(mask):
+        for combo in itertools.combinations(free, size):
+            mask = forced | sum(combo)
+            if all(m & mask for m in members):
                 witnesses.append(space.ids_of(mask))
         if witnesses:
-            return size, tuple(sorted(witnesses))
+            return forced.bit_count() + size, tuple(sorted(witnesses))
     raise AssertionError("the full point set is always dense")  # pragma: no cover
 
 

@@ -344,8 +344,9 @@ class SpaceIndex:
       nonempty open's type row and cover row: validation decides on the
       rows, and the realized types read their per-cube rows off the table;
     * ``realized``: `realized_types`;
-    * ``irreducibles``: `basis.irreducibles`, the open row of the
-      join-irreducible members of the opens a realized-type row selects.
+    * ``irreducibles``: `basis.irreducibles`, per realized-type row, the
+      members of its open row not yet decided, the join-irreducible members
+      kept so far, and the row's masks in ascending order, sorted once.
     """
 
     __slots__ = ("report", "strict_report", "cubes", "realized", "irreducibles")
@@ -355,7 +356,7 @@ class SpaceIndex:
         self.strict_report: Optional[StrictnessReport] = None
         self.cubes: Optional[tuple[dict, dict, dict]] = None  # (implied_by, types, covers)
         self.realized: Optional[RealizedTypes] = None
-        self.irreducibles: dict = {}  # realized-type row -> open row of its irreducibles
+        self.irreducibles: dict = {}  # realized-type row -> [undecided, kept, sorted masks]
 
 
 def require_strict(space: TypedSpace) -> None:

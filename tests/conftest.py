@@ -37,6 +37,13 @@ def no_least_base3():
 
 
 @pytest.fixture(scope="session")
+def tree9():
+    """The heap-shaped 9-person advisor tree: t1 advises t2 and t3, t2 advises t4 and t5, ..."""
+    return ingest.build_genealogy(
+        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
+
+
+@pytest.fixture(scope="session")
 def street10():
     """One street of ten residents: too many realized chains for the theorem replay."""
     residents = tuple(f"r{i}" for i in range(1, 11))

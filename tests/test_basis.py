@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -149,15 +150,13 @@ def _union_closure(masks) -> frozenset:
 
 
 def _decided(pool) -> frozenset:
-    """`basis._irreducible_members` of ``pool``, its masks given bits in descending mask order.
+    """The members of ``pool`` that `basis._irreducible` keeps, each decided on its own.
 
-    The bits run against the masks' order, so the routine must order the
-    row's members by mask itself. An extra bit beside the row is left out.
+    The members are asked in descending mask order, against the ascending
+    order the routine reads, so no decision leans on an earlier one.
     """
-    masks = sorted(pool, reverse=True) + [max(pool, default=0) * 2 + 1]
-    row = basis._irreducible_members(masks, (1 << len(pool)) - 1)
-    assert row >> len(pool) == 0
-    return frozenset(m for k, m in enumerate(masks) if row >> k & 1)
+    order = sorted(pool)
+    return frozenset(m for m in sorted(pool, reverse=True) if basis._irreducible(order, m))
 
 
 @st.composite
@@ -219,3 +218,30 @@ def test_irreducible_members_off_union_closed_pools():
             if union == mask:
                 searched[mask in got] += 1
     assert searched[True] >= 10 and searched[False] >= 100
+
+
+def test_irreducibles_among_decides_each_member_once(monkeypatch, genealogy5, street5):
+    """Asking about a few members at a time gives the whole row's answer met with them.
+
+    Each row of a fresh copy is asked in random open rows ``among``, bits
+    outside the row included, and then whole; every member is decided at
+    most once, and a bit outside the row is never kept.
+    """
+    rng = random.Random(5)
+    decided = []
+    decide = basis._irreducible
+    monkeypatch.setattr(basis, "_irreducible",
+                        lambda order, mask: decided.append((id(order), mask)) or decide(order, mask))
+    for fixture in (genealogy5, street5):
+        whole, parts = dataclasses.replace(fixture), dataclasses.replace(fixture)
+        rt = realized_types(whole)
+        every = (1 << len(rt.open_masks)) - 1
+        for types in rt.up:
+            want = basis.irreducibles(whole, types)
+            row = rt.opens_row(types)
+            for _ in range(4):
+                among = rng.randint(0, every)
+                assert basis.irreducibles(parts, types, among) == want & among
+            assert basis.irreducibles(parts, types) == want and want & ~row == 0
+        assert len(decided) == len(set(decided)) > 0  # both copies hold their rows' orders
+        decided.clear()

@@ -134,14 +134,14 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
     1,008 pool reads of 593 distinct pool rows, and the realized chains
     return 692 distinct (pool, base) pairs of open rows. With one open per
     type, `RealizedTypes.opens_row` hands each type row back as its open
-    row, so no read expands one; `basis.irreducibles` decides each of the
-    67 distinct lower rows once. A pool memo keyed by the pool row and the
-    distinct lower rows made 781 computations, and keyed by `TypeChain`
-    1,000.
+    row, so no read expands one; `basis.irreducibles` keeps one memo entry
+    for each of the 67 distinct lower rows and decides each member of a
+    row at most once. A pool memo keyed by the pool row and the distinct
+    lower rows made 781 computations, and keyed by `TypeChain` 1,000.
     """
     pools, returned, decided = [], set(), []
     pools_and_bases, realized_chain_pools = chains._pools_and_bases, chains.realized_chain_pools
-    opens_row, decide = space.RealizedTypes.opens_row, basis._irreducible_members
+    opens_row, decide = space.RealizedTypes.opens_row, basis._irreducible
 
     def recorded(sp, chain_list):
         return map(lambda got: returned.add(got) or got, realized_chain_pools(sp, chain_list))
@@ -155,12 +155,13 @@ def test_check_space_scans_each_chain_pool_once(monkeypatch, street5):
     monkeypatch.setattr(chains, "_pools_and_bases", lambda sp, keys: pools_and_bases(
         sp, (pools.append(key[0]) or key for key in keys)))
     monkeypatch.setattr(space.RealizedTypes, "opens_row", read)
-    monkeypatch.setattr(basis, "_irreducible_members",
-                        lambda masks, row: decided.append(row) or decide(masks, row))
+    monkeypatch.setattr(basis, "_irreducible", lambda order, mask: decided.append(
+        (tuple(order), mask)) or decide(order, mask))
     sp = dataclasses.replace(street5)
     assert oracle.check_space(sp).ok
     assert (len(pools), len(set(pools)), len(returned)) == (1008, 593, 692)
-    assert len(decided) == len(set(decided)) == len(sp.index.irreducibles) == 67
+    assert len(decided) == len(set(decided)) and len(sp.index.irreducibles) == 67
+    assert len({order for order, _ in decided}) <= 67
 
 
 def test_both_chain_routes_read_one_routine(monkeypatch, street5):
@@ -207,9 +208,9 @@ def test_pool_readers_decide_no_irreducibility(monkeypatch, street5, street2x3):
     A base read afterwards does decide, so the count reaches the routine.
     """
     calls, reads = [], []
-    decide, opens_row = basis._irreducible_members, space.RealizedTypes.opens_row
-    monkeypatch.setattr(basis, "_irreducible_members",
-                        lambda masks, row: calls.append(row) or decide(masks, row))
+    decide, opens_row = basis._irreducible, space.RealizedTypes.opens_row
+    monkeypatch.setattr(basis, "_irreducible",
+                        lambda order, mask: calls.append(mask) or decide(order, mask))
     monkeypatch.setattr(space.RealizedTypes, "opens_row",
                         lambda rt, types: reads.append(types) or opens_row(rt, types))
     for sp, text in ((street5, C_RIGHT5), (street2x3, C_RIGHT6)):
@@ -322,13 +323,7 @@ def test_chain_query_orders_only_its_own_levels(request, monkeypatch, fixture, t
     assert sp.index.cubes is cubes
 
 
-def _tree9():
-    """The heap-shaped 9-person advisor tree: t1 advises t2 and t3, t2 advises t4 and t5, ..."""
-    return ingest.build_genealogy(
-        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
-
-
-def test_a_cold_chain_query_builds_no_order_row_by_type(monkeypatch, street5):
+def test_a_cold_chain_query_builds_no_order_row_by_type(monkeypatch, street5, tree9):
     """A cold `min_chain_dense` or `chain_closure` reads per-cube rows alone.
 
     Each query on a fresh copy builds the cube table once, validation and
@@ -345,7 +340,7 @@ def test_a_cold_chain_query_builds_no_order_row_by_type(monkeypatch, street5):
 
     monkeypatch.setattr(space, "_cube_rows", counted)
     queries = (closure.min_chain_dense, lambda sp, ch: closure.chain_closure(sp, sp.points[:1], ch))
-    held = [street5, _tree9()]
+    held = [street5, tree9]
     runs = 0
     for sp, ch in [(sp, ch) for sp in held for ch in chain_cover(sp).chains]:
         for query in queries:
@@ -542,14 +537,9 @@ def _street(n: int):
     return ingest.build_community(ingest.CommunityDataset((("main", residents),)))
 
 
-def _tree9():
-    return ingest.build_genealogy(
-        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
-
-
-def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2x3):
+def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2x3, tree9):
     """The same chains, in the same order, as the recursive search finds."""
-    for sp in [genealogy5, street5, street2x3, _tree9()] + [_street(n) for n in range(6, 10)]:
+    for sp in [genealogy5, street5, street2x3, tree9] + [_street(n) for n in range(6, 10)]:
         sp = dataclasses.replace(sp)
         cover = chain_cover(sp)
         want = _recursive_cover(sp)
@@ -557,7 +547,7 @@ def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2
         assert cover.width == len(want)
 
 
-def test_chain_cover_keeps_seen_across_failed_searches():
+def test_chain_cover_keeps_seen_across_failed_searches(tree9):
     """Keeping ``seen`` after a failed search changes no chain.
 
     A failed search leaves the matching as it was, so every type it
@@ -565,7 +555,7 @@ def test_chain_cover_keeps_seen_across_failed_searches():
     and on TREE9 the chains equal those of the reference that starts each
     search afresh, and so do the reference's own when it keeps ``seen``.
     """
-    for sp in [_street(n) for n in range(6, 10)] + [_tree9()]:
+    for sp in [_street(n) for n in range(6, 10)] + [tree9]:
         sp = dataclasses.replace(sp)
         want = _recursive_cover(sp)
         assert _recursive_cover(sp, keep_seen=True) == want
@@ -732,25 +722,42 @@ def test_chain_pools_match_the_per_open_scans(genealogy5, street5, street2x3):
 
 
 def test_check_space_decides_irreducibility_at_most_409_times(monkeypatch, street5, genealogy5):
-    """One decision per member of each distinct row, one pass per row.
+    """Each member of each distinct row is decided at most once.
 
     Measured on STREET5: 409 members in 67 rows, and on GENEALOGY5 231 in
-    39. Per-member and per-chain decisions without the union pre-test made
-    13,949 on STREET5, and one memo per anchored pool beside per-call
-    decisions for each anchor made 1,062. The chain walk reads the memo
-    inline and decides a row only on a miss, so a fresh replay still
-    decides each row once.
+    39; the anchored families read every member of their rows. Per-member
+    and per-chain decisions without the union pre-test made 13,949 on
+    STREET5, and one memo per anchored pool beside per-call decisions for
+    each anchor made 1,062. The chain walk asks the memo about its pool's
+    members and decides only those not yet decided, so a fresh replay
+    still decides each member once.
     """
-    pools = []
-    decide = basis._irreducible_members
-
-    def counted(masks, row):
-        pools.append(row)
-        return decide(masks, row)
-
-    monkeypatch.setattr(basis, "_irreducible_members", counted)
+    decided = []
+    decide = basis._irreducible
+    monkeypatch.setattr(basis, "_irreducible", lambda order, mask: decided.append(
+        (tuple(order), mask)) or decide(order, mask))
     for sp, rows, members in ((street5, 67, 409), (genealogy5, 39, 231)):
-        pools.clear()
+        decided.clear()
         assert oracle.check_space(dataclasses.replace(sp)).ok
-        assert 0 < len(pools) <= rows
-        assert sum(row.bit_count() for row in pools) <= members
+        assert 0 < len(decided) == len(set(decided)) <= members
+        assert len({order for order, _ in decided}) <= rows
+
+
+def test_a_cold_dense_query_decides_only_its_pool(monkeypatch, tree9):
+    """A cold `min_chain_dense` decides irreducibility for members of its chain's pool alone.
+
+    The base keeps only pool members, so no other member of a lower row
+    is decided: on the 21 cover chains of the 9-person advisor tree, 193
+    decisions, against 948 when each lower row was decided whole.
+    """
+    decided = []
+    decide = basis._irreducible
+    monkeypatch.setattr(basis, "_irreducible",
+                        lambda order, mask: decided.append(mask) or decide(order, mask))
+    total = 0
+    for ch in chain_cover(tree9).chains:
+        decided.clear()
+        closure.min_chain_dense(dataclasses.replace(tree9), ch)
+        assert decided and set(decided) <= chains.chain_pool(tree9, ch)
+        total += len(decided)
+    assert total <= 193

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_generated_space, random_realized_chain
-from typedtopo import chains, closure, ingest, oracle
+from typedtopo import chains, closure, oracle
 from typedtopo.chains import TypeChain, parse_chain
 from typedtopo.errors import PreconditionError, UnknownPointError
 from typedtopo.lattice import Context, Poset, parse_type_expr
@@ -171,14 +171,12 @@ def reach_readings(sp, chain, x: str, y: str) -> tuple[bool, bool, bool]:
     )
 
 
-def test_min_dense_reads_its_point_families_once(monkeypatch):
+def test_min_dense_reads_its_point_families_once(monkeypatch, tree9):
     """One call on TREE9 reads the base pool twice: its own read and the oracle's.
 
     The witness self-check and the domination cross-check reuse the
     families read once, and the exhaustive search still runs.
     """
-    tree9 = ingest.build_genealogy(
-        ingest.GenealogyDataset(tuple((f"t{i // 2}", f"t{i}") for i in range(2, 10))))
     chain = max(chains.chain_cover(tree9).chains, key=lambda c: c.k)
     calls = []
     base_pool, search = chains.chain_base_pool, oracle.exhaustive_min_dense

@@ -414,3 +414,36 @@ def test_each_index_slot_is_read_by_its_owner_alone():
     del sources["space.py"]
     assert {name: reads for name, source in sources.items()
             if (reads := index_reads(source))} == INDEX_READS
+
+
+def closure_reads(source: str) -> set[str]:
+    """What ``source`` imports from `closure` or reads off it, as dotted targets."""
+    tree = ast.parse(source)
+    out = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.split(".")[-1] == "closure"
+    }
+    out |= {
+        f"{node.module or ''}.{alias.name}".lstrip(".")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if "closure" in (node.module, alias.name)
+    }
+    return out | {t for t in references(source, "oracle") if t.split(".")[0] == "closure"}
+
+
+def test_the_independence_gate_sees_closure_reads():
+    assert closure_reads("from . import closure\nx = closure.min_chain_dense\n") == {
+        "closure", "closure.min_chain_dense"}
+    assert closure_reads("from .closure import _dense\n") == {"closure._dense"}
+    assert closure_reads("import typedtopo.closure\n") == {"typedtopo.closure"}
+    assert closure_reads("from . import chains\nx = chains.chain_base_pool\n") == set()
+
+
+def test_the_oracle_reads_nothing_from_closure():
+    """`oracle.py`, the cross-check of the density formula, shares no code with it.
+
+    `closure.min_chain_dense` calls `oracle.exhaustive_min_dense`; a search
+    that read back a closure helper would judge the formula by itself.
+    """
+    assert closure_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == set()

@@ -36,6 +36,44 @@ def test_exhaustive_min_dense_agrees_with_formula(
         assert rep.density == size
 
 
+def _dense_by_points(sp, chain) -> tuple:
+    """The smallest dense size and its witnesses over all 2^n subsets, point by point.
+
+    A subset is dense when it holds every point in no base member and, for
+    each supported point, meets every base member through that point.
+    """
+    pool = chains.chain_base_pool(sp, chain)
+    fams = [[m for m in pool if m >> i & 1] for i in range(len(sp.points))]
+    dense: dict = {}
+    for mask in range(1 << len(sp.points)):
+        if all(all(m & mask for m in fam) if fam else mask >> i & 1 for i, fam in enumerate(fams)):
+            dense.setdefault(mask.bit_count(), []).append(sp.ids_of(mask))
+    size = min(dense)
+    return size, tuple(sorted(dense[size]))
+
+
+def test_exhaustive_min_dense_matches_the_search_over_every_subset(
+    genealogy5, street5, street2x3, no_least_base3, tree9
+):
+    """The search over the free points agrees with the one over all subsets.
+
+    On every cover chain of the fixtures, TREE9 and the strict random
+    7-point spaces of seeds 0 to 39; the no-least-base fixture is the case
+    where the density formula and the definition part.
+    """
+    spaces = [genealogy5, street5, street2x3, no_least_base3, tree9]
+    spaces += filter(None, (random_generated_space(random.Random(s), 7) for s in range(40)))
+    forced = checked = 0
+    for sp in spaces:
+        for chain in chains.chain_cover(sp).chains:
+            want = _dense_by_points(sp, chain)
+            assert exhaustive_min_dense(sp, chain) == want
+            forced += any(not any(m >> i & 1 for m in chains.chain_base_pool(sp, chain))
+                          for i in range(len(sp.points)))
+            checked += 1
+    assert len(spaces) >= 20 and checked >= 90 and forced >= 60
+
+
 def test_exhaustive_connected_examples(street5, c_right5, street2x3, c_right6):
     assert not exhaustive_connected(street2x3, c_right6, "a2", "b2")
     assert exhaustive_connected(street5, c_right5, "r2", "r4")
@@ -239,14 +277,14 @@ def _tie_c_to_cw(g: TypedSpace, monkeypatch) -> TypedSpace:
 
 
 def _drop_an_irreducible(g: TypedSpace, monkeypatch) -> TypedSpace:
-    """Each row's smallest irreducible member dropped where it is decided.
+    """Each row's smallest member, always irreducible, dropped where it is decided.
 
-    `basis.irreducibles` memoizes the decision, so `basis`, `chains` and
-    the oracle all read the dropped row.
+    `basis.irreducibles` memoizes each member's decision, so `basis`,
+    `chains` and the oracle all read the dropped member.
     """
-    decide = basis._irreducible_members
-    monkeypatch.setattr(basis, "_irreducible_members",
-                        lambda masks, row: _drop_smallest_bit(masks, decide(masks, row)))
+    decide = basis._irreducible
+    monkeypatch.setattr(basis, "_irreducible",
+                        lambda order, mask: mask != order[0] and decide(order, mask))
     return g
 
 
