@@ -19,17 +19,17 @@ The pools are mask algebra over int bitset rows. A chain's key is
 ``(pool row, lower rows)`` over the realized types (`space.RealizedTypes`,
 read off a table of their cubes with no `lattice.leq`): the pool row is
 ``visible(support) & OR(up[lo] & down[hi])`` over the consecutive levels,
-``support`` the OR of their generator bitsets, and a lower row
+``support`` the bitset of their generators, and a lower row
 ``visible(support) & up[lo]``, whose members irreducible in it
 (`basis.irreducibles`) may join the base. `_key` reads it for a
-`TypeChain` (`chain_pool`, `chain_base_pool`); `realized_chain_pools`
-reads it for a tuple of realized-type indexes, building no chain and
-hashing no term, and extends a 2-level chain's key to the 3-level chains
-it prefixes. One routine, `_pools_and_bases`, reads every pool and
-base in the one form a family of opens takes below the public API, an
-open row (`RealizedTypes.opens_row`, on a space with one open per type
-the type row itself). Only a base asks `basis.irreducibles`, about its
-pool's members alone, so a query that reads only the pool decides no
+`TypeChain` (`chain_pool`, `chain_base_pool`) through `RealizedTypes.rows`;
+`realized_chain_pools` reads it for a tuple of realized-type indexes,
+building no chain and hashing no term, and extends a 2-level chain's key
+to the 3-level chains it prefixes. One routine, `_pools_and_bases`, reads
+every pool and base in the one form a family of opens takes below the
+public API, an open row (`RealizedTypes.opens_row`, on a space with one
+open per type the type row itself). Only a base asks `basis.irreducibles`,
+about its pool's members alone, so a query that reads only the pool decides no
 irreducibility; a query that returns masks expands its row through
 `RealizedTypes.members`. A single generator's family
 (`generator_family`) is one scan of the opens, checked against the union
@@ -99,29 +99,21 @@ def _pools_and_bases(space: TypedSpace, keys):
         yield pool, base if lows else None
 
 
-def _key(rt, levels, up, down, generators) -> tuple[int, set]:
-    """The `_pools_and_bases` key ``(pool row, lower rows)`` of a chain.
+def _key(space: TypedSpace, chain: TypeChain) -> tuple[int, set]:
+    """The `_pools_and_bases` key ``(pool row, lower rows)`` of ``chain``.
 
-    ``levels`` index ``up``, ``down`` and ``generators``: the order rows
-    and the generator bitset of each level. The support ORs the levels'
-    generators, and the pool row the sandwiches of the consecutive levels.
+    With each level's ``(above, below)`` read off `RealizedTypes.rows`, the
+    pool row ORs the first level's own row and the consecutive sandwiches
+    ``above[i] & below[i + 1]``, visible to the levels' generators.
     """
-    support = row = 0
-    lo = levels[0]
-    for hi in levels:  # the first step's sandwich, lo <= lo, adds only lo itself
-        support |= generators[hi]
-        row |= up[lo] & down[hi]
-        lo = hi
-    vis = rt.visible(support)
-    return row & vis, {vis & up[lo] for lo in levels[:-1]}
-
-
-def _level_rows(space: TypedSpace, chain: TypeChain) -> tuple:
-    """The `_key` arguments of ``chain``: its levels' `RealizedTypes.rows` and generators."""
     space_mod.require_strict(space)
     rt = realized_types(space)
     up, down = zip(*map(rt.rows, chain.levels))
-    return rt, range(chain.k), up, down, [rt.generator_bits(t.generators()) for t in chain.levels]
+    row = up[0] & down[0]
+    for lo, hi in zip(up, down[1:]):
+        row |= lo & hi
+    vis = rt.visible(rt.generator_bits(frozenset().union(*(t.generators() for t in chain.levels))))
+    return row & vis, {vis & lo for lo in up[:-1]}
 
 
 def realized_chain_pools(space: TypedSpace, chain_list):
@@ -171,7 +163,7 @@ def chain_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     Read as an open row and expanded by `RealizedTypes.members`; no
     irreducibility is decided.
     """
-    row, _ = _key(*_level_rows(space, chain))
+    row, _ = _key(space, chain)
     return realized_types(space).members(next(_pools_and_bases(space, [(row, ())]))[0])
 
 
@@ -182,7 +174,7 @@ def chain_base_pool(space: TypedSpace, chain: TypeChain) -> frozenset:
     below the member's type; it is not tied to the sandwiching index. Read
     from the pool and the memoized irreducibles of the lower rows.
     """
-    _, base = next(_pools_and_bases(space, [_key(*_level_rows(space, chain))]))
+    _, base = next(_pools_and_bases(space, [_key(space, chain)]))
     return realized_types(space).members(base)
 
 
@@ -237,7 +229,6 @@ class ChainCover:
     """Chains over the realized types covering every one of them."""
 
     chains: tuple[TypeChain, ...]
-    width: int
 
 
 def chain_cover(space: TypedSpace) -> ChainCover:
@@ -278,8 +269,7 @@ def chain_cover(space: TypedSpace) -> ChainCover:
             seen = 0
             break
     chains, covered = [], 0
-    starts = [i for i in range(n) if match_right[i] < 0]
-    for s in starts:
+    for s in [i for i in range(n) if match_right[i] < 0]:
         seq = [s]
         while match_left[seq[-1]] >= 0:
             seq.append(match_left[seq[-1]])
@@ -289,4 +279,4 @@ def chain_cover(space: TypedSpace) -> ChainCover:
         chains.append(TypeChain(tuple(rt.terms[i] for i in seq)))
     if covered != n:  # pragma: no cover - matching always yields a partition
         raise InvariantViolationError("chain partition missed some realized types")
-    return ChainCover(tuple(chains), len(starts))
+    return ChainCover(tuple(chains))

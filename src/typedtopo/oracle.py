@@ -12,7 +12,8 @@ logic of the operations they judge:
   tried, one per combination of the free points, and a candidate is dense
   iff it meets every base member;
 * `exhaustive_connected` enumerates all supported subsets through two
-  points (independent of the overlap-graph search in `connect`);
+  points, each decided by the disjoint pairs of the chain's pool (sharing
+  nothing with `connect`);
 * `check_space` replays the structural theorems of the domain over a whole
   space, listing each check with its quantifier ranges and counterexamples:
   the type mapping with its meet and join bounds, strictness,
@@ -105,8 +106,9 @@ def exhaustive_connected(
     The search ranges over subsets of the union of the chain's open pool:
     points outside it lie in no pool member, so a set containing one is
     never covered by two pool opens and the separation test degenerates;
-    restricting to supported subsets keeps the notion meaningful. Like
-    `connect.find_connection`, it needs two distinct points.
+    restricting to supported subsets keeps the notion meaningful. A subset
+    is separated iff two disjoint pool members cover it and both meet it.
+    Like `connect.find_connection`, it needs two distinct points.
     """
     if x == y:
         raise PreconditionError("a connection needs two distinct points")
@@ -115,22 +117,19 @@ def exhaustive_connected(
     if n > budget:
         raise OracleSkip(f"{n} points exceed the connectivity budget of {budget}")
     xbit, ybit = space.point_bit(x), space.point_bit(y)
-    supported = 0
-    for m in chains_mod.chain_pool(space, chain):
-        supported |= m
+    pool = chains_mod.chain_pool(space, chain)
+    supported = functools.reduce(operator.or_, pool, 0)
     if (xbit | ybit) & ~supported:
         return False
     free = supported & ~(xbit | ybit)
     free_bits = [1 << i for i in range(n) if free >> i & 1]
     if (1 << len(free_bits)) > MAX_SUBSETS:
         raise OracleSkip("subset budget exceeded")
+    pairs = [(u, v) for u, v in itertools.combinations(pool, 2) if not u & v]
     for r in range(len(free_bits) + 1):
         for combo in itertools.combinations(free_bits, r):
-            mask = xbit | ybit
-            for b in combo:
-                mask |= b
-            ok, _ = connect_mod.is_chain_connected(space, space.ids_of(mask), chain)
-            if ok:
+            mask = xbit | ybit | sum(combo)
+            if not any(mask & ~(u | v) == 0 and mask & u and mask & v for u, v in pairs):
                 return True
     return False
 

@@ -2,19 +2,23 @@
 
 Three populations are supported: sizes of the single-generator open family,
 per-point counts of realized pure types, and per-pair counts of shared
-types. All use the sample (n-1) standard deviation; a population smaller
-than two or without spread raises `NoVarianceError` rather than producing
-NaNs.
+types, both counted by index off the opens that `space.RealizedTypes`
+buckets by type, hashing no term. All use the sample (n-1) standard
+deviation; a population smaller than two or without spread raises
+`NoVarianceError` rather than producing NaNs.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import chains as chains_mod, space as space_mod
 from .errors import NoVarianceError, PreconditionError
-from .space import TypedSpace
+from .space import TypedSpace, realized_types
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,21 +57,19 @@ def family_size_scores(space: TypedSpace, gen: str) -> ScoreTable:
 
 
 def point_activity_scores(space: TypedSpace, gen: str) -> ScoreTable:
-    """Per point: how many distinct pure types of one generator reach it."""
+    """Per point: how many distinct pure types of one generator reach it.
+
+    The pure types are the realized types visible to ``{gen}`` alone, and
+    one reaches a point when one of its opens holds it.
+    """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
         raise PreconditionError(f"unknown generator {gen!r}")
-    population = []
-    for i, p in enumerate(space.points):
-        bit = 1 << i
-        seen = set()
-        for m in space.opens:
-            if m and (m & bit):
-                t = space.sigma[m]
-                if t.uses_only({gen}):
-                    seen.add(t)
-        population.append((p, float(len(seen))))
-    return score_table(population)
+    rt = realized_types(space)
+    pure = space_mod.bit_indexes(rt.visible(rt.generator_bits({gen})))
+    reach = [functools.reduce(operator.or_, rt.opens_by_type[j]) for j in pure]
+    return score_table([(p, float(sum(r >> i & 1 for r in reach)))
+                        for i, p in enumerate(space.points)])
 
 
 def pair_key(x: str, y: str) -> tuple[str, str]:
@@ -81,24 +83,17 @@ def pair_affinity_scores(space: TypedSpace, two_witness: bool = False) -> ScoreT
 
     By default a type counts when one open of that exact type contains both
     points; ``two_witness`` instead counts types realized separately at each
-    point (each point inside some open of that type). The single-witness
-    reading is the supported one.
+    point (each point inside some open of that type), which is one open of
+    the type's union holding both. The single-witness reading is the
+    supported one.
     """
     space_mod.require_strict(space)
-    pts = space.points
-    if two_witness:
-        per_point = {}
-        for i, p in enumerate(pts):
-            bit = 1 << i
-            per_point[p] = {space.sigma[m] for m in space.opens if m and (m & bit)}
+    rt = realized_types(space)
+    held = [(m, j) for j, opens in enumerate(rt.opens_by_type)
+            for m in ((functools.reduce(operator.or_, opens),) if two_witness else opens)]
     population = []
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            key = pair_key(x, y)
-            if two_witness:
-                count = len(per_point[x] & per_point[y])
-            else:
-                both = space.point_bit(x) | space.point_bit(y)
-                count = len({space.sigma[m] for m in space.opens if (m & both) == both})
-            population.append((key, float(count)))
+    for x, y in itertools.combinations(space.points, 2):
+        both = space.point_bit(x) | space.point_bit(y)
+        count = len({j for m, j in held if m & both == both})
+        population.append((pair_key(x, y), float(count)))
     return score_table(population)

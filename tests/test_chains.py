@@ -476,7 +476,6 @@ def test_chain_cover_width_one_for_nested_types():
     ]
     sp = generate_topology(ctx, specs)
     cov = chain_cover(sp)
-    assert cov.width == 1
     assert len(cov.chains) == 1
 
 
@@ -491,7 +490,7 @@ def test_chain_cover_width_two_for_antichain():
     sp = generate_topology(ctx, specs)
     cov = chain_cover(sp)
     assert len(realized_types(sp)) == 3
-    assert cov.width == 2
+    assert len(cov.chains) == 2
 
 
 def _recursive_cover(sp, keep_seen: bool = False) -> list[tuple]:
@@ -544,7 +543,7 @@ def test_chain_cover_matches_the_recursive_matching(genealogy5, street5, street2
         cover = chain_cover(sp)
         want = _recursive_cover(sp)
         assert [ch.levels for ch in cover.chains] == want
-        assert cover.width == len(want)
+        assert len(cover.chains) == len(want)
 
 
 def test_chain_cover_keeps_seen_across_failed_searches(tree9):

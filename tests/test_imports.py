@@ -447,3 +447,53 @@ def test_the_oracle_reads_nothing_from_closure():
     that read back a closure helper would judge the formula by itself.
     """
     assert closure_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == set()
+
+
+def function_references(source: str, home: str, name: str) -> set[str]:
+    """Dotted targets that the module-level function ``name`` of ``source`` reads.
+
+    The function is read with the module's imports, so an alias such as
+    ``connect_mod`` resolves to its module.
+    """
+    tree = ast.parse(source)
+    kept = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            or isinstance(node, ast.FunctionDef) and node.name == name]
+    return references(ast.unparse(ast.Module(kept, [])), home)
+
+
+def test_function_references_read_one_function():
+    source = (
+        "from . import connect as connect_mod\n"
+        "def search(sp):\n    return connect_mod.is_chain_connected(sp)\n"
+        "def replay(sp):\n    return connect_mod.find_connection(sp)\n"
+    )
+    assert function_references(source, "oracle", "replay") == {
+        "connect.find_connection", "connect"}
+
+
+def test_the_connectivity_search_reads_nothing_from_connect():
+    """`oracle.exhaustive_connected` decides each subset by the definition.
+
+    It is the slow twin of `connect.find_connection`; calling the separator
+    scan of `connect` per subset would judge `connect` by itself. The
+    pure-family replay calls it on purpose, and the gate sees that.
+    """
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert "connect.is_chain_connected" in function_references(
+        source, "oracle", "_pure_family_results")
+    reads = function_references(source, "oracle", "exhaustive_connected")
+    assert "chains.chain_pool" in reads
+    assert sorted(t for t in reads if t.split(".")[0] == "connect") == []
+
+
+# The package modules that read an attribute ``sigma``, the type mapping as
+# terms: `space.py` owns it, `chains.generator_family` scans it to cross-check
+# its chain union, and the oracle's bounds and pure families re-derive from it.
+# Every other query counts types off the realized types.
+SIGMA_READERS = {"space.py", "chains.py", "oracle.py"}
+
+
+def test_only_the_owner_and_the_cross_checks_read_the_type_mapping():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert {name for name, source in sources.items()
+            if attribute_reads(ast.parse(source))["sigma"]} == SIGMA_READERS

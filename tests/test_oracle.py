@@ -85,6 +85,25 @@ def test_exhaustive_connected_unsupported_point_is_disconnected(street5, c_right
     assert not exhaustive_connected(street5, c_right5, "r1", "r2")
 
 
+def test_exhaustive_connected_searches_supersets_of_the_two_points():
+    """``{x, y}`` alone is split by the pool members ``{x}`` and ``{y}``, but ``{x, y, z}`` is not.
+
+    No two disjoint pool members cover ``z`` too, so the search answers
+    True only once it tries a superset of the two points, as the
+    certificate of `connect.find_connection` says.
+    """
+    ctx = lattice.Context(lattice.Poset({"g"}), ("x", "y", "z"))
+    typed = {1: "g & @x", 2: "g & @y", 3: "g & @x | g & @y", 7: "g"}
+    sigma = {0: ctx.bottom(), **{m: lattice.parse_type_expr(t, ctx) for m, t in typed.items()}}
+    sp = TypedSpace(ctx, frozenset(sigma), sigma, ())
+    assert space.validate_type_mapping(sp).ok and space.is_strictly_typed(sp).strict
+    chain = chains.parse_chain("g & @x & @y ; g", ctx)
+    ok, witness = connect.is_chain_connected(sp, {"x", "y"}, chain)
+    assert not ok and {witness.left, witness.right} == {("x",), ("y",)}
+    assert connect.find_connection(sp, "x", "y", chain).member_ids == ("x", "y", "z")
+    assert exhaustive_connected(sp, chain, "x", "y")
+
+
 def test_exhaustive_connected_refuses_one_point_twice(street5, c_right5):
     """The domain of `connect.find_connection`: a supported point is no connection to itself."""
     with pytest.raises(PreconditionError, match="a connection needs two distinct points"):

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import math
+import random
 import statistics
 from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES, random_generated_space
 from typedtopo import ingest, lattice, space, stats
-from typedtopo.errors import NoVarianceError, PreconditionError
+from typedtopo.errors import NoVarianceError, NotStrictlyTypedError, PreconditionError
 from typedtopo.ingest import CommunityDataset, GenealogyDataset
 from typedtopo.stats import pair_key, score_table
 
@@ -94,7 +97,7 @@ def test_point_activity_street5(street5):
 
 
 def test_point_activity_reads_each_type_once(monkeypatch):
-    """Each open's type renders its cubes once, not once per point that tests it."""
+    """The counts read the realized types by index: no open's type renders a cube."""
     sp = space.load_space(Path(__file__).resolve().parent.parent / "fixtures" / "street2x3.json")
     rendered = []
     render = lattice._Code.render
@@ -102,7 +105,7 @@ def test_point_activity_reads_each_type_once(monkeypatch):
         lattice._Code, "render", lambda code, cube: rendered.append(cube) or render(code, cube)
     )
     stats.point_activity_scores(sp, "right")
-    assert 0 < len(rendered) <= sum(len(sp.sigma[m].cubes) for m in sp.opens) == 256
+    assert rendered == []
 
 
 def test_point_activity_genealogy_root_scores_highest(genealogy5):
@@ -225,3 +228,85 @@ def test_z_scores_invariant_under_point_relabeling(street5):
     t2 = stats.point_activity_scores(sp2, "right")
     for p, z in t1.z.items():
         assert t2.z[relabel[p]] == pytest.approx(z, abs=1e-12)
+
+
+def _activity_by_terms(sp, gen) -> list:
+    """Per point, the distinct terms ``sigma[m]`` using only ``gen`` over the opens through it."""
+    space.require_strict(sp)
+    if gen not in sp.poset.elements:
+        raise PreconditionError(f"unknown generator {gen!r}")
+    return [(p, float(len({sp.sigma[m] for m in sp.opens if m >> i & 1
+                           and sp.sigma[m].uses_only({gen})})))
+            for i, p in enumerate(sp.points)]
+
+
+def _affinity_by_terms(sp, two_witness: bool) -> list:
+    """Per pair, the distinct terms of one open through both, or of opens through each."""
+    space.require_strict(sp)
+    through = [{sp.sigma[m] for m in sp.opens if m >> i & 1} for i in range(len(sp.points))]
+    out = []
+    for (i, x), (k, y) in itertools.combinations(enumerate(sp.points), 2):
+        both = 1 << i | 1 << k
+        shared = (through[i] & through[k] if two_witness
+                  else {sp.sigma[m] for m in sp.opens if m & both == both})
+        out.append((pair_key(x, y), float(len(shared))))
+    return out
+
+
+def _outcome(make):
+    """A table's population, mean, spread and z-scores, or the refusal it raised."""
+    try:
+        table = make()
+    except (PreconditionError, NoVarianceError, NotStrictlyTypedError) as err:
+        return type(err), str(err)
+    return table.population, table.mean, table.sample_std, table.z
+
+
+def _typed(gens, points, typed: dict) -> space.TypedSpace:
+    """The space whose opens are the empty set and the masks of ``typed``, typed as it says."""
+    ctx = lattice.Context(lattice.Poset(gens), points)
+    sigma = {0: ctx.bottom(), **{m: lattice.parse_type_expr(t, ctx) for m, t in typed.items()}}
+    return space.TypedSpace(ctx, frozenset(sigma), sigma, ())
+
+
+# Valid strict spaces where a type holds two opens: in the first, the two
+# opens of each repeated type never both hold a pair of points; in the
+# second, ``{x, y, z}`` and ``{x, y, w}`` are both typed ``g``.
+TWO_OPENS_PER_TYPE = (
+    ({"g", "h"}, ("x", "y", "z"), {1: "g & @x", 2: "g & @x", 3: "g & @x | h", 4: "h & @z",
+                                   5: "g & @x | h & @z", 6: "g & @x | h & @z", 7: "g | h"}),
+    ({"g", "h"}, ("x", "y", "z", "w"), {3: "g & @x", 7: "g", 11: "g", 15: "g | h"}),
+)
+
+
+def test_score_tables_match_the_term_hashing_reference(
+    genealogy5, street5, street2x3, no_least_base3, tree9
+):
+    """Counting realized types by index gives the tables that hashing each open's term gives.
+
+    Every generator's activity, the unknown-generator refusal and both
+    affinity readings, on the fixtures, TREE9, the strictified fee table,
+    the strict random 7-point spaces of seeds 0 to 59, two spaces where a
+    type holds two opens, and one that is not strictly typed.
+    """
+    fees = ingest.build_table(ingest.read_table_dataset(
+        (FIXTURES / "datasets" / "fees.csv").read_text(),
+        (FIXTURES / "datasets" / "fees_predicates.json").read_text()), apply_strictify=True)
+    repeated = [_typed(*args) for args in TWO_OPENS_PER_TYPE]
+    for sp in repeated:
+        assert space.validate_type_mapping(sp).ok and space.is_strictly_typed(sp).strict
+        assert max(map(len, space.realized_types(sp).opens_by_type)) == 2
+    tied = _typed({"g"}, ("x", "y"), {1: "g", 3: "g"})
+    spaces = [genealogy5, street5, street2x3, no_least_base3, tree9, fees, *repeated, tied]
+    spaces += filter(None, (random_generated_space(random.Random(s), 7) for s in range(60)))
+    tables = 0
+    for sp in spaces:
+        for gen in sorted(sp.poset.elements) + ["nosuch"]:
+            assert _outcome(lambda: stats.point_activity_scores(sp, gen)) == _outcome(
+                lambda: score_table(_activity_by_terms(sp, gen)))
+            tables += 1
+        for two_witness in (False, True):
+            assert _outcome(lambda: stats.pair_affinity_scores(sp, two_witness)) == _outcome(
+                lambda: score_table(_affinity_by_terms(sp, two_witness)))
+            tables += 1
+    assert tables >= 150
