@@ -190,12 +190,10 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
 
     Found by one scan of the opens. This family equals the union of the
     sandwiched pools over every chain inside the generator's sublattice
-    topping out at the generator. Each call re-derives that union from the
-    realized-type rows and raises if the two disagree: a sandwich under a
-    level ``hi <= gen`` lies inside the one under ``gen``, so the union is
-    the opens of ``visible({gen})``, the types below ``gen``, read by term
-    through `RealizedTypes.rows`, and those above one of the family's own
-    types, the OR of ``up[j]`` over each type ``j`` whose opens meet it.
+    topping out at the generator: all the opens of the types of
+    ``visible({gen})`` below ``gen``, each the first level of a chain. Each
+    call reads that union by term through `RealizedTypes.rows`, with no
+    order row by type, and raises if it disagrees with the scan.
     """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
@@ -206,11 +204,7 @@ def generator_family(space: TypedSpace, gen: str) -> frozenset:
         m for m in space.opens if m and sig[m].uses_only({gen}) and lattice.leq(sig[m], top)
     )
     rt = realized_types(space)
-    row, above = rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1], 0
-    for j in space_mod.bit_indexes(row):
-        if not family.isdisjoint(rt.opens_by_type[j]):
-            above |= rt.up[j]
-    union = rt.members(rt.opens_row(row & above))
+    union = rt.members(rt.opens_row(rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1]))
     if union != family:
         raise InvariantViolationError(
             "single-generator family disagrees with its chain union",
@@ -241,8 +235,10 @@ def chain_cover(space: TypedSpace) -> ChainCover:
     frames, trying next the lowest successor not yet seen, so no path is
     too long for it. ``seen`` is cleared only once a path is found: a
     failed search leaves the matching as it was, so the types it exhausted
-    stay dead. Single-type chains are padded by repeating the level, which
-    the sandwich test treats as selecting exactly that type.
+    stay dead. Matched edges rise strictly, so the paths ``match_left``
+    follows from each unmatched type cover every type once. Single-type
+    chains are padded by repeating the level, which the sandwich test
+    treats as selecting exactly that type.
     """
     space_mod.require_strict(space)
     rt = realized_types(space)
@@ -268,15 +264,12 @@ def chain_cover(space: TypedSpace) -> ChainCover:
                 match_right[j], match_left[i] = i, j
             seen = 0
             break
-    chains, covered = [], 0
+    chains = []
     for s in [i for i in range(n) if match_right[i] < 0]:
         seq = [s]
         while match_left[seq[-1]] >= 0:
             seq.append(match_left[seq[-1]])
-        covered += len(seq)
         if len(seq) == 1:
             seq *= 2
         chains.append(TypeChain(tuple(rt.terms[i] for i in seq)))
-    if covered != n:  # pragma: no cover - matching always yields a partition
-        raise InvariantViolationError("chain partition missed some realized types")
     return ChainCover(tuple(chains))

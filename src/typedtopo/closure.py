@@ -4,10 +4,10 @@ A point joins the closure of a set when every member of its chain base
 meets the set; points with an empty base join every closure vacuously and
 form the unsupported region, which any dense set must absorb wholesale.
 The minimum dense size is the number of unsupported points plus the number
-of inclusion-maximal distinct base families, and a witness picks one
-representative per maximal family. The formula is re-checked against the
-exhaustive oracle on small spaces and a disagreement raises instead of
-passing quietly.
+of inclusion-maximal distinct base families. A witness picks one point per
+maximal family, so it is dense: each supported point's family lies in a
+maximal one, whose members all hold its pick. The size is re-checked against
+the exhaustive oracle on small spaces; a disagreement raises.
 
 Both formulas rest on one hypothesis: every supported point's base family
 has a least member, the intersection of its members. The closure then
@@ -112,35 +112,15 @@ def is_chain_dense(space: TypedSpace, dense, region, chain: TypeChain) -> bool:
 
     Unsupported region points must be included outright; every supported
     region point needs each of its base neighborhoods to meet ``dense``.
-    The sufficient family-domination test (some dense point's family covers
-    the point's family) is recomputed and may never contradict a negative
-    definitional answer.
     """
     dense_set, region_set = frozenset(dense), frozenset(region)
     if not dense_set <= region_set:
         raise PreconditionError("the dense candidate must sit inside the region")
     space.mask_of(region_set)  # raises on the first unknown region point, sorted
-    return _dense(space, _point_families(space, chain), dense_set, region_set)
-
-
-def _dense(space: TypedSpace, fams: dict, dense_set: frozenset, region_set: frozenset) -> bool:
-    """`is_chain_dense` on the point families ``fams`` its caller read once."""
-    dense_mask = space.mask_of(dense_set)
-    verdict = all(
+    fams, dense_mask = _point_families(space, chain), space.mask_of(dense_set)
+    return all(
         all(m & dense_mask for m in fams[p]) if fams[p] else p in dense_set for p in region_set
     )
-    dominated = all(
-        (p in dense_set)
-        if not fams[p]
-        else any(fams[p] <= fams[q] for q in dense_set if fams[q])
-        for p in region_set
-    )
-    if dominated and not verdict:
-        raise InvariantViolationError(
-            "family domination asserted density but the definition refused",
-            witness=sorted(dense_set),
-        )
-    return verdict
 
 
 def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
@@ -161,10 +141,6 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     maximal_classes = _sorted_classes(groups[f] for f in maximal)
     density = len(unsupported) + len(maximal)
     witness = frozenset(unsupported | {cls[0] for cls in maximal_classes})
-    if not _dense(space, fams, witness, frozenset(space.points)):
-        raise InvariantViolationError(
-            "constructed witness is not dense", witness=sorted(witness)
-        )
     from . import oracle
 
     if len(space.points) <= oracle.DEFAULT_DENSE_POINTS:

@@ -427,12 +427,14 @@ def test_generator_family_is_checked_against_the_realized_chain_union(monkeypatc
 
     Measured on STREET5, once the strictness check has run:
     `stats.family_size_scores` makes 4 `lattice.leq` calls, all in the scan,
-    and 1 `RealizedTypes.rows` call, for the generator's own term. The
-    union's lower side ORs the ``up`` rows of the types whose bucket meets
-    the family; reading each family type's row through `rows` made 5 calls,
-    and the union of two-level chain pools over every comparable pair of
-    levels made 360 `leq` calls. A realized-type index that loses or gains
-    a family member makes every call raise.
+    and 1 `RealizedTypes.rows` call, for the generator's own term, and
+    builds no order row by type (`up`, `generators`, `down`). The union is
+    every open of a type visible to the generator and below it; the union
+    of two-level chain pools over every comparable pair of levels made 360
+    `leq` calls. A realized-type index that loses or gains a family member
+    makes every call raise, and so does a scan that loses the least member,
+    ``{r5}``, which a union kept to the types above the scanned ones lost
+    too.
     """
     copy = dataclasses.replace(street5)
     space.is_strictly_typed(copy)
@@ -443,6 +445,14 @@ def test_generator_family_is_checked_against_the_realized_chain_union(monkeypatc
         space.RealizedTypes, "rows", lambda self, level: calls.append("rows") or rows(self, level))
     table = stats.family_size_scores(copy, "right")
     assert 0 < calls.count("leq") <= 4 and calls.count("rows") <= 1
+    assert not {"up", "generators", "down"} & vars(realized_types(copy)).keys()
+    monkeypatch.undo()
+    least = copy.sigma[copy.mask_of({"r5"})]
+    right = parse_type_expr("right", copy.ctx)
+    monkeypatch.setattr(lattice, "leq", lambda a, b: not (
+        lattice.term_eq(a, least) and lattice.term_eq(b, right)) and leq(a, b))
+    with pytest.raises(InvariantViolationError):
+        chains.generator_family(copy, "right")
     monkeypatch.undo()
     assert table.population == stats.family_size_scores(street5, "right").population
     assert chains.generator_family(copy, "right") == {

@@ -174,8 +174,8 @@ def reach_readings(sp, chain, x: str, y: str) -> tuple[bool, bool, bool]:
 def test_min_dense_reads_its_point_families_once(monkeypatch, tree9):
     """One call on TREE9 reads the base pool twice: its own read and the oracle's.
 
-    The witness self-check and the domination cross-check reuse the
-    families read once, and the exhaustive search still runs.
+    The witness is dense by construction and checked by no second read of
+    the families, and the exhaustive search still runs.
     """
     chain = max(chains.chain_cover(tree9).chains, key=lambda c: c.k)
     calls = []

@@ -72,6 +72,25 @@ def test_find_connection_within_one_ray(street5, c_right5):
     assert cert.sequence == (("r2", "r3", "r4", "r5"),)
 
 
+def test_find_connection_reads_each_pool_once(monkeypatch, street5, c_right5):
+    """One read of the base pool and one of the pool, whose disjoint pairs test every node.
+
+    On STREET5 ``r2`` to ``r5`` the search read the base pool once, and the
+    pool once per base member and once more for the union, through five
+    `is_chain_connected` calls.
+    """
+    calls = []
+    pool, base_pool, connected = chains.chain_pool, chains.chain_base_pool, connect.is_chain_connected
+    monkeypatch.setattr(chains, "chain_pool", lambda sp, ch: calls.append("pool") or pool(sp, ch))
+    monkeypatch.setattr(chains, "chain_base_pool",
+                        lambda sp, ch: calls.append("base") or base_pool(sp, ch))
+    monkeypatch.setattr(connect, "is_chain_connected",
+                        lambda *a: calls.append("connected") or connected(*a))
+    cert = connect.find_connection(street5, "r2", "r5", c_right5)
+    assert sorted(calls) == ["base", "pool"]
+    assert cert.sequence == (("r2", "r3", "r4", "r5"),)
+
+
 def test_find_connection_rejects_equal_points(street5, c_right5):
     with pytest.raises(PreconditionError):
         connect.find_connection(street5, "r2", "r2", c_right5)

@@ -3,9 +3,9 @@
 ``__init__.py`` imports names to re-export them, and ``from __future__``
 imports switch on compiler features, so neither counts. The same parse
 gates the callers of public functions, methods and properties, the package
-readers of private functions and the length of the oracle's functions, and
-a parse at the grammar of the ``requires-python`` floor keeps newer syntax
-out of the package.
+readers of private functions, the length of the oracle's functions and the
+functions excused from coverage, and a parse at the grammar of the
+``requires-python`` floor keeps newer syntax out of the package.
 """
 from __future__ import annotations
 
@@ -435,7 +435,8 @@ def closure_reads(source: str) -> set[str]:
 def test_the_independence_gate_sees_closure_reads():
     assert closure_reads("from . import closure\nx = closure.min_chain_dense\n") == {
         "closure", "closure.min_chain_dense"}
-    assert closure_reads("from .closure import _dense\n") == {"closure._dense"}
+    assert closure_reads("from .closure import _point_families\n") == {
+        "closure._point_families"}
     assert closure_reads("import typedtopo.closure\n") == {"typedtopo.closure"}
     assert closure_reads("from . import chains\nx = chains.chain_base_pool\n") == set()
 
@@ -497,3 +498,34 @@ def test_only_the_owner_and_the_cross_checks_read_the_type_mapping():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert {name for name, source in sources.items()
             if attribute_reads(ast.parse(source))["sigma"]} == SIGMA_READERS
+
+
+def excused_from_coverage(source: str, home: str) -> list[str]:
+    """``home.function`` of the innermost function around each ``pragma: no cover`` line."""
+    spans = [(node.lineno, node.end_lineno, node.name) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)]
+    return [f"{home}.{max((s for s in spans if s[0] <= i <= s[1]), default=(0, 0, ''))[2]}"
+            for i, line in enumerate(source.splitlines(), 1) if "pragma: no cover" in line]
+
+
+def test_the_coverage_gate_finds_the_excusing_function():
+    source = (
+        "def outer(x):\n"
+        "    def inner():\n"
+        "        raise AssertionError  # pragma: no cover\n"
+        "    if x:  # pragma: no cover\n"
+        "        return inner\n"
+    )
+    assert excused_from_coverage(source, "oracle") == ["oracle.inner", "oracle.outer"]
+
+
+def test_only_the_reference_assertions_are_excused_from_coverage():
+    """An in-line check that no input can fail is deleted, not excused.
+
+    Two assertions stay: the end of `oracle.exhaustive_min_dense`'s search,
+    which the full point set always ends, and the reference comparison in
+    `lattice.is_join_irreducible`.
+    """
+    excused = [name for p in sorted(PACKAGE.glob("*.py"))
+               for name in excused_from_coverage(p.read_text(encoding="utf-8"), p.stem)]
+    assert excused == ["lattice.is_join_irreducible", "oracle.exhaustive_min_dense"]

@@ -9,7 +9,7 @@ import pytest
 from conftest import chain_support, random_generated_space
 from typedtopo import basis, chains, closure, connect, lattice, oracle, space
 from typedtopo.chains import TypeChain
-from typedtopo.errors import OracleSkip, PreconditionError
+from typedtopo.errors import InvariantViolationError, OracleSkip, PreconditionError
 from typedtopo.oracle import check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace, realized_types
 
@@ -72,6 +72,54 @@ def test_exhaustive_min_dense_matches_the_search_over_every_subset(
                           for i in range(len(sp.points)))
             checked += 1
     assert len(spaces) >= 20 and checked >= 90 and forced >= 60
+
+
+def test_dense_witnesses_and_certificates_pass_their_definitions(
+    genealogy5, street5, street2x3, no_least_base3, tree9
+):
+    """The checks that `closure`, `connect` and `chain_cover` no longer make in line.
+
+    On every cover chain of the fixtures, TREE9 and the strict random
+    7-point spaces of seeds 0 to 39:
+
+    - the cover holds each realized type once, padding aside;
+    - each answered `min_chain_dense` witness has ``density`` points and is
+      dense by `closure.is_chain_dense` (the no-least-base fixture's
+      formula fails on some chains and raises instead);
+    - each `find_connection` certificate, over every pair of points, runs
+      through overlapping members from one holding ``x`` to one holding
+      ``y``, lists their union, and is accepted by `is_chain_connected`
+      and `exhaustive_connected`.
+    """
+    spaces = [genealogy5, street5, street2x3, no_least_base3, tree9]
+    spaces += filter(None, (random_generated_space(random.Random(s), 7) for s in range(40)))
+    densities = certificates = 0
+    for sp in spaces:
+        rt = realized_types(sp)
+        cover = chains.chain_cover(sp).chains
+        held = [rt.terms.index(t) for ch in cover for t in dict.fromkeys(ch.levels)]
+        assert sorted(held) == list(range(len(rt)))
+        for chain in cover:
+            try:
+                report = closure.min_chain_dense(sp, chain)
+            except InvariantViolationError:
+                assert sp is no_least_base3
+            else:
+                assert len(report.witness) == report.density
+                assert closure.is_chain_dense(sp, report.witness, sp.points, chain)
+                densities += 1
+            for x, y in itertools.combinations(sp.points, 2):
+                cert = connect.find_connection(sp, x, y, chain)
+                if cert is None:
+                    continue
+                seq = cert.sequence
+                assert x in seq[0] and y in seq[-1]
+                assert all(set(a) & set(b) for a, b in zip(seq, seq[1:]))
+                assert sorted(cert.member_ids) == sorted(set().union(*seq))
+                assert connect.is_chain_connected(sp, cert.member_ids, chain)[0]
+                assert exhaustive_connected(sp, chain, x, y)
+                certificates += 1
+    assert len(spaces) >= 20 and densities >= 90 and certificates >= 800
 
 
 def test_exhaustive_connected_examples(street5, c_right5, street2x3, c_right6):
