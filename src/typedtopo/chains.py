@@ -32,15 +32,15 @@ open per type the type row itself). Only a base asks `basis.irreducibles`,
 about its pool's members alone, so a query that reads only the pool decides no
 irreducibility; a query that returns masks expands its row through
 `RealizedTypes.members`. A single generator's family
-(`generator_family`) is one scan of the opens, checked against the union
-of its chains' pools read from the same rows.
+(`generator_family`) is the union of its chains' pools, read from the
+same rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import lattice, space as space_mod
-from .errors import InvariantViolationError, PreconditionError
+from .errors import PreconditionError
 from .lattice import Context, TypeTerm
 from .space import TypedSpace, realized_types
 from .basis import irreducibles
@@ -188,29 +188,18 @@ def chain_base(space: TypedSpace, x: str, chain: TypeChain) -> frozenset:
 def generator_family(space: TypedSpace, gen: str) -> frozenset:
     """The nonempty opens typed purely in ``gen`` and at or below it.
 
-    Found by one scan of the opens. This family equals the union of the
-    sandwiched pools over every chain inside the generator's sublattice
-    topping out at the generator: all the opens of the types of
-    ``visible({gen})`` below ``gen``, each the first level of a chain. Each
-    call reads that union by term through `RealizedTypes.rows`, with no
-    order row by type, and raises if it disagrees with the scan.
+    This family equals the union of the sandwiched pools over every chain
+    inside the generator's sublattice topping out at the generator: all the
+    opens of the types of ``visible({gen})`` below ``gen``, each the first
+    level of a chain. It is read as that union, by term through
+    `RealizedTypes.rows`, with no order row by type and no `lattice.leq`.
     """
     space_mod.require_strict(space)
     if gen not in space.poset.elements:
         raise PreconditionError(f"unknown generator {gen!r}")
     top = lattice.normalize(space.ctx, [lattice.clause_of(gens=[gen])])
-    sig = space.sigma
-    family = frozenset(
-        m for m in space.opens if m and sig[m].uses_only({gen}) and lattice.leq(sig[m], top)
-    )
     rt = realized_types(space)
-    union = rt.members(rt.opens_row(rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1]))
-    if union != family:
-        raise InvariantViolationError(
-            "single-generator family disagrees with its chain union",
-            witness=(gen, sorted(space.ids_of(m) for m in union ^ family)),
-        )
-    return family
+    return rt.members(rt.opens_row(rt.visible(rt.generator_bits({gen})) & rt.rows(top)[1]))
 
 
 # ---------------------------------------------------------------------------

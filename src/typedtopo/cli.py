@@ -35,7 +35,6 @@ from .errors import (
     BoundExceededError,
     DatasetError,
     ExprSyntaxError,
-    InvariantViolationError,
     NoVarianceError,
     NotStrictlyTypedError,
     OracleSkip,
@@ -53,7 +52,7 @@ _EXIT_QUERY = 3
 _READ_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 _ERROR_CODES = (
-    ((SpaceValidationError, NotStrictlyTypedError, InvariantViolationError), _EXIT_VALIDATION),
+    ((SpaceValidationError, NotStrictlyTypedError), _EXIT_VALIDATION),
     ((ExprSyntaxError, UnknownSymbolError, PreconditionError, DatasetError, *_READ_ERRORS),
      _EXIT_USAGE),
     ((UnknownPointError, BoundExceededError, OracleSkip, NoVarianceError), _EXIT_QUERY),
@@ -192,7 +191,7 @@ def _cmd_closure(args, sp):
     start = _set_arg(args.set)
     rep = closure.chain_closure(sp, start, ch)
     witnesses = {
-        p: {"kind": w[0]} if w[0] == "vacuous" else {"kind": "core", "core": list(w[1])}
+        p: {"kind": w[0]} if len(w) == 1 else {"kind": "core", "core": list(w[1])}
         for p, w in sorted(rep.witnesses.items())
     }
     return 0, sp, {

@@ -3,20 +3,25 @@
 A point joins the closure of a set when every member of its chain base
 meets the set; points with an empty base join every closure vacuously and
 form the unsupported region, which any dense set must absorb wholesale.
-The minimum dense size is the number of unsupported points plus the number
-of inclusion-maximal distinct base families. A witness picks one point per
-maximal family, so it is dense: each supported point's family lies in a
-maximal one, whose members all hold its pick. The size is re-checked against
-the exhaustive oracle on small spaces; a disagreement raises.
+The density formula counts the unsupported points plus the
+inclusion-maximal distinct base families, and its witness picks one point
+per maximal family. The witness is always dense, since each member ``m``
+holds a point whose family lies in a maximal one, and that family's pick
+has ``m`` in its own family; so the formula is an upper bound.
 
-Both formulas rest on one hypothesis: every supported point's base family
-has a least member, the intersection of its members. The closure then
-reads one core per point, and points with equal families are
-interchangeable witnesses. A valid strictly typed space need not satisfy
-it: `fixtures/no_least_base3.json` (3 points, 8 opens) breaks it on some
-of its realized chains, where the cross-checks of `chain_closure` (for
-some start sets) and `min_chain_dense` raise `InvariantViolationError`
-instead of answering, so `tts closure` and `tts dense` exit 1.
+The formulas are exact under one hypothesis: every supported point's base
+family has a least member, the AND of its members. Proof: a least member
+meets a set iff every member does, so the closure reads one core per point;
+and the least member of a maximal family holds only points with that
+family, so a dense set, which meets it, needs one point per maximal family.
+
+A valid strictly typed space need not satisfy it:
+`fixtures/no_least_base3.json` (3 points, 8 opens) breaks it on some of
+its realized chains. There `chain_closure` still answers by the
+definition, showing the witness ``("members",)`` for a member whose core
+misses the start set, and `min_chain_dense` takes the exhaustive search's
+answer when it is smaller, or raises the search's `OracleSkip` past its
+budget, naming the hypothesis. On the hypothesis no search runs.
 """
 from __future__ import annotations
 
@@ -25,14 +30,14 @@ from typing import Iterable
 
 from . import chains as chains_mod, space as space_mod
 from .chains import TypeChain
-from .errors import InvariantViolationError, PreconditionError
+from .errors import OracleSkip, PreconditionError
 from .space import TypedSpace
 
 
 @dataclass(frozen=True, eq=False)
 class ClosureReport:
     members: frozenset
-    witnesses: dict  # point -> ("core", ids) | ("vacuous",)
+    witnesses: dict  # point -> ("core", ids) | ("members",) | ("vacuous",)
 
     def ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.members))
@@ -62,10 +67,9 @@ def _point_families(space: TypedSpace, chain: TypeChain) -> dict:
 def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
     """Points all of whose base neighborhoods meet ``start``.
 
-    For supported points the definitional test is re-derived from the common
-    core of the base family (membership iff the core meets ``start``); the
-    two must agree, which holds exactly when every base family has a least
-    member.
+    A supported member's witness is the common core of its base family when
+    the core meets ``start``, as it always does when the family has a least
+    member, and ``("members",)`` otherwise.
     """
     space_mod.require_strict(space)
     start_set = frozenset(start)
@@ -78,20 +82,19 @@ def chain_closure(space: TypedSpace, start, chain: TypeChain) -> ClosureReport:
         if not fam:
             members.add(p)
             witnesses[p] = ("vacuous",)
-            continue
-        inside = all(m & start_mask for m in fam)
-        core = space.full_mask
-        for m in fam:
-            core &= m
-        if bool(core & start_mask) != inside:
-            raise InvariantViolationError(
-                "definitional closure disagrees with the common-core test",
-                witness=(p, sorted(start_set)),
-            )
-        if inside:
+        elif all(m & start_mask for m in fam):
             members.add(p)
-            witnesses[p] = ("core", space.ids_of(core))
+            core = _core(space, fam)
+            witnesses[p] = ("core", space.ids_of(core)) if core & start_mask else ("members",)
     return ClosureReport(frozenset(members), witnesses)
+
+
+def _core(space: TypedSpace, fam) -> int:
+    """The AND of the members of ``fam``: its least member, if it has one."""
+    core = space.full_mask
+    for m in fam:
+        core &= m
+    return core
 
 
 def _class_groups(space: TypedSpace, fams: dict) -> dict[frozenset, list[str]]:
@@ -127,10 +130,11 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     """Smallest dense set: unsupported points plus one point per maximal class.
 
     Representatives are the smallest point id of each maximal class, which
-    Cor-style interchangeability makes as good as any other choice. On
-    spaces within the exhaustive search's default budget
-    (`oracle.DEFAULT_DENSE_POINTS`, twelve points) the arithmetic is
-    compared against it; a mismatch raises with the witness attached.
+    Cor-style interchangeability makes as good as any other choice. When
+    some base family has no least member the formula is only an upper
+    bound, and the exhaustive search (`oracle.exhaustive_min_dense`) runs:
+    its size and first witness replace the formula's when smaller, and past
+    its budget its `OracleSkip` is raised again, naming the hypothesis.
     """
     space_mod.require_strict(space)
     fams = _point_families(space, chain)
@@ -141,13 +145,15 @@ def min_chain_dense(space: TypedSpace, chain: TypeChain) -> DensityReport:
     maximal_classes = _sorted_classes(groups[f] for f in maximal)
     density = len(unsupported) + len(maximal)
     witness = frozenset(unsupported | {cls[0] for cls in maximal_classes})
-    from . import oracle
+    if any(_core(space, f) not in f for f in groups):
+        from . import oracle
 
-    if len(space.points) <= oracle.DEFAULT_DENSE_POINTS:
-        size, _ = oracle.exhaustive_min_dense(space, chain)
-        if size != density:
-            raise InvariantViolationError(
-                f"density formula gives {density} but exhaustive search gives {size}",
-                witness={"unsupported": sorted(unsupported), "classes": classes},
-            )
+        try:
+            size, found = oracle.exhaustive_min_dense(space, chain)
+        except OracleSkip as err:
+            raise OracleSkip(
+                "the density formula needs every base family to have a least member, "
+                f"which this chain breaks, and the exhaustive search refused: {err}") from err
+        if size < density:
+            density, witness = size, frozenset(found[0])
     return DensityReport(unsupported, classes, maximal_classes, density, witness)

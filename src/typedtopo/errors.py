@@ -54,14 +54,6 @@ class PreconditionError(TypedTopoError):
     """An operation was called outside its documented domain."""
 
 
-class InvariantViolationError(TypedTopoError):
-    """A cross-checked internal identity failed; carries the counterexample."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NoVarianceError(TypedTopoError):
     """A score population is too small or has zero spread."""
 

@@ -943,15 +943,16 @@ def test_oracle_check_on_too_many_chains_exits_3_with_one_line(street10, tmp_pat
     assert shell.stderr.count("\n") == 1
 
 
-def test_a_space_without_least_base_members_keeps_its_exit_codes(capsys):
+def test_a_space_without_least_base_members_gets_answers(capsys):
     """The valid strict 3-point space whose base families need not have a least member.
 
     The fixture is `space_to_json` of ``random_generated_space(Random(70), 7)``.
-    Validation accepts it, but the closure and density formulas assume a
-    least base member at every point, and their in-line cross-checks exit 1
-    on some of its 22 two-level realized chains (a level repeated counts),
-    as the theorem replay fails three checks. This pins that behaviour
-    until those queries answer such spaces or refuse them by name.
+    Validation accepts it, and `closure` and `dense` answer on each of its
+    22 two-level realized chains (a level repeated counts). Off the
+    formulas' hypothesis a closure member whose family's core misses the
+    set shows the witness kind ``members``, on 4 chains, and on 2 chains
+    the density is the exhaustive search's 2, below the formula's 3. The
+    theorem replay still fails three checks there.
     """
     sp = random_generated_space(random.Random(70), 7)
     assert (FIXTURES / "no_least_base3.json").read_text(encoding="utf-8") == json.dumps(
@@ -962,17 +963,44 @@ def test_a_space_without_least_base_members_keeps_its_exit_codes(capsys):
     texts = [f"{format_term(lo)} ; {format_term(hi)}"
              for i, lo in enumerate(rt.terms) for j, hi in enumerate(rt.terms) if rt.up[i] >> j & 1]
     assert len(texts) == 22
-    failed = {}
-    for argv in (("closure", "--set", "x0,x1"), ("dense",)):
-        runs = [_run(capsys, argv[0], NO_LEAST_BASE3, "--chain", t, *argv[1:]) for t in texts]
-        assert {code for code, _, _ in runs} == {0, 1}
-        failed[argv[0]] = sorted(err for code, _, err in runs if code == 1)
-    assert failed["closure"] == [
-        "tts closure: definitional closure disagrees with the common-core test\n"] * 4
-    assert failed["dense"] == [
-        "tts dense: density formula gives 3 but exhaustive search gives 2\n"] * 2
+    bare, searched = [], []
+    for text in texts:
+        code, out, err = _run(capsys, "closure", NO_LEAST_BASE3, "--chain", text,
+                              "--set", "x0,x1", "--stable")
+        assert (code, err) == (0, "")
+        if {"kind": "members"} in json.loads(out)["result"]["witnesses"].values():
+            bare.append(text)
+        code, out, err = _run(capsys, "dense", NO_LEAST_BASE3, "--chain", text, "--stable")
+        assert (code, err) == (0, "")
+        dense = json.loads(out)["result"]
+        if dense["density"] < len(dense["unsupported"]) + len(dense["maximal_classes"]):
+            searched.append(text)
+            code, out, _ = _run(capsys, "oracle", NO_LEAST_BASE3, "--dense", "--chain", text,
+                                "--stable")
+            assert code == 0
+            assert dense["density"] == json.loads(out)["result"]["density"] == 2
+            assert len(dense["maximal_classes"]) == 3
+    assert len(bare) == 4 and len(searched) == 2 and set(searched) <= set(bare)
     code, out, _ = _run(capsys, "oracle", NO_LEAST_BASE3, "--check", "--stable")
     checks = json.loads(out)["result"]["checks"]
     assert code == 1
     assert [c["name"] for c in checks if not c["passed"]] == [
         "closure-core", "base-connectivity", "anchored-connectivity"]
+
+
+def test_dense_off_the_hypothesis_past_the_search_budget_exits_3(monkeypatch, capsys):
+    """Off the density formula's hypothesis the search decides, and its budget refuses by name.
+
+    With the dense-search budget at 2 points, the 3-point no-least-base
+    fixture still answers on a chain where every base family has a least
+    member, since no search runs there, and exits 3 on one where some
+    family has none.
+    """
+    monkeypatch.setattr(oracle, "DEFAULT_DENSE_POINTS", 2)
+    code, out, _ = _run(capsys, "dense", NO_LEAST_BASE3, "--chain", "g0 ; g0", "--stable")
+    assert code == 0 and json.loads(out)["result"]["density"] == 3
+    off = "g0 & @x0 | g0 & ~@x1 & ~@x2 ; g0 | g1 & @x1 | g1 & @x2"
+    assert _run(capsys, "dense", NO_LEAST_BASE3, "--chain", off, "--stable") == (
+        3, "", "tts dense: the density formula needs every base family to have a least member, "
+        "which this chain breaks, and the exhaustive search refused: 3 points exceed the "
+        "dense-search budget of 2\n")

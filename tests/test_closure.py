@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -171,22 +173,76 @@ def reach_readings(sp, chain, x: str, y: str) -> tuple[bool, bool, bool]:
     )
 
 
-def test_min_dense_reads_its_point_families_once(monkeypatch, tree9):
-    """One call on TREE9 reads the base pool twice: its own read and the oracle's.
+# a two-level chain of the no-least-base fixture on which the density formula gives 3
+# and the exhaustive search 2
+OFF_HYPOTHESIS = "g0 & @x0 | g0 & ~@x1 & ~@x2 ; g0 | g1 & @x1 | g1 & @x2"
 
-    The witness is dense by construction and checked by no second read of
-    the families, and the exhaustive search still runs.
+
+def test_min_dense_reads_its_point_families_once(monkeypatch, tree9, no_least_base3):
+    """One call reads the base pool once, and searches only off the hypothesis.
+
+    On TREE9 every base family has a least member, so the witness, dense by
+    construction, is the answer and no search runs. On a no-least-base
+    chain the search runs once, reading the pool again, and its smaller
+    size and first witness are the answer.
     """
-    chain = max(chains.chain_cover(tree9).chains, key=lambda c: c.k)
     calls = []
     base_pool, search = chains.chain_base_pool, oracle.exhaustive_min_dense
     monkeypatch.setattr(chains, "chain_base_pool",
                         lambda sp, ch: calls.append("pool") or base_pool(sp, ch))
     monkeypatch.setattr(oracle, "exhaustive_min_dense",
                         lambda sp, ch: calls.append("search") or search(sp, ch))
+    chain = max(chains.chain_cover(tree9).chains, key=lambda c: c.k)
     report = closure.min_chain_dense(dataclasses.replace(tree9), chain)
-    assert calls == ["pool", "search", "pool"]
+    assert calls == ["pool"]
     assert report.density == search(tree9, chain)[0] > 1
+    calls.clear()
+    chain = parse_chain(OFF_HYPOTHESIS, no_least_base3.ctx)
+    report = closure.min_chain_dense(dataclasses.replace(no_least_base3), chain)
+    assert calls == ["pool", "search", "pool"]
+    size, witnesses = search(no_least_base3, chain)
+    assert (report.density, report.witness_ids()) == (size, witnesses[0]) == (2, ("x0", "x1"))
+    assert len(report.maximal_classes) == 3
+
+
+def test_chain_closure_matches_the_definition(
+    genealogy5, street5, street2x3, no_least_base3, tree9
+):
+    """The check `chain_closure` no longer makes in line.
+
+    On every cover chain of the fixtures, TREE9 and the strict random
+    7-point spaces of seeds 0 to 39, and on `OFF_HYPOTHESIS`, for every
+    singleton and pair start set, a point is a member iff every base member
+    through it meets the set. A supported member's witness is its family's
+    core when that meets the set, and ``("members",)`` otherwise, which
+    happens only where the family has no least member: on no cover chain,
+    but on `OFF_HYPOTHESIS` with the start set ``{x0, x1}``.
+    """
+    spaces = [genealogy5, street5, street2x3, no_least_base3, tree9]
+    spaces += filter(None, (random_generated_space(random.Random(s), 7) for s in range(40)))
+    cases = [(sp, chain) for sp in spaces for chain in chains.chain_cover(sp).chains]
+    cases.append((no_least_base3, parse_chain(OFF_HYPOTHESIS, no_least_base3.ctx)))
+    closures = bare = 0
+    for sp, chain in cases:
+        pool = chains.chain_base_pool(sp, chain)
+        fams = {p: [m for m in pool if m & sp.point_bit(p)] for p in sp.points}
+        cores = {p: functools.reduce(operator.and_, fam, sp.full_mask)
+                 for p, fam in fams.items()}
+        for start in itertools.chain(itertools.combinations(sp.points, 1),
+                                     itertools.combinations(sp.points, 2)):
+            mask = sp.mask_of(start)
+            rep = closure.chain_closure(sp, start, chain)
+            assert rep.members == {p for p in sp.points if all(m & mask for m in fams[p])}
+            for p in rep.members:
+                if not fams[p]:
+                    assert rep.witnesses[p] == ("vacuous",)
+                elif cores[p] & mask:
+                    assert rep.witnesses[p] == ("core", sp.ids_of(cores[p]))
+                else:
+                    assert rep.witnesses[p] == ("members",) and cores[p] not in fams[p]
+                    bare += 1
+            closures += 1
+    assert len(spaces) >= 20 and closures >= 1000 and bare == 1
 
 
 def test_reach_equivalence(street5, c_right5):

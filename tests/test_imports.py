@@ -444,8 +444,9 @@ def test_the_independence_gate_sees_closure_reads():
 def test_the_oracle_reads_nothing_from_closure():
     """`oracle.py`, the cross-check of the density formula, shares no code with it.
 
-    `closure.min_chain_dense` calls `oracle.exhaustive_min_dense`; a search
-    that read back a closure helper would judge the formula by itself.
+    `closure.min_chain_dense` calls `oracle.exhaustive_min_dense` off the
+    formula's hypothesis; a search that read back a closure helper would
+    judge the formula by itself.
     """
     assert closure_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == set()
 
@@ -488,10 +489,9 @@ def test_the_connectivity_search_reads_nothing_from_connect():
 
 
 # The package modules that read an attribute ``sigma``, the type mapping as
-# terms: `space.py` owns it, `chains.generator_family` scans it to cross-check
-# its chain union, and the oracle's bounds and pure families re-derive from it.
-# Every other query counts types off the realized types.
-SIGMA_READERS = {"space.py", "chains.py", "oracle.py"}
+# terms: `space.py` owns it, and the oracle's bounds and pure families
+# re-derive from it. Every query counts types off the realized types.
+SIGMA_READERS = {"space.py", "oracle.py"}
 
 
 def test_only_the_owner_and_the_cross_checks_read_the_type_mapping():

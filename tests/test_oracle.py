@@ -9,7 +9,7 @@ import pytest
 from conftest import chain_support, random_generated_space
 from typedtopo import basis, chains, closure, connect, lattice, oracle, space
 from typedtopo.chains import TypeChain
-from typedtopo.errors import InvariantViolationError, OracleSkip, PreconditionError
+from typedtopo.errors import OracleSkip, PreconditionError
 from typedtopo.oracle import check_space, exhaustive_connected, exhaustive_min_dense
 from typedtopo.space import TypedSpace, realized_types
 
@@ -83,9 +83,8 @@ def test_dense_witnesses_and_certificates_pass_their_definitions(
     7-point spaces of seeds 0 to 39:
 
     - the cover holds each realized type once, padding aside;
-    - each answered `min_chain_dense` witness has ``density`` points and is
-      dense by `closure.is_chain_dense` (the no-least-base fixture's
-      formula fails on some chains and raises instead);
+    - each `min_chain_dense` size is the exhaustive search's, and its
+      witness has that many points and is dense by `closure.is_chain_dense`;
     - each `find_connection` certificate, over every pair of points, runs
       through overlapping members from one holding ``x`` to one holding
       ``y``, lists their union, and is accepted by `is_chain_connected`
@@ -100,14 +99,11 @@ def test_dense_witnesses_and_certificates_pass_their_definitions(
         held = [rt.terms.index(t) for ch in cover for t in dict.fromkeys(ch.levels)]
         assert sorted(held) == list(range(len(rt)))
         for chain in cover:
-            try:
-                report = closure.min_chain_dense(sp, chain)
-            except InvariantViolationError:
-                assert sp is no_least_base3
-            else:
-                assert len(report.witness) == report.density
-                assert closure.is_chain_dense(sp, report.witness, sp.points, chain)
-                densities += 1
+            report = closure.min_chain_dense(sp, chain)
+            assert report.density == exhaustive_min_dense(sp, chain)[0]
+            assert len(report.witness) == report.density
+            assert closure.is_chain_dense(sp, report.witness, sp.points, chain)
+            densities += 1
             for x, y in itertools.combinations(sp.points, 2):
                 cert = connect.find_connection(sp, x, y, chain)
                 if cert is None:
