@@ -8,11 +8,17 @@ drops the timing block so identical inputs produce byte-identical output.
 ``build`` prints the space document itself, or writes it to ``-o`` and
 reports where; ``stats --format csv`` writes its table to ``-o`` too. Every
 command comes from one table, `_COMMANDS`, and accepts only the options its
-handler reads: ``--budget-points`` belongs to ``connect`` and ``oracle``
-alone, and an option given on a path that ignores it, even with an empty
-value, is a usage error: ``--budget-points`` with ``connect --set``, any
-other oracle option with ``oracle --check``, and ``--x``, ``--y`` or
-``--connected`` with ``oracle --dense``, among others. An empty ``-o``
+handler reads: ``--budget-points`` belongs to ``oracle`` alone, and an
+option given on a path that ignores it, even with an empty value, is a
+usage error: ``--x`` or ``--y`` with ``connect --set``, any other oracle
+option with ``oracle --check``, and ``--x``, ``--y`` or ``--connected``
+with ``oracle --dense``, among others. ``connect --x --y`` is exact at any
+size and calls no oracle: it ranges over supported sets, those inside the
+union of the chain's pool, while ``connect --set`` tests the set given, so
+a set holding an unsupported point is connected though that point joins
+no other. Its report keeps the keys ``certificate``, ``{"set": ids}`` of
+the largest connected supported set through both points or null,
+``oracle``, the verdict, and ``definitive``, always true. An empty ``-o``
 names a file as any other value does. The argument parser is built once
 per process and holds no space or query state; every `run` loads,
 validates and indexes its space anew.
@@ -220,8 +226,6 @@ def _cmd_connect(args, sp):
     if args.set is not None:
         if args.x is not None or args.y is not None:
             raise PreconditionError("--x and --y do not apply with --set")
-        if args.budget_points is not None:
-            raise PreconditionError("--budget-points does not apply with --set")
         pts = _set_arg(args.set)
         ok, witness = connect.is_chain_connected(sp, pts, ch)
         return 0, sp, {
@@ -232,23 +236,14 @@ def _cmd_connect(args, sp):
         }
     if not (args.x and args.y):
         raise PreconditionError("connect needs --set or both --x and --y")
-    # outside the try: a bad budget is an error, not a skip
-    budget = oracle.point_budget(args.budget_points, oracle.DEFAULT_CONNECT_POINTS)
     cert = connect.find_connection(sp, args.x, args.y, ch)
-    try:
-        confirmed = oracle.exhaustive_connected(sp, ch, args.x, args.y, budget)
-    except OracleSkip:
-        confirmed = None
     return 0, sp, {
         "chain": ch.text(),
         "x": args.x,
         "y": args.y,
-        "certificate": (
-            {"set": list(cert.member_ids), "sequence": [list(s) for s in cert.sequence]}
-            if cert else None
-        ),
-        "oracle": "skipped" if confirmed is None else confirmed,
-        "definitive": confirmed is not None,
+        "certificate": {"set": list(cert)} if cert else None,
+        "oracle": cert is not None,
+        "definitive": True,
     }
 
 
@@ -311,7 +306,6 @@ def _cmd_oracle(args, sp):
 
 _FLAG = {"action": "store_true"}
 _CHAIN = ("--chain", {"help": "semicolon-separated chain levels"})
-_BUDGET = ("--budget-points", {"type": int, "help": "override the oracle point budget"})
 # every command also takes --stable and -o, which `run` reads
 _REPORT = (
     ("--stable", _FLAG | {"help": "omit timing for diffable output"}),
@@ -343,7 +337,7 @@ _COMMANDS = {
     "dense": (_cmd_dense, "minimum chain-dense set", True, (_CHAIN,)),
     "connect": (_cmd_connect, "chain connectivity queries", True, (
         _CHAIN, ("--set", {"help": "test this point set for connectedness"}),
-        ("--x", {}), ("--y", {}), _BUDGET,
+        ("--x", {}), ("--y", {}),
     )),
     "stats": (_cmd_stats, "score tables", True, (
         ("--p", {"help": "generator name"}),
@@ -353,7 +347,8 @@ _COMMANDS = {
     )),
     "oracle": (_cmd_oracle, "brute-force reference searches", True, (
         ("--check", _FLAG | {"help": "replay the theorem suite"}),
-        ("--dense", _FLAG), ("--connected", _FLAG), _CHAIN, ("--x", {}), ("--y", {}), _BUDGET,
+        ("--dense", _FLAG), ("--connected", _FLAG), _CHAIN, ("--x", {}), ("--y", {}),
+        ("--budget-points", {"type": int, "help": "override the oracle point budget"}),
     )),
 }
 

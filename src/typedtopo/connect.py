@@ -1,15 +1,19 @@
 """Chain-restricted connectedness and connection certificates.
 
 A set is chain-connected when no two disjoint members of the chain's open
-pool cover it while both touching it; both searches list those pairs once
-(`_disjoint_pairs`) and test a set with `_separator`. Certificates joining
-two points are unions of overlapping unseparated base opens, unseparated
-too: under a covering disjoint pair each member lies in one side, and
-overlapping members in the same one.
+pool cover it while both touching it; both queries list those pairs once
+(`_disjoint_pairs`) and test a set with `_separator`. A set holding a point
+outside every pool member is never covered, so it is connected; a
+connection between two points therefore ranges over supported sets only,
+and its certificate is the largest connected one through both, found by
+partition refinement (R. Paige and R. E. Tarjan, "Three partition
+refinement algorithms", SIAM J. Comput. 16(6), 1987).
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,14 +27,6 @@ from .space import TypedSpace
 class SeparationWitness:
     left: tuple[str, ...]
     right: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ConnectionCertificate:
-    """A verified connection: overlapping connected base opens joining x to y."""
-
-    member_ids: tuple[str, ...]
-    sequence: tuple[tuple[str, ...], ...]
 
 
 def _disjoint_pairs(pool) -> list[tuple[int, int]]:
@@ -63,42 +59,25 @@ def is_chain_connected(
 
 def find_connection(
     space: TypedSpace, x: str, y: str, chain: TypeChain
-) -> Optional[ConnectionCertificate]:
-    """Search the overlap graph of connected base opens for a path x..y.
+) -> Optional[tuple[str, ...]]:
+    """The largest chain-connected supported set through ``x`` and ``y``, or None.
 
-    Sound but complete only relative to unions of base opens; pair it with
-    `oracle.exhaustive_connected` for a definitive negative on small spaces.
+    Refines ``S``, the union of the pool: while a disjoint pair separates
+    ``S``, the side holding both points replaces it, and a pair with the
+    points on different sides answers None. A connected set through both
+    points inside ``S`` lies in one side of any pair covering ``S``, the
+    side holding both, so it stays inside ``S``; each round drops a point,
+    so there are at most n rounds.
     """
     if x == y:
         raise PreconditionError("a connection needs two distinct points")
-    xbit, ybit = space.point_bit(x), space.point_bit(y)
-    base = sorted(chains_mod.chain_base_pool(space, chain))
-    pairs = _disjoint_pairs(chains_mod.chain_pool(space, chain))
-    nodes = [m for m in base if _separator(m, pairs) is None]
-    starts = [m for m in nodes if m & xbit]
-    prev: dict[int, Optional[int]] = {m: None for m in starts}
-    frontier = list(starts)
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for m in frontier:
-            if m & ybit:
-                goal = m
-                break
-            for other in nodes:
-                if other not in prev and (other & m):
-                    prev[other] = m
-                    nxt.append(other)
-        frontier = nxt
-    if goal is None:
-        return None
-    path = []
-    cur: Optional[int] = goal
-    while cur is not None:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    union = 0
-    for m in path:
-        union |= m
-    return ConnectionCertificate(space.ids_of(union), tuple(space.ids_of(m) for m in path))
+    ends = space.point_bit(x) | space.point_bit(y)
+    pool = chains_mod.chain_pool(space, chain)
+    pairs = _disjoint_pairs(pool)
+    s = functools.reduce(operator.or_, pool, 0)
+    while not ends & ~s:
+        pair = _separator(s, pairs)
+        if pair is None:
+            return space.ids_of(s)
+        s &= next((side for side in pair if not ends & ~side), 0)
+    return None

@@ -106,9 +106,12 @@ def exhaustive_connected(
     The search ranges over subsets of the union of the chain's open pool:
     points outside it lie in no pool member, so a set containing one is
     never covered by two pool opens and the separation test degenerates;
-    restricting to supported subsets keeps the notion meaningful. A subset
-    is separated iff two disjoint pool members cover it and both meet it.
-    Like `connect.find_connection`, it needs two distinct points.
+    restricting to supported subsets keeps the notion meaningful, and an
+    unsupported end point answers False, though ``connect --set`` calls a
+    set holding it connected. A subset is separated iff two disjoint pool
+    members cover it and both meet it. It is the slow twin of
+    `connect.find_connection`, with the same domain and the same
+    convention, and needs two distinct points.
     """
     if x == y:
         raise PreconditionError("a connection needs two distinct points")

@@ -293,7 +293,7 @@ def test_output_file_receives_the_report(capsys, tmp_path):
     "argv",
     [
         ("oracle", STREET5, "--dense", "--chain", C_RIGHT5, "--budget-points", "0"),
-        ("connect", STREET5, "--chain", C_RIGHT5, "--x", "r2", "--y", "r4",
+        ("oracle", STREET5, "--connected", "--chain", C_RIGHT5, "--x", "r2", "--y", "r4",
          "--budget-points", "-1"),
     ],
 )
@@ -304,23 +304,43 @@ def test_non_positive_budget_fails_loudly(capsys, argv):
     assert "budgets must be positive" in err
 
 
-def test_connect_without_budget_applies_the_connectivity_default(capsys, tmp_path):
-    """11 points: over the connectivity search's default budget, not the dense one's."""
+def _connect_past_ten_points(capsys, tmp_path, built, chain, x, y) -> dict:
+    path = tmp_path / "space11.json"
+    path.write_text(json.dumps(space_mod.space_to_json(built)))
+    code, out, err = _run(capsys, "connect", str(path), "--chain", chain, "--x", x, "--y", y,
+                          "--stable")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["space"]["points"] == 11
+    return report["result"]
+
+
+def test_connect_is_definitive_past_ten_points(capsys, tmp_path):
+    """11 points, past the exhaustive search's default budget: both answers stay exact."""
     people = [f"p{i}" for i in range(11)]
     heap = tuple((people[(k - 1) // 2], people[k]) for k in range(1, 11))
-    path = tmp_path / "tree11.json"
-    path.write_text(json.dumps(space_mod.space_to_json(
-        ingest.build_genealogy(ingest.GenealogyDataset(heap)))))
-    argv = ("connect", str(path), "--chain", "anc & @" + " & @".join(people) + " ; anc",
-            "--x", "p3", "--y", "p4", "--stable")
-    code, out, err = _run(capsys, *argv)
-    assert code == 0, err
-    result = json.loads(out)["result"]
-    assert (result["oracle"], result["definitive"]) == ("skipped", False)
-    assert result["certificate"] is not None
-    code, out, err = _run(capsys, *argv, "--budget-points", "11")
-    assert code == 0, err
-    assert json.loads(out)["result"]["definitive"] is True
+    tree = ingest.build_genealogy(ingest.GenealogyDataset(heap))
+    result = _connect_past_ten_points(
+        capsys, tmp_path, tree, "anc & @" + " & @".join(people) + " ; anc", "p3", "p4")
+    assert result["certificate"] is not None and {"p3", "p4"} <= set(result["certificate"]["set"])
+    assert (result["oracle"], result["definitive"]) == (True, True)
+    residents = tuple(f"r{i}" for i in range(1, 12))
+    street = ingest.build_community(ingest.CommunityDataset((("main", residents),)))
+    result = _connect_past_ten_points(
+        capsys, tmp_path, street, "left & right & @r10 ; right", "r1", "r11")
+    assert (result["certificate"], result["oracle"], result["definitive"]) == (None, False, True)
+
+
+def test_a_pair_ranges_over_supported_sets_and_a_set_is_tested_as_given(capsys):
+    """On STREET5 ``r1`` lies in no pool member.
+
+    So no two pool members cover ``{r1, r2}``, which is connected; but no
+    supported set holds ``r1``, so no connection joins it to ``r2``.
+    """
+    result = _result(capsys, "connect", STREET5, "--chain", C_RIGHT5, "--set", "r1,r2")
+    assert (result["connected"], result["separator"]) == (True, None)
+    result = _result(capsys, "connect", STREET5, "--chain", C_RIGHT5, "--x", "r1", "--y", "r2")
+    assert (result["certificate"], result["oracle"], result["definitive"]) == (None, False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +492,13 @@ def test_every_option_a_command_accepts_is_read():
         for name, (handler, *_) in cli._COMMANDS.items()
     }
     assert {name: dests for name, dests in unread.items() if dests} == {}
-    assert [n for n, dests in accepted.items() if "budget_points" in dests] == [
-        "connect", "oracle"
-    ]
+    assert [n for n, dests in accepted.items() if "budget_points" in dests] == ["oracle"]
 
 
 @pytest.mark.parametrize("argv", [
     ("validate", STREET5, "--budget-points", "3"),
     ("dense", STREET5, "--chain", C_RIGHT5, "--budget-points", "1"),
+    ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--budget-points", "5"),
 ])
 def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as raised:
@@ -535,10 +554,6 @@ IGNORED_ON_PATH = {  # case -> (argv, message)
     "connect-empty-set-x-y": (
         ("connect", STREET5, "--chain", C_RIGHT5, "--set", "", "--x", "r1", "--y", "r5"),
         "--x and --y do not apply with --set",
-    ),
-    "connect-set-budget-points": (
-        ("connect", STREET5, "--chain", C_RIGHT5, "--set", "r2,r4", "--budget-points", "5"),
-        "--budget-points does not apply with --set",
     ),
     **{
         f"oracle-check-{extra[0].lstrip('-')}": (

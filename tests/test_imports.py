@@ -416,23 +416,26 @@ def test_each_index_slot_is_read_by_its_owner_alone():
             if (reads := index_reads(source))} == INDEX_READS
 
 
-def closure_reads(source: str) -> set[str]:
-    """What ``source`` imports from `closure` or reads off it, as dotted targets."""
+def module_reads(source: str, module: str, home: str) -> set[str]:
+    """What ``source``, the module ``home``, imports from ``module`` or reads off it, dotted."""
     tree = ast.parse(source)
     out = {
         alias.name
         for node in ast.walk(tree) if isinstance(node, ast.Import)
-        for alias in node.names if alias.name.split(".")[-1] == "closure"
+        for alias in node.names if alias.name.split(".")[-1] == module
     }
     out |= {
         f"{node.module or ''}.{alias.name}".lstrip(".")
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names if "closure" in (node.module, alias.name)
+        for alias in node.names if module in (node.module, alias.name)
     }
-    return out | {t for t in references(source, "oracle") if t.split(".")[0] == "closure"}
+    return out | {t for t in references(source, home) if t.split(".")[0] == module}
 
 
 def test_the_independence_gate_sees_closure_reads():
+    def closure_reads(source):
+        return module_reads(source, "closure", "oracle")
+
     assert closure_reads("from . import closure\nx = closure.min_chain_dense\n") == {
         "closure", "closure.min_chain_dense"}
     assert closure_reads("from .closure import _point_families\n") == {
@@ -448,7 +451,8 @@ def test_the_oracle_reads_nothing_from_closure():
     formula's hypothesis; a search that read back a closure helper would
     judge the formula by itself.
     """
-    assert closure_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == set()
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert module_reads(source, "closure", "oracle") == set()
 
 
 def function_references(source: str, home: str, name: str) -> set[str]:
@@ -486,6 +490,23 @@ def test_the_connectivity_search_reads_nothing_from_connect():
     reads = function_references(source, "oracle", "exhaustive_connected")
     assert "chains.chain_pool" in reads
     assert sorted(t for t in reads if t.split(".")[0] == "connect") == []
+
+
+def test_the_connection_query_reads_nothing_from_the_oracle():
+    """`connect --x --y` decides by the refinement alone; the oracle stays its judge.
+
+    `connect.py` imports nothing from `oracle`, and `cli._cmd_connect`,
+    which once confirmed a negative by the exhaustive search within a point
+    budget, reads no name of it; `cli._cmd_oracle` does, and the gate sees
+    that.
+    """
+    source = (PACKAGE / "connect.py").read_text(encoding="utf-8")
+    assert module_reads(source, "oracle", "connect") == set()
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "oracle.exhaustive_connected" in function_references(source, "cli", "_cmd_oracle")
+    reads = function_references(source, "cli", "_cmd_connect")
+    assert "connect.find_connection" in reads
+    assert sorted(t for t in reads if t.split(".")[0] == "oracle") == []
 
 
 # The package modules that read an attribute ``sigma``, the type mapping as

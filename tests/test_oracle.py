@@ -85,14 +85,15 @@ def test_dense_witnesses_and_certificates_pass_their_definitions(
     - the cover holds each realized type once, padding aside;
     - each `min_chain_dense` size is the exhaustive search's, and its
       witness has that many points and is dense by `closure.is_chain_dense`;
-    - each `find_connection` certificate, over every pair of points, runs
-      through overlapping members from one holding ``x`` to one holding
-      ``y``, lists their union, and is accepted by `is_chain_connected`
-      and `exhaustive_connected`.
+    - `find_connection` finds a certificate for a pair of points iff
+      `exhaustive_connected` answers True, over every pair, negatives
+      included; the certificate holds both points, `is_chain_connected`
+      accepts it, and no supported point outside it extends it to a
+      connected set.
     """
     spaces = [genealogy5, street5, street2x3, no_least_base3, tree9]
     spaces += filter(None, (random_generated_space(random.Random(s), 7) for s in range(40)))
-    densities = certificates = 0
+    densities = certificates = negatives = 0
     for sp in spaces:
         rt = realized_types(sp)
         cover = chains.chain_cover(sp).chains
@@ -104,18 +105,20 @@ def test_dense_witnesses_and_certificates_pass_their_definitions(
             assert len(report.witness) == report.density
             assert closure.is_chain_dense(sp, report.witness, sp.points, chain)
             densities += 1
+            supported = set().union(*map(sp.ids_of, chains.chain_pool(sp, chain)))
             for x, y in itertools.combinations(sp.points, 2):
                 cert = connect.find_connection(sp, x, y, chain)
+                assert (cert is not None) == exhaustive_connected(sp, chain, x, y)
                 if cert is None:
+                    negatives += 1
                     continue
-                seq = cert.sequence
-                assert x in seq[0] and y in seq[-1]
-                assert all(set(a) & set(b) for a, b in zip(seq, seq[1:]))
-                assert sorted(cert.member_ids) == sorted(set().union(*seq))
-                assert connect.is_chain_connected(sp, cert.member_ids, chain)[0]
-                assert exhaustive_connected(sp, chain, x, y)
+                assert {x, y} <= set(cert)
+                assert connect.is_chain_connected(sp, cert, chain)[0]
+                assert not [p for p in supported - set(cert)
+                            if connect.is_chain_connected(sp, {*cert, p}, chain)[0]]
                 certificates += 1
-    assert len(spaces) >= 20 and densities >= 90 and certificates >= 800
+    assert len(spaces) >= 20 and densities >= 90
+    assert certificates >= 800 and negatives >= 700
 
 
 def test_exhaustive_connected_examples(street5, c_right5, street2x3, c_right6):
@@ -144,7 +147,7 @@ def test_exhaustive_connected_searches_supersets_of_the_two_points():
     chain = chains.parse_chain("g & @x & @y ; g", ctx)
     ok, witness = connect.is_chain_connected(sp, {"x", "y"}, chain)
     assert not ok and {witness.left, witness.right} == {("x",), ("y",)}
-    assert connect.find_connection(sp, "x", "y", chain).member_ids == ("x", "y", "z")
+    assert connect.find_connection(sp, "x", "y", chain) == ("x", "y", "z")
     assert exhaustive_connected(sp, chain, "x", "y")
 
 
